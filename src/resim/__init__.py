@@ -10,13 +10,13 @@ from .grid import (Grid, RockFields, cell_index, cell_ijk,
 from .pvt import (CoreyTwoPhase, ThreePhaseRelPerm, PvtModel, FluidSystem,
                   Table1D, krw, kro_two_phase, kro_stone2, phase_density,
                   property_derivatives, evaluate_properties)
-from .model import ReservoirModel, ReservoirState, CellState, AssemblyError
+from .model import ReservoirModel, ReservoirState, AssemblyError
 from .wells import (Well, Perforation, Constraint, Schedule, peaceman_wi,
                     perforation_rate, constraint_residual, apply_schedule,
                     complete_vertical, WellConfigError)
 from .linear import (BlockMatrix, SolverConfig, quasi_impes_decouple,
-                     abf_decouple, bicgstab, cpr_fpf_setup, cpr_fpf_apply,
-                     amg_vcycle, build_amg, AmgHierarchy, BlockILU0)
+                     abf_decouple, bicgstab, amg_vcycle, build_amg,
+                     AmgHierarchy, BlockILU0)
 from .nonlinear import (NewtonConfig, StepController, RunReport, ForcingHistory,
                         forcing_term, newton_step, advance_timestep,
                         SimulationAbort)
@@ -30,11 +30,11 @@ __all__ = [
     "load_spe10_fields", "CoreyTwoPhase", "ThreePhaseRelPerm", "PvtModel",
     "FluidSystem", "Table1D", "krw", "kro_two_phase", "kro_stone2",
     "phase_density", "property_derivatives", "evaluate_properties",
-    "ReservoirModel", "ReservoirState", "CellState", "AssemblyError", "Well",
+    "ReservoirModel", "ReservoirState", "AssemblyError", "Well",
     "Perforation", "Constraint", "Schedule", "peaceman_wi", "perforation_rate",
     "constraint_residual", "apply_schedule", "complete_vertical",
     "WellConfigError", "BlockMatrix", "SolverConfig", "quasi_impes_decouple",
-    "abf_decouple", "bicgstab", "cpr_fpf_setup", "cpr_fpf_apply", "amg_vcycle",
+    "abf_decouple", "bicgstab", "amg_vcycle",
     "build_amg", "AmgHierarchy", "BlockILU0", "NewtonConfig", "StepController",
     "RunReport", "ForcingHistory", "forcing_term", "newton_step",
     "advance_timestep", "SimulationAbort", "Deck", "DeckError", "Partition",

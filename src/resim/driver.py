@@ -12,6 +12,7 @@ See decks/ for complete examples.
 from __future__ import annotations
 
 import argparse
+import copy
 import logging
 import os
 import sys
@@ -42,15 +43,10 @@ class DeckError(ValueError):
 class Partition:
     workers: int
     ranges: list[tuple[int, int]]
-    boundary_faces: list[tuple[int, int]] = field(default_factory=list)
 
 
-def partition_cells(ncell: int, workers: int, grid: Grid | None = None) -> Partition:
-    """Near-equal contiguous cell ranges; sizes differ by at most one cell.
-
-    With a grid, faces whose two cells live in different ranges are listed
-    exactly once as (lower cell, upper cell) pairs.
-    """
+def partition_cells(ncell: int, workers: int) -> Partition:
+    """Near-equal contiguous cell ranges; sizes differ by at most one cell."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers > ncell:
@@ -63,21 +59,7 @@ def partition_cells(ncell: int, workers: int, grid: Grid | None = None) -> Parti
         size = base + (1 if w < extra else 0)
         ranges.append((start, start + size))
         start += size
-    part = Partition(workers, ranges)
-    if grid is not None:
-        owner = np.empty(ncell, dtype=int)
-        for w, (c0, c1) in enumerate(ranges):
-            owner[c0:c1] = w
-        from .grid import has_upper_neighbor
-
-        for ax in range(3):
-            if grid.shape()[ax] < 2:
-                continue
-            s = grid.stride(ax)
-            a = np.nonzero(has_upper_neighbor(grid, ax))[0]
-            cross = owner[a] != owner[a + s]
-            part.boundary_faces.extend((int(x), int(x + s)) for x in a[cross])
-    return part
+    return Partition(workers, ranges)
 
 
 @dataclass
@@ -122,7 +104,7 @@ _SECTION_KEYS = {
     "solver": {"newton_tol", "newton_atol", "newton_max", "forcing_rule",
                "gamma", "beta", "theta_fixed", "theta0", "theta_min",
                "theta_max", "max_ds", "max_dp", "mb_tol", "linear_max_it",
-               "preconditioner", "decoupling", "ilu_ordering"},
+               "preconditioner", "decoupling"},
     "time": {"t_end", "dt_init", "dt_max", "dt_min", "growth", "cut", "max_cuts"},
     "output": {"report_csv", "vtk_every", "vtk_prefix", "dump_matrices"},
 }
@@ -273,13 +255,12 @@ def _build_deck(sections, tables, base_dir) -> Deck:
     solver = SolverConfig(
         max_iterations=sv.get("linear_max_it", 50, int),
         preconditioner=sv.get("preconditioner", "cpr_fpf"),
-        decoupling=sv.get("decoupling", "quasi_impes"),
-        ilu_ordering=sv.get("ilu_ordering", "redblack"))
+        decoupling=sv.get("decoupling", "quasi_impes"))
     for k in ("tol", "atol", "max_newton", "forcing_rule", "gamma", "beta",
               "theta_fixed", "theta0", "theta_min", "theta_max", "max_ds",
               "max_dp", "mb_tol"):
         rec("solver", k, getattr(newton, k))
-    for k in ("max_iterations", "preconditioner", "decoupling", "ilu_ordering"):
+    for k in ("max_iterations", "preconditioner", "decoupling"):
         rec("solver", k, getattr(solver, k))
 
     t = _required(sections, "time")
@@ -581,12 +562,13 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
     log.info("run: workers = %d", workers)
 
     grid = deck.grid
-    part = partition_cells(grid.ncell, workers, grid)
+    part = partition_cells(grid.ncell, workers)
     model = ReservoirModel(grid, deck.rock, deck.fluid)
     state = initial_state(deck)
     report = RunReport(workers=workers)
     report.initial_mass = model.mass_in_place(state)
-    wells = deck.wells
+    # schedule switches replace constraints on these copies, not on the deck
+    wells = [copy.copy(w) for w in deck.wells]
 
     vtk_path = os.path.join(output_dir, f"{out.vtk_prefix}_final.vtk")
     csv_path = os.path.join(output_dir, report_csv) if report_csv else None

@@ -3,9 +3,9 @@
 The Jacobian is stored as a structured block matrix (7-point stencil of
 m x m cell blocks plus well border rows/columns).  Quasi-IMPES and ABF
 decoupling are exact left transformations; the CPR preconditioner combines a
-block ILU(0) full-system smoother with one smoothed-aggregation AMG V-cycle
-on the extracted pressure block, in a fine-pressure-fine composition, and is
-used from right-preconditioned BiCGSTAB.
+red-black block ILU(0) full-system smoother with one smoothed-aggregation AMG
+V-cycle on the extracted pressure block, in a fine-pressure-fine
+composition, and is used from right-preconditioned BiCGSTAB.
 """
 
 from __future__ import annotations
@@ -16,13 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .parallel import det_dot, det_norm
 
 log = logging.getLogger(__name__)
 
 _TINY = 1e-30
+# smoothed-aggregation AMG: strength threshold, coarsest size, level cap and
+# the Jacobi smoothing weight (capped per level by the spectral radius)
+_AMG_STRENGTH = 0.08
+_AMG_MIN_COARSE = 40
+_AMG_MAX_LEVELS = 10
+_JACOBI_OMEGA = 0.8
 
 
 @dataclass
@@ -30,12 +35,6 @@ class SolverConfig:
     max_iterations: int = 50
     preconditioner: str = "cpr_fpf"   # 'none' | 'ilu0' | 'cpr_fpf'
     decoupling: str = "quasi_impes"   # 'none' | 'quasi_impes' | 'abf'
-    ilu_ordering: str = "redblack"    # 'redblack' | 'natural'
-    breakdown_tol: float = _TINY
-    amg_strength: float = 0.08
-    amg_min_coarse: int = 40
-    amg_max_levels: int = 10
-    jacobi_omega: float = 0.8
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -117,25 +116,35 @@ class BlockMatrix:
             yw = np.zeros(0)
         return np.concatenate([yc.ravel(), yw])
 
+    def _stencil_coo(self, q: int):
+        """COO lists of the leading q x q corner of every stencil block.
+
+        Cell c owns scalar rows and columns c*q .. c*q+q-1: q = m gives the
+        cell part of the full system, q = 1 the pressure-pressure block.
+        Entries come diagonal first, then lower and upper per axis, and cells
+        without the neighbor are skipped.
+        """
+        cell = np.arange(self.ncell)
+        ii, jj = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+        rows, cols, vals = [], [], []
+
+        def add_blocks(blocks, mask, offset):
+            rc = cell[mask]
+            rows.append((rc[:, None, None] * q + ii[None]).ravel())
+            cols.append(((rc + offset)[:, None, None] * q + jj[None]).ravel())
+            vals.append(blocks[:, :q, :q][mask].reshape(-1))
+
+        add_blocks(self.diag, slice(None), 0)
+        for ax in self.axes:
+            s = self.stride(ax)
+            add_blocks(self.lo[ax], self.neighbor_mask(ax, upper=False), -s)
+            add_blocks(self.hi[ax], self.neighbor_mask(ax, upper=True), s)
+        return rows, cols, vals
+
     def to_csr(self) -> sp.csr_matrix:
         """Scalar CSR of the full system (cells then wells)."""
         n, m = self.ncell, self.m
-        rows, cols, vals = [], [], []
-        ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        cell = np.arange(n)
-
-        def add_blocks(blocks, rcell, ccell):
-            rows.append((rcell[:, None, None] * m + ii[None]).ravel())
-            cols.append((ccell[:, None, None] * m + jj[None]).ravel())
-            vals.append(blocks.reshape(-1))
-
-        add_blocks(self.diag, cell, cell)
-        for ax in self.axes:
-            s = self.stride(ax)
-            mlo = self.neighbor_mask(ax, upper=False)
-            mhi = self.neighbor_mask(ax, upper=True)
-            add_blocks(self.lo[ax][mlo], cell[mlo], cell[mlo] - s)
-            add_blocks(self.hi[ax][mhi], cell[mhi], cell[mhi] + s)
+        rows, cols, vals = self._stencil_coo(m)
         if self.nwell:
             base = n * m
             pr = self.cw_cells[:, None] * m + np.arange(m)[None]
@@ -148,32 +157,11 @@ class BlockMatrix:
             rows.append(base + np.arange(self.nwell))
             cols.append(base + np.arange(self.nwell))
             vals.append(self.ww)
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.nunk, self.nunk))
-        return mat.tocsr()
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
+        return _coo_to_csr(rows, cols, vals, self.nunk)
 
     def extract_app(self) -> sp.csr_matrix:
         """Pressure-pressure scalar sub-matrix on the cell stencil pattern."""
-        n = self.ncell
-        cell = np.arange(n)
-        rows = [cell]
-        cols = [cell]
-        vals = [self.diag[:, 0, 0]]
-        for ax in self.axes:
-            s = self.stride(ax)
-            mlo = self.neighbor_mask(ax, upper=False)
-            mhi = self.neighbor_mask(ax, upper=True)
-            rows += [cell[mlo], cell[mhi]]
-            cols += [cell[mlo] - s, cell[mhi] + s]
-            vals += [self.lo[ax][mlo, 0, 0], self.hi[ax][mhi, 0, 0]]
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
-        return mat.tocsr()
+        return _coo_to_csr(*self._stencil_coo(1), self.ncell)
 
     def transformed(self, e: np.ndarray, b=None):
         """Left-multiply every cell block row by the per-cell matrix e (n, m, m)."""
@@ -190,6 +178,12 @@ class BlockMatrix:
             bc = np.einsum("nij,nj->ni", e, b[: n * m].reshape(n, m)).ravel()
             out.b = np.concatenate([bc, b[n * m:]])
         return out
+
+
+def _coo_to_csr(rows, cols, vals, n: int) -> sp.csr_matrix:
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
 
 
 def quasi_impes_decouple(a: BlockMatrix, b: np.ndarray):
@@ -281,121 +275,64 @@ def _safe_inv(blocks: np.ndarray, counter: list) -> np.ndarray:
 
 
 class BlockILU0:
-    """Block ILU(0) on the cell stencil; well rows folded diagonally.
+    """Red-black block ILU(0) on the cell stencil; well rows folded diagonally.
 
-    For the 7-point stencil the ILU(0) update touches only diagonal blocks:
-    D~_i = D_i - sum_d L_{i,i-s} inv(D~_{i-s}) U_{i-s,i}, swept in a cell
-    ordering.  'redblack' orders cells by parity (two sweeps, fully
-    vectorized); 'natural' sweeps i+j+k hyperplanes and solves the scalar
-    triangular factors with SuperLU.
+    Cells are coloured by the parity of i+j+k, so every stencil neighbor of a
+    red cell is black and vice versa (the multicolour ILU(0) of Saad,
+    *Iterative Methods for Sparse Linear Systems*, section 12.4).  The
+    factorisation then changes only the black diagonal blocks:
+    D~_b = D_b - sum L_{b,r} inv(D_r) U_{r,b} over red neighbors r.  Each
+    solve is one forward and one backward sweep, vectorized per colour.
     """
 
-    def __init__(self, a: BlockMatrix, ordering: str = "redblack"):
-        if ordering not in ("redblack", "natural"):
-            raise ValueError(f"unknown ILU ordering {ordering!r}")
+    def __init__(self, a: BlockMatrix):
         self.a = a
-        self.ordering = ordering
-        self.pivot_shifts = 0
         counter = [0]
-        n, m = a.ncell, a.m
+        n = a.ncell
         self.ww_inv = np.where(np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
         nx, ny, nz = a.shape
         idx = np.arange(n)
         i = idx % nx
         j = (idx // nx) % ny
         k = idx // (nx * ny)
-        if ordering == "redblack":
-            self.red = (i + j + k) % 2 == 0
-            self.ired = np.nonzero(self.red)[0]
-            self.iblack = np.nonzero(~self.red)[0]
-            dtil = a.diag.copy()
-            inv = np.zeros_like(dtil)
-            inv[self.ired] = _safe_inv(dtil[self.ired], counter)
-            # black diagonal Schur update keeps only in-pattern (diagonal) fill
-            upd = np.zeros_like(dtil)
-            for ax in a.axes:
-                s = a.stride(ax)
-                low = np.matmul(np.matmul(a.lo[ax][s:], inv[:-s]), a.hi[ax][:-s])
-                upd[s:] += np.where(self.red[:-s, None, None], low, 0.0)
-                upp = np.matmul(np.matmul(a.hi[ax][:-s], inv[s:]), a.lo[ax][s:])
-                upd[:-s] += np.where(self.red[s:, None, None], upp, 0.0)
-            dtil[self.iblack] -= upd[self.iblack]
-            inv[self.iblack] = _safe_inv(dtil[self.iblack], counter)
-            self.inv_diag = inv
-            self.inv_red = inv[self.ired]
-            self.inv_black = inv[self.iblack]
-        else:
-            levels = i + j + k
-            maxlev = int(levels.max())
-            self.level_cells = [np.nonzero(levels == l)[0] for l in range(maxlev + 1)]
-            dtil = a.diag.copy()
-            inv = np.zeros_like(dtil)
-            inv[self.level_cells[0]] = _safe_inv(dtil[self.level_cells[0]], counter)
-            for cells in self.level_cells[1:]:
-                upd = np.zeros((len(cells), m, m))
-                for ax in a.axes:
-                    s = a.stride(ax)
-                    has = cells >= s
-                    cc = cells[has]
-                    nb = cc - s
-                    upd[has] += np.matmul(np.matmul(a.lo[ax][cc], inv[nb]), a.hi[ax][nb])
-                dtil[cells] -= upd
-                inv[cells] = _safe_inv(dtil[cells], counter)
-            self.inv_diag = inv
-            self._build_factors(dtil)
+        red = (i + j + k) % 2 == 0
+        self.ired = np.nonzero(red)[0]
+        self.iblack = np.nonzero(~red)[0]
+        dtil = a.diag.copy()
+        inv = np.zeros_like(dtil)
+        inv[self.ired] = _safe_inv(dtil[self.ired], counter)
+        # black diagonal Schur update keeps only in-pattern (diagonal) fill
+        upd = np.zeros_like(dtil)
+        for ax in a.axes:
+            s = a.stride(ax)
+            low = np.matmul(np.matmul(a.lo[ax][s:], inv[:-s]), a.hi[ax][:-s])
+            upd[s:] += np.where(red[:-s, None, None], low, 0.0)
+            upp = np.matmul(np.matmul(a.hi[ax][:-s], inv[s:]), a.lo[ax][s:])
+            upd[:-s] += np.where(red[s:, None, None], upp, 0.0)
+        dtil[self.iblack] -= upd[self.iblack]
+        inv[self.iblack] = _safe_inv(dtil[self.iblack], counter)
+        self.inv_diag = inv
+        self.inv_red = inv[self.ired]
+        self.inv_black = inv[self.iblack]
         self.pivot_shifts = counter[0]
         if counter[0]:
             log.warning("block ILU(0): %d shifted pivots", counter[0])
-
-    def _build_factors(self, dtil: np.ndarray):
-        a, m, n = self.a, self.a.m, self.a.ncell
-        rows, cols, vals = [np.arange(n * m)], [np.arange(n * m)], [np.ones(n * m)]
-        urows, ucols, uvals = [], [], []
-        ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-
-        def entries(blocks, rcell, ccell, r, c, v):
-            r.append((rcell[:, None, None] * m + ii[None]).ravel())
-            c.append((ccell[:, None, None] * m + jj[None]).ravel())
-            v.append(blocks.reshape(-1))
-
-        cell = np.arange(n)
-        entries(dtil, cell, cell, urows, ucols, uvals)
-        for ax in a.axes:
-            s = a.stride(ax)
-            mlo = a.neighbor_mask(ax, upper=False)
-            mhi = a.neighbor_mask(ax, upper=True)
-            lfac = np.matmul(a.lo[ax][mlo], self.inv_diag[cell[mlo] - s])
-            entries(lfac, cell[mlo], cell[mlo] - s, rows, cols, vals)
-            entries(a.hi[ax][mhi], cell[mhi], cell[mhi] + s, urows, ucols, uvals)
-        lmat = sp.coo_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n * m, n * m)).tocsc()
-        umat = sp.coo_matrix((np.concatenate(uvals),
-                              (np.concatenate(urows), np.concatenate(ucols))),
-                             shape=(n * m, n * m)).tocsc()
-        self._lsolve = spla.splu(lmat, permc_spec="NATURAL",
-                                 diag_pivot_thresh=0.0).solve
-        self._usolve = spla.splu(umat, permc_spec="NATURAL",
-                                 diag_pivot_thresh=0.0).solve
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         a = self.a
         n, m = a.ncell, a.m
         rc = r[: n * m].reshape(n, m)
-        if self.ordering == "redblack":
-            ired, iblack = self.ired, self.iblack
-            u = np.zeros_like(rc)
-            u[ired] = np.einsum("nij,nj->ni", self.inv_red, rc[ired])
-            yb = rc[iblack] - a.offdiag_apply(u)[iblack]
-            zb = np.einsum("nij,nj->ni", self.inv_black, yb)
-            w = np.zeros_like(rc)
-            w[iblack] = zb
-            z = w  # reuse buffer: red slots still zero
-            z[ired] = np.einsum("nij,nj->ni", self.inv_red,
-                                rc[ired] - a.offdiag_apply(w)[ired])
-            zc = z.ravel()
-        else:
-            zc = self._usolve(self._lsolve(rc.ravel()))
+        ired, iblack = self.ired, self.iblack
+        u = np.zeros_like(rc)
+        u[ired] = np.einsum("nij,nj->ni", self.inv_red, rc[ired])
+        yb = rc[iblack] - a.offdiag_apply(u)[iblack]
+        zb = np.einsum("nij,nj->ni", self.inv_black, yb)
+        w = np.zeros_like(rc)
+        w[iblack] = zb
+        z = w  # reuse buffer: red slots still zero
+        z[ired] = np.einsum("nij,nj->ni", self.inv_red,
+                            rc[ired] - a.offdiag_apply(w)[ired])
+        zc = z.ravel()
         if a.nwell:
             return np.concatenate([zc, r[n * m:] * self.ww_inv])
         return zc
@@ -420,7 +357,6 @@ class AmgLevel:
 class AmgHierarchy:
     levels: list[AmgLevel] = field(default_factory=list)
     coarse_lu: tuple | None = None
-    omega: float = 0.8
 
     @property
     def nlevels(self) -> int:
@@ -476,27 +412,25 @@ def _spectral_radius(a: sp.csr_matrix, dinv: np.ndarray, iters: int = 10) -> flo
     return rho
 
 
-def build_amg(a_pp: sp.csr_matrix, config: SolverConfig | None = None,
-              workspace: dict | None = None) -> AmgHierarchy:
+def build_amg(a_pp: sp.csr_matrix, workspace: dict | None = None) -> AmgHierarchy:
     """Smoothed-aggregation hierarchy with a dense coarsest-level factorization.
 
     The sparsity pattern of successive Newton matrices never changes inside a
     run, so aggregates computed once are reusable; pass a persistent
     ``workspace`` dict to cache them across setups.
     """
-    cfg = config or SolverConfig()
-    hier = AmgHierarchy(omega=cfg.jacobi_omega)
+    hier = AmgHierarchy()
     a = a_pp.tocsr()
     cached = workspace.get("amg_aggregates") if workspace is not None else None
     built: list[np.ndarray] = []
-    for lvl in range(cfg.amg_max_levels):
+    for lvl in range(_AMG_MAX_LEVELS):
         n = a.shape[0]
-        if n <= cfg.amg_min_coarse:
+        if n <= _AMG_MIN_COARSE:
             break
         if cached is not None and lvl < len(cached) and len(cached[lvl]) == n:
             agg = cached[lvl]
         else:
-            agg = _aggregate(a, cfg.amg_strength)
+            agg = _aggregate(a, _AMG_STRENGTH)
         built.append(agg)
         ncoarse = int(agg.max()) + 1
         if ncoarse >= n:
@@ -512,9 +446,9 @@ def build_amg(a_pp: sp.csr_matrix, config: SolverConfig | None = None,
         p = (p0 - sp.diags(omega_p * dinv) @ (a @ p0)).tocsr()
         r = p.T.tocsr()
         # Jacobi smoothing is stable only for omega < 2/rho(D^-1 A); cap the
-        # configured weight so decouplings that break diagonal dominance
+        # default weight so decouplings that break diagonal dominance
         # (e.g. ABF on incompressible systems) cannot make the cycle diverge
-        omega_s = min(cfg.jacobi_omega, 1.6 / max(rho, 1e-12))
+        omega_s = min(_JACOBI_OMEGA, 1.6 / max(rho, 1e-12))
         hier.levels.append(AmgLevel(a=a, dinv=dinv, p=p, r=r, omega=omega_s))
         a = (r @ a @ p).tocsr()
     dense = a.toarray()
@@ -542,16 +476,6 @@ def amg_vcycle(hier: AmgHierarchy, r_p: np.ndarray, level: int = 0) -> np.ndarra
 # CPR-FPF preconditioner
 
 
-class IluPreconditioner:
-    """Standalone block-ILU(0) preconditioner (the F stage alone)."""
-
-    def __init__(self, a: BlockMatrix, config: SolverConfig):
-        self.smoother = BlockILU0(a, ordering=config.ilu_ordering)
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.smoother.solve(r)
-
-
 class CprFpf:
     """Two-stage CPR with fine-pressure-fine composition.
 
@@ -560,14 +484,12 @@ class CprFpf:
     applied multiplicatively between two F stages.
     """
 
-    def __init__(self, a: BlockMatrix, config: SolverConfig | None = None,
-                 matvec=None, workspace: dict | None = None):
-        cfg = config or SolverConfig()
+    def __init__(self, a: BlockMatrix, matvec=None, workspace: dict | None = None):
         self.a = a
         self.matvec = matvec if matvec is not None else _csr_matvec(a.to_csr())
-        self.smoother = BlockILU0(a, ordering=cfg.ilu_ordering)
+        self.smoother = BlockILU0(a)
         self.app = a.extract_app()
-        self.amg = build_amg(self.app, cfg, workspace=workspace)
+        self.amg = build_amg(self.app, workspace=workspace)
         self.pslots = np.arange(a.ncell) * a.m
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -579,23 +501,13 @@ class CprFpf:
         return z + self.smoother.solve(rr)
 
 
-def cpr_fpf_setup(a: BlockMatrix, config: SolverConfig | None = None,
-                  matvec=None, workspace: dict | None = None) -> CprFpf:
-    """Build the CPR-FPF preconditioner for a (decoupled) block matrix."""
-    return CprFpf(a, config, matvec=matvec, workspace=workspace)
-
-
-def cpr_fpf_apply(m: CprFpf, r: np.ndarray) -> np.ndarray:
-    return m.apply(r)
-
-
 def make_preconditioner(a: BlockMatrix, config: SolverConfig, matvec=None,
                         workspace: dict | None = None):
     if config.preconditioner == "none":
         return None
     if config.preconditioner == "ilu0":
-        return IluPreconditioner(a, config)
-    return cpr_fpf_setup(a, config, matvec=matvec, workspace=workspace)
+        return BlockILU0(a)
+    return CprFpf(a, matvec=matvec, workspace=workspace)
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +526,14 @@ def _as_matvec(a):
     return _csr_matvec(a)
 
 
-def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int,
-             breakdown_tol: float = _TINY):
-    """Right-preconditioned BiCGSTAB.
+def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int):
+    """Right-preconditioned BiCGSTAB from a zero initial guess.
 
-    Stops when the true residual satisfies ||b - A x|| <= tol * ||b||.
-    Returns (x, iterations, status) with status in
-    {'converged', 'max_it', 'breakdown'}.
+    Stops when a recursively updated residual, the half-step s or the full
+    step r, satisfies ||.|| <= tol * ||b||.  The true residual b - A x is not
+    recomputed here and can drift from the recursive one; ``newton_step``
+    records it as ``NewtonIterLog.lhs_norm``.  Returns (x, iterations,
+    status) with status in {'converged', 'max_it', 'breakdown'}.
     """
     mv = _as_matvec(a)
     prec = (lambda r: r) if m is None else m.apply
@@ -638,19 +551,19 @@ def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int,
     p = np.zeros_like(b)
     for it in range(1, max_it + 1):
         rho = det_dot(r0, r)
-        if abs(rho) < breakdown_tol:
+        if abs(rho) < _TINY:
             return x, it - 1, "breakdown"
         if it == 1:
             p = r.copy()
         else:
-            if abs(omega) < breakdown_tol:
+            if abs(omega) < _TINY:
                 return x, it - 1, "breakdown"
             beta = (rho / rho_old) * (alpha / omega)
             p = r + beta * (p - omega * v)
         phat = prec(p)
         v = mv(phat)
         denom = det_dot(r0, v)
-        if abs(denom) < breakdown_tol:
+        if abs(denom) < _TINY:
             return x, it - 1, "breakdown"
         alpha = rho / denom
         s = r - alpha * v
@@ -660,7 +573,7 @@ def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int,
         shat = prec(s)
         t = mv(shat)
         tt = det_dot(t, t)
-        if tt < breakdown_tol:
+        if tt < _TINY:
             return x, it, "breakdown"
         omega = det_dot(t, s) / tt
         x = x + alpha * phat + omega * shat

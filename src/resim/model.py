@@ -31,17 +31,6 @@ class AssemblyError(RuntimeError):
 
 
 @dataclass
-class CellState:
-    """Single-cell unknown set (diagnostic view of a ReservoirState)."""
-
-    p_o: float
-    s_w: float
-    s_g: float = 0.0
-    p_b: float = 0.0
-    saturated: bool = True
-
-
-@dataclass
 class ReservoirState:
     """Per-cell unknowns, well BHPs and the time level.
 
@@ -62,15 +51,6 @@ class ReservoirState:
             None if self.x3 is None else self.x3.copy(),
             None if self.sat is None else self.sat.copy(),
             self.p_h.copy(), self.t)
-
-    def cell(self, i: int) -> CellState:
-        if self.x3 is None:
-            return CellState(float(self.p_o[i]), float(self.s_w[i]))
-        saturated = bool(self.sat[i])
-        return CellState(float(self.p_o[i]), float(self.s_w[i]),
-                         s_g=float(self.x3[i]) if saturated else 0.0,
-                         p_b=float(self.p_o[i]) if saturated else float(self.x3[i]),
-                         saturated=saturated)
 
 
 # (component, mass-mobility, potential pressure, gravity density) per flux stream;

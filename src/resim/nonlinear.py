@@ -23,6 +23,8 @@ from .parallel import det_norm, PooledMatvec
 log = logging.getLogger(__name__)
 
 FORCING_RULES = ("eq13_a", "eq13_b", "eq13_c", "fixed")
+# p_b above p_o by more than this (psi) switches a cell to saturated
+_SWITCH_EPS = 1e-8
 
 
 class SimulationAbort(RuntimeError):
@@ -49,7 +51,6 @@ class NewtonConfig:
     max_ds: float = 0.2
     max_dp: float = 500.0
     mb_tol: float | None = None   # None: auto per fluid kind; 0 disables
-    switch_eps: float = 1e-8
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -175,7 +176,7 @@ def apply_update(state, dx: np.ndarray, model, config: NewtonConfig):
         pb_new[to_undersat] = new.p_o[to_undersat]
         sg_new[to_undersat] = 0.0
         # undersaturated cell reaches bubble point: free gas appears
-        to_sat = (~sat) & (pb_new > new.p_o + config.switch_eps)
+        to_sat = (~sat) & (pb_new > new.p_o + _SWITCH_EPS)
         new_sat[to_sat] = True
         sg_new[to_sat] = 0.0
         pb_new = np.minimum(pb_new, new.p_o)
@@ -203,8 +204,7 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
     a2, b2 = decouple(jac, b, scfg.decoupling)
     matvec = PooledMatvec(a2.to_csr(), pool, model.m)
     precond = make_preconditioner(a2, scfg, matvec=matvec, workspace=workspace)
-    dx, iters, status = bicgstab(matvec, precond, b2, theta,
-                                 scfg.max_iterations, scfg.breakdown_tol)
+    dx, iters, status = bicgstab(matvec, precond, b2, theta, scfg.max_iterations)
     lhs = det_norm(b2 - matvec(dx))
     t2 = time.perf_counter()
     entry = NewtonIterLog(theta=theta, b_norm=det_norm(b2), lhs_norm=lhs,

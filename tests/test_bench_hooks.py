@@ -1,0 +1,57 @@
+"""The benchmark harness under perfbench/ wraps simulator names in place.
+
+These checks install and remove its tracer without running a deck, and
+build tiny solver objects to read the attributes the tracer reads, so a
+rename or deletion the harness depends on fails here in under a second.
+"""
+
+import os
+
+import numpy as np
+import scipy.sparse as sp
+
+from resim import driver, linear, nonlinear, parallel
+from test_linear import random_block_matrix
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _hooked():
+    return (driver.advance_timestep, nonlinear.newton_step,
+            nonlinear.make_preconditioner, nonlinear.bicgstab, linear.build_amg,
+            vars(linear.BlockILU0)["__init__"], vars(linear.BlockILU0)["solve"],
+            vars(linear.BlockMatrix)["to_csr"], vars(linear.BlockMatrix)["extract_app"])
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer
+
+    originals = _hooked()
+    t = Tracer().install()
+    try:
+        assert all(now is not was for now, was in zip(_hooked(), originals))
+    finally:
+        t.uninstall()
+    assert _hooked() == originals
+
+
+def test_sample_patch_targets_exist():
+    # the names perfbench/sample.py replaces to sample the host's speed
+    assert callable(driver.advance_timestep)
+    assert callable(nonlinear.newton_step)
+    assert callable(vars(linear.BlockILU0)["solve"])
+
+
+def test_attributes_the_tracer_reads():
+    a = random_block_matrix(np.random.default_rng(0), m=2, nwell=1)
+    ilu = linear.BlockILU0(a)
+    assert ilu.a is a and set(ilu.a.lo) == set(ilu.a.hi)
+    assert ilu.inv_diag.shape == a.diag.shape
+    assert ilu.pivot_shifts == 0
+    hier = linear.build_amg(sp.csr_matrix(np.array([[3.0]])))
+    assert (hier.levels, hier.nlevels, hier.coarse_n) == ([], 1, 1)
+    assert linear.det_dot is parallel.det_dot
+    mv = parallel.PooledMatvec(a.to_csr(), None, a.m)
+    assert mv.a.nnz > 0 and mv.slices is None

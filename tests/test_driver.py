@@ -99,6 +99,11 @@ class TestParseDeck:
         with pytest.raises(DeckError, match=r"line 4.*bogus"):
             parse_deck(bad)
 
+    def test_ilu_ordering_key_rejected(self):
+        bad = MINIMAL_DECK + "\n[solver]\nilu_ordering = natural\n"
+        with pytest.raises(DeckError, match=r"line 12.*ilu_ordering"):
+            parse_deck(bad)
+
     def test_unknown_section(self):
         with pytest.raises(DeckError, match=r"unknown section"):
             parse_deck("[nonsense]\n")
@@ -205,28 +210,6 @@ class TestPartition:
             part = partition_cells(3, 8)
         assert part.workers == 3
         assert "reducing" in caplog.text
-
-    def test_boundary_faces_listed_once(self, small_grid):
-        part = partition_cells(small_grid.ncell, 4, small_grid)
-        faces = part.boundary_faces
-        assert len(faces) == len(set(faces))
-        owner = np.empty(small_grid.ncell, int)
-        for w, (c0, c1) in enumerate(part.ranges):
-            owner[c0:c1] = w
-        for a, b in faces:
-            assert owner[a] != owner[b]
-        # count cross-partition faces independently
-        expected = 0
-        from resim.grid import has_upper_neighbor
-
-        for ax in range(3):
-            if small_grid.shape()[ax] < 2:
-                continue
-            s = small_grid.stride(ax)
-            for a in np.nonzero(has_upper_neighbor(small_grid, ax))[0]:
-                if owner[a] != owner[a + s]:
-                    expected += 1
-        assert len(faces) == expected
 
 
 class TestVtk:
@@ -352,6 +335,18 @@ class TestRunSimulation:
         assert any("schedule switch" in r.message for r in caplog.records)
         # the producer BHP target changed mid-run
         assert report.n_steps >= 2
+
+    def test_rerun_of_one_deck_is_identical(self, tmp_path):
+        # a schedule switch must not leak from one run of a Deck into the next
+        with open(deck_path("buckley_leverett.deck")) as fh:
+            text = fh.read().replace("t_end = 30.0", "t_end = 4.0")
+        deck = parse_deck(text + "\n[schedule]\nat = 2.0 PROD bhp 2500.0\n")
+        before = [w.constraint for w in deck.wells]
+        runs = [run_simulation(deck, output_dir=str(tmp_path / str(i))).final_state
+                for i in range(2)]
+        for f in ("p_o", "s_w", "p_h"):
+            np.testing.assert_array_equal(getattr(runs[0], f), getattr(runs[1], f))
+        assert [w.constraint for w in deck.wells] == before
 
     def test_abort_carries_diagnostics(self, tmp_path):
         deck = parse_deck(TINY_RUN_DECK)

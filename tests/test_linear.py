@@ -4,9 +4,8 @@ import scipy.io
 import scipy.sparse as sp
 
 import resim
-from resim.linear import (BlockMatrix, BlockILU0, SolverConfig, decouple,
-                          build_amg, amg_vcycle, bicgstab, cpr_fpf_setup,
-                          cpr_fpf_apply, dump_matrix_market, IluPreconditioner)
+from resim.linear import (BlockMatrix, BlockILU0, CprFpf, decouple, build_amg,
+                          amg_vcycle, bicgstab, dump_matrix_market)
 from resim.model import ReservoirModel, ReservoirState
 from resim.parallel import det_dot, det_norm
 from conftest import two_phase_fluid
@@ -96,7 +95,7 @@ class TestDecoupling:
         a.diag[:, 0, 1] = 0.0  # D_ps = 0
         b = rng.standard_normal(a.nunk)
         a2, b2 = decouple(a, b, "quasi_impes")
-        np.testing.assert_allclose(a2.to_dense(), a.to_dense(), atol=1e-14)
+        np.testing.assert_allclose(a2.to_csr().toarray(), a.to_csr().toarray(), atol=1e-14)
         np.testing.assert_allclose(b2, b, atol=1e-14)
 
     def test_quasi_impes_eliminates_saturation_column(self):
@@ -104,14 +103,14 @@ class TestDecoupling:
         rng = np.random.default_rng(3)
         a = random_block_matrix(rng, shape=(2, 1, 1), m=2, nwell=0)
         b = rng.standard_normal(a.nunk)
-        dense = a.to_dense()
+        dense = a.to_csr().toarray()
         a2, b2 = decouple(a, b, "quasi_impes")
         assert np.max(np.abs(a2.diag[:, 0, 1:])) < 1e-13
         # row operation reproduced densely
         for c in range(2):
             f = dense[2 * c, 2 * c + 1] / dense[2 * c + 1, 2 * c + 1]
             expect = dense[2 * c] - f * dense[2 * c + 1]
-            np.testing.assert_allclose(a2.to_dense()[2 * c], expect, atol=1e-12)
+            np.testing.assert_allclose(a2.to_csr().toarray()[2 * c], expect, atol=1e-12)
 
     def test_abf_identity_diagonal(self):
         rng = np.random.default_rng(4)
@@ -128,7 +127,7 @@ class TestDecoupling:
         a.diag[:] = np.eye(2)
         b = rng.standard_normal(a.nunk)
         a2, b2 = decouple(a, b, "abf")
-        np.testing.assert_allclose(a2.to_dense(), a.to_dense(), atol=1e-13)
+        np.testing.assert_allclose(a2.to_csr().toarray(), a.to_csr().toarray(), atol=1e-13)
 
     @pytest.mark.parametrize("kind", ["quasi_impes", "abf"])
     def test_solution_preserving_sample(self, kind):
@@ -137,9 +136,9 @@ class TestDecoupling:
             for _ in range(20):
                 a = random_block_matrix(rng, m=m, nwell=1)
                 b = rng.standard_normal(a.nunk)
-                x_ref = np.linalg.solve(a.to_dense(), b)
+                x_ref = np.linalg.solve(a.to_csr().toarray(), b)
                 a2, b2 = decouple(a, b, kind)
-                x2 = np.linalg.solve(a2.to_dense(), b2)
+                x2 = np.linalg.solve(a2.to_csr().toarray(), b2)
                 scale = np.max(np.abs(x_ref)) + 1.0
                 assert np.max(np.abs(x2 - x_ref)) <= 1e-10 * scale
 
@@ -184,17 +183,17 @@ class TestBicgstab:
                         np.zeros(0, int), np.zeros((0, 1)), np.zeros((0, 1)),
                         np.zeros(0))
         b = rng.standard_normal(n)
-        m = BlockILU0(a, ordering="natural")
+        m = BlockILU0(a)
         x, it, status = bicgstab(a, m, b, 1e-8, 200)
         assert status == "converged"
-        x_ref = np.linalg.solve(a.to_dense(), b)
+        x_ref = np.linalg.solve(a.to_csr().toarray(), b)
         assert np.max(np.abs(x - x_ref)) <= 1e-6 * np.max(np.abs(x_ref))
 
     def test_true_residual_on_convergence(self):
         rng = np.random.default_rng(11)
         a, b = assembled_system(rng)
         a2, b2 = decouple(a, b, "quasi_impes")
-        m = cpr_fpf_setup(a2)
+        m = CprFpf(a2)
         tol = 1e-6
         x, it, status = bicgstab(a2, m, b2, tol, 100)
         assert status == "converged"
@@ -210,31 +209,21 @@ class TestBicgstab:
 
 
 class TestBlockILU0:
-    def test_exact_on_tridiagonal(self):
-        # ILU(0) with natural ordering is the exact LU of a 1-D stencil
-        rng = np.random.default_rng(13)
-        a = random_block_matrix(rng, shape=(12, 1, 1), m=2, nwell=0)
-        m = BlockILU0(a, ordering="natural")
-        b = rng.standard_normal(a.nunk)
-        np.testing.assert_allclose(m.solve(b), np.linalg.solve(a.to_dense(), b),
-                                   rtol=1e-10, atol=1e-12)
-
-    @pytest.mark.parametrize("ordering", ["redblack", "natural"])
-    def test_preconditions_bicgstab(self, ordering):
+    def test_preconditions_bicgstab(self):
         rng = np.random.default_rng(14)
         a, b = assembled_system(rng)
         a2, b2 = decouple(a, b, "quasi_impes")
-        m = BlockILU0(a2, ordering=ordering)
+        m = BlockILU0(a2)
         x, it, status = bicgstab(a2, m, b2, 1e-8, 200)
         assert status == "converged"
-        x_ref = np.linalg.solve(a2.to_dense(), b2)
+        x_ref = np.linalg.solve(a2.to_csr().toarray(), b2)
         assert np.max(np.abs(x - x_ref)) <= 1e-6 * np.max(np.abs(x_ref))
 
     def test_pivot_shift_counter(self):
         rng = np.random.default_rng(15)
         a = random_block_matrix(rng, m=2, nwell=0)
         a.diag[0] = 0.0  # fully singular diagonal block on a red cell
-        m = BlockILU0(a, ordering="redblack")
+        m = BlockILU0(a)
         assert m.pivot_shifts >= 1
         z = m.solve(np.ones(a.nunk))
         assert np.all(np.isfinite(z))
@@ -244,7 +233,7 @@ class TestBlockILU0:
         rng = np.random.default_rng(16)
         a, b = assembled_system(rng)
         a2, _ = decouple(a, b, "quasi_impes")
-        m = BlockILU0(a2, ordering="redblack")
+        m = BlockILU0(a2)
         r = rng.standard_normal(a2.nunk)
         lhs = m.solve(alpha * r)
         rhs = alpha * m.solve(r)
@@ -328,15 +317,15 @@ class TestCprFpf:
         rng = np.random.default_rng(21)
         a, b = assembled_system(rng)
         a2, _ = decouple(a, b, "quasi_impes")
-        m = cpr_fpf_setup(a2)
-        np.testing.assert_array_equal(cpr_fpf_apply(m, np.zeros(a2.nunk)), 0.0)
+        m = CprFpf(a2)
+        np.testing.assert_array_equal(m.apply(np.zeros(a2.nunk)), 0.0)
 
     def test_single_cell_exact(self):
         rng = np.random.default_rng(22)
         a = random_block_matrix(rng, shape=(1, 1, 1), m=2, nwell=0)
-        m = cpr_fpf_setup(a)
+        m = CprFpf(a)
         r = rng.standard_normal(2)
-        np.testing.assert_allclose(m.apply(r), np.linalg.solve(a.to_dense(), r),
+        np.testing.assert_allclose(m.apply(r), np.linalg.solve(a.to_csr().toarray(), r),
                                    rtol=1e-12)
 
     @pytest.mark.parametrize("alpha", [2.0, 0.3])
@@ -344,7 +333,7 @@ class TestCprFpf:
         rng = np.random.default_rng(23)
         a, b = assembled_system(rng)
         a2, _ = decouple(a, b, "quasi_impes")
-        m = cpr_fpf_setup(a2)
+        m = CprFpf(a2)
         r = rng.standard_normal(a2.nunk)
         lhs = m.apply(alpha * r)
         rhs = alpha * m.apply(r)
@@ -358,9 +347,8 @@ class TestCprFpf:
         rng = np.random.default_rng(24)
         a, b = assembled_system(rng, shape=(20, 20, 1))
         a2, b2 = decouple(a, b, "quasi_impes")
-        cfg = SolverConfig(max_iterations=400)
-        m_ilu = IluPreconditioner(a2, cfg)
-        m_cpr = cpr_fpf_setup(a2, cfg)
+        m_ilu = BlockILU0(a2)
+        m_cpr = CprFpf(a2)
         _, it_ilu, st_ilu = bicgstab(a2, m_ilu, b2, 1e-8, 400)
         _, it_cpr, st_cpr = bicgstab(a2, m_cpr, b2, 1e-8, 400)
         assert st_ilu == "converged" and st_cpr == "converged"
@@ -371,9 +359,9 @@ class TestCprFpf:
         a, b = assembled_system(rng)
         a2, _ = decouple(a, b, "quasi_impes")
         ws = {}
-        m1 = cpr_fpf_setup(a2, workspace=ws)
+        m1 = CprFpf(a2, workspace=ws)
         aggs = [arr.copy() for arr in ws["amg_aggregates"]]
-        m2 = cpr_fpf_setup(a2, workspace=ws)
+        m2 = CprFpf(a2, workspace=ws)
         for x, y in zip(aggs, ws["amg_aggregates"]):
             np.testing.assert_array_equal(x, y)
         r = rng.standard_normal(a2.nunk)
@@ -388,7 +376,7 @@ class TestDumps:
         dump_matrix_market(a, b, prefix)
         a_back = scipy.io.mmread(prefix + "_A.mtx").tocsr()
         b_back = np.asarray(scipy.io.mmread(prefix + "_b.mtx")).ravel()
-        np.testing.assert_allclose(a_back.toarray(), a.to_dense(), rtol=1e-12)
+        np.testing.assert_allclose(a_back.toarray(), a.to_csr().toarray(), rtol=1e-12)
         np.testing.assert_allclose(b_back, b, rtol=1e-12)
 
 

@@ -131,22 +131,6 @@ class TestBlackOilWaterflood:
 
 
 class TestStateViews:
-    def test_cell_state_two_phase(self):
-        st = ReservoirState(np.array([3000.0, 3100.0]), np.array([0.3, 0.4]))
-        c = st.cell(1)
-        assert (c.p_o, c.s_w) == (3100.0, 0.4)
-
-    def test_cell_state_black_oil(self):
-        st = ReservoirState(np.array([4000.0, 4200.0]), np.array([0.3, 0.3]),
-                            x3=np.array([0.15, 3300.0]),
-                            sat=np.array([True, False]))
-        sat_cell = st.cell(0)
-        assert sat_cell.saturated and sat_cell.s_g == 0.15
-        assert sat_cell.p_b == 4000.0  # tracks p_o when saturated
-        usat_cell = st.cell(1)
-        assert not usat_cell.saturated
-        assert usat_cell.p_b == 3300.0 and usat_cell.s_g == 0.0
-
     def test_saturation_closure_by_construction(self):
         from resim.pvt import evaluate_properties
 
