@@ -5,7 +5,10 @@ m x m cell blocks plus well border rows/columns).  Quasi-IMPES and ABF
 decoupling are exact left transformations; the CPR preconditioner combines a
 red-black block ILU(0) full-system smoother with one smoothed-aggregation AMG
 V-cycle on the extracted pressure block, in a fine-pressure-fine
-composition, and is used from right-preconditioned BiCGSTAB.
+composition, and is used from right-preconditioned BiCGSTAB.  The block
+layout is for assembly, decoupling and factorisation; every product with the
+system matrix (Krylov iterations, CPR residuals, ILU sweeps) goes through one
+scalar CSR operator built by ``BlockMatrix.to_csr``.
 """
 
 from __future__ import annotations
@@ -92,29 +95,6 @@ class BlockMatrix:
         nax = self.shape[axis]
         pos = (np.arange(self.ncell) // self.stride(axis)) % nax
         return pos < nax - 1 if upper else pos > 0
-
-    def offdiag_apply(self, xc: np.ndarray) -> np.ndarray:
-        """Apply only the off-diagonal stencil blocks to cell values (n, m)."""
-        y = np.zeros_like(xc)
-        for ax in self.axes:
-            s = self.stride(ax)
-            y[s:] += np.einsum("nij,nj->ni", self.lo[ax][s:], xc[:-s])
-            y[:-s] += np.einsum("nij,nj->ni", self.hi[ax][:-s], xc[s:])
-        return y
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        n, m = self.ncell, self.m
-        xc = x[: n * m].reshape(n, m)
-        xw = x[n * m:]
-        yc = np.einsum("nij,nj->ni", self.diag, xc) + self.offdiag_apply(xc)
-        if self.nwell:
-            np.add.at(yc, self.cw_cells, self.cw_blocks * xw[self.cw_well][:, None])
-            yw = self.ww * xw
-            contrib = np.einsum("pj,pj->p", self.wc_blocks, xc[self.cw_cells])
-            np.add.at(yw, self.cw_well, contrib)
-        else:
-            yw = np.zeros(0)
-        return np.concatenate([yc.ravel(), yw])
 
     def _stencil_coo(self, q: int):
         """COO lists of the leading q x q corner of every stencil block.
@@ -282,11 +262,15 @@ class BlockILU0:
     *Iterative Methods for Sparse Linear Systems*, section 12.4).  The
     factorisation then changes only the black diagonal blocks:
     D~_b = D_b - sum L_{b,r} inv(D_r) U_{r,b} over red neighbors r.  Each
-    solve is one forward and one backward sweep, vectorized per colour.
+    solve is one forward and one backward sweep.  A sweep's off-diagonal
+    product is ``matvec``, the system operator, applied to a vector that is
+    zero on the other colour and on the well unknowns: on the rows of the
+    colour being solved, its diagonal-block and well-column terms vanish.
     """
 
-    def __init__(self, a: BlockMatrix):
+    def __init__(self, a: BlockMatrix, matvec):
         self.a = a
+        self.matvec = matvec
         counter = [0]
         n = a.ncell
         self.ww_inv = np.where(np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
@@ -321,23 +305,21 @@ class BlockILU0:
     def solve(self, r: np.ndarray) -> np.ndarray:
         a = self.a
         n, m = a.ncell, a.m
-        rc = r[: n * m].reshape(n, m)
+        nm = n * m
+        rc = r[:nm].reshape(n, m)
         ired, iblack = self.ired, self.iblack
-        u = np.zeros_like(rc)
-        u[ired] = np.einsum("nij,nj->ni", self.inv_red, rc[ired])
-        yb = rc[iblack] - a.offdiag_apply(u)[iblack]
-        zb = np.einsum("nij,nj->ni", self.inv_black, yb)
-        w = np.zeros_like(rc)
-        w[iblack] = zb
-        z = w  # reuse buffer: red slots still zero
-        z[ired] = np.einsum("nij,nj->ni", self.inv_red,
-                            rc[ired] - a.offdiag_apply(w)[ired])
-        zc = z.ravel()
-        if a.nwell:
-            return np.concatenate([zc, r[n * m:] * self.ww_inv])
-        return zc
-
-    apply = solve
+        # full-length sweep vectors; the well tail stays zero
+        u = np.zeros_like(r)
+        uc = u[:nm].reshape(n, m)
+        uc[ired] = np.einsum("nij,nj->ni", self.inv_red, rc[ired])
+        yb = rc[iblack] - self.matvec(u)[:nm].reshape(n, m)[iblack]
+        w = np.zeros_like(r)
+        wc = w[:nm].reshape(n, m)
+        wc[iblack] = np.einsum("nij,nj->ni", self.inv_black, yb)
+        yr = rc[ired] - self.matvec(w)[:nm].reshape(n, m)[ired]
+        wc[ired] = np.einsum("nij,nj->ni", self.inv_red, yr)
+        w[nm:] = r[nm:] * self.ww_inv
+        return w
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +466,15 @@ class CprFpf:
     applied multiplicatively between two F stages.
     """
 
-    def __init__(self, a: BlockMatrix, matvec=None, workspace: dict | None = None):
+    def __init__(self, a: BlockMatrix, matvec, workspace: dict | None = None):
         self.a = a
-        self.matvec = matvec if matvec is not None else _csr_matvec(a.to_csr())
-        self.smoother = BlockILU0(a)
+        self.matvec = matvec
+        self.smoother = BlockILU0(a, matvec)
         self.app = a.extract_app()
         self.amg = build_amg(self.app, workspace=workspace)
         self.pslots = np.arange(a.ncell) * a.m
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
+    def solve(self, r: np.ndarray) -> np.ndarray:
         z = self.smoother.solve(r)
         rr = r - self.matvec(z)
         zp = amg_vcycle(self.amg, rr[self.pslots])
@@ -501,29 +483,19 @@ class CprFpf:
         return z + self.smoother.solve(rr)
 
 
-def make_preconditioner(a: BlockMatrix, config: SolverConfig, matvec=None,
+def make_preconditioner(a: BlockMatrix, config: SolverConfig, matvec,
                         workspace: dict | None = None):
+    """The configured preconditioner of ``a``, or None; ``matvec`` is the
+    system operator the Krylov solver multiplies with."""
     if config.preconditioner == "none":
         return None
     if config.preconditioner == "ilu0":
-        return BlockILU0(a)
-    return CprFpf(a, matvec=matvec, workspace=workspace)
+        return BlockILU0(a, matvec)
+    return CprFpf(a, matvec, workspace=workspace)
 
 
 # ---------------------------------------------------------------------------
 # BiCGSTAB
-
-
-def _csr_matvec(a):
-    return lambda x: a @ x
-
-
-def _as_matvec(a):
-    if isinstance(a, BlockMatrix):
-        return _csr_matvec(a.to_csr())
-    if callable(a) and not sp.issparse(a) and not isinstance(a, np.ndarray):
-        return a
-    return _csr_matvec(a)
 
 
 def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int):
@@ -532,11 +504,13 @@ def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int):
     Stops when a recursively updated residual, the half-step s or the full
     step r, satisfies ||.|| <= tol * ||b||.  The true residual b - A x is not
     recomputed here and can drift from the recursive one; ``newton_step``
-    records it as ``NewtonIterLog.lhs_norm``.  Returns (x, iterations,
-    status) with status in {'converged', 'max_it', 'breakdown'}.
+    records it as ``NewtonIterLog.lhs_norm``.  ``a`` is the operator, a
+    callable or anything that supports ``a @ x``; ``m`` is None or has
+    ``solve``.  Returns (x, iterations, status) with status in
+    {'converged', 'max_it', 'breakdown'}.
     """
-    mv = _as_matvec(a)
-    prec = (lambda r: r) if m is None else m.apply
+    mv = a if callable(a) else a.__matmul__
+    prec = (lambda r: r) if m is None else m.solve
     bnorm = det_norm(b)
     x = np.zeros_like(b)
     if bnorm == 0.0:

@@ -203,7 +203,7 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         dump_matrix_market(jac, b, dump_prefix)
     a2, b2 = decouple(jac, b, scfg.decoupling)
     matvec = PooledMatvec(a2.to_csr(), pool, model.m)
-    precond = make_preconditioner(a2, scfg, matvec=matvec, workspace=workspace)
+    precond = make_preconditioner(a2, scfg, matvec, workspace=workspace)
     dx, iters, status = bicgstab(matvec, precond, b2, theta, scfg.max_iterations)
     lhs = det_norm(b2 - matvec(dx))
     t2 = time.perf_counter()
@@ -295,7 +295,7 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix,
 
         if ncfg.forcing_rule in ("eq13_a", "eq13_b"):
             t0 = time.perf_counter()
-            r_prev = -f - jac.matvec(dx)
+            r_prev = -f - jac.to_csr() @ dx
             r_prev_norm = det_norm(r_prev)
             b_minus_r_prev = det_norm(-f_new - r_prev)
             stats.solve_time += time.perf_counter() - t0
