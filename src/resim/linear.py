@@ -6,9 +6,12 @@ decoupling are exact left transformations; the CPR preconditioner combines a
 red-black block ILU(0) full-system smoother with one smoothed-aggregation AMG
 V-cycle on the extracted pressure block, in a fine-pressure-fine
 composition, and is used from right-preconditioned BiCGSTAB.  The block
-layout is for assembly, decoupling and factorisation; every product with the
-system matrix (Krylov iterations, CPR residuals, ILU sweeps) goes through one
-scalar CSR operator built by ``BlockMatrix.to_csr``.
+layout is for assembly, decoupling and factorisation.  The scalar CSR
+layouts of a block structure (``CsrPattern``: the system, its pressure block
+and the ILU's two off-diagonal colour blocks) are built once and shared by
+every matrix of that structure, so a Newton iteration only moves values into
+them.  Krylov iterations and CPR residuals multiply with the system CSR from
+``BlockMatrix.to_csr``; the ILU sweeps multiply with its colour blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .parallel import det_dot, det_norm
+from .parallel import PooledMatvec, det_dot, det_norm
 
 log = logging.getLogger(__name__)
 
@@ -71,6 +74,7 @@ class BlockMatrix:
         self.wc_blocks = wc_blocks
         self.ww = ww
         self.b = b
+        self.pattern: CsrPattern | None = None
 
     @property
     def ncell(self) -> int:
@@ -96,52 +100,53 @@ class BlockMatrix:
         pos = (np.arange(self.ncell) // self.stride(axis)) % nax
         return pos < nax - 1 if upper else pos > 0
 
+    def _stencil_blocks(self):
+        """(blocks, column-cell offset, cells that have the neighbor) per
+        stencil block array: diagonal first, then lower and upper per axis."""
+        yield self.diag, 0, np.ones(self.ncell, bool)
+        for ax in self.axes:
+            s = self.stride(ax)
+            yield self.lo[ax], -s, self.neighbor_mask(ax, upper=False)
+            yield self.hi[ax], s, self.neighbor_mask(ax, upper=True)
+
     def _stencil_coo(self, q: int):
-        """COO lists of the leading q x q corner of every stencil block.
+        """COO coordinates of the leading q x q corner of every stencil block.
 
         Cell c owns scalar rows and columns c*q .. c*q+q-1: q = m gives the
-        cell part of the full system, q = 1 the pressure-pressure block.
-        Entries come diagonal first, then lower and upper per axis, and cells
-        without the neighbor are skipped.
+        cell part of the full system, q = 1 the pressure-pressure block.  One
+        (rows, cols) pair of shape (ncell, q, q) per ``_stencil_blocks`` entry;
+        rows are -1 at cells without the neighbor.
         """
         cell = np.arange(self.ncell)
         ii, jj = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-        rows, cols, vals = [], [], []
+        coords = []
+        for _, offset, mask in self._stencil_blocks():
+            rows = np.where(mask[:, None, None], cell[:, None, None] * q + ii, -1)
+            coords.append((rows, (cell + offset)[:, None, None] * q + jj))
+        return coords
 
-        def add_blocks(blocks, mask, offset):
-            rc = cell[mask]
-            rows.append((rc[:, None, None] * q + ii[None]).ravel())
-            cols.append(((rc + offset)[:, None, None] * q + jj[None]).ravel())
-            vals.append(blocks[:, :q, :q][mask].reshape(-1))
+    def _stencil_values(self, q: int):
+        return [blocks[:, :q, :q] for blocks, _, _ in self._stencil_blocks()]
 
-        add_blocks(self.diag, slice(None), 0)
-        for ax in self.axes:
-            s = self.stride(ax)
-            add_blocks(self.lo[ax], self.neighbor_mask(ax, upper=False), -s)
-            add_blocks(self.hi[ax], self.neighbor_mask(ax, upper=True), s)
-        return rows, cols, vals
+    def csr_pattern(self) -> "CsrPattern":
+        """The scalar CSR pattern of this matrix's structure.
+
+        ``pattern`` when it fits this matrix, else a new one, which is then
+        kept in ``pattern``.  Matrices of one structure (the Newton systems
+        of a run, a matrix and its decoupled form) share one pattern.
+        """
+        if self.pattern is None or not self.pattern.fits(self):
+            self.pattern = CsrPattern(self)
+        return self.pattern
 
     def to_csr(self) -> sp.csr_matrix:
         """Scalar CSR of the full system (cells then wells)."""
-        n, m = self.ncell, self.m
-        rows, cols, vals = self._stencil_coo(m)
-        if self.nwell:
-            base = n * m
-            pr = self.cw_cells[:, None] * m + np.arange(m)[None]
-            rows.append(pr.ravel())
-            cols.append(np.repeat(base + self.cw_well, m))
-            vals.append(self.cw_blocks.ravel())
-            rows.append(np.repeat(base + self.cw_well, m))
-            cols.append(pr.ravel())
-            vals.append(self.wc_blocks.ravel())
-            rows.append(base + np.arange(self.nwell))
-            cols.append(base + np.arange(self.nwell))
-            vals.append(self.ww)
-        return _coo_to_csr(rows, cols, vals, self.nunk)
+        return self.csr_pattern().system.fill(
+            self._stencil_values(self.m) + [self.cw_blocks, self.wc_blocks, self.ww])
 
     def extract_app(self) -> sp.csr_matrix:
         """Pressure-pressure scalar sub-matrix on the cell stencil pattern."""
-        return _coo_to_csr(*self._stencil_coo(1), self.ncell)
+        return self.csr_pattern().pressure.fill(self._stencil_values(1))
 
     def transformed(self, e: np.ndarray, b=None):
         """Left-multiply every cell block row by the per-cell matrix e (n, m, m)."""
@@ -154,16 +159,133 @@ class BlockMatrix:
         out = BlockMatrix(self.shape, m, diag, lo, hi, self.cw_cells.copy(),
                           self.cw_well.copy(), cw, self.wc_blocks.copy(),
                           self.ww.copy())
+        out.pattern = self.pattern
         if b is not None:
             bc = np.einsum("nij,nj->ni", e, b[: n * m].reshape(n, m)).ravel()
             out.b = np.concatenate([bc, b[n * m:]])
         return out
 
 
-def _coo_to_csr(rows, cols, vals, n: int) -> sp.csr_matrix:
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+class _Layout:
+    """indptr/indices of one scalar CSR matrix, shared by every matrix built
+    on it; read-only, so no in-place scipy operation can change the layout
+    under another matrix."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
+        # rows ascending, cols ascending within a row, no repeated pair
+        self.shape = shape
+        self.indptr = np.zeros(shape[0] + 1, np.int32)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=self.indptr[1:])
+        self.indices = cols.astype(np.int32)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+class _FilledLayout(_Layout):
+    """A CSR layout with the int32 slots each value source is written to.
+
+    Built once from COO coordinates, one (rows, cols) pair per source array
+    (rows < 0: the entry is not in the matrix).  ``fill`` then writes each
+    source with one scatter.  A (row, col) that several entries share gets
+    the first by the scatter and the others added after it, in COO order, as
+    a COO-to-CSR conversion sums duplicates.
+    """
+
+    def __init__(self, coords, shape):
+        ncols = shape[1]
+        key = np.concatenate([np.where(r >= 0, r * ncols + c, -1).ravel()
+                              for r, c in coords])
+        inside = np.flatnonzero(key >= 0)
+        order = inside[np.argsort(key[inside], kind="stable")]
+        skey = key[order]
+        first = np.ones(len(skey), bool)
+        np.not_equal(skey[1:], skey[:-1], out=first[1:])
+        uniq = skey[first]
+        super().__init__(uniq // ncols, uniq % ncols, shape)
+        self.nnz = len(uniq)
+        rank = np.cumsum(first, dtype=np.int32) - 1
+        slots = np.full(len(key), self.nnz, np.int32)   # nnz: a scratch slot
+        slots[order[first]] = rank[first]
+        bounds = np.cumsum([0] + [r.size for r, _ in coords])
+        self.slots = [slots[b0:b1].reshape(r.shape)
+                      for (r, _), b0, b1 in zip(coords, bounds, bounds[1:])]
+        again = order[~first]
+        src = np.searchsorted(bounds, again, side="right") - 1
+        self.repeats = list(zip(src, again - bounds[src], rank[~first]))
+
+    def fill(self, values) -> sp.csr_matrix:
+        data = np.empty(self.nnz + 1)
+        for slots, v in zip(self.slots, values):
+            data[slots] = v
+        for src, idx, slot in self.repeats:
+            data[slot] += values[src].ravel()[idx]
+        return self.csr(data[:-1])
+
+
+class _ColourBlock(_Layout):
+    """A CSR layout whose values are taken from slots of another matrix."""
+
+    def __init__(self, slots: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape):
+        super().__init__(rows, cols, shape)
+        self.slots = slots
+
+    def take(self, data: np.ndarray) -> sp.csr_matrix:
+        return self.csr(data[self.slots])
+
+
+class CsrPattern:
+    """Scalar CSR layouts of one block structure, built once per structure.
+
+    ``system`` is the full system (cells then wells) and ``pressure`` the
+    pressure-pressure block; each knows the slots of every block array, so a
+    matrix of this structure only scatters its values into them.  Cells are
+    coloured red where i+j+k is even.  ``black_red`` (black rows, red
+    columns) and ``red_black`` are the red-black ILU(0)'s off-diagonal colour
+    blocks, with unknowns numbered within their colour, taken from the
+    system's values.  ``fits`` tells whether a matrix has this structure:
+    grid shape, block size, stencil axes and well borders.
+    """
+
+    def __init__(self, a: BlockMatrix):
+        self.shape, self.m, self.axes, self.nwell = a.shape, a.m, a.axes, a.nwell
+        self.cw_cells, self.cw_well = a.cw_cells.copy(), a.cw_well.copy()
+        n, m, nunk = a.ncell, a.m, a.nunk
+        base = n * m
+        pr = a.cw_cells[:, None] * m + np.arange(m)
+        pw = base + np.broadcast_to(a.cw_well[:, None], pr.shape)
+        pw_diag = base + np.arange(a.nwell)
+        self.system = _FilledLayout(
+            a._stencil_coo(m) + [(pr, pw), (pw, pr), (pw_diag, pw_diag)], (nunk, nunk))
+        self.pressure = _FilledLayout(a._stencil_coo(1), (n, n))
+
+        nx, ny, _ = a.shape
+        cell = np.arange(n)
+        self.red = red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
+        colour = np.full(nunk, -1, np.int8)                 # wells: -1
+        colour[:base] = np.repeat(red, m)
+        place = np.where(red, np.cumsum(red), np.cumsum(~red)) - 1   # within the colour
+        within = np.zeros(nunk, np.int32)
+        within[:base] = (place[:, None] * m + np.arange(m)).ravel()
+        rows = np.repeat(np.arange(nunk, dtype=np.int32), np.diff(self.system.indptr))
+        cols = self.system.indices
+        nred = np.count_nonzero(red) * m
+
+        def block(row_colour: int, nrows: int) -> _ColourBlock:
+            slots = np.flatnonzero((colour[rows] == row_colour)
+                                   & (colour[cols] == 1 - row_colour)).astype(np.int32)
+            return _ColourBlock(slots, within[rows[slots]], within[cols[slots]],
+                                (nrows, base - nrows))
+
+        self.black_red = block(0, base - nred)
+        self.red_black = block(1, nred)
+
+    def fits(self, a: BlockMatrix) -> bool:
+        return (a.shape == self.shape and a.m == self.m and a.axes == self.axes
+                and a.nwell == self.nwell
+                and np.array_equal(a.cw_cells, self.cw_cells)
+                and np.array_equal(a.cw_well, self.cw_well))
 
 
 def quasi_impes_decouple(a: BlockMatrix, b: np.ndarray):
@@ -225,7 +347,6 @@ def abf_decouple(a: BlockMatrix, b: np.ndarray):
 
 def decouple(a: BlockMatrix, b: np.ndarray, kind: str):
     if kind == "none":
-        a.b = b
         return a, b
     if kind == "quasi_impes":
         return quasi_impes_decouple(a, b)
@@ -262,26 +383,25 @@ class BlockILU0:
     *Iterative Methods for Sparse Linear Systems*, section 12.4).  The
     factorisation then changes only the black diagonal blocks:
     D~_b = D_b - sum L_{b,r} inv(D_r) U_{r,b} over red neighbors r.  Each
-    solve is one forward and one backward sweep.  A sweep's off-diagonal
-    product is ``matvec``, the system operator, applied to a vector that is
-    zero on the other colour and on the well unknowns: on the rows of the
-    colour being solved, its diagonal-block and well-column terms vanish.
+    solve is one forward and one backward sweep, and each sweep's
+    off-diagonal product is one half-size CSR product on vectors of one
+    colour: ``L_br`` (black rows, red columns) forward, ``U_rb`` backward.
+    Both blocks are gathered from ``a_csr``, the system ``a.to_csr()``, on
+    the slots of ``a``'s ``CsrPattern``; in each row they keep the system's
+    entries in the system's order, so a sweep adds the same terms in the
+    same order as the system's product restricted to those rows.
     """
 
-    def __init__(self, a: BlockMatrix, matvec):
+    def __init__(self, a: BlockMatrix, a_csr: sp.csr_matrix):
         self.a = a
-        self.matvec = matvec
+        pattern = a.csr_pattern()
+        self.l_br = pattern.black_red.take(a_csr.data)
+        self.u_rb = pattern.red_black.take(a_csr.data)
         counter = [0]
-        n = a.ncell
         self.ww_inv = np.where(np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
-        nx, ny, nz = a.shape
-        idx = np.arange(n)
-        i = idx % nx
-        j = (idx // nx) % ny
-        k = idx // (nx * ny)
-        red = (i + j + k) % 2 == 0
-        self.ired = np.nonzero(red)[0]
-        self.iblack = np.nonzero(~red)[0]
+        red = pattern.red
+        self.ired = np.flatnonzero(red)
+        self.iblack = np.flatnonzero(~red)
         dtil = a.diag.copy()
         inv = np.zeros_like(dtil)
         inv[self.ired] = _safe_inv(dtil[self.ired], counter)
@@ -307,17 +427,15 @@ class BlockILU0:
         n, m = a.ncell, a.m
         nm = n * m
         rc = r[:nm].reshape(n, m)
-        ired, iblack = self.ired, self.iblack
-        # full-length sweep vectors; the well tail stays zero
-        u = np.zeros_like(r)
-        uc = u[:nm].reshape(n, m)
-        uc[ired] = np.einsum("nij,nj->ni", self.inv_red, rc[ired])
-        yb = rc[iblack] - self.matvec(u)[:nm].reshape(n, m)[iblack]
-        w = np.zeros_like(r)
+        r_red, r_black = rc[self.ired], rc[self.iblack]
+        u_red = np.einsum("nij,nj->ni", self.inv_red, r_red)
+        y_black = r_black - (self.l_br @ u_red.ravel()).reshape(-1, m)
+        w_black = np.einsum("nij,nj->ni", self.inv_black, y_black)
+        y_red = r_red - (self.u_rb @ w_black.ravel()).reshape(-1, m)
+        w = np.empty_like(r)
         wc = w[:nm].reshape(n, m)
-        wc[iblack] = np.einsum("nij,nj->ni", self.inv_black, yb)
-        yr = rc[ired] - self.matvec(w)[:nm].reshape(n, m)[ired]
-        wc[ired] = np.einsum("nij,nj->ni", self.inv_red, yr)
+        wc[self.ired] = np.einsum("nij,nj->ni", self.inv_red, y_red)
+        wc[self.iblack] = w_black
         w[nm:] = r[nm:] * self.ww_inv
         return w
 
@@ -466,10 +584,11 @@ class CprFpf:
     applied multiplicatively between two F stages.
     """
 
-    def __init__(self, a: BlockMatrix, matvec, workspace: dict | None = None):
+    def __init__(self, a: BlockMatrix, matvec: PooledMatvec,
+                 workspace: dict | None = None):
         self.a = a
         self.matvec = matvec
-        self.smoother = BlockILU0(a, matvec)
+        self.smoother = BlockILU0(a, matvec.a)
         self.app = a.extract_app()
         self.amg = build_amg(self.app, workspace=workspace)
         self.pslots = np.arange(a.ncell) * a.m
@@ -483,14 +602,14 @@ class CprFpf:
         return z + self.smoother.solve(rr)
 
 
-def make_preconditioner(a: BlockMatrix, config: SolverConfig, matvec,
+def make_preconditioner(a: BlockMatrix, config: SolverConfig, matvec: PooledMatvec,
                         workspace: dict | None = None):
     """The configured preconditioner of ``a``, or None; ``matvec`` is the
-    system operator the Krylov solver multiplies with."""
+    system operator the Krylov solver multiplies with, over ``a.to_csr()``."""
     if config.preconditioner == "none":
         return None
     if config.preconditioner == "ilu0":
-        return BlockILU0(a, matvec)
+        return BlockILU0(a, matvec.a)
     return CprFpf(a, matvec, workspace=workspace)
 
 

@@ -74,6 +74,7 @@ class ReservoirModel:
         self.axes = [ax for ax, nax in enumerate(grid.shape()) if nax > 1]
         self.tgeo = {ax: face_transmissibilities(grid, rock, ax) for ax in self.axes}
         self.depth = grid.cell_depth if gravity else np.zeros(grid.ncell)
+        self._pattern = None    # CsrPattern of the last Jacobian
 
     @property
     def m(self) -> int:
@@ -169,6 +170,10 @@ class ReservoirModel:
                                                derivs=True, pool=pool)
         f = _flatten_check(r_cells, r_wells, self.m)
         mat.b = -f
+        # the Newton systems of a run share their stencil and perforations,
+        # so each reuses the last one's CSR pattern (rebuilt if they differ)
+        mat.pattern = self._pattern
+        self._pattern = mat.csr_pattern()
         return mat
 
     def _assemble(self, state_new, state_old, dt, wells, derivs, pool=None):

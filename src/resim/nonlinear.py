@@ -299,6 +299,8 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix,
             r_prev_norm = det_norm(r_prev)
             b_minus_r_prev = det_norm(-f_new - r_prev)
             stats.solve_time += time.perf_counter() - t0
+        # not held through the next assembly, where memory peaks
+        del jac
 
         state, f = state_new, f_new
         b_prev_norm, b_norm = b_norm, b_new_norm

@@ -11,6 +11,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy.sparse as sp
 
 _BLOCK = 1 << 16
 
@@ -107,7 +108,8 @@ class PooledMatvec:
             # well rows ride with the final range
             if bounds:
                 bounds[-1] = (bounds[-1][0], nrows)
-            self.slices = [(r0, r1, a_csr[r0:r1]) for (r0, r1) in bounds if r1 > r0]
+            self.slices = [(r0, r1, _row_block(a_csr, r0, r1))
+                           for (r0, r1) in bounds if r1 > r0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.slices is None:
@@ -120,3 +122,17 @@ class PooledMatvec:
 
         self.pool.run(piece, self.slices)
         return y
+
+
+def _row_block(a: sp.csr_matrix, r0: int, r1: int) -> sp.csr_matrix:
+    """Rows r0:r1 of ``a`` on views of its data and indices.
+
+    ``a[r0:r1]`` copies both, and the CSR constructor copies a view smaller
+    than half of its base, so the views are set on an empty matrix.
+    """
+    s, e = a.indptr[r0], a.indptr[r1]
+    block = sp.csr_matrix((r1 - r0, a.shape[1]))
+    block.indptr = a.indptr[r0:r1 + 1] - s
+    block.indices = a.indices[s:e]
+    block.data = a.data[s:e]
+    return block

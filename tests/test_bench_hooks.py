@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from resim import driver, linear, nonlinear, parallel
-from test_linear import csr_operator, random_block_matrix
+from test_linear import random_block_matrix
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -46,7 +46,7 @@ def test_sample_patch_targets_exist():
 
 def test_attributes_the_tracer_reads():
     a = random_block_matrix(np.random.default_rng(0), m=2, nwell=1)
-    ilu = linear.BlockILU0(a, csr_operator(a))
+    ilu = linear.BlockILU0(a, a.to_csr())
     assert ilu.a is a and set(ilu.a.lo) == set(ilu.a.hi)
     assert ilu.inv_diag.shape == a.diag.shape
     assert ilu.pivot_shifts == 0
