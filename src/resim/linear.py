@@ -17,7 +17,7 @@ them.  Krylov iterations and CPR residuals multiply with the system CSR from
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -457,10 +457,26 @@ class AmgLevel:
 class AmgHierarchy:
     levels: list[AmgLevel] = field(default_factory=list)
     coarse_lu: tuple | None = None
+    coarse_n: int = 0
 
     @property
     def nlevels(self) -> int:
         return len(self.levels) + 1
+
+    def with_fine(self, a_pp: sp.csr_matrix) -> "AmgHierarchy":
+        """A hierarchy whose finest level smooths and computes residuals on
+        ``a_pp`` and its inverse diagonal; prolongators, restrictions, coarse
+        operators, coarse LU and smoothing weights are shared with this one,
+        which is left unchanged.  Needs at least one level above the coarsest.
+        """
+        a = a_pp.tocsr()
+        fine = replace(self.levels[0], a=a, dinv=_inv_diag(a))
+        return replace(self, levels=[fine] + self.levels[1:])
+
+
+def _inv_diag(a: sp.csr_matrix) -> np.ndarray:
+    d = a.diagonal()
+    return np.where(d != 0.0, 1.0 / np.where(d == 0.0, 1.0, d), 1.0)
 
 
 def _aggregate(a: sp.csr_matrix, theta: float) -> np.ndarray:
@@ -473,28 +489,30 @@ def _aggregate(a: sp.csr_matrix, theta: float) -> np.ndarray:
         & (acoo.row != acoo.col)
     smat = sp.csr_matrix((np.ones(np.count_nonzero(strong)),
                           (acoo.row[strong], acoo.col[strong])), shape=(n, n))
-    indptr, indices = smat.indptr, smat.indices
-    agg = np.full(n, -1, dtype=np.int64)
+    # three greedy passes node by node: plain lists, not numpy scalars
+    indptr, indices = smat.indptr.tolist(), smat.indices.tolist()
+    agg = [-1] * n
     nagg = 0
     for node in range(n):
         if agg[node] >= 0:
             continue
         nbrs = indices[indptr[node]:indptr[node + 1]]
-        if np.all(agg[nbrs] < 0):
+        if all(agg[j] < 0 for j in nbrs):
             agg[node] = nagg
-            agg[nbrs] = nagg
+            for j in nbrs:
+                agg[j] = nagg
             nagg += 1
     for node in range(n):
         if agg[node] < 0:
-            nbrs = indices[indptr[node]:indptr[node + 1]]
-            hit = nbrs[agg[nbrs] >= 0]
-            if len(hit):
-                agg[node] = agg[hit[0]]
+            for j in indices[indptr[node]:indptr[node + 1]]:
+                if agg[j] >= 0:
+                    agg[node] = agg[j]
+                    break
     for node in range(n):
         if agg[node] < 0:
             agg[node] = nagg
             nagg += 1
-    return agg
+    return np.array(agg, dtype=np.int64)
 
 
 def _spectral_radius(a: sp.csr_matrix, dinv: np.ndarray, iters: int = 10) -> float:
@@ -517,7 +535,10 @@ def build_amg(a_pp: sp.csr_matrix, workspace: dict | None = None) -> AmgHierarch
 
     The sparsity pattern of successive Newton matrices never changes inside a
     run, so aggregates computed once are reusable; pass a persistent
-    ``workspace`` dict to cache them across setups.
+    ``workspace`` dict to cache them across setups.  This is the only place a
+    hierarchy is built: ``CprFpf`` calls it once per time-step attempt and
+    reuses the result, with a refreshed finest level, for the attempt's later
+    Newton matrices.
     """
     hier = AmgHierarchy()
     a = a_pp.tocsr()
@@ -539,8 +560,7 @@ def build_amg(a_pp: sp.csr_matrix, workspace: dict | None = None) -> AmgHierarch
         counts = np.bincount(agg, minlength=ncoarse).astype(float)
         p0 = sp.csr_matrix((1.0 / np.sqrt(counts[agg]), (np.arange(n), agg)),
                            shape=(n, ncoarse))
-        dvals = a.diagonal()
-        dinv = np.where(dvals != 0.0, 1.0 / np.where(dvals == 0.0, 1.0, dvals), 1.0)
+        dinv = _inv_diag(a)
         rho = _spectral_radius(a, dinv)
         omega_p = (4.0 / 3.0) / max(rho, 1e-12)
         p = (p0 - sp.diags(omega_p * dinv) @ (a @ p0)).tocsr()
@@ -582,6 +602,13 @@ class CprFpf:
     Stage F is the block ILU(0) smoother over the full system (well rows via
     diagonal approximation); stage P is one AMG V-cycle on the pressure block,
     applied multiplicatively between two F stages.
+
+    With a ``workspace``, the AMG hierarchy is kept there (``"amg_hierarchy"``)
+    and later preconditioners from the same workspace reuse its coarse levels
+    with their own pressure block on the finest level (``with_fine``);
+    ``nonlinear._attempt`` drops it at the start of each time-step attempt.
+    A hierarchy without coarse levels (at most ``_AMG_MIN_COARSE`` cells) is
+    an LU of the whole pressure block and is rebuilt every time.
     """
 
     def __init__(self, a: BlockMatrix, matvec: PooledMatvec,
@@ -590,7 +617,13 @@ class CprFpf:
         self.matvec = matvec
         self.smoother = BlockILU0(a, matvec.a)
         self.app = a.extract_app()
-        self.amg = build_amg(self.app, workspace=workspace)
+        held = workspace.get("amg_hierarchy") if workspace is not None else None
+        if held is not None and held.levels:
+            self.amg = held.with_fine(self.app)
+        else:
+            self.amg = build_amg(self.app, workspace=workspace)
+            if workspace is not None:
+                workspace["amg_hierarchy"] = self.amg
         self.pslots = np.arange(a.ncell) * a.m
 
     def solve(self, r: np.ndarray) -> np.ndarray:

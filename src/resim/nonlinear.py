@@ -18,6 +18,7 @@ import numpy as np
 
 from .linear import SolverConfig, decouple, make_preconditioner, bicgstab, \
     dump_matrix_market
+from .model import AssemblyError
 from .parallel import det_norm, PooledMatvec
 
 log = logging.getLogger(__name__)
@@ -236,8 +237,25 @@ def _mb_converged(sums, dt, mass_ref, mb_tol) -> bool:
 
 def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix,
              workspace=None):
-    """Run Newton to convergence at fixed dt; raises _StepFailure otherwise."""
+    """Run Newton to convergence at fixed dt; raises _StepFailure otherwise.
+
+    A trial state with a non-finite residual (``AssemblyError``) fails the
+    attempt, so the step is cut.  Each attempt starts without an AMG
+    hierarchy in ``workspace``: its first preconditioner builds one, and its
+    later Newton iterations reuse it.
+    """
+    if workspace is not None:
+        workspace.pop("amg_hierarchy", None)
     stats = StepStats()
+    try:
+        return _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool,
+                            dump_prefix, workspace, stats)
+    except AssemblyError as exc:
+        raise _StepFailure(f"bad trial state: {exc}", stats) from None
+
+
+def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix,
+                 workspace, stats):
     state = state_old.copy()
     state.t = state_old.t + dt
     t0 = time.perf_counter()

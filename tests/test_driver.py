@@ -6,6 +6,7 @@ import pytest
 import scipy.io
 
 import resim
+from resim import linear, model, nonlinear
 from resim.driver import (DeckError, load_deck, parse_deck, partition_cells,
                           run_simulation, write_vtk, initial_state, main)
 from resim.nonlinear import SimulationAbort
@@ -359,6 +360,121 @@ class TestRunSimulation:
             run_simulation(deck, output_dir=str(tmp_path))
         assert exc.value.state is not None
         assert exc.value.report is not None
+        assert os.path.exists(tmp_path / "resim_out_final.vtk")
+
+
+def inject_nan_residual(monkeypatch, first, last=None):
+    """Make assemblies first..last (1-based, residual and Jacobian alike;
+    ``last`` None: every later one) see a non-finite cell residual."""
+    calls = [0]
+    check = model._flatten_check
+
+    def faulty(r_cells, r_wells, m):
+        calls[0] += 1
+        if calls[0] >= first and (last is None or calls[0] <= last):
+            r_cells = r_cells.copy()
+            r_cells.flat[0] = np.nan
+        return check(r_cells, r_wells, m)
+
+    monkeypatch.setattr(model, "_flatten_check", faulty)
+    return calls
+
+
+class AttemptLog:
+    """Newton iterations run and AMG hierarchies built, per step attempt."""
+
+    def __init__(self, monkeypatch):
+        self.newtons, self.builds = [], []
+        attempt, step, build = nonlinear._attempt, nonlinear.newton_step, linear.build_amg
+
+        def counted_attempt(*args, **kwargs):
+            self.newtons.append(0)
+            self.builds.append(0)
+            return attempt(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            self.newtons[-1] += 1
+            return step(*args, **kwargs)
+
+        def counted_build(*args, **kwargs):
+            self.builds[-1] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(nonlinear, "_attempt", counted_attempt)
+        monkeypatch.setattr(nonlinear, "newton_step", counted_step)
+        monkeypatch.setattr(linear, "build_amg", counted_build)
+
+
+class TestAmgLifetime:
+    def short_waterflood(self):
+        # 100 cells, more than _AMG_MIN_COARSE: the hierarchy has a coarse level
+        deck = load_deck(deck_path("buckley_leverett.deck"))
+        deck.t_end = 5.0
+        return deck
+
+    def test_one_build_per_attempt_with_newton(self, tmp_path, monkeypatch):
+        log = AttemptLog(monkeypatch)
+        report = run_simulation(self.short_waterflood(), output_dir=str(tmp_path))
+        assert len(log.newtons) == report.n_steps + report.n_cuts
+        assert log.builds == [1 if n else 0 for n in log.newtons]
+        # the hierarchy was reused: more Newton iterations than builds
+        assert report.n_newton > sum(log.builds)
+
+    def test_attempt_after_a_cut_rebuilds(self, tmp_path, monkeypatch):
+        # assemblies: residual, Jacobian, then the first trial state's
+        # residual, which fails the first attempt after one Newton iteration
+        inject_nan_residual(monkeypatch, 3, 3)
+        log = AttemptLog(monkeypatch)
+        report = run_simulation(self.short_waterflood(), output_dir=str(tmp_path))
+        assert report.steps[0].cuts == report.n_cuts == 1
+        assert log.newtons[0] == 1 and log.newtons[1] >= 2
+        assert log.builds == [1 if n else 0 for n in log.newtons]
+
+    def test_zero_level_pressure_block_rebuilds_every_newton(self, tmp_path,
+                                                             monkeypatch):
+        # 6 cells: the pressure "hierarchy" is one LU, rebuilt per matrix
+        log = AttemptLog(monkeypatch)
+        report = run_simulation(parse_deck(TINY_RUN_DECK), output_dir=str(tmp_path))
+        assert log.builds == log.newtons
+        assert sum(log.builds) == report.n_newton
+
+
+class TestBadTrialState:
+    def test_non_finite_residual_cuts_the_step(self, tmp_path, monkeypatch, caplog):
+        inject_nan_residual(monkeypatch, 3, 3)
+        with caplog.at_level(logging.WARNING):
+            report = run_simulation(parse_deck(TINY_RUN_DECK), report_csv="steps.csv",
+                                    output_dir=str(tmp_path))
+        assert report.steps[0].cuts == report.n_cuts == 1
+        assert any("non-finite residual" in r.message and "cutting dt" in r.message
+                   for r in caplog.records)
+        assert report.steps[-1].t == pytest.approx(2.0)
+        assert np.all(np.isfinite(report.final_state.p_o))
+        assert os.path.exists(tmp_path / "steps.csv")
+        assert os.path.exists(tmp_path / "resim_out_final.vtk")
+
+    def test_persistent_non_finite_residual_aborts_with_outputs(self, tmp_path,
+                                                                monkeypatch):
+        calls = inject_nan_residual(monkeypatch, 10)
+        with pytest.raises(SimulationAbort, match="non-finite residual") as exc:
+            run_simulation(parse_deck(TINY_RUN_DECK), report_csv="steps.csv",
+                           output_dir=str(tmp_path))
+        assert calls[0] > 10
+        report = exc.value.report
+        assert report.n_steps >= 1
+        with open(tmp_path / "steps.csv") as fh:
+            assert len(fh.read().splitlines()) == report.n_steps + 1
+        assert os.path.exists(tmp_path / "resim_out_final.vtk")
+
+    def test_abort_from_bad_trial_state_exits_2(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "tiny.deck"
+        p.write_text(TINY_RUN_DECK)
+        inject_nan_residual(monkeypatch, 10)
+        rc = main(["run", str(p), "--report", "steps.csv", "--output-dir",
+                   str(tmp_path), "-q"])
+        assert rc == 2
+        assert "non-finite residual" in capsys.readouterr().err
+        assert os.path.exists(tmp_path / "steps.csv")
         assert os.path.exists(tmp_path / "resim_out_final.vtk")
 
 

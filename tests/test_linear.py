@@ -6,10 +6,11 @@ import scipy.io
 import scipy.sparse as sp
 
 import resim
+from resim import linear
 from resim.driver import partition_cells
-from resim.linear import (BlockMatrix, BlockILU0, CprFpf, SolverConfig, decouple,
-                          build_amg, amg_vcycle, bicgstab, dump_matrix_market,
-                          make_preconditioner)
+from resim.linear import (AmgHierarchy, AmgLevel, BlockMatrix, BlockILU0, CprFpf,
+                          SolverConfig, decouple, build_amg, amg_vcycle, bicgstab,
+                          dump_matrix_market, make_preconditioner)
 from resim.model import ReservoirModel, ReservoirState
 from resim.parallel import PooledMatvec, WorkerPool, det_dot, det_norm
 from conftest import two_phase_fluid
@@ -384,6 +385,68 @@ class TestBlockILU0:
         assert it <= len(calls) <= 2 * it
 
 
+def aggregate_reference(a: sp.csr_matrix, theta: float) -> np.ndarray:
+    """The greedy aggregation as first written, on numpy fancy indexing."""
+    n = a.shape[0]
+    diag = np.abs(a.diagonal())
+    acoo = a.tocoo()
+    scale = np.sqrt(diag[acoo.row] * diag[acoo.col])
+    strong = (np.abs(acoo.data) >= theta * np.where(scale > 0, scale, 1.0)) \
+        & (acoo.row != acoo.col)
+    smat = sp.csr_matrix((np.ones(np.count_nonzero(strong)),
+                          (acoo.row[strong], acoo.col[strong])), shape=(n, n))
+    indptr, indices = smat.indptr, smat.indices
+    agg = np.full(n, -1, dtype=np.int64)
+    nagg = 0
+    for node in range(n):
+        if agg[node] >= 0:
+            continue
+        nbrs = indices[indptr[node]:indptr[node + 1]]
+        if np.all(agg[nbrs] < 0):
+            agg[node] = nagg
+            agg[nbrs] = nagg
+            nagg += 1
+    for node in range(n):
+        if agg[node] < 0:
+            nbrs = indices[indptr[node]:indptr[node + 1]]
+            hit = nbrs[agg[nbrs] >= 0]
+            if len(hit):
+                agg[node] = agg[hit[0]]
+    for node in range(n):
+        if agg[node] < 0:
+            agg[node] = nagg
+            nagg += 1
+    return agg
+
+
+def laplacian_2d(nx, ny):
+    ix = sp.diags([-np.ones(nx - 1), 2 * np.ones(nx), -np.ones(nx - 1)], [-1, 0, 1])
+    iy = sp.diags([-np.ones(ny - 1), 2 * np.ones(ny), -np.ones(ny - 1)], [-1, 0, 1])
+    return (sp.kron(sp.eye(ny), ix) + sp.kron(iy, sp.eye(nx))).tocsr()
+
+
+def laplacian_3d_anisotropic(nx, ny, nz, ex=1.0, ey=0.01, ez=100.0):
+    def d1(k):
+        return sp.diags([-np.ones(k - 1), 2 * np.ones(k), -np.ones(k - 1)], [-1, 0, 1])
+
+    return (ex * sp.kron(sp.eye(ny * nz), d1(nx))
+            + ey * sp.kron(sp.kron(sp.eye(nz), d1(ny)), sp.eye(nx))
+            + ez * sp.kron(d1(nz), sp.eye(nx * ny))).tocsr()
+
+
+def counting_build_amg(monkeypatch):
+    """Replace ``linear.build_amg`` with a wrapper that records each call."""
+    calls = []
+    original = linear.build_amg
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linear, "build_amg", counted)
+    return calls
+
+
 class TestAmg:
     def build_app(self, shape=(16, 16, 1), hetero=False):
         rng = np.random.default_rng(17)
@@ -442,6 +505,21 @@ class TestAmg:
         assert max(ratios) <= 0.5
         assert errs[-1] <= 1e-2 * errs[0]
 
+    @pytest.mark.parametrize("case", ["laplacian_2d", "anisotropic_3d", "assembled"])
+    def test_aggregate_matches_reference(self, case):
+        if case == "laplacian_2d":
+            a = laplacian_2d(23, 17)
+        elif case == "anisotropic_3d":
+            a = laplacian_3d_anisotropic(9, 8, 5)
+        else:
+            a, b = assembled_system(np.random.default_rng(27), shape=(14, 12, 3))
+            a = decouple(a, b, "quasi_impes")[0].extract_app()
+        for theta in (linear._AMG_STRENGTH, 0.25):
+            agg = linear._aggregate(a, theta)
+            ref = aggregate_reference(a, theta)
+            assert agg.dtype == ref.dtype
+            np.testing.assert_array_equal(agg, ref)
+
     def test_homogeneous_field_converges(self):
         app = self.build_app()
         hier = build_amg(app)
@@ -494,19 +572,79 @@ class TestCprFpf:
         assert st_ilu == "converged" and st_cpr == "converged"
         assert it_cpr <= 0.5 * it_ilu
 
-    def test_hierarchy_reuse_workspace(self):
+    def reuse_pair(self):
+        """Two decoupled Newton systems of one structure with different values."""
         rng = np.random.default_rng(25)
-        a, b = assembled_system(rng)
+        a, b = assembled_system(rng, shape=(20, 20, 1))
         a2, _ = decouple(a, b, "quasi_impes")
-        op = csr_operator(a2)
+        c, d = assembled_system(rng, shape=(20, 20, 1))
+        c2, _ = decouple(c, d, "quasi_impes")
+        assert not np.array_equal(a2.extract_app().data, c2.extract_app().data)
+        return rng, a2, c2
+
+    def test_hierarchy_reuse_workspace(self, monkeypatch):
+        # the second preconditioner of a workspace reuses the first one's
+        # hierarchy with its own finest level, and builds nothing
+        rng, a2, c2 = self.reuse_pair()
+        calls = counting_build_amg(monkeypatch)
         ws = {}
-        m1 = CprFpf(a2, op, workspace=ws)
+        m1 = CprFpf(a2, csr_operator(a2), workspace=ws)
+        assert len(calls) == 1 and ws["amg_hierarchy"] is m1.amg
+        assert len(m1.amg.levels) >= 2
         aggs = [arr.copy() for arr in ws["amg_aggregates"]]
-        m2 = CprFpf(a2, op, workspace=ws)
+        op = csr_operator(c2)
+        m2 = CprFpf(c2, op, workspace=ws)
+        assert len(calls) == 1
         for x, y in zip(aggs, ws["amg_aggregates"]):
             np.testing.assert_array_equal(x, y)
+        fine1, fine2 = m1.amg.levels[0], m2.amg.levels[0]
+        app = c2.extract_app()
+        for attr in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(fine2.a, attr), getattr(app, attr))
+        np.testing.assert_array_equal(fine2.dinv, 1.0 / app.diagonal())
+        assert fine2.p is fine1.p and fine2.r is fine1.r and fine2.omega == fine1.omega
+        assert all(x is y for x, y in zip(m2.amg.levels[1:], m1.amg.levels[1:]))
+        assert m2.amg.coarse_lu is m1.amg.coarse_lu
+        assert m2.amg.coarse_n == m1.amg.coarse_n
+        # bitwise equal to a preconditioner on a hierarchy edited by hand
+        ref = CprFpf(c2, op)
+        ref.amg = AmgHierarchy(
+            levels=[AmgLevel(a=app, dinv=1.0 / app.diagonal(), p=fine1.p, r=fine1.r,
+                             omega=fine1.omega)] + m1.amg.levels[1:],
+            coarse_lu=m1.amg.coarse_lu, coarse_n=m1.amg.coarse_n)
+        r = rng.standard_normal(c2.nunk)
+        np.testing.assert_array_equal(m2.solve(r), ref.solve(r))
+
+    def test_reuse_leaves_first_preconditioner_unchanged(self):
+        rng, a2, c2 = self.reuse_pair()
+        ws = {}
+        m1 = CprFpf(a2, csr_operator(a2), workspace=ws)
+        fine = m1.amg.levels[0]
+        before = [arr.copy() for arr in (fine.a.data, fine.a.indices, fine.a.indptr,
+                                         fine.dinv)]
         r = rng.standard_normal(a2.nunk)
-        np.testing.assert_array_equal(m1.solve(r), m2.solve(r))
+        z = m1.solve(r)
+        m2 = CprFpf(c2, csr_operator(c2), workspace=ws)
+        assert m2.amg is not m1.amg and m1.amg.levels[0] is fine
+        after = (fine.a.data, fine.a.indices, fine.a.indptr, fine.dinv)
+        for x, y in zip(before, after):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(m1.solve(r), z)
+
+    def test_zero_level_hierarchy_rebuilds(self, monkeypatch):
+        # at most _AMG_MIN_COARSE cells: the "hierarchy" is an LU of the
+        # whole pressure block, so every preconditioner builds its own
+        rng = np.random.default_rng(28)
+        mats = [random_block_matrix(rng, shape=(4, 3, 1), m=2, nwell=1)
+                for _ in range(3)]
+        r = rng.standard_normal(mats[0].nunk)
+        fresh = [CprFpf(a, csr_operator(a)).solve(r) for a in mats]
+        calls = counting_build_amg(monkeypatch)
+        ws = {}
+        for k, (a, z) in enumerate(zip(mats, fresh), start=1):
+            m = CprFpf(a, csr_operator(a), workspace=ws)
+            assert len(calls) == k and m.amg.levels == []
+            np.testing.assert_array_equal(m.solve(r), z)
 
 
 class TestDumps:
