@@ -28,8 +28,8 @@ from .nonlinear import (NewtonConfig, StepController, RunReport, StepRecord,
                         SimulationAbort, advance_timestep)
 from .parallel import WorkerPool
 from .pvt import CoreyTwoPhase, FluidSystem, PvtModel, Table1D, ThreePhaseRelPerm
-from .wells import (Constraint, Schedule, Well, WellConfigError, apply_schedule,
-                    complete_vertical)
+from .wells import (CONSTRAINT_KINDS, Constraint, Schedule, Well, WellConfigError,
+                    apply_schedule, complete_vertical)
 from . import units
 
 log = logging.getLogger(__name__)
@@ -111,8 +111,7 @@ _SECTION_KEYS = {
 
 _TABLES = ("rs", "bo", "bg", "muo", "pcow", "pcog")
 
-_WELL_KEYS = {"type", "fluid", "rw", "skin", "refdepth", "wi",
-              "bhp", "water_rate", "oil_rate", "liquid_rate", "gas_rate"}
+_WELL_KEYS = {"type", "fluid", "rw", "skin", "refdepth", "wi", *CONSTRAINT_KINDS}
 
 
 def load_deck(path: str) -> Deck:
@@ -227,7 +226,7 @@ def _build_deck(sections, tables, base_dir) -> Deck:
         rec("init", k, v)
 
     w = _Section(sections.get("wells", []), "wells")
-    wells = _build_wells(w, grid, rock, rec)
+    wells, unconstrained = _build_wells(w, grid, rock, rec)
 
     s = _Section(sections.get("schedule", []), "schedule")
     schedule = _build_schedule(s, rec)
@@ -235,7 +234,7 @@ def _build_deck(sections, tables, base_dir) -> Deck:
         schedule.validate_names(wells)
     except WellConfigError as exc:
         raise DeckError(str(exc)) from None
-    _check_constraints_at_start(wells, schedule)
+    _check_constraints_at_start(unconstrained, schedule)
 
     sv = _Section(sections.get("solver", []), "solver")
     newton = NewtonConfig(
@@ -396,8 +395,10 @@ def _table_from_rows(rows, name) -> Table1D | None:
         raise DeckError(f"[table:{name}]: {exc}") from None
 
 
-def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec) -> list[Well]:
+def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec):
+    """The deck's wells, and the names of those whose line sets no constraint."""
     wells: list[Well] = []
+    unconstrained: list[str] = []
     by_name: dict[str, Well] = {}
     explicit_wi: dict[str, float] = {}
     for lineno, val in w.repeated("well"):
@@ -423,9 +424,11 @@ def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec) -> list[Well]:
                         ref_depth=float(kv.get("refdepth", 0.0)))
         except (WellConfigError, ValueError, TypeError) as exc:
             raise DeckError(f"line {lineno}: {exc}") from None
-        for ckind in ("bhp", "water_rate", "oil_rate", "liquid_rate", "gas_rate"):
-            if ckind in kv:
-                well.constraint = Constraint(ckind, float(kv[ckind]))
+        given = [ckind for ckind in CONSTRAINT_KINDS if ckind in kv]
+        for ckind in given:
+            well.constraint = Constraint(ckind, float(kv[ckind]))
+        if not given:
+            unconstrained.append(name)
         if "wi" in kv:
             explicit_wi[name] = float(kv["wi"])
         well.slot = len(wells)
@@ -459,7 +462,7 @@ def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec) -> list[Well]:
     for well in wells:
         if not well.perforations:
             raise DeckError(f"well {well.name} has no perforations")
-    return wells
+    return wells, unconstrained
 
 
 def _build_schedule(s: _Section, rec) -> Schedule:
@@ -480,12 +483,11 @@ def _build_schedule(s: _Section, rec) -> Schedule:
         raise DeckError(str(exc)) from None
 
 
-def _check_constraints_at_start(wells, schedule):
+def _check_constraints_at_start(unconstrained, schedule):
     starts = {name for t, name, _ in schedule.entries if t <= 0.0}
-    for well in wells:
-        if well.constraint.value == 0.0 and well.constraint.kind == "bhp" \
-                and well.name not in starts:
-            raise DeckError(f"well {well.name} has no constraint at t = 0 "
+    for name in unconstrained:
+        if name not in starts:
+            raise DeckError(f"well {name} has no constraint at t = 0 "
                             f"(set one on the well line or in [schedule])")
 
 
@@ -576,7 +578,6 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
     switch_times = sorted({entry[0] for entry in deck.schedule.entries})
 
     with WorkerPool(part.workers, part) as pool:
-        workspace: dict = {}
         t = 0.0
         dt = min(deck.controller.dt_init, deck.t_end) if deck.t_end > 0 else 0.0
         step = 0
@@ -597,8 +598,7 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
                 wall0 = time.perf_counter()
                 state_new, dt_acc, stats = advance_timestep(
                     model, state, dt, wells, deck.newton, deck.solver,
-                    deck.controller, pool=pool, dump_prefix=prefix,
-                    workspace=workspace)
+                    deck.controller, pool=pool, dump_prefix=prefix)
                 wall = time.perf_counter() - wall0
                 masses = model.mass_in_place(state_new)
                 rates = model.well_mass_rates(state_new, wells)
@@ -619,17 +619,15 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
                     write_vtk(grid, state, deck.rock,
                               os.path.join(output_dir, f"{out.vtk_prefix}_{step:04d}.vtk"))
         except SimulationAbort as abort:
-            if csv_path:
-                report.to_csv(csv_path)
-            write_vtk(grid, state, deck.rock, vtk_path)
             abort.state = state
             abort.report = report
             log.error("simulation aborted at t=%g: %s", t, abort)
             raise
+        finally:
+            if csv_path:
+                report.to_csv(csv_path)
+            write_vtk(grid, state, deck.rock, vtk_path)
 
-    if csv_path:
-        report.to_csv(csv_path)
-    write_vtk(grid, state, deck.rock, vtk_path)
     log.info("summary:\n%s", report.format_table())
     report.final_state = state
     return report

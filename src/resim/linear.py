@@ -245,7 +245,8 @@ class CsrPattern:
     columns) and ``red_black`` are the red-black ILU(0)'s off-diagonal colour
     blocks, with unknowns numbered within their colour, taken from the
     system's values.  ``fits`` tells whether a matrix has this structure:
-    grid shape, block size, stencil axes and well borders.
+    grid shape, block size, stencil axes and well borders.  ``aggregates``
+    keeps the AMG aggregates of the last hierarchy built on it by ``CprFpf``.
     """
 
     def __init__(self, a: BlockMatrix):
@@ -280,6 +281,7 @@ class CsrPattern:
 
         self.black_red = block(0, base - nred)
         self.red_black = block(1, nred)
+        self.aggregates: list[np.ndarray] | None = None
 
     def fits(self, a: BlockMatrix) -> bool:
         return (a.shape == self.shape and a.m == self.m and a.axes == self.axes
@@ -458,6 +460,7 @@ class AmgHierarchy:
     levels: list[AmgLevel] = field(default_factory=list)
     coarse_lu: tuple | None = None
     coarse_n: int = 0
+    aggregates: list[np.ndarray] = field(default_factory=list)   # one per level
 
     @property
     def nlevels(self) -> int:
@@ -530,32 +533,23 @@ def _spectral_radius(a: sp.csr_matrix, dinv: np.ndarray, iters: int = 10) -> flo
     return rho
 
 
-def build_amg(a_pp: sp.csr_matrix, workspace: dict | None = None) -> AmgHierarchy:
+def build_amg(a_pp: sp.csr_matrix, aggregates: list | None = None) -> AmgHierarchy:
     """Smoothed-aggregation hierarchy with a dense coarsest-level factorization.
 
-    The sparsity pattern of successive Newton matrices never changes inside a
-    run, so aggregates computed once are reusable; pass a persistent
-    ``workspace`` dict to cache them across setups.  This is the only place a
-    hierarchy is built: ``CprFpf`` calls it once per time-step attempt and
-    reuses the result, with a refreshed finest level, for the attempt's later
-    Newton matrices.
+    Level k takes ``aggregates[k]`` when there is one, else aggregates its
+    operator; the hierarchy keeps the aggregates of its levels.  This is the
+    only place a hierarchy is built.
     """
     hier = AmgHierarchy()
     a = a_pp.tocsr()
-    cached = workspace.get("amg_aggregates") if workspace is not None else None
-    built: list[np.ndarray] = []
+    known = aggregates or []
     for lvl in range(_AMG_MAX_LEVELS):
         n = a.shape[0]
         if n <= _AMG_MIN_COARSE:
             break
-        if cached is not None and lvl < len(cached) and len(cached[lvl]) == n:
-            agg = cached[lvl]
-        else:
-            agg = _aggregate(a, _AMG_STRENGTH)
-        built.append(agg)
+        agg = known[lvl] if lvl < len(known) else _aggregate(a, _AMG_STRENGTH)
         ncoarse = int(agg.max()) + 1
         if ncoarse >= n:
-            built.pop()
             break
         counts = np.bincount(agg, minlength=ncoarse).astype(float)
         p0 = sp.csr_matrix((1.0 / np.sqrt(counts[agg]), (np.arange(n), agg)),
@@ -570,12 +564,10 @@ def build_amg(a_pp: sp.csr_matrix, workspace: dict | None = None) -> AmgHierarch
         # (e.g. ABF on incompressible systems) cannot make the cycle diverge
         omega_s = min(_JACOBI_OMEGA, 1.6 / max(rho, 1e-12))
         hier.levels.append(AmgLevel(a=a, dinv=dinv, p=p, r=r, omega=omega_s))
+        hier.aggregates.append(agg)
         a = (r @ a @ p).tocsr()
-    dense = a.toarray()
-    hier.coarse_lu = scipy.linalg.lu_factor(dense)
+    hier.coarse_lu = scipy.linalg.lu_factor(a.toarray())
     hier.coarse_n = a.shape[0]
-    if workspace is not None:
-        workspace["amg_aggregates"] = built
     return hier
 
 
@@ -603,27 +595,26 @@ class CprFpf:
     diagonal approximation); stage P is one AMG V-cycle on the pressure block,
     applied multiplicatively between two F stages.
 
-    With a ``workspace``, the AMG hierarchy is kept there (``"amg_hierarchy"``)
-    and later preconditioners from the same workspace reuse its coarse levels
-    with their own pressure block on the finest level (``with_fine``);
-    ``nonlinear._attempt`` drops it at the start of each time-step attempt.
-    A hierarchy without coarse levels (at most ``_AMG_MIN_COARSE`` cells) is
-    an LU of the whole pressure block and is rebuilt every time.
+    ``amg``, the hierarchy of an earlier pressure block of this structure,
+    is reused with this pressure block on its finest level (``with_fine``).
+    Without one, or when it has no coarse level (at most ``_AMG_MIN_COARSE``
+    cells), ``build_amg`` builds on the aggregates kept on ``a``'s
+    ``CsrPattern``, a run's pressure blocks all having one structure, and
+    the pattern keeps the new hierarchy's.
     """
 
     def __init__(self, a: BlockMatrix, matvec: PooledMatvec,
-                 workspace: dict | None = None):
+                 amg: AmgHierarchy | None = None):
         self.a = a
         self.matvec = matvec
         self.smoother = BlockILU0(a, matvec.a)
         self.app = a.extract_app()
-        held = workspace.get("amg_hierarchy") if workspace is not None else None
-        if held is not None and held.levels:
-            self.amg = held.with_fine(self.app)
+        if amg is not None and amg.levels:
+            self.amg = amg.with_fine(self.app)
         else:
-            self.amg = build_amg(self.app, workspace=workspace)
-            if workspace is not None:
-                workspace["amg_hierarchy"] = self.amg
+            pattern = a.csr_pattern()
+            self.amg = build_amg(self.app, pattern.aggregates)
+            pattern.aggregates = self.amg.aggregates
         self.pslots = np.arange(a.ncell) * a.m
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -636,14 +627,14 @@ class CprFpf:
 
 
 def make_preconditioner(a: BlockMatrix, config: SolverConfig, matvec: PooledMatvec,
-                        workspace: dict | None = None):
+                        amg: AmgHierarchy | None = None):
     """The configured preconditioner of ``a``, or None; ``matvec`` is the
-    system operator the Krylov solver multiplies with, over ``a.to_csr()``."""
+    system operator over ``a.to_csr()``, ``amg`` as for ``CprFpf``."""
     if config.preconditioner == "none":
         return None
     if config.preconditioner == "ilu0":
         return BlockILU0(a, matvec.a)
-    return CprFpf(a, matvec, workspace=workspace)
+    return CprFpf(a, matvec, amg=amg)
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,15 @@ class ReservoirModel:
 
     def assemble_jacobian(self, state_new: ReservoirState, state_old: ReservoirState,
                           dt: float, wells: list[Well], pool=None) -> BlockMatrix:
-        """Analytic block Jacobian; the Newton rhs b = -F is attached as .b."""
+        """Analytic block Jacobian; the Newton rhs b = -F is attached as .b.
+        A non-finite residual or block entry raises ``AssemblyError``."""
         r_cells, r_wells, mat = self._assemble(state_new, state_old, dt, wells,
                                                derivs=True, pool=pool)
         f = _flatten_check(r_cells, r_wells, self.m)
+        blocks = (mat.diag, *mat.lo.values(), *mat.hi.values(), mat.cw_blocks,
+                  mat.wc_blocks, mat.ww)
+        if not all(np.isfinite(v).all() for v in blocks):
+            raise AssemblyError("non-finite Jacobian entry")
         mat.b = -f
         # the Newton systems of a run share their stencil and perforations,
         # so each reuses the last one's CSR pattern (rebuilt if they differ)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear import SolverConfig, decouple, make_preconditioner, bicgstab, \
-    dump_matrix_market
+from .linear import AmgHierarchy, CprFpf, SolverConfig, decouple, \
+    make_preconditioner, bicgstab, dump_matrix_market
 from .model import AssemblyError
 from .parallel import det_norm, PooledMatvec
 
@@ -190,11 +190,13 @@ def apply_update(state, dx: np.ndarray, model, config: NewtonConfig):
 
 def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
                 scfg: SolverConfig, theta: float, pool=None, dump_prefix=None,
-                workspace: dict | None = None):
+                amg: AmgHierarchy | None = None):
     """One assemble-solve-update cycle at the given linear tolerance.
 
-    Returns (new_state, dx, iter_log, jac, timing) or raises _StepFailure
-    when the linear solver does not meet its contract.
+    Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: build
+    one).  Returns (new_state, dx, iter_log, jac, timing, amg), the last the
+    hierarchy its CPR preconditioner used (None without CPR), or raises
+    _StepFailure when the linear solver does not meet its contract.
     """
     t0 = time.perf_counter()
     jac = model.assemble_jacobian(state, state_old, dt, wells, pool=pool)
@@ -204,7 +206,7 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         dump_matrix_market(jac, b, dump_prefix)
     a2, b2 = decouple(jac, b, scfg.decoupling)
     matvec = PooledMatvec(a2.to_csr(), pool, model.m)
-    precond = make_preconditioner(a2, scfg, matvec, workspace=workspace)
+    precond = make_preconditioner(a2, scfg, matvec, amg=amg)
     dx, iters, status = bicgstab(matvec, precond, b2, theta, scfg.max_iterations)
     lhs = det_norm(b2 - matvec(dx))
     t2 = time.perf_counter()
@@ -216,7 +218,8 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
                                      assembly_time=t1 - t0, solve_time=t2 - t1,
                                      newton_log=[entry]))
     new_state = apply_update(state, dx, model, ncfg)
-    return new_state, dx, entry, jac, (t1 - t0, t2 - t1)
+    amg = precond.amg if isinstance(precond, CprFpf) else None
+    return new_state, dx, entry, jac, (t1 - t0, t2 - t1), amg
 
 
 def _component_sums(f: np.ndarray, model) -> dict[str, float]:
@@ -235,27 +238,23 @@ def _mb_converged(sums, dt, mass_ref, mb_tol) -> bool:
     return True
 
 
-def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix,
-             workspace=None):
+def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix):
     """Run Newton to convergence at fixed dt; raises _StepFailure otherwise.
 
-    A trial state with a non-finite residual (``AssemblyError``) fails the
-    attempt, so the step is cut.  Each attempt starts without an AMG
-    hierarchy in ``workspace``: its first preconditioner builds one, and its
-    later Newton iterations reuse it.
+    A trial state with a non-finite residual or Jacobian (``AssemblyError``)
+    fails the attempt, so the step is cut.  The AMG hierarchy lives for one
+    attempt: its first Newton iteration builds one, each later one reuses the
+    previous one's, and a new step or a retry after a cut builds afresh.
     """
-    if workspace is not None:
-        workspace.pop("amg_hierarchy", None)
     stats = StepStats()
     try:
         return _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool,
-                            dump_prefix, workspace, stats)
+                            dump_prefix, stats)
     except AssemblyError as exc:
         raise _StepFailure(f"bad trial state: {exc}", stats) from None
 
 
-def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix,
-                 workspace, stats):
+def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, stats):
     state = state_old.copy()
     state.t = state_old.t + dt
     t0 = time.perf_counter()
@@ -274,6 +273,7 @@ def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix,
     b_minus_r_prev = 0.0
     b_norm = b_norm0
     residual_ok = False
+    amg = None
 
     for it in range(ncfg.max_newton):
         hist = None
@@ -292,9 +292,9 @@ def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix,
         theta = min(max(theta, ncfg.theta_min), ncfg.theta_max)
         prefix = None if dump_prefix is None else f"{dump_prefix}_n{stats.newtons}"
         try:
-            state_new, dx, entry, jac, (ta, ts) = newton_step(
+            state_new, dx, entry, jac, (ta, ts), amg = newton_step(
                 model, state, state_old, dt, wells, ncfg, scfg, theta,
-                pool=pool, dump_prefix=prefix, workspace=workspace)
+                pool=pool, dump_prefix=prefix, amg=amg)
         except _StepFailure as fail:
             stats.absorb(fail.stats)
             raise _StepFailure(fail.reason, stats) from None
@@ -336,7 +336,7 @@ def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix,
 
 def advance_timestep(model, state_old, dt: float, wells, ncfg: NewtonConfig,
                      scfg: SolverConfig, controller: StepController,
-                     pool=None, dump_prefix=None, workspace: dict | None = None):
+                     pool=None, dump_prefix=None):
     """Advance one accepted step, cutting dt on failures.
 
     Returns (state_new, accepted_dt, StepStats); Newton iterations and linear
@@ -348,7 +348,7 @@ def advance_timestep(model, state_old, dt: float, wells, ncfg: NewtonConfig,
     while True:
         try:
             state_new, astats = _attempt(model, state_old, dt_try, wells, ncfg,
-                                         scfg, pool, dump_prefix, workspace)
+                                         scfg, pool, dump_prefix)
             stats.absorb(astats)
             stats.residual_sums = astats.residual_sums
             return state_new, dt_try, stats

@@ -125,7 +125,12 @@ def peaceman_wi(dx: float, dy: float, dz: float, kx: float, ky: float,
 
 def complete_vertical(well: Well, grid: Grid, rock: RockFields, cells: list[int],
                       wi: float | None = None) -> None:
-    """Attach perforations (Peaceman index unless ``wi`` given) for the cells."""
+    """Perforate the cells, each at most once (Peaceman index unless ``wi`` given)."""
+    taken = [p.cell for p in well.perforations]
+    for c in cells:
+        if c in taken:
+            raise WellConfigError(f"well {well.name}: cell {c} is perforated twice")
+        taken.append(c)
     for c in cells:
         w = wi if wi is not None else peaceman_wi(
             grid.dx, grid.dy, grid.dz, rock.kx[c], rock.ky[c], well.r_w, well.skin)

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from resim import driver, linear, nonlinear, parallel
+from test_driver import TINY_RUN_DECK
 from test_linear import random_block_matrix
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -35,6 +36,25 @@ def test_tracer_installs_and_restores(monkeypatch):
     finally:
         t.uninstall()
     assert _hooked() == originals
+
+
+def test_tracer_counts_match_the_run_report(monkeypatch, tmp_path):
+    # the tracer reads the NewtonConfig as advance_timestep's args[4] and
+    # rebuilds steps and Newton iterations from the calls it sees
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer
+
+    t = Tracer().install()
+    try:
+        report = driver.run_simulation(driver.parse_deck(TINY_RUN_DECK),
+                                       output_dir=str(tmp_path))
+    finally:
+        t.uninstall()
+    assert t.count["steps"] == report.n_steps
+    assert t.count["newtons"] == report.n_newton
+    # 6 cells, no coarse AMG level: every Newton iteration builds a hierarchy
+    builds = sum(1 for span in t.spans if span[0] == "linear.build_amg")
+    assert builds == report.n_newton
 
 
 def test_sample_patch_targets_exist():

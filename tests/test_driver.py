@@ -150,6 +150,29 @@ class TestParseDeck:
         with pytest.raises(DeckError, match="no constraint"):
             parse_deck(bad)
 
+    def test_explicit_zero_bhp_parses(self):
+        deck = parse_deck(TINY_RUN_DECK.replace("bhp=3000.0", "bhp=0.0"))
+        assert deck.wells[1].constraint == resim.Constraint("bhp", 0.0)
+
+    @pytest.mark.parametrize("schedule", ["", "\n[schedule]\nat = 1.0 P bhp 2500.0\n"])
+    def test_producer_without_constraint_at_start(self, schedule):
+        # no bhp on the well line, and none in the schedule at t = 0
+        bad = TINY_RUN_DECK.replace(" bhp=3000.0", "") + schedule
+        with pytest.raises(DeckError, match="well P has no constraint at t = 0"):
+            parse_deck(bad)
+
+    def test_constraint_from_schedule_at_start(self):
+        text = TINY_RUN_DECK.replace(" bhp=3000.0", "") + \
+            "\n[schedule]\nat = 0.0 P bhp 0.0\n"
+        assert parse_deck(text).schedule.entries[0][2] == resim.Constraint("bhp", 0.0)
+
+    def test_duplicate_perforation_reports_line(self):
+        bad = TINY_RUN_DECK.replace("perf = P 5 0 0", "perf = P 5 0 0\nperf = P 5 0 0")
+        lineno = bad.splitlines().index("perf = P 5 0 0") + 2
+        with pytest.raises(DeckError, match=rf"line {lineno}: well P: cell 5 is "
+                                            r"perforated twice"):
+            parse_deck(bad)
+
     def test_spe10_subset_deck_matches_paper_wells(self):
         deck = load_deck(deck_path("spe10_subset.deck"))
         assert (deck.grid.nx, deck.grid.ny, deck.grid.nz) == (60, 220, 1)
@@ -380,6 +403,24 @@ def inject_nan_residual(monkeypatch, first, last=None):
     return calls
 
 
+def inject_nan_jacobian(monkeypatch, first, last=None):
+    """Put a NaN into the first diagonal block of Jacobians first..last
+    (1-based; ``last`` None: every later one); their residuals stay finite."""
+    calls = [0]
+    assemble = model.ReservoirModel._assemble
+
+    def faulty(self, *args, **kwargs):
+        out = assemble(self, *args, **kwargs)
+        if out[2] is not None:
+            calls[0] += 1
+            if calls[0] >= first and (last is None or calls[0] <= last):
+                out[2].diag[0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(model.ReservoirModel, "_assemble", faulty)
+    return calls
+
+
 class AttemptLog:
     """Newton iterations run and AMG hierarchies built, per step attempt."""
 
@@ -430,6 +471,26 @@ class TestAmgLifetime:
         assert log.newtons[0] == 1 and log.newtons[1] >= 2
         assert log.builds == [1 if n else 0 for n in log.newtons]
 
+    def test_only_the_first_build_aggregates(self, tmp_path, monkeypatch):
+        # the run's CsrPattern keeps the first build's aggregates
+        aggregated = []
+        build, aggregate = linear.build_amg, linear._aggregate
+
+        def counted_build(*args, **kwargs):
+            aggregated.append(0)
+            return build(*args, **kwargs)
+
+        def counted_aggregate(*args, **kwargs):
+            aggregated[-1] += 1
+            return aggregate(*args, **kwargs)
+
+        monkeypatch.setattr(linear, "build_amg", counted_build)
+        monkeypatch.setattr(linear, "_aggregate", counted_aggregate)
+        report = run_simulation(self.short_waterflood(), output_dir=str(tmp_path))
+        assert report.n_steps > 1 and len(aggregated) == report.n_steps + report.n_cuts
+        assert aggregated[0] >= 1
+        assert aggregated[1:] == [0] * (len(aggregated) - 1)
+
     def test_zero_level_pressure_block_rebuilds_every_newton(self, tmp_path,
                                                              monkeypatch):
         # 6 cells: the pressure "hierarchy" is one LU, rebuilt per matrix
@@ -464,6 +525,52 @@ class TestBadTrialState:
         assert report.n_steps >= 1
         with open(tmp_path / "steps.csv") as fh:
             assert len(fh.read().splitlines()) == report.n_steps + 1
+        assert os.path.exists(tmp_path / "resim_out_final.vtk")
+
+    def test_non_finite_jacobian_cuts_the_step(self, tmp_path, monkeypatch, caplog):
+        calls = inject_nan_jacobian(monkeypatch, 1, 1)
+        with caplog.at_level(logging.WARNING):
+            report = run_simulation(parse_deck(TINY_RUN_DECK), report_csv="steps.csv",
+                                    output_dir=str(tmp_path))
+        assert calls[0] > 1
+        assert report.steps[0].cuts == report.n_cuts == 1
+        assert any("non-finite Jacobian entry" in r.message
+                   and "cutting dt" in r.message for r in caplog.records)
+        assert report.steps[-1].t == pytest.approx(2.0)
+        assert np.all(np.isfinite(report.final_state.p_o))
+        assert os.path.exists(tmp_path / "steps.csv")
+        assert os.path.exists(tmp_path / "resim_out_final.vtk")
+
+    def test_persistent_non_finite_jacobian_aborts_with_outputs(self, tmp_path,
+                                                                monkeypatch, capsys):
+        p = tmp_path / "tiny.deck"
+        p.write_text(TINY_RUN_DECK)
+        inject_nan_jacobian(monkeypatch, 4)
+        rc = main(["run", str(p), "--report", "steps.csv", "--output-dir",
+                   str(tmp_path), "-q"])
+        assert rc == 2
+        assert "non-finite Jacobian" in capsys.readouterr().err
+        with open(tmp_path / "steps.csv") as fh:
+            assert len(fh.read().splitlines()) >= 2      # header, accepted steps
+        assert os.path.exists(tmp_path / "resim_out_final.vtk")
+
+    def test_error_that_cuts_no_step_still_writes_outputs(self, tmp_path, monkeypatch):
+        # a singular coarse LU is not a step failure yet; the run still
+        # leaves its accepted steps and last state behind
+        build, calls = linear.build_amg, [0]
+
+        def failing_build(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 4:
+                raise np.linalg.LinAlgError("singular coarse matrix")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(linear, "build_amg", failing_build)
+        with pytest.raises(np.linalg.LinAlgError):
+            run_simulation(parse_deck(TINY_RUN_DECK), report_csv="steps.csv",
+                           output_dir=str(tmp_path))
+        with open(tmp_path / "steps.csv") as fh:
+            assert len(fh.read().splitlines()) >= 2
         assert os.path.exists(tmp_path / "resim_out_final.vtk")
 
     def test_abort_from_bad_trial_state_exits_2(self, tmp_path, monkeypatch, capsys):

@@ -582,21 +582,22 @@ class TestCprFpf:
         assert not np.array_equal(a2.extract_app().data, c2.extract_app().data)
         return rng, a2, c2
 
-    def test_hierarchy_reuse_workspace(self, monkeypatch):
-        # the second preconditioner of a workspace reuses the first one's
-        # hierarchy with its own finest level, and builds nothing
+    def test_hierarchy_reuse(self, monkeypatch):
+        # a preconditioner handed an earlier one's hierarchy reuses it with
+        # its own finest level, and builds nothing
         rng, a2, c2 = self.reuse_pair()
         calls = counting_build_amg(monkeypatch)
-        ws = {}
-        m1 = CprFpf(a2, csr_operator(a2), workspace=ws)
-        assert len(calls) == 1 and ws["amg_hierarchy"] is m1.amg
+        m1 = CprFpf(a2, csr_operator(a2))
+        assert len(calls) == 1 and a2.csr_pattern().aggregates is m1.amg.aggregates
         assert len(m1.amg.levels) >= 2
-        aggs = [arr.copy() for arr in ws["amg_aggregates"]]
+        aggs = [arr.copy() for arr in m1.amg.aggregates]
         op = csr_operator(c2)
-        m2 = CprFpf(c2, op, workspace=ws)
+        m2 = CprFpf(c2, op, amg=m1.amg)
         assert len(calls) == 1
-        for x, y in zip(aggs, ws["amg_aggregates"]):
+        assert len(m2.amg.aggregates) == len(aggs)
+        for x, y, z in zip(aggs, m1.amg.aggregates, m2.amg.aggregates):
             np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(x, z)
         fine1, fine2 = m1.amg.levels[0], m2.amg.levels[0]
         app = c2.extract_app()
         for attr in ("data", "indices", "indptr"):
@@ -617,14 +618,13 @@ class TestCprFpf:
 
     def test_reuse_leaves_first_preconditioner_unchanged(self):
         rng, a2, c2 = self.reuse_pair()
-        ws = {}
-        m1 = CprFpf(a2, csr_operator(a2), workspace=ws)
+        m1 = CprFpf(a2, csr_operator(a2))
         fine = m1.amg.levels[0]
         before = [arr.copy() for arr in (fine.a.data, fine.a.indices, fine.a.indptr,
                                          fine.dinv)]
         r = rng.standard_normal(a2.nunk)
         z = m1.solve(r)
-        m2 = CprFpf(c2, csr_operator(c2), workspace=ws)
+        m2 = CprFpf(c2, csr_operator(c2), amg=m1.amg)
         assert m2.amg is not m1.amg and m1.amg.levels[0] is fine
         after = (fine.a.data, fine.a.indices, fine.a.indptr, fine.dinv)
         for x, y in zip(before, after):
@@ -640,11 +640,37 @@ class TestCprFpf:
         r = rng.standard_normal(mats[0].nunk)
         fresh = [CprFpf(a, csr_operator(a)).solve(r) for a in mats]
         calls = counting_build_amg(monkeypatch)
-        ws = {}
+        amg = None
         for k, (a, z) in enumerate(zip(mats, fresh), start=1):
-            m = CprFpf(a, csr_operator(a), workspace=ws)
+            m = CprFpf(a, csr_operator(a), amg=amg)
             assert len(calls) == k and m.amg.levels == []
             np.testing.assert_array_equal(m.solve(r), z)
+            amg = m.amg
+
+    def test_aggregates_kept_on_the_pattern(self, monkeypatch):
+        # a second build on one pattern aggregates nothing: every level
+        # takes the first build's arrays
+        rng, a2, c2 = self.reuse_pair()
+        c2.pattern = a2.csr_pattern()       # as ReservoirModel hands it on
+        aggregated = []
+        aggregate = linear._aggregate
+
+        def counted(a, theta):
+            aggregated.append(a.shape[0])
+            return aggregate(a, theta)
+
+        monkeypatch.setattr(linear, "_aggregate", counted)
+        m1 = CprFpf(a2, csr_operator(a2))
+        assert len(aggregated) == len(m1.amg.levels) >= 2
+        m2 = CprFpf(c2, csr_operator(c2))
+        assert len(aggregated) == len(m1.amg.levels)
+        assert m2.amg.levels[1] is not m1.amg.levels[1]
+        assert len(m2.amg.aggregates) == len(m1.amg.aggregates)
+        assert all(x is y for x, y in zip(m2.amg.aggregates, m1.amg.aggregates))
+        assert c2.csr_pattern().aggregates is m2.amg.aggregates
+        assert [lev.p.shape for lev in m2.amg.levels] == \
+            [lev.p.shape for lev in m1.amg.levels]
+        assert m2.amg.coarse_n == m1.amg.coarse_n
 
 
 class TestDumps:

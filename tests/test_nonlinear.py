@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import resim
-from resim.linear import SolverConfig
+from resim.linear import AmgHierarchy, SolverConfig
 from resim.model import ReservoirModel, ReservoirState
 from resim.nonlinear import (NewtonConfig, StepController, ForcingHistory,
                              forcing_term, newton_step, advance_timestep,
@@ -110,9 +110,10 @@ class TestNewtonStep:
         st = state.copy()
         st.t = 0.5
         theta = 0.05
-        _, _, entry, _, _ = newton_step(model, st, state, 0.5, wells,
-                                        NewtonConfig(), SolverConfig(), theta)
+        _, _, entry, _, _, amg = newton_step(model, st, state, 0.5, wells,
+                                             NewtonConfig(), SolverConfig(), theta)
         assert entry.status == "converged"
+        assert isinstance(amg, AmgHierarchy)
         assert entry.lhs_norm <= theta * entry.b_norm * (1 + 1e-12)
 
     def test_saturation_clamp(self):
@@ -162,8 +163,9 @@ class TestNewtonStep:
         for _ in range(6):
             err = abs(state.p_o[0] - ref.p_o[0]) + 1e4 * abs(state.s_w[0] - ref.s_w[0])
             errors.append(err)
-            state, _, _, _, _ = newton_step(model, state, old, 1.0, [w], ncfg,
-                                            scfg, 1e-10)
+            state, _, _, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
+                                                 scfg, 1e-10)
+            assert amg is None
         errors.append(abs(state.p_o[0] - ref.p_o[0]))
         meaningful = [(e1, e2) for e1, e2 in zip(errors, errors[1:])
                       if e1 > 1e-6]

@@ -247,3 +247,14 @@ class TestMatrixStructure:
         with pytest.raises(WellConfigError, match="duplicate"):
             resim.Well("X", perforations=[
                 resim.Perforation(0, 1.0, 10.0), resim.Perforation(0, 2.0, 10.0)])
+
+    def test_complete_vertical_rejects_a_perforated_cell(self):
+        g = resim.Grid(1, 1, 3, 20.0, 20.0, 10.0)
+        rock = resim.RockFields.uniform(g, 100.0, 0.2)
+        w = resim.Well("X")
+        resim.complete_vertical(w, g, rock, [0])
+        with pytest.raises(WellConfigError, match="cell 0 is perforated twice"):
+            resim.complete_vertical(w, g, rock, [1, 0])
+        with pytest.raises(WellConfigError, match="cell 2 is perforated twice"):
+            resim.complete_vertical(w, g, rock, [2, 2])
+        assert [p.cell for p in w.perforations] == [0]
