@@ -20,8 +20,8 @@ from .linear import (BlockMatrix, SolverConfig, quasi_impes_decouple,
 from .nonlinear import (NewtonConfig, StepController, RunReport, ForcingHistory,
                         forcing_term, newton_step, advance_timestep,
                         SimulationAbort)
-from .driver import (Deck, DeckError, Partition, parse_deck, load_deck,
-                     run_simulation, partition_cells, write_vtk, initial_state)
+from .driver import (Deck, DeckError, parse_deck, load_deck, run_simulation,
+                     write_vtk, initial_state)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "abf_decouple", "bicgstab", "amg_vcycle",
     "build_amg", "AmgHierarchy", "BlockILU0", "NewtonConfig", "StepController",
     "RunReport", "ForcingHistory", "forcing_term", "newton_step",
-    "advance_timestep", "SimulationAbort", "Deck", "DeckError", "Partition",
-    "parse_deck", "load_deck", "run_simulation", "partition_cells", "write_vtk",
-    "initial_state",
+    "advance_timestep", "SimulationAbort", "Deck", "DeckError", "parse_deck",
+    "load_deck", "run_simulation", "write_vtk", "initial_state",
 ]

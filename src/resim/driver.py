@@ -1,4 +1,4 @@
-"""Input decks, simulation orchestration, partitioning, output, CLI.
+"""Input decks, simulation orchestration, output, CLI.
 
 Deck format: sectioned plain text, ``key = value`` lines, ``#`` comments.
 Sections: [grid], [fields], [fluid], [init], [wells], [schedule], [solver],
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import logging
+import math
 import os
 import sys
 import time
@@ -37,29 +38,6 @@ log = logging.getLogger(__name__)
 
 class DeckError(ValueError):
     """Raised for malformed or inconsistent input decks."""
-
-
-@dataclass
-class Partition:
-    workers: int
-    ranges: list[tuple[int, int]]
-
-
-def partition_cells(ncell: int, workers: int) -> Partition:
-    """Near-equal contiguous cell ranges; sizes differ by at most one cell."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > ncell:
-        log.warning("more workers (%d) than cells (%d); reducing", workers, ncell)
-        workers = ncell
-    base, extra = divmod(ncell, workers)
-    ranges = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return Partition(workers, ranges)
 
 
 @dataclass
@@ -416,21 +394,23 @@ def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec):
             if k not in _WELL_KEYS:
                 raise DeckError(f"line {lineno}: unknown well key {k!r}")
             kv[k] = v
+        num = {k: _well_number(lineno, k, v) for k, v in kv.items()
+               if k not in ("type", "fluid")}
         try:
             well = Well(name=name, kind=kv.get("type", "producer"),
                         inj_phase={"water": "w", "gas": "g", "w": "w", "g": "g"}
                         .get(kv.get("fluid", "water")),
-                        r_w=float(kv.get("rw", 0.3)), skin=float(kv.get("skin", 0.0)),
-                        ref_depth=float(kv.get("refdepth", 0.0)))
-        except (WellConfigError, ValueError, TypeError) as exc:
+                        r_w=num.get("rw", 0.3), skin=num.get("skin", 0.0),
+                        ref_depth=num.get("refdepth", 0.0))
+        except WellConfigError as exc:
             raise DeckError(f"line {lineno}: {exc}") from None
         given = [ckind for ckind in CONSTRAINT_KINDS if ckind in kv]
         for ckind in given:
-            well.constraint = Constraint(ckind, float(kv[ckind]))
+            well.constraint = Constraint(ckind, num[ckind])
         if not given:
             unconstrained.append(name)
         if "wi" in kv:
-            explicit_wi[name] = float(kv["wi"])
+            explicit_wi[name] = num["wi"]
         well.slot = len(wells)
         wells.append(well)
         by_name[name] = well
@@ -463,6 +443,16 @@ def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec):
         if not well.perforations:
             raise DeckError(f"well {well.name} has no perforations")
     return wells, unconstrained
+
+
+def _well_number(lineno: int, key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DeckError(f"line {lineno}: {key} must be a finite number, got {text!r}")
+    return value
 
 
 def _build_schedule(s: _Section, rec) -> Schedule:
@@ -564,7 +554,6 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
     log.info("run: workers = %d", workers)
 
     grid = deck.grid
-    part = partition_cells(grid.ncell, workers)
     model = ReservoirModel(grid, deck.rock, deck.fluid)
     state = initial_state(deck)
     report = RunReport(workers=workers)
@@ -577,7 +566,7 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
 
     switch_times = sorted({entry[0] for entry in deck.schedule.entries})
 
-    with WorkerPool(part.workers, part) as pool:
+    with WorkerPool(workers) as pool:
         t = 0.0
         dt = min(deck.controller.dt_init, deck.t_end) if deck.t_end > 0 else 0.0
         step = 0
@@ -651,6 +640,9 @@ def main(argv=None) -> int:
 
     logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 1
     try:
         deck = load_deck(args.deck)
     except (DeckError, OSError) as exc:

@@ -26,6 +26,10 @@ from .pvt import FluidSystem, evaluate_properties
 from .wells import Well, well_component_rates, surface_rate_scale, RATE_COMPONENTS
 
 
+# below this many cells per range, thread dispatch costs more than it buys
+MIN_CELLS = 6000
+
+
 class AssemblyError(RuntimeError):
     """Raised when assembly produces non-finite entries."""
 
@@ -190,12 +194,7 @@ class ReservoirModel:
         lo = {ax: np.zeros((n, m, m)) for ax in self.axes} if derivs else None
         hi = {ax: np.zeros((n, m, m)) for ax in self.axes} if derivs else None
 
-        ranges = [(0, n)]
-        if pool is not None and pool.workers > 1 and pool.partition is not None:
-            from .parallel import coarsen_ranges
-
-            # below ~6k cells per range, thread dispatch costs more than it buys
-            ranges = coarsen_ranges(pool.partition.ranges, 6000)
+        ranges = [(0, n)] if pool is None else pool.ranges(n, MIN_CELLS)
 
         def run_range(rng):
             self._assemble_range(rng, state_new, state_old, dt, derivs,
@@ -289,8 +288,8 @@ class ReservoirModel:
             f0, f1 = max(0, c0 - s), min(n - s, c1)
             if f1 <= f0:
                 continue
-            idxa = np.arange(f0 - w0, f1 - w0)
-            idxb = idxa + s
+            idxa = slice(f0 - w0, f1 - w0)
+            idxb = slice(f0 - w0 + s, f1 - w0 + s)
             tface = self.tgeo[ax][f0:f1]
             dz = self.depth[f0:f1] - self.depth[f0 + s:f1 + s]
             # sub-slices of the face window owned by this range

@@ -205,7 +205,7 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
     if dump_prefix is not None:
         dump_matrix_market(jac, b, dump_prefix)
     a2, b2 = decouple(jac, b, scfg.decoupling)
-    matvec = PooledMatvec(a2.to_csr(), pool, model.m)
+    matvec = PooledMatvec(a2.to_csr(), pool)
     precond = make_preconditioner(a2, scfg, matvec, amg=amg)
     dx, iters, status = bicgstab(matvec, precond, b2, theta, scfg.max_iterations)
     lhs = det_norm(b2 - matvec(dx))

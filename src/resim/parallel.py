@@ -31,42 +31,28 @@ def det_norm(a: np.ndarray) -> float:
     return math.sqrt(det_dot(a, a))
 
 
-def coarsen_ranges(ranges, min_size: int):
-    """Merge adjacent ranges until each spans at least min_size (except last).
-
-    Work distribution only; results are range-layout independent.
-    """
-    out = []
-    start = None
-    for (c0, c1) in ranges:
-        if start is None:
-            start = c0
-        if c1 - start >= min_size:
-            out.append((start, c1))
-            start = None
-    if start is not None:
-        if out:
-            out[-1] = (out[-1][0], ranges[-1][1])
-        else:
-            out.append((start, ranges[-1][1]))
-    return out
-
-
 class WorkerPool:
-    """Thread pool over contiguous cell ranges.
+    """Thread pool, and the one place that splits work into contiguous ranges.
 
     Heavy kernels (numpy ufuncs, batched matmul, scipy sparse products)
     release the GIL, so threads scale on multi-core hosts while sharing the
-    output arrays without copies.  ``partition`` carries the cell ranges used
-    by assembly; one worker owns each range's rows.
+    output arrays without copies.  Assembly splits cells and ``PooledMatvec``
+    splits rows with ``ranges``; one worker owns each range's rows.
     """
 
-    def __init__(self, workers: int = 1, partition=None):
+    def __init__(self, workers: int = 1):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.partition = partition
         self._ex = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+
+    def ranges(self, n: int, min_size: int) -> list[tuple[int, int]]:
+        """Near-equal contiguous ranges over 0..n, at most one per worker and
+        none under ``min_size``; sizes differ by at most one."""
+        k = max(1, min(self.workers, n // min_size))
+        base, extra = divmod(n, k)
+        starts = [i * base + min(i, extra) for i in range(k + 1)]
+        return list(zip(starts[:-1], starts[1:]))
 
     def run(self, fn, items):
         """Apply fn to every item; parallel when the pool has workers."""
@@ -74,42 +60,27 @@ class WorkerPool:
             return [fn(it) for it in items]
         return list(self._ex.map(fn, items))
 
-    def close(self):
-        if self._ex is not None:
-            self._ex.shutdown(wait=True)
-            self._ex = None
-
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        if self._ex is not None:
+            self._ex.shutdown()
+
+
+# below this many rows per slice, thread dispatch costs more than the product
+MIN_ROWS = 75_000
 
 
 class PooledMatvec:
-    """Row-partitioned CSR matvec; bitwise identical to the serial product.
+    """CSR matvec over the pool's row ranges; bitwise equal to ``a @ x``."""
 
-    Partitioned products only pay off once the per-slice work exceeds thread
-    dispatch cost, so small systems always use the serial path.
-    """
-
-    MIN_ROWS = 150_000
-
-    def __init__(self, a_csr, pool: WorkerPool | None, m: int):
+    def __init__(self, a_csr, pool: WorkerPool | None):
         self.a = a_csr
         self.pool = pool
-        self.slices = None
-        nrows = a_csr.shape[0]
-        if pool is not None and pool.workers > 1 and pool.partition is not None \
-                and nrows >= self.MIN_ROWS:
-            bounds = []
-            for (c0, c1) in pool.partition.ranges:
-                bounds.append((c0 * m, c1 * m))
-            # well rows ride with the final range
-            if bounds:
-                bounds[-1] = (bounds[-1][0], nrows)
-            self.slices = [(r0, r1, _row_block(a_csr, r0, r1))
-                           for (r0, r1) in bounds if r1 > r0]
+        bounds = [] if pool is None else pool.ranges(a_csr.shape[0], MIN_ROWS)
+        self.slices = [(r0, r1, _row_block(a_csr, r0, r1)) for r0, r1 in bounds] \
+            if len(bounds) > 1 else None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.slices is None:

@@ -20,7 +20,7 @@ class Table1D:
     """Piecewise-linear table with flat clamping beyond the ends.
 
     Evaluations outside the abscissa range return the end value with zero
-    slope and increment ``clamp_count``.
+    slope.
     """
 
     def __init__(self, x, y):
@@ -32,7 +32,6 @@ class Table1D:
             raise ValueError("table needs at least one row")
         if np.any(np.diff(self.x) <= 0):
             raise ValueError("table abscissae must be strictly increasing")
-        self.clamp_count = 0
 
     @classmethod
     def constant(cls, value: float) -> "Table1D":
@@ -46,9 +45,6 @@ class Table1D:
             return np.full(v.shape, y[0]), np.zeros(v.shape)
         below = v < x[0]
         above = v > x[-1]
-        nclamp = int(np.count_nonzero(below) + np.count_nonzero(above))
-        if nclamp:
-            self.clamp_count += nclamp
         seg = np.clip(np.searchsorted(x, v, side="right") - 1, 0, len(x) - 2)
         slope = (y[seg + 1] - y[seg]) / (x[seg + 1] - x[seg])
         val = y[seg] + slope * (v - x[seg])

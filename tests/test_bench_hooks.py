@@ -73,5 +73,5 @@ def test_attributes_the_tracer_reads():
     hier = linear.build_amg(sp.csr_matrix(np.array([[3.0]])))
     assert (hier.levels, hier.nlevels, hier.coarse_n) == ([], 1, 1)
     assert linear.det_dot is parallel.det_dot
-    mv = parallel.PooledMatvec(a.to_csr(), None, a.m)
+    mv = parallel.PooledMatvec(a.to_csr(), None)
     assert mv.a.nnz > 0 and mv.slices is None

@@ -7,8 +7,8 @@ import scipy.io
 
 import resim
 from resim import linear, model, nonlinear
-from resim.driver import (DeckError, load_deck, parse_deck, partition_cells,
-                          run_simulation, write_vtk, initial_state, main)
+from resim.driver import (DeckError, load_deck, parse_deck, run_simulation,
+                          write_vtk, initial_state, main)
 from resim.nonlinear import SimulationAbort
 from conftest import deck_path
 
@@ -173,6 +173,21 @@ class TestParseDeck:
                                             r"perforated twice"):
             parse_deck(bad)
 
+    @pytest.mark.parametrize("old, new, token", [
+        ("bhp=3000.0", "bhp=abc", "bhp=abc"),
+        ("bhp=3000.0", "bhp=nan", "bhp=nan"),
+        ("water_rate=5.0", "water_rate=inf", "water_rate=inf"),
+        ("rw=0.3 bhp", "rw=nan bhp", "rw=nan"),
+        ("bhp=3000.0", "bhp=3000.0 wi=xyz", "wi=xyz"),
+        ("bhp=3000.0", "bhp=3000.0 wi=nan", "wi=nan")])
+    def test_bad_well_number_reports_line(self, old, new, token):
+        bad = TINY_RUN_DECK.replace(old, new)
+        lineno = next(i for i, ln in enumerate(bad.splitlines(), 1) if new in ln)
+        key, value = token.split("=")
+        with pytest.raises(DeckError, match=rf"^line {lineno}: {key} must be a finite "
+                                            rf"number, got '{value}'$"):
+            parse_deck(bad)
+
     def test_spe10_subset_deck_matches_paper_wells(self):
         deck = load_deck(deck_path("spe10_subset.deck"))
         assert (deck.grid.nx, deck.grid.ny, deck.grid.nz) == (60, 220, 1)
@@ -211,29 +226,6 @@ class TestParseDeck:
         assert deck.fluid.pvt.mu_o_slope_table is not None
         v, _ = deck.fluid.pvt.mu_o_slope_table(np.array([1000.0]))
         assert v[0] == pytest.approx(1e-5)
-
-
-class TestPartition:
-    def test_single_worker(self):
-        part = partition_cells(10, 1)
-        assert part.ranges == [(0, 10)]
-
-    def test_balanced_split(self):
-        part = partition_cells(10, 3)
-        sizes = [c1 - c0 for c0, c1 in part.ranges]
-        assert sizes == [4, 3, 3]
-        assert part.ranges[0][0] == 0 and part.ranges[-1][1] == 10
-
-    def test_spe10_full_scale_arithmetic(self):
-        part = partition_cells(1_122_000, 16)
-        sizes = {c1 - c0 for c0, c1 in part.ranges}
-        assert sizes == {70_125}
-
-    def test_more_workers_than_cells(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            part = partition_cells(3, 8)
-        assert part.workers == 3
-        assert "reducing" in caplog.text
 
 
 class TestVtk:
@@ -614,6 +606,21 @@ class TestCli:
         rc = main(["run", str(p), "--output-dir", str(tmp_path), "-q"])
         assert rc == 2
         assert "aborted" in capsys.readouterr().err
+
+    def test_bad_well_number_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "bad.deck"
+        p.write_text(TINY_RUN_DECK.replace("bhp=3000.0", "bhp=abc"))
+        rc = main(["run", str(p), "--output-dir", str(tmp_path), "-q"])
+        assert rc == 1
+        assert "deck error: line" in capsys.readouterr().err
+
+    def test_zero_workers_exit_code(self, tmp_path, capsys):
+        rc = main(["run", self.write_deck(tmp_path), "--workers", "0",
+                   "--output-dir", str(tmp_path), "-q"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --workers must be >= 1, got 0"]
+        assert os.listdir(tmp_path) == ["tiny.deck"]      # nothing was run
 
     def test_workers_flag(self, tmp_path, capsys):
         rc = main(["run", self.write_deck(tmp_path), "--workers", "2",

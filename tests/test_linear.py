@@ -7,11 +7,11 @@ import scipy.sparse as sp
 
 import resim
 from resim import linear
-from resim.driver import partition_cells
 from resim.linear import (AmgHierarchy, AmgLevel, BlockMatrix, BlockILU0, CprFpf,
                           SolverConfig, decouple, build_amg, amg_vcycle, bicgstab,
                           dump_matrix_market, make_preconditioner)
 from resim.model import ReservoirModel, ReservoirState
+from resim import parallel
 from resim.parallel import PooledMatvec, WorkerPool, det_dot, det_norm
 from conftest import two_phase_fluid
 
@@ -70,7 +70,7 @@ def dense_from_blocks(a):
 
 def csr_operator(a):
     """The system operator a solver multiplies with: x -> A x on a.to_csr()."""
-    return PooledMatvec(a.to_csr(), None, a.m)
+    return PooledMatvec(a.to_csr(), None)
 
 
 def assembled_system(rng, shape=(10, 10, 1)):
@@ -708,12 +708,13 @@ class TestPooledMatvec:
         a = random_block_matrix(rng, shape=(5, 4, 3), m=3, nwell=2)
         csr = a.to_csr()
         x = rng.standard_normal(a.nunk)
-        monkeypatch.setattr(PooledMatvec, "MIN_ROWS", 1)
-        with WorkerPool(2, partition_cells(a.ncell, 2)) as pool:
-            pooled = PooledMatvec(csr, pool, a.m)
-            assert len(pooled.slices) == 2
+        monkeypatch.setattr(parallel, "MIN_ROWS", 1)
+        with WorkerPool(2) as pool:
+            pooled = PooledMatvec(csr, pool)
+            # well rows are plain rows of the last slice
+            assert [(r0, r1) for r0, r1, _ in pooled.slices] == pool.ranges(a.nunk, 1)
             assert pooled(x).tobytes() == (csr @ x).tobytes()
-            serial = PooledMatvec(csr, None, a.m)
+            serial = PooledMatvec(csr, None)
             assert serial.slices is None
             for _, _, block in pooled.slices:
                 assert np.shares_memory(block.data, csr.data)

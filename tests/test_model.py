@@ -4,8 +4,8 @@ import pytest
 import resim
 from resim import units
 from resim.model import ReservoirModel, ReservoirState, AssemblyError
+from resim import model as model_module
 from resim.parallel import WorkerPool
-from resim.driver import partition_cells
 from conftest import (two_phase_fluid, black_oil_fluid, random_two_phase_model,
                       random_two_phase_state, random_black_oil_model,
                       random_black_oil_state)
@@ -256,7 +256,7 @@ class TestMassAccounting:
 
 class TestParallelDeterminism:
     @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_assembly_bitwise_identical(self, workers):
+    def test_assembly_bitwise_identical(self, workers, monkeypatch):
         rng = np.random.default_rng(21)
         model = random_two_phase_model(rng, shape=(13, 7, 2))
         state = random_two_phase_state(rng, model, nwell=1)
@@ -265,17 +265,14 @@ class TestParallelDeterminism:
         w = resim.Well("P", constraint=resim.Constraint("bhp", 4000.0), slot=0)
         resim.complete_vertical(w, model.grid, model.rock, [5])
         a1 = model.assemble_jacobian(state, old, 1.0, [w])
-        part = partition_cells(model.grid.ncell, workers)
-        # drop the coarsening floor so small ranges genuinely run in parallel
-        from resim import parallel
-
-        orig = parallel.coarsen_ranges
-        parallel.coarsen_ranges = lambda ranges, m: ranges
-        try:
-            with WorkerPool(workers, part) as pool:
-                a2 = model.assemble_jacobian(state, old, 1.0, [w], pool=pool)
-        finally:
-            parallel.coarsen_ranges = orig
+        # drop the cells floor so small ranges genuinely run in parallel
+        monkeypatch.setattr(model_module, "MIN_CELLS", 1)
+        with WorkerPool(workers) as pool:
+            run, split = pool.run, []
+            pool.run = lambda fn, items: split.append(items) or run(fn, items)
+            a2 = model.assemble_jacobian(state, old, 1.0, [w], pool=pool)
+            assert split == [pool.ranges(model.grid.ncell, 1)]
+            assert len(split[0]) == workers
         np.testing.assert_array_equal(a1.b, a2.b)
         np.testing.assert_array_equal(a1.diag, a2.diag)
         for ax in a1.axes:

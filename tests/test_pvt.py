@@ -97,12 +97,11 @@ class TestTables:
         hi = np.maximum(tab.y[seg], tab.y[seg + 1])
         assert np.all(v >= lo - 1e-12) and np.all(v <= hi + 1e-12)
 
-    def test_flat_clamp_and_counter(self):
+    def test_flat_clamp(self):
         tab = resim.Table1D([1.0, 2.0], [3.0, 4.0])
         v, dv = tab(np.array([0.0, 3.0, 1.5]))
         np.testing.assert_allclose(v, [3.0, 4.0, 3.5])
         np.testing.assert_allclose(dv, [0.0, 0.0, 1.0])
-        assert tab.clamp_count == 2
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
