@@ -160,9 +160,12 @@ class _Section:
         try:
             if cast is bool:
                 return val.lower() in ("1", "true", "yes", "on")
-            return cast(val)
+            value = cast(val)
         except ValueError:
             raise DeckError(f"line {lineno}: bad value for {key}: {val!r}") from None
+        if cast is float and not math.isfinite(value):
+            raise DeckError(f"line {lineno}: {key} must be a finite number, got {val!r}")
+        return value
 
     def repeated(self, key):
         return [(lineno, val) for lineno, k, val in self.rows if k == key]
@@ -529,8 +532,9 @@ def write_vtk(grid: Grid, state: ReservoirState, rock: RockFields, path: str):
             fh.write(f"CELL_DATA {grid.ncell}\n")
             for name, arr in arrays:
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for i0 in range(0, len(arr), 6):
-                    fh.write(" ".join(f"{v:.9e}" for v in arr[i0:i0 + 6]) + "\n")
+                text = list(map("{:.9e}".format, arr.tolist()))
+                fh.writelines(" ".join(text[i0:i0 + 6]) + "\n"
+                              for i0 in range(0, len(text), 6))
     except OSError as exc:
         raise OSError(f"cannot write VTK file {path}: {exc}") from exc
 
@@ -636,7 +640,10 @@ def main(argv=None) -> int:
                      help="write Matrix Market dumps per Newton iteration")
     run.add_argument("--output-dir", default=".")
     run.add_argument("-q", "--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:      # --help, or a usage error argparse printed
+        return 0 if exc.code == 0 else 1
 
     logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")

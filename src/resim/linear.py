@@ -6,10 +6,14 @@ decoupling are exact left transformations; the CPR preconditioner combines a
 red-black block ILU(0) full-system smoother with one smoothed-aggregation AMG
 V-cycle on the extracted pressure block, in a fine-pressure-fine
 composition, and is used from right-preconditioned BiCGSTAB.  The block
-layout is for assembly, decoupling and factorisation.  The scalar CSR
-layouts of a block structure (``CsrPattern``: the system, its pressure block
-and the ILU's two off-diagonal colour blocks) are built once and shared by
-every matrix of that structure, so a Newton iteration only moves values into
+layout is for assembly, decoupling and factorisation.  Its per-cell m x m
+algebra works entry by entry over all cells at once: ``_block_inv`` inverts
+blocks in closed form (adjugate over determinant) and ``_block_mv`` applies
+them to per-cell vectors, so no block goes through LAPACK or ``einsum`` on
+its own; block-block products use ``np.matmul``.  The scalar CSR layouts of
+a block structure (``CsrPattern``: the system, its pressure block and the
+ILU's two off-diagonal colour blocks) are built once and shared by every
+matrix of that structure, so a Newton iteration only moves values into
 them.  Krylov iterations and CPR residuals multiply with the system CSR from
 ``BlockMatrix.to_csr``; the ILU sweeps multiply with its colour blocks.
 """
@@ -49,6 +53,54 @@ class SolverConfig:
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.decoupling not in ("none", "quasi_impes", "abf"):
             raise ValueError(f"unknown decoupling {self.decoupling!r}")
+
+
+# ---------------------------------------------------------------------------
+# per-cell m x m block kernels: one numpy operation per block entry over all
+# cells, never one LAPACK or einsum call per block
+
+
+def _det(rows: list):
+    """Determinant of a matrix given as rows of (n,) entry arrays, by
+    cofactor expansion along the first row; 1.0 for no rows."""
+    if len(rows) <= 1:
+        return rows[0][0] if rows else 1.0
+    det = rows[0][0] * _det([row[1:] for row in rows[1:]])
+    for j in range(1, len(rows)):
+        term = rows[0][j] * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        det = det - term if j % 2 else det + term
+    return det
+
+
+def _block_inv(blocks: np.ndarray):
+    """(inverses, determinants) of (n, m, m) blocks by the adjugate:
+    inv = adj / det.  Where det == 0 the inverse is not finite, so callers
+    test det before they use an inverse."""
+    m = blocks.shape[1]
+    a = [[blocks[:, i, j] for j in range(m)] for i in range(m)]
+    cof = [[(-1) ** (i + j) * _det([row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i])
+            for j in range(m)] for i in range(m)]
+    det = a[0][0] * cof[0][0]
+    for j in range(1, m):
+        det += a[0][j] * cof[0][j]
+    inv = np.empty(blocks.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(m):
+            for j in range(m):
+                np.divide(cof[j][i], det, out=inv[:, i, j])
+    return inv, det
+
+
+def _block_mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-cell products a[c] @ x[c] of (n, p, m) blocks and (n, m) vectors,
+    summed over j = 0 .. m-1 in order."""
+    out = np.empty((len(x), a.shape[1]))
+    for i in range(a.shape[1]):
+        acc = a[:, i, 0] * x[:, 0]
+        for j in range(1, a.shape[2]):
+            acc += a[:, i, j] * x[:, j]
+        out[:, i] = acc
+    return out
 
 
 class BlockMatrix:
@@ -154,14 +206,13 @@ class BlockMatrix:
         diag = np.matmul(e, self.diag)
         lo = {ax: np.matmul(e, blk) for ax, blk in self.lo.items()}
         hi = {ax: np.matmul(e, blk) for ax, blk in self.hi.items()}
-        cw = np.einsum("pij,pj->pi", e[self.cw_cells], self.cw_blocks) \
-            if len(self.cw_cells) else self.cw_blocks.copy()
+        cw = _block_mv(e[self.cw_cells], self.cw_blocks)
         out = BlockMatrix(self.shape, m, diag, lo, hi, self.cw_cells.copy(),
                           self.cw_well.copy(), cw, self.wc_blocks.copy(),
                           self.ww.copy())
         out.pattern = self.pattern
         if b is not None:
-            bc = np.einsum("nij,nj->ni", e, b[: n * m].reshape(n, m)).ravel()
+            bc = _block_mv(e, b[: n * m].reshape(n, m)).ravel()
             out.b = np.concatenate([bc, b[n * m:]])
         return out
 
@@ -302,18 +353,13 @@ def quasi_impes_decouple(a: BlockMatrix, b: np.ndarray):
     n, m = a.ncell, a.m
     d = a.diag
     e = np.tile(np.eye(m), (n, 1, 1))
-    dss = d[:, 1:, 1:]
-    dps = d[:, 0, 1:]
-    det = np.linalg.det(dss)
+    inv, det = _block_inv(d[:, 1:, 1:])
     ok = np.abs(det) > _TINY
     nfall = int(np.count_nonzero(~ok))
     if nfall:
         log.warning("quasi-IMPES: %d singular D_ss blocks, identity fallback", nfall)
-    safe = dss.copy()
-    safe[~ok] = np.eye(m - 1)
-    f = np.linalg.solve(safe.transpose(0, 2, 1), dps[:, :, None])[:, :, 0]
-    f[~ok] = 0.0
-    e[:, 0, 1:] = -f
+    inv[~ok] = 0.0
+    e[:, 0, 1:] = -_block_mv(inv.transpose(0, 2, 1), d[:, 0, 1:])   # -D_ss^-T D_ps^T
     out = a.transformed(e, b)
     out.decouple_fallbacks = nfall
     return out, out.b
@@ -328,15 +374,11 @@ def abf_decouple(a: BlockMatrix, b: np.ndarray):
     """
     n, m = a.ncell, a.m
     d = a.diag
-    det = np.linalg.det(d)
+    e, det = _block_inv(d)
     ok = np.abs(det) > _TINY
     nfall = int(np.count_nonzero(~ok))
     if nfall:
         log.warning("ABF: %d singular diagonal blocks, row-scaling fallback", nfall)
-    safe = d.copy()
-    safe[~ok] = np.eye(m)
-    e = np.linalg.inv(safe)
-    if nfall:
         rs = np.max(np.abs(d[~ok]), axis=2)
         rs[rs == 0.0] = 1.0
         fall = np.zeros((nfall, m, m))
@@ -362,19 +404,19 @@ def decouple(a: BlockMatrix, b: np.ndarray, kind: str):
 
 
 def _safe_inv(blocks: np.ndarray, counter: list) -> np.ndarray:
-    det = np.linalg.det(blocks)
+    """Inverses of (n, m, m) blocks; a block with |det| <= _TINY is counted
+    in counter[0] and inverted with a small diagonal shift, or replaced by
+    the identity if it stays singular."""
+    inv, det = _block_inv(blocks)
     bad = ~(np.abs(det) > _TINY)
     if np.any(bad):
         counter[0] += int(np.count_nonzero(bad))
-        blocks = blocks.copy()
         m = blocks.shape[1]
         boost = 1e-12 * (1.0 + np.max(np.abs(blocks[bad]), axis=(1, 2)))
-        blocks[bad] += boost[:, None, None] * np.eye(m)
-        det2 = np.linalg.det(blocks)
-        still = ~(np.abs(det2) > _TINY)
-        if np.any(still):
-            blocks[still] = np.eye(m)
-    return np.linalg.inv(blocks)
+        inv_bad, det_bad = _block_inv(blocks[bad] + boost[:, None, None] * np.eye(m))
+        inv_bad[~(np.abs(det_bad) > _TINY)] = np.eye(m)
+        inv[bad] = inv_bad
+    return inv
 
 
 class BlockILU0:
@@ -384,14 +426,20 @@ class BlockILU0:
     red cell is black and vice versa (the multicolour ILU(0) of Saad,
     *Iterative Methods for Sparse Linear Systems*, section 12.4).  The
     factorisation then changes only the black diagonal blocks:
-    D~_b = D_b - sum L_{b,r} inv(D_r) U_{r,b} over red neighbors r.  Each
-    solve is one forward and one backward sweep, and each sweep's
-    off-diagonal product is one half-size CSR product on vectors of one
-    colour: ``L_br`` (black rows, red columns) forward, ``U_rb`` backward.
-    Both blocks are gathered from ``a_csr``, the system ``a.to_csr()``, on
-    the slots of ``a``'s ``CsrPattern``; in each row they keep the system's
-    entries in the system's order, so a sweep adds the same terms in the
-    same order as the system's product restricted to those rows.
+    D~_b = D_b - sum L_{b,r} inv(D_r) U_{r,b} over red neighbors r, formed
+    for the black cells alone, one gather per axis direction.  The inverse
+    diagonal blocks come from the closed-form ``_block_inv``.
+
+    Each solve is one forward and one backward sweep in the natural unknown
+    order.  A colour's unknowns are read and written through flat indices
+    (``u_red``, ``u_black``), its diagonal blocks are applied entry by entry
+    (``_block_mv``), and each sweep's off-diagonal product is one half-size
+    CSR product on vectors of one colour: ``L_br`` (black rows, red columns)
+    forward, ``U_rb`` backward.  Both blocks are gathered from ``a_csr``, the
+    system ``a.to_csr()``, on the slots of ``a``'s ``CsrPattern``; in each row
+    they keep the system's entries in the system's order, so a sweep adds the
+    same terms in the same order as the system's product restricted to those
+    rows.
     """
 
     def __init__(self, a: BlockMatrix, a_csr: sp.csr_matrix):
@@ -401,43 +449,41 @@ class BlockILU0:
         self.u_rb = pattern.red_black.take(a_csr.data)
         counter = [0]
         self.ww_inv = np.where(np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
-        red = pattern.red
-        self.ired = np.flatnonzero(red)
-        self.iblack = np.flatnonzero(~red)
-        dtil = a.diag.copy()
-        inv = np.zeros_like(dtil)
-        inv[self.ired] = _safe_inv(dtil[self.ired], counter)
-        # black diagonal Schur update keeps only in-pattern (diagonal) fill
-        upd = np.zeros_like(dtil)
+        m = a.m
+        ired = np.flatnonzero(pattern.red)
+        iblack = np.flatnonzero(~pattern.red)
+        self.u_red = (ired[:, None] * m + np.arange(m)).ravel()
+        self.u_black = (iblack[:, None] * m + np.arange(m)).ravel()
+        inv = np.zeros_like(a.diag)
+        inv[ired] = _safe_inv(a.diag[ired], counter)
+        # black diagonal Schur update keeps only in-pattern (diagonal) fill;
+        # a black cell's block to a missing neighbor is zero, so a clipped
+        # neighbor index adds a zero term there
+        upd = np.zeros((len(iblack), m, m))
         for ax in a.axes:
             s = a.stride(ax)
-            low = np.matmul(np.matmul(a.lo[ax][s:], inv[:-s]), a.hi[ax][:-s])
-            upd[s:] += np.where(red[:-s, None, None], low, 0.0)
-            upp = np.matmul(np.matmul(a.hi[ax][:-s], inv[s:]), a.lo[ax][s:])
-            upd[:-s] += np.where(red[s:, None, None], upp, 0.0)
-        dtil[self.iblack] -= upd[self.iblack]
-        inv[self.iblack] = _safe_inv(dtil[self.iblack], counter)
+            for nbr, low, up in ((np.maximum(iblack - s, 0), a.lo[ax], a.hi[ax]),
+                                 (np.minimum(iblack + s, a.ncell - 1), a.hi[ax], a.lo[ax])):
+                upd += np.matmul(np.matmul(low[iblack], inv[nbr]), up[nbr])
+        inv[iblack] = _safe_inv(a.diag[iblack] - upd, counter)
         self.inv_diag = inv
-        self.inv_red = inv[self.ired]
-        self.inv_black = inv[self.iblack]
+        self.inv_red = inv[ired]
+        self.inv_black = inv[iblack]
         self.pivot_shifts = counter[0]
         if counter[0]:
             log.warning("block ILU(0): %d shifted pivots", counter[0])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        a = self.a
-        n, m = a.ncell, a.m
-        nm = n * m
-        rc = r[:nm].reshape(n, m)
-        r_red, r_black = rc[self.ired], rc[self.iblack]
-        u_red = np.einsum("nij,nj->ni", self.inv_red, r_red)
-        y_black = r_black - (self.l_br @ u_red.ravel()).reshape(-1, m)
-        w_black = np.einsum("nij,nj->ni", self.inv_black, y_black)
-        y_red = r_red - (self.u_rb @ w_black.ravel()).reshape(-1, m)
+        m = self.a.m
+        r_red = r[self.u_red]
+        z_red = _block_mv(self.inv_red, r_red.reshape(-1, m))
+        y_black = r[self.u_black] - self.l_br @ z_red.ravel()
+        w_black = _block_mv(self.inv_black, y_black.reshape(-1, m)).ravel()
+        y_red = r_red - self.u_rb @ w_black
         w = np.empty_like(r)
-        wc = w[:nm].reshape(n, m)
-        wc[self.ired] = np.einsum("nij,nj->ni", self.inv_red, y_red)
-        wc[self.iblack] = w_black
+        w[self.u_red] = _block_mv(self.inv_red, y_red.reshape(-1, m)).ravel()
+        w[self.u_black] = w_black
+        nm = self.a.ncell * m
         w[nm:] = r[nm:] * self.ww_inv
         return w
 

@@ -188,6 +188,17 @@ class TestParseDeck:
                                             rf"number, got '{value}'$"):
             parse_deck(bad)
 
+    @pytest.mark.parametrize("old, new", [
+        ("p_init = 3000.0", "p_init = nan"),
+        ("t_end = 2.0", "t_end = inf")])
+    def test_non_finite_deck_number_reports_line(self, old, new):
+        bad = TINY_RUN_DECK.replace(old, new)
+        lineno = bad.splitlines().index(new) + 1
+        key, value = new.split(" = ")
+        with pytest.raises(DeckError, match=rf"^line {lineno}: {key} must be a finite "
+                                            rf"number, got '{value}'$"):
+            parse_deck(bad)
+
     def test_spe10_subset_deck_matches_paper_wells(self):
         deck = load_deck(deck_path("spe10_subset.deck"))
         assert (deck.grid.nx, deck.grid.ny, deck.grid.nz) == (60, 220, 1)
@@ -276,6 +287,25 @@ class TestVtk:
         _, _, arrays = parse_vtk_cell_data(path)
         assert arrays["kx"].min() == pytest.approx(deck.rock.kx.min(), rel=1e-7)
         assert arrays["kx"].max() == pytest.approx(deck.rock.kx.max(), rel=1e-7)
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        # seven cells: one full line of six values and one of one
+        g = resim.Grid(7, 1, 1, 10.0, 10.0, 5.0)
+        p = np.array([-1.5, 0.0, 1e-300, 1e300, -1e300, 4012.345678912, -0.0])
+        s_w = np.array([0.25, 1.0 / 3.0, 5e-324, 0.0, 1.0, -1e-300, 0.2])
+        rock = resim.RockFields(np.array([1e-3, 2e4, 7.0, 1e300, 1e-300, 0.0, 3.0]),
+                                np.ones(7), np.ones(7), np.linspace(0.0, 0.5, 7))
+        st = resim.ReservoirState(p, s_w)
+        path = tmp_path / "fmt.vtk"
+        write_vtk(g, st, rock, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        body = lines[:lines.index("CELL_DATA 7\n") + 1]
+        for name, arr in (("pressure", p), ("s_w", s_w), ("kx", rock.kx),
+                          ("poro", rock.poro)):
+            body.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for i0 in range(0, len(arr), 6):
+                body.append(" ".join(f"{v:.9e}" for v in arr[i0:i0 + 6]) + "\n")
+        assert path.read_bytes() == "".join(body).encode("ascii")
 
     def test_unwritable_path_raises(self, tmp_path):
         g = resim.Grid(1, 1, 1, 1.0, 1.0, 1.0)
@@ -621,6 +651,20 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: --workers must be >= 1, got 0"]
         assert os.listdir(tmp_path) == ["tiny.deck"]      # nothing was run
+
+    @pytest.mark.parametrize("args", [["--workers", "abc"], ["--no-such-option"]])
+    def test_usage_error_exit_code(self, tmp_path, capsys, args):
+        rc = main(["run", self.write_deck(tmp_path), *args])
+        assert rc == 1
+        assert "usage: resim" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["tiny.deck"]      # nothing was run
+
+    def test_non_finite_deck_number_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "bad.deck"
+        p.write_text(TINY_RUN_DECK.replace("p_init = 3000.0", "p_init = nan"))
+        rc = main(["run", str(p), "--output-dir", str(tmp_path), "-q"])
+        assert rc == 1
+        assert "p_init must be a finite number" in capsys.readouterr().err
 
     def test_workers_flag(self, tmp_path, capsys):
         rc = main(["run", self.write_deck(tmp_path), "--workers", "2",

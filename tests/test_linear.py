@@ -243,6 +243,79 @@ class TestDecoupling:
         # fallback row untouched
         np.testing.assert_allclose(a2.diag[3], a.diag[3])
 
+    def test_singular_dss_fallback_three_unknowns(self):
+        rng = np.random.default_rng(45)
+        a = random_block_matrix(rng, m=3, nwell=1)
+        a.diag[2, 1:, 1:] = [[1.0, 2.0], [2.0, 4.0]]      # rank one
+        a.diag[5, 1:, 1:] = 0.0
+        b = rng.standard_normal(a.nunk)
+        a2, b2 = decouple(a, b, "quasi_impes")
+        assert a2.decouple_fallbacks == 2
+        for c in (2, 5):
+            np.testing.assert_array_equal(a2.diag[c], a.diag[c])
+            np.testing.assert_array_equal(b2[3 * c:3 * c + 3], b[3 * c:3 * c + 3])
+        assert np.max(np.abs(np.delete(a2.diag[:, 0, 1:], [2, 5], axis=0))) < 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_singular_diagonal_abf_fallback(self, m):
+        rng = np.random.default_rng(46)
+        a = random_block_matrix(rng, m=m, nwell=1)
+        a.diag[1] = 0.0
+        a.diag[4, -1] = a.diag[4, -2]                      # two equal rows
+        b = rng.standard_normal(a.nunk)
+        a2, _ = decouple(a, b, "abf")
+        assert a2.decouple_fallbacks == 2
+        np.testing.assert_array_equal(a2.diag[1], 0.0)
+        rowmax = np.max(np.abs(a.diag[4]), axis=1)
+        np.testing.assert_allclose(a2.diag[4], a.diag[4] / rowmax[:, None], rtol=1e-15)
+        eye = np.eye(m)
+        ok = np.delete(np.arange(a.ncell), [1, 4])
+        assert np.max(np.abs(a2.diag[ok] - eye)) < 1e-12
+
+
+class TestBlockKernels:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+    def test_block_inv_matches_lapack(self, m, scale):
+        rng = np.random.default_rng(60 + m)
+        blocks = scale * (rng.standard_normal((500, m, m)) + 4.0 * np.eye(m))
+        inv, det = linear._block_inv(blocks)
+        np.testing.assert_allclose(det, np.linalg.det(blocks), rtol=1e-12)
+        ref = np.linalg.inv(blocks)
+        np.testing.assert_allclose(inv, ref, rtol=1e-10, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_exactly_singular_blocks(self, m):
+        rng = np.random.default_rng(70 + m)
+        blocks = rng.standard_normal((6, m, m)) + 4.0 * np.eye(m)
+        blocks[1] = 0.0
+        blocks[4, 0] = 0.0                                  # a zero row
+        if m > 1:
+            blocks[2, -1] = blocks[2, -2]                   # two equal rows
+        singular = [1, 4] + ([2] if m > 1 else [])
+        _, det = linear._block_inv(blocks)
+        np.testing.assert_array_equal(det[singular], 0.0)
+        counter = [0]
+        inv = linear._safe_inv(blocks, counter)
+        assert counter[0] == len(singular)
+        assert np.all(np.isfinite(inv))
+        fine = np.setdiff1d(np.arange(6), singular)
+        np.testing.assert_allclose(inv[fine], np.linalg.inv(blocks[fine]), rtol=1e-10)
+
+    def test_block_mv_bitwise_equal_to_einsum(self):
+        rng = np.random.default_rng(80)
+        a = rng.standard_normal((5000, 2, 2)) * 10 ** rng.uniform(-8, 8, (5000, 2, 2))
+        x = rng.standard_normal((5000, 2))
+        np.testing.assert_array_equal(linear._block_mv(a, x),
+                                      np.einsum("nij,nj->ni", a, x))
+
+    def test_block_mv_three_unknowns(self):
+        rng = np.random.default_rng(81)
+        a = rng.standard_normal((300, 3, 3))
+        x = rng.standard_normal((300, 3))
+        np.testing.assert_allclose(linear._block_mv(a, x), np.matmul(a, x[:, :, None])[:, :, 0],
+                                   rtol=1e-13, atol=1e-15)
+
 
 class TestBicgstab:
     def test_zero_rhs(self):
@@ -312,12 +385,13 @@ class TestBlockILU0:
 
     def test_pivot_shift_counter(self):
         rng = np.random.default_rng(15)
-        a = random_block_matrix(rng, m=2, nwell=0)
-        a.diag[0] = 0.0  # fully singular diagonal block on a red cell
-        m = BlockILU0(a, a.to_csr())
-        assert m.pivot_shifts >= 1
-        z = m.solve(np.ones(a.nunk))
-        assert np.all(np.isfinite(z))
+        for m in (2, 3):
+            a = random_block_matrix(rng, m=m, nwell=0)
+            a.diag[0] = 0.0  # fully singular diagonal block on a red cell
+            ilu = BlockILU0(a, a.to_csr())
+            assert ilu.pivot_shifts >= 1
+            z = ilu.solve(np.ones(a.nunk))
+            assert np.all(np.isfinite(z))
 
     @pytest.mark.parametrize("alpha", [2.0, 0.3])
     def test_linearity(self, alpha):
@@ -333,13 +407,14 @@ class TestBlockILU0:
         else:
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(4, 3, 1), (3, 3, 3), (4, 3, 2)])
+    @pytest.mark.parametrize("shape", [(4, 3, 1), (3, 3, 3), (4, 3, 2), (5, 1, 3)])
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("nwell", [0, 2])
     def test_solve_matches_dense_red_black_ilu(self, shape, m, nwell):
         # M = [[D_R, 0], [L_BR, S]] [[I, D_R^-1 U_RB], [0, I]] on the cells in
         # red-then-black order, S = D_B - blockdiag(L_BR D_R^-1 U_RB);
-        # well unknowns are divided by their diagonal
+        # well unknowns are divided by their diagonal.  Odd extents put a
+        # red cell just past the row end of a black one
         rng = np.random.default_rng(30)
         a = random_block_matrix(rng, shape=shape, m=m, nwell=nwell)
         ilu = BlockILU0(a, a.to_csr())
