@@ -1,9 +1,10 @@
-"""Forward-mode value/derivative bundles for Jacobian assembly.
+"""Forward-mode value/derivative bundles for property evaluation.
 
 Cell quantities carry partial derivatives with respect to the cell's own
-unknowns (p_o, s_w and, for black oil, the third switched unknown).  Face
-quantities carry two derivative sets, one per adjacent cell.  A bundle with
-``d is None`` is a value-only evaluation (used for residual-only assembly).
+unknowns (p_o, s_w and, for black oil, the third switched unknown).  A
+bundle with ``d is None`` is a value-only evaluation (used for
+residual-only assembly).  Face fluxes, which depend on two cells, are
+differentiated by hand in ``resim.model._stream_flux``.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class CellVal:
     def __rsub__(self, other):
         return CellVal(other - self.v, None if self.d is None else -self.d)
 
-    def __neg__(self):
-        return CellVal(-self.v, None if self.d is None else -self.d)
-
     def __mul__(self, other):
         if isinstance(other, CellVal):
             d = _addd(_scale(self.d, other.v), _scale(other.d, self.v))
@@ -82,84 +80,6 @@ class CellVal:
         val = np.asarray(other) * inv
         return CellVal(val, _scale(self.d, -val * inv))
 
-    def where(self, mask, other: "CellVal"):
-        """Per-cell select: self where mask else other."""
-        v = np.where(mask, self.v, other.v)
-        if self.d is None and other.d is None:
-            return CellVal(v, None)
-        nder = (self.d if self.d is not None else other.d).shape[1]
-        a = self.d if self.d is not None else np.zeros((len(self.v), nder))
-        b = other.d if other.d is not None else np.zeros((len(other.v), nder))
-        return CellVal(v, np.where(mask[:, None], a, b))
-
-
-class FaceVal:
-    """Per-face values with derivative sets for both adjacent cells.
-
-    v: (nf,), da/db: (nf, nder) or None; ``a`` is the lower-index cell.
-    """
-
-    __slots__ = ("v", "da", "db")
-    __array_ufunc__ = None  # defer ndarray <op> FaceVal to our reflected ops
-
-    def __init__(self, v, da=None, db=None):
-        self.v = np.asarray(v, dtype=float)
-        self.da = da
-        self.db = db
-
-    @classmethod
-    def from_a(cls, cv: CellVal, idx):
-        d = None if cv.d is None else cv.d[idx]
-        return cls(cv.v[idx], d, None)
-
-    @classmethod
-    def from_b(cls, cv: CellVal, idx):
-        d = None if cv.d is None else cv.d[idx]
-        return cls(cv.v[idx], None, d)
-
-    @classmethod
-    def select(cls, take_a, fa: "FaceVal", fb: "FaceVal"):
-        """Upwind-style choice per face: fa where take_a else fb."""
-        v = np.where(take_a, fa.v, fb.v)
-        da = _sel(take_a, fa.da, fb.da)
-        db = _sel(take_a, fa.db, fb.db)
-        return cls(v, da, db)
-
-    def __add__(self, other):
-        if isinstance(other, FaceVal):
-            return FaceVal(self.v + other.v, _addd(self.da, other.da),
-                           _addd(self.db, other.db))
-        return FaceVal(self.v + other, self.da, self.db)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, FaceVal):
-            return FaceVal(self.v - other.v, _subd(self.da, other.da),
-                           _subd(self.db, other.db))
-        return FaceVal(self.v - other, self.da, self.db)
-
-    def __neg__(self):
-        return FaceVal(-self.v, _neg(self.da), _neg(self.db))
-
-    def __mul__(self, other):
-        if isinstance(other, FaceVal):
-            da = _addd(_scale(self.da, other.v), _scale(other.da, self.v))
-            db = _addd(_scale(self.db, other.v), _scale(other.db, self.v))
-            return FaceVal(self.v * other.v, da, db)
-        other = np.asarray(other)
-        return FaceVal(self.v * other, _scale(self.da, other), _scale(self.db, other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, FaceVal):
-            inv = 1.0 / other.v
-            da = _subd(_scale(self.da, inv), _scale(other.da, self.v * inv * inv))
-            db = _subd(_scale(self.db, inv), _scale(other.db, self.v * inv * inv))
-            return FaceVal(self.v * inv, da, db)
-        return self * (1.0 / np.asarray(other))
-
 
 def _addd(a, b):
     if a is None:
@@ -177,22 +97,9 @@ def _subd(a, b):
     return a - b
 
 
-def _neg(a):
-    return None if a is None else -a
-
-
 def _scale(d, s):
     if d is None:
         return None
     s = np.asarray(s)
     return d * (s[:, None] if s.ndim == 1 else s)
 
-
-def _sel(mask, a, b):
-    if a is None and b is None:
-        return None
-    if a is None:
-        return np.where(mask[:, None], 0.0, b)
-    if b is None:
-        return np.where(mask[:, None], a, 0.0)
-    return np.where(mask[:, None], a, b)

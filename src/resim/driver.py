@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, RockFields, cell_index, load_spe10_fields, FieldFormatError
+from .grid import Grid, RockFields, cell_index, load_spe10_fields
 from .linear import SolverConfig
 from .model import ReservoirModel, ReservoirState
 from .nonlinear import (NewtonConfig, StepController, RunReport, StepRecord,
@@ -177,6 +177,31 @@ def _required(sections, name):
     return _Section(sections[name], name)
 
 
+def _make(section: _Section, cls, kw: dict, defaults: dict | None = None,
+          keys: dict | None = None):
+    """``cls(**kw)``, with a value the class rejects raised as a DeckError.
+
+    The error names the section, and the line of the first deck key whose
+    value the class rejects with every other field at its default (the
+    class's own, or ``defaults``).  ``keys`` maps field names to deck keys
+    where the two differ.
+    """
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        where = f"[{section.name}]"
+        for name, value in kw.items():
+            key = (keys or {}).get(name, name)
+            if key not in section.single:
+                continue
+            try:
+                cls(**{**(defaults or {}), name: value})
+            except ValueError:
+                where = f"line {section.single[key][0]}: {where}"
+                break
+        raise DeckError(f"{where} {exc}") from None
+
+
 def _build_deck(sections, tables, base_dir) -> Deck:
     eff: dict[str, str] = {}
 
@@ -184,10 +209,10 @@ def _build_deck(sections, tables, base_dir) -> Deck:
         eff[f"{section}.{key}"] = str(value)
 
     g = _required(sections, "grid")
-    grid = Grid(nx=g.get("nx", 1, int), ny=g.get("ny", 1, int), nz=g.get("nz", 1, int),
-                dx=g.get("dx", 10.0, float), dy=g.get("dy", 10.0, float),
-                dz=g.get("dz", 10.0, float), depth_top=g.get("depth_top", 0.0, float))
-    for k in ("nx", "ny", "nz", "dx", "dy", "dz", "depth_top"):
+    grid_defaults = dict(nx=1, ny=1, nz=1, dx=10.0, dy=10.0, dz=10.0, depth_top=0.0)
+    grid = _make(g, Grid, {k: g.get(k, d, type(d)) for k, d in grid_defaults.items()},
+                 grid_defaults)
+    for k in grid_defaults:
         rec("grid", k, getattr(grid, k))
 
     f = _Section(sections.get("fields", []), "fields")
@@ -218,7 +243,7 @@ def _build_deck(sections, tables, base_dir) -> Deck:
     _check_constraints_at_start(unconstrained, schedule)
 
     sv = _Section(sections.get("solver", []), "solver")
-    newton = NewtonConfig(
+    newton = _make(sv, NewtonConfig, dict(
         tol=sv.get("newton_tol", 1e-2, float),
         atol=sv.get("newton_atol", 1e-8, float),
         max_newton=sv.get("newton_max", 20, int),
@@ -231,11 +256,13 @@ def _build_deck(sections, tables, base_dir) -> Deck:
         theta_max=sv.get("theta_max", 0.9, float),
         max_ds=sv.get("max_ds", 0.2, float),
         max_dp=sv.get("max_dp", 500.0, float),
-        mb_tol=sv.get("mb_tol", None, float))
-    solver = SolverConfig(
+        mb_tol=sv.get("mb_tol", None, float)),
+        keys=dict(tol="newton_tol", atol="newton_atol", max_newton="newton_max"))
+    solver = _make(sv, SolverConfig, dict(
         max_iterations=sv.get("linear_max_it", 50, int),
         preconditioner=sv.get("preconditioner", "cpr_fpf"),
-        decoupling=sv.get("decoupling", "quasi_impes"))
+        decoupling=sv.get("decoupling", "quasi_impes")),
+        keys=dict(max_iterations="linear_max_it"))
     for k in ("tol", "atol", "max_newton", "forcing_rule", "gamma", "beta",
               "theta_fixed", "theta0", "theta_min", "theta_max", "max_ds",
               "max_dp", "mb_tol"):
@@ -244,10 +271,10 @@ def _build_deck(sections, tables, base_dir) -> Deck:
         rec("solver", k, getattr(solver, k))
 
     t = _required(sections, "time")
-    controller = StepController(
+    controller = _make(t, StepController, dict(
         dt_init=t.get("dt_init", 1.0, float), dt_max=t.get("dt_max", 100.0, float),
         dt_min=t.get("dt_min", 1e-6, float), growth=t.get("growth", 2.0, float),
-        cut=t.get("cut", 0.5, float), max_cuts=t.get("max_cuts", 10, int))
+        cut=t.get("cut", 0.5, float), max_cuts=t.get("max_cuts", 10, int)))
     t_end = t.get("t_end", None, float)
     if t_end is None or t_end < 0:
         raise DeckError("[time] must set t_end >= 0")
@@ -294,8 +321,8 @@ def _load_fields(f: _Section, grid: Grid, base_dir: str, rec) -> RockFields:
         try:
             with open(ppath, "rb") as pf:
                 rock = load_spe10_fields(pf, poro_src, grid)
-        except FieldFormatError as exc:
-            raise DeckError(str(exc)) from None
+        except ValueError as exc:      # a FieldFormatError, or a porosity above 1
+            raise DeckError(f"[fields] {exc}") from None
         finally:
             if hasattr(poro_src, "close"):
                 poro_src.close()
@@ -307,8 +334,10 @@ def _load_fields(f: _Section, grid: Grid, base_dir: str, rec) -> RockFields:
     kz = f.get("kz", kx, float)
     if poro.startswith("file:"):
         raise DeckError("[fields] porosity file requires a perm file too")
-    rock = RockFields(np.full(n, kx), np.full(n, ky), np.full(n, kz),
-                      np.full(n, float(poro))).clamped()
+    values = dict(kx=kx, ky=ky, kz=kz, poro=f.get("poro", 0.2, float))
+    defaults = dict(kx=100.0, ky=100.0, kz=100.0, poro=0.2)
+    rock = _make(f, RockFields, {k: np.full(n, v) for k, v in values.items()},
+                 {k: np.full(n, v) for k, v in defaults.items()}).clamped()
     rec("fields", "kx", kx)
     rec("fields", "ky", ky)
     rec("fields", "kz", kz)
@@ -320,8 +349,8 @@ def _build_fluid(fl: _Section, tables, rec) -> FluidSystem:
     kind = fl.get("model", "two_phase")
     if kind not in ("two_phase", "black_oil"):
         raise DeckError(f"[fluid] model must be two_phase or black_oil, got {kind!r}")
-    corey = CoreyTwoPhase(s_wc=fl.get("s_wc", 0.2, float),
-                          s_or=fl.get("s_or", 0.2, float))
+    corey = _make(fl, CoreyTwoPhase, dict(s_wc=fl.get("s_wc", 0.2, float),
+                                          s_or=fl.get("s_or", 0.2, float)))
     relperm = ThreePhaseRelPerm(corey=corey, s_gc=fl.get("s_gc", 0.0, float))
 
     use_spe1 = fl.get("pvt_defaults", "spe1" if kind == "black_oil" else "none")
@@ -344,7 +373,7 @@ def _build_fluid(fl: _Section, tables, rec) -> FluidSystem:
             if len(slopes) != len(muo_rows):
                 raise DeckError("[table:muo] third column must be on every row or none")
             kw["mu_o_slope_table"] = Table1D([r[0] for r in muo_rows], slopes)
-    pvt = PvtModel(**kw)
+    pvt = _make(fl, PvtModel, kw, keys=dict(mu_o_table="mu_o"))
     rec("fluid", "model", kind)
     rec("fluid", "s_wc", corey.s_wc)
     rec("fluid", "s_or", corey.s_or)
@@ -399,10 +428,10 @@ def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec):
             kv[k] = v
         num = {k: _well_number(lineno, k, v) for k, v in kv.items()
                if k not in ("type", "fluid")}
+        fluid = kv.get("fluid", "water")
         try:
             well = Well(name=name, kind=kv.get("type", "producer"),
-                        inj_phase={"water": "w", "gas": "g", "w": "w", "g": "g"}
-                        .get(kv.get("fluid", "water")),
+                        inj_phase={"water": "w", "gas": "g"}.get(fluid, fluid),
                         r_w=num.get("rw", 0.3), skin=num.get("skin", 0.0),
                         ref_depth=num.get("refdepth", 0.0))
         except WellConfigError as exc:

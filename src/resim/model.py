@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import units
-from .diff import CellVal, FaceVal
+from .diff import CellVal
 from .grid import Grid, RockFields, face_transmissibilities
 from .linear import BlockMatrix
 from .pvt import FluidSystem, evaluate_properties
@@ -93,23 +93,23 @@ class ReservoirModel:
 
     # -- property evaluation helpers -------------------------------------
 
-    def _props(self, state: ReservoirState, derivs: bool, window=None):
-        sl = slice(None) if window is None else slice(*window)
-        x3 = None if state.x3 is None else state.x3[sl]
-        sat = None if state.sat is None else state.sat[sl]
-        return evaluate_properties(state.p_o[sl], state.s_w[sl], x3, sat,
-                                   self.fluid, derivs=derivs)
-
-    def _props_at(self, state: ReservoirState, cells: np.ndarray, derivs: bool):
+    def _props(self, state: ReservoirState, derivs: bool, cells=slice(None)):
+        """Properties at ``cells``, a slice or an array of cell ids."""
         x3 = None if state.x3 is None else state.x3[cells]
         sat = None if state.sat is None else state.sat[cells]
         return evaluate_properties(state.p_o[cells], state.s_w[cells], x3, sat,
                                    self.fluid, derivs=derivs)
 
-    def _phi(self, props, window=None) -> CellVal:
-        sl = slice(None) if window is None else slice(*window)
+    def _perf_props(self, state: ReservoirState, wells: list[Well], derivs: bool):
+        """Properties at the perforated cells, and each such cell's row in them."""
+        perf_cells = np.unique(np.array(
+            [p.cell for w in wells for p in w.perforations], dtype=int))
+        cell_map = {int(c): i for i, c in enumerate(perf_cells)}
+        return self._props(state, derivs, perf_cells), cell_map
+
+    def _phi(self, props, cells=slice(None)) -> CellVal:
         pv = self.fluid.pvt
-        poro = self.rock.poro[sl]
+        poro = self.rock.poro[cells]
         return CellVal.const(poro, None if props.p_o.d is None else self.m) \
             * (1.0 + pv.c_r * (props.p_o - pv.p_ref))
 
@@ -128,7 +128,7 @@ class ReservoirModel:
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
         out = np.empty(self.m)
-        w = (cell, cell + 1)
+        w = slice(cell, cell + 1)
         pn = self._props(state_new, False, w)
         po = self._props(state_old, False, w)
         mn = self._masses(pn, self._phi(pn, w))
@@ -154,8 +154,8 @@ class ReservoirModel:
         dz = self.depth[idxa] - self.depth[idxb]
         out = np.zeros(self.m)
         for comp, lam, p, rho in _STREAMS[self.fluid.kind]:
-            f = _stream_flux(props, lam, p, rho, idxa, idxb, np.array([t]), dz)
-            out[self.comp_row(comp)] += sign * f.v[0]
+            v = _stream_flux(props, lam, p, rho, idxa, idxb, np.array([t]), dz)[0]
+            out[self.comp_row(comp)] += sign * v[0]
         return out
 
     # -- full-system assembly ---------------------------------------------
@@ -210,10 +210,8 @@ class ReservoirModel:
         # properties evaluated only at the perforated cells
         nwell = len(wells)
         r_wells = np.zeros(nwell)
-        perf_cells = np.unique(np.array(
-            [p.cell for w in wells for p in w.perforations], dtype=int))
-        cell_map = {int(c): i for i, c in enumerate(perf_cells)}
-        props = self._props_at(state_new, perf_cells, derivs) if nwell else None
+        props, cell_map = self._perf_props(state_new, wells, derivs) if wells \
+            else (None, None)
         cw_cells, cw_well, cw_blocks = [], [], []
         wc_blocks, ww = [], np.zeros(nwell)
         for well in wells:
@@ -266,11 +264,11 @@ class ReservoirModel:
         c0, c1 = rng
         smax = max((self.grid.stride(ax) for ax in self.axes), default=1)
         w0, w1 = max(0, c0 - smax), min(n, c1 + smax)
-        props = self._props(state_new, derivs, (w0, w1))
-        props_old = self._props(state_old, False, (w0, w1))
-        phi = self._phi(props, (w0, w1))
-        masses = self._masses(props, phi)
-        masses_old = self._masses(props_old, self._phi(props_old, (w0, w1)))
+        win = slice(w0, w1)
+        props = self._props(state_new, derivs, win)
+        props_old = self._props(state_old, False, win)
+        masses = self._masses(props, self._phi(props, win))
+        masses_old = self._masses(props_old, self._phi(props_old, win))
 
         vol_dt = self.grid.cell_volume / dt
         own = slice(c0 - w0, c1 - w0)
@@ -299,17 +297,17 @@ class ReservoirModel:
             bsl = slice(b_lo - f0, b_hi - f0)
             for comp, lam, p, rho in _STREAMS[self.fluid.kind]:
                 ci = self.comp_row(comp)
-                f = _stream_flux(props, lam, p, rho, idxa, idxb, tface, dz)
+                v, da, db = _stream_flux(props, lam, p, rho, idxa, idxb, tface, dz)
                 if a_hi > a_lo:
-                    r[a_lo:a_hi, ci] += f.v[asl]
+                    r[a_lo:a_hi, ci] += v[asl]
                     if derivs:
-                        diag[a_lo:a_hi, ci, :] += f.da[asl]
-                        hi[ax][a_lo:a_hi, ci, :] += f.db[asl]
+                        diag[a_lo:a_hi, ci, :] += da[asl]
+                        hi[ax][a_lo:a_hi, ci, :] += db[asl]
                 if b_hi > b_lo:
-                    r[b_lo + s:b_hi + s, ci] -= f.v[bsl]
+                    r[b_lo + s:b_hi + s, ci] -= v[bsl]
                     if derivs:
-                        diag[b_lo + s:b_hi + s, ci, :] -= f.db[bsl]
-                        lo[ax][b_lo + s:b_hi + s, ci, :] -= f.da[bsl]
+                        diag[b_lo + s:b_hi + s, ci, :] -= db[bsl]
+                        lo[ax][b_lo + s:b_hi + s, ci, :] -= da[bsl]
 
     # -- conservation bookkeeping ------------------------------------------
 
@@ -326,10 +324,7 @@ class ReservoirModel:
         out = {comp: [0.0, 0.0] for comp in self.components}
         if not wells:
             return {comp: (0.0, 0.0) for comp in self.components}
-        perf_cells = np.unique(np.array(
-            [p.cell for w in wells for p in w.perforations], dtype=int))
-        cell_map = {int(c): i for i, c in enumerate(perf_cells)}
-        props = self._props_at(state, perf_cells, False)
+        props, cell_map = self._perf_props(state, wells, False)
         for well in wells:
             rates = well_component_rates(well, float(state.p_h[well.slot]),
                                          props, self.fluid, derivs=False,
@@ -341,17 +336,38 @@ class ReservoirModel:
         return {comp: (v[0], v[1]) for comp, v in out.items()}
 
 
-def _stream_flux(props, lam_attr, p_attr, rho_attr, idxa, idxb, tface, dz) -> FaceVal:
-    """Upwinded mass flux of one stream over the given faces (a -> b positive)."""
+def _stream_flux(props, lam_attr, p_attr, rho_attr, idxa, idxb, tface, dz):
+    """Upwinded two-point mass flux of one stream over the faces a -> b.
+
+    Returns ``(v, da, db)``: the (nf,) fluxes, positive from a to b, and
+    their (nf, nder) derivatives with respect to the unknowns of cell a and
+    of cell b, or None for both when the properties carry no derivatives.
+    With potential difference dphi = (p_a - p_b) - (rho_a + rho_b) / 2 * g dz
+    and the mobility lam taken from cell a where dphi >= 0, else from b,
+
+        v  = lam * C * dphi,                               C = DARCY * T
+        da = [up] dlam_a * C * dphi + (dp_a - drho_a / 2 * g dz) * lam * C
+        db = [down] dlam_b * C * dphi + (-dp_b - drho_b / 2 * g dz) * lam * C
+    """
     lam = getattr(props, lam_attr)
     p = getattr(props, p_attr)
     rho = getattr(props, rho_attr)
-    rho_face = 0.5 * (FaceVal.from_a(rho, idxa) + FaceVal.from_b(rho, idxb))
-    dphi = (FaceVal.from_a(p, idxa) - FaceVal.from_b(p, idxb)) \
-        - rho_face * (units.GRAVITY * dz)
-    up = dphi.v >= 0.0
-    lam_up = FaceVal.select(up, FaceVal.from_a(lam, idxa), FaceVal.from_b(lam, idxb))
-    return (units.DARCY * tface) * lam_up * dphi
+    g = units.GRAVITY * dz
+    half = (rho.v[idxa] + rho.v[idxb]) * 0.5
+    dphi = (p.v[idxa] - p.v[idxb]) - half * g
+    up = dphi >= 0.0
+    c = units.DARCY * tface
+    lam_c = np.where(up, lam.v[idxa], lam.v[idxb]) * c
+    v = lam_c * dphi
+    if lam.d is None:
+        return v, None, None
+    up, c, dphi = up[:, None], c[:, None], dphi[:, None]
+    g, lam_c = g[:, None], lam_c[:, None]
+    da = np.where(up, lam.d[idxa], 0.0) * c * dphi \
+        + (p.d[idxa] - rho.d[idxa] * 0.5 * g) * lam_c
+    db = np.where(up, 0.0, lam.d[idxb]) * c * dphi \
+        + (-p.d[idxb] - rho.d[idxb] * 0.5 * g) * lam_c
+    return v, da, db
 
 
 def _flatten_check(r_cells: np.ndarray, r_wells: np.ndarray, m: int) -> np.ndarray:

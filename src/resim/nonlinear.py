@@ -56,6 +56,8 @@ class NewtonConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be >= 1")
         if not (0 < self.theta_min <= self.theta_max < 1):
             raise ValueError("need 0 < theta_min <= theta_max < 1")
         if not (0 < self.gamma <= 1):

@@ -60,6 +60,23 @@ dt_max = 1.0
 """
 
 
+# values a config class rejects, as (section, deck line)
+REJECTED_VALUES = [
+    ("solver", "beta = 2.5"), ("time", "growth = 0.9"), ("time", "dt_min = 5.0"),
+    ("grid", "nx = 0"), ("grid", "dx = 0.0"), ("solver", "linear_max_it = 0"),
+    ("solver", "preconditioner = foo"), ("solver", "decoupling = xyz"),
+    ("solver", "forcing_rule = eq99"), ("fluid", "s_wc = 0.9"),
+    ("fluid", "mu_w = -1.0"), ("fields", "poro = abc"), ("fields", "poro = 1.5"),
+    ("solver", "newton_max = 0")]
+
+
+def deck_with(section, line):
+    """TINY_RUN_DECK with ``line`` first in [section], replacing its key's line."""
+    key = line.split(" = ")[0]
+    rows = [ln for ln in TINY_RUN_DECK.splitlines() if not ln.startswith(key + " = ")]
+    i = rows.index(f"[{section}]")
+    return "\n".join(rows[:i + 1] + [line] + rows[i + 1:]) + "\n"
+
 def parse_vtk_cell_data(path):
     """Minimal legacy-VTK structured-points reader for round-trip checks."""
     with open(path) as fh:
@@ -197,6 +214,21 @@ class TestParseDeck:
         key, value = new.split(" = ")
         with pytest.raises(DeckError, match=rf"^line {lineno}: {key} must be a finite "
                                             rf"number, got '{value}'$"):
+            parse_deck(bad)
+
+    @pytest.mark.parametrize("section, line", REJECTED_VALUES)
+    def test_rejected_value_reports_line(self, section, line):
+        text = deck_with(section, line)
+        lineno = text.splitlines().index(line) + 1
+        key = line.split(" = ")[0]
+        with pytest.raises(DeckError, match=rf"^line {lineno}: ") as err:
+            parse_deck(text)
+        assert f"[{section}]" in str(err.value) or key in str(err.value)
+
+    def test_unknown_injected_phase_names_token(self):
+        bad = TINY_RUN_DECK.replace("fluid=water", "fluid=oil")
+        with pytest.raises(DeckError, match=r"^line 23: well I: unknown injected "
+                                            r"phase 'oil'$"):
             parse_deck(bad)
 
     def test_spe10_subset_deck_matches_paper_wells(self):
@@ -665,6 +697,15 @@ class TestCli:
         rc = main(["run", str(p), "--output-dir", str(tmp_path), "-q"])
         assert rc == 1
         assert "p_init must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, line", REJECTED_VALUES)
+    def test_rejected_value_exit_code(self, tmp_path, capsys, section, line):
+        p = tmp_path / "bad.deck"
+        p.write_text(deck_with(section, line))
+        rc = main(["run", str(p), "--output-dir", str(tmp_path), "-q"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("deck error: line ")
+        assert os.listdir(tmp_path) == ["bad.deck"]      # nothing was run
 
     def test_workers_flag(self, tmp_path, capsys):
         rc = main(["run", self.write_deck(tmp_path), "--workers", "2",

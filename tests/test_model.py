@@ -279,3 +279,30 @@ class TestParallelDeterminism:
             np.testing.assert_array_equal(a1.lo[ax], a2.lo[ax])
             np.testing.assert_array_equal(a1.hi[ax], a2.hi[ax])
         np.testing.assert_array_equal(a1.cw_blocks, a2.cw_blocks)
+
+
+class TestResidualMatchesJacobianRhs:
+    """The value-only and the derivative branch of the flux give one residual."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind, seed", [("two_phase", 3), ("two_phase", 4),
+                                            ("black_oil", 5), ("black_oil", 6)])
+    def test_residual_is_minus_b_bytewise(self, kind, seed, workers, monkeypatch):
+        rng = np.random.default_rng(seed)
+        if kind == "two_phase":
+            model = random_two_phase_model(rng, capillary=True, gravity=True)
+            state = random_two_phase_state(rng, model, nwell=1)
+        else:
+            model = random_black_oil_model(rng)
+            state = random_black_oil_state(rng, model, nwell=1)
+        old = state.copy()
+        old.p_o = state.p_o + 50.0 * rng.standard_normal(27)
+        old.s_w = np.clip(state.s_w - 0.05, 0, 1)
+        w = resim.Well("P", constraint=resim.Constraint("bhp", 3500.0), slot=0)
+        resim.complete_vertical(w, model.grid, model.rock, [4, 13, 22])
+        monkeypatch.setattr(model_module, "MIN_CELLS", 1)
+        with WorkerPool(workers) as pool:
+            pool = pool if workers > 1 else None
+            jac = model.assemble_jacobian(state, old, 2.0, [w], pool=pool)
+            res = model.assemble_residual(state, old, 2.0, [w], pool=pool)
+        assert res.tobytes() == (-jac.b).tobytes()
