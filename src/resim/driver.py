@@ -40,12 +40,20 @@ class DeckError(ValueError):
     """Raised for malformed or inconsistent input decks."""
 
 
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | \
+    dict.fromkeys(("0", "false", "no", "off"), False)
+
+
 @dataclass
 class OutputConfig:
     report_csv: str = ""
     vtk_every: int = 0
     vtk_prefix: str = "resim_out"
     dump_matrices: bool = False
+
+    def __post_init__(self):
+        if self.vtk_every < 0:
+            raise ValueError("vtk_every must be >= 0")
 
 
 @dataclass
@@ -158,10 +166,8 @@ class _Section:
             return default
         lineno, val = self.single[key]
         try:
-            if cast is bool:
-                return val.lower() in ("1", "true", "yes", "on")
-            value = cast(val)
-        except ValueError:
+            value = _BOOLS[val.lower()] if cast is bool else cast(val)
+        except (KeyError, ValueError):
             raise DeckError(f"line {lineno}: bad value for {key}: {val!r}") from None
         if cast is float and not math.isfinite(value):
             raise DeckError(f"line {lineno}: {key} must be a finite number, got {val!r}")
@@ -283,11 +289,11 @@ def _build_deck(sections, tables, base_dir) -> Deck:
         rec("time", k, getattr(controller, k))
 
     o = _Section(sections.get("output", []), "output")
-    output = OutputConfig(
+    output = _make(o, OutputConfig, dict(
         report_csv=o.get("report_csv", "", str),
         vtk_every=o.get("vtk_every", 0, int),
         vtk_prefix=o.get("vtk_prefix", "resim_out", str),
-        dump_matrices=o.get("dump_matrices", False, bool))
+        dump_matrices=o.get("dump_matrices", False, bool)))
     for k in ("report_csv", "vtk_every", "vtk_prefix", "dump_matrices"):
         rec("output", k, getattr(output, k))
 

@@ -8,19 +8,20 @@ V-cycle on the extracted pressure block, in a fine-pressure-fine
 composition, and is used from right-preconditioned BiCGSTAB.  The block
 layout is for assembly, decoupling and factorisation.  Its per-cell m x m
 algebra works entry by entry over all cells at once: ``_block_inv`` inverts
-blocks in closed form (adjugate over determinant) and ``_block_mv`` applies
-them to per-cell vectors, so no block goes through LAPACK or ``einsum`` on
-its own; block-block products use ``np.matmul``.  The scalar CSR layouts of
-a block structure (``CsrPattern``: the system, its pressure block and the
-ILU's two off-diagonal colour blocks) are built once and shared by every
-matrix of that structure, so a Newton iteration only moves values into
-them.  Krylov iterations and CPR residuals multiply with the system CSR from
-``BlockMatrix.to_csr``; the ILU sweeps multiply with its colour blocks.
+blocks in closed form (adjugate over determinant) and ``_block_mm``
+multiplies blocks stored entry by entry, so no block goes through LAPACK on
+its own; only ABF's left transformation uses ``np.matmul``.  The scalar CSR
+layouts of a block structure (``CsrPattern``: the system, its pressure
+block and pressure rows, the ILU's two factors) are built once and shared
+by every matrix of that structure, so a Newton iteration only moves values
+into them.  The Krylov products, the CPR residuals and both ILU sweeps are
+``PooledMatvec`` products over the worker pool's row ranges.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +39,9 @@ _AMG_STRENGTH = 0.08
 _AMG_MIN_COARSE = 40
 _AMG_MAX_LEVELS = 10
 _JACOBI_OMEGA = 0.8
+# bytes of the three block arrays per pass of the ILU set-up over black
+# cells, so a pass's arrays stay small (in cache, and no new peak memory)
+_ILU_PASS_BYTES = 1 << 20
 
 
 @dataclass
@@ -91,16 +95,11 @@ def _block_inv(blocks: np.ndarray):
     return inv, det
 
 
-def _block_mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-cell products a[c] @ x[c] of (n, p, m) blocks and (n, m) vectors,
-    summed over j = 0 .. m-1 in order."""
-    out = np.empty((len(x), a.shape[1]))
-    for i in range(a.shape[1]):
-        acc = a[:, i, 0] * x[:, 0]
-        for j in range(1, a.shape[2]):
-            acc += a[:, i, j] * x[:, j]
-        out[:, i] = acc
-    return out
+def _block_mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Products a @ b of m x m blocks stored entry-major, (m, m, ...): entry
+    (i, j) of every block is a[i, j], the trailing axes broadcast, and the
+    inner index is summed in order."""
+    return np.einsum("ik...,kj...->ij...", a, b, out=out)
 
 
 class BlockMatrix:
@@ -200,20 +199,20 @@ class BlockMatrix:
         """Pressure-pressure scalar sub-matrix on the cell stencil pattern."""
         return self.csr_pattern().pressure.fill(self._stencil_values(1))
 
-    def transformed(self, e: np.ndarray, b=None):
-        """Left-multiply every cell block row by the per-cell matrix e (n, m, m)."""
+    def transformed(self, fn, b=None):
+        """This matrix, and b, with every array x of cell block rows replaced by
+        fn(x, cells): x is (k, m, m) or (k, m), its row i belongs to cells[i]."""
         n, m = self.ncell, self.m
-        diag = np.matmul(e, self.diag)
-        lo = {ax: np.matmul(e, blk) for ax, blk in self.lo.items()}
-        hi = {ax: np.matmul(e, blk) for ax, blk in self.hi.items()}
-        cw = _block_mv(e[self.cw_cells], self.cw_blocks)
-        out = BlockMatrix(self.shape, m, diag, lo, hi, self.cw_cells.copy(),
-                          self.cw_well.copy(), cw, self.wc_blocks.copy(),
+        every = slice(None)
+        out = BlockMatrix(self.shape, m, fn(self.diag, every),
+                          {ax: fn(blk, every) for ax, blk in self.lo.items()},
+                          {ax: fn(blk, every) for ax, blk in self.hi.items()},
+                          self.cw_cells.copy(), self.cw_well.copy(),
+                          fn(self.cw_blocks, self.cw_cells), self.wc_blocks.copy(),
                           self.ww.copy())
         out.pattern = self.pattern
         if b is not None:
-            bc = _block_mv(e, b[: n * m].reshape(n, m)).ravel()
-            out.b = np.concatenate([bc, b[n * m:]])
+            out.b = np.concatenate([fn(b[: n * m].reshape(n, m), every).ravel(), b[n * m:]])
         return out
 
 
@@ -275,15 +274,33 @@ class _FilledLayout(_Layout):
         return self.csr(data[:-1])
 
 
-class _ColourBlock(_Layout):
-    """A CSR layout whose values are taken from slots of another matrix."""
+class _Gathered(_Layout):
+    """A CSR layout whose values are gathered from one source array.
 
-    def __init__(self, slots: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape):
-        super().__init__(rows, cols, shape)
-        self.slots = slots
+    Built once from COO parts (rows, cols, src), in any order: the entries
+    at (rows[k], cols[k] + j), j < ``run``, take source[src[k] + j], src a
+    multiple of ``run``.  The ``tail`` (rows, cols), all in rows after the
+    others, take the source's last values in order.
+    """
 
-    def take(self, data: np.ndarray) -> sp.csr_matrix:
-        return self.csr(data[self.slots])
+    def __init__(self, parts, shape, run=1, tail=None):
+        rows, cols, src = (np.concatenate([np.ravel(x) for x in xs])
+                           for xs in zip(*(np.broadcast_arrays(*part) for part in parts)))
+        order = np.argsort(rows.astype(np.int64) * shape[1] + cols, kind="stable")
+        tail = (rows[:0], cols[:0]) if tail is None else tail
+        cols = (cols[order][:, None] + np.arange(run)).ravel()
+        super().__init__(np.concatenate([np.repeat(rows[order], run), tail[0]]),
+                         np.concatenate([cols, tail[1]]), shape)
+        self.run, self.ntail = run, len(tail[0])
+        self.src = (src[order] // run).astype(np.int32)
+
+    def take(self, source: np.ndarray) -> sp.csr_matrix:
+        data = np.empty(len(self.src) * self.run + self.ntail)
+        head = len(source) - self.ntail
+        np.take(source[:head].reshape(-1, self.run), self.src, axis=0, mode="clip",
+                out=data[:len(data) - self.ntail].reshape(-1, self.run))
+        data[len(data) - self.ntail:] = source[head:]
+        return self.csr(data)
 
 
 class CsrPattern:
@@ -291,13 +308,18 @@ class CsrPattern:
 
     ``system`` is the full system (cells then wells) and ``pressure`` the
     pressure-pressure block; each knows the slots of every block array, so a
-    matrix of this structure only scatters its values into them.  Cells are
-    coloured red where i+j+k is even.  ``black_red`` (black rows, red
-    columns) and ``red_black`` are the red-black ILU(0)'s off-diagonal colour
-    blocks, with unknowns numbered within their colour, taken from the
-    system's values.  ``fits`` tells whether a matrix has this structure:
-    grid shape, block size, stencil axes and well borders.  ``aggregates``
-    keeps the AMG aggregates of the last hierarchy built on it by ``CprFpf``.
+    matrix of this structure only scatters its values into them.
+    ``pressure_rows`` marks, bit-packed, the system's entries in its
+    pressure rows (rows c*m), whose CSR has the row pointer
+    ``pressure_indptr``.  Cells are red where i+j+k is even; ``red`` and
+    ``black`` list each colour's cells and ``nbr[d]`` the black cells' red
+    neighbours in stencil direction d (lower, upper per axis; cell 0, which
+    is red, where there is none).  ``ilu_lower`` and ``ilu_upper`` are the
+    layouts of ``BlockILU0``'s two factors, whose set-up passes over
+    ``ilu_pass`` black cells at a time.  ``fits`` tells whether a matrix has
+    this structure: grid shape, block size, stencil axes and well borders.
+    ``aggregates`` keeps the AMG aggregates of the last hierarchy built on it
+    by ``CprFpf``.
     """
 
     def __init__(self, a: BlockMatrix):
@@ -311,27 +333,35 @@ class CsrPattern:
         self.system = _FilledLayout(
             a._stencil_coo(m) + [(pr, pw), (pw, pr), (pw_diag, pw_diag)], (nunk, nunk))
         self.pressure = _FilledLayout(a._stencil_coo(1), (n, n))
+        rows = np.repeat(np.arange(nunk), np.diff(self.system.indptr))
+        self.pressure_rows = np.packbits((rows < base) & (rows % m == 0))
+        self.pressure_indptr = np.append(0, np.cumsum(np.diff(self.system.indptr)[:base:m]))
+        self.pressure_indptr = self.pressure_indptr.astype(np.int32)
 
         nx, ny, _ = a.shape
         cell = np.arange(n)
-        self.red = red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
-        colour = np.full(nunk, -1, np.int8)                 # wells: -1
-        colour[:base] = np.repeat(red, m)
-        place = np.where(red, np.cumsum(red), np.cumsum(~red)) - 1   # within the colour
-        within = np.zeros(nunk, np.int32)
-        within[:base] = (place[:, None] * m + np.arange(m)).ravel()
-        rows = np.repeat(np.arange(nunk, dtype=np.int32), np.diff(self.system.indptr))
-        cols = self.system.indices
-        nred = np.count_nonzero(red) * m
-
-        def block(row_colour: int, nrows: int) -> _ColourBlock:
-            slots = np.flatnonzero((colour[rows] == row_colour)
-                                   & (colour[cols] == 1 - row_colour)).astype(np.int32)
-            return _ColourBlock(slots, within[rows[slots]], within[cols[slots]],
-                                (nrows, base - nrows))
-
-        self.black_red = block(0, base - nred)
-        self.red_black = block(1, nred)
+        red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
+        self.red, self.black = (np.flatnonzero(x).astype(np.int32) for x in (red, ~red))
+        black, nb, mm, ii = self.black, np.count_nonzero(~red), m * m, np.arange(m)[:, None]
+        dirs = [(sign * a.stride(ax), np.flatnonzero(a.neighbor_mask(ax, sign > 0)[black]))
+                for ax in a.axes for sign in (-1, 1)]
+        self.nbr = np.zeros((len(dirs), nb), np.int32)
+        self.ilu_pass = max(1, _ILU_PASS_BYTES // (24 * mm * max(1, len(dirs))))
+        # BlockILU0's sources, gathered in runs over a block's m columns (see
+        # there), and the CSR entries each run fills: a cell's diagonal block
+        # row i, a black cell b's row i to its neighbour r (lower), and r's
+        # row i back to b (upper); the well diagonals come last
+        lower, upper = [(cell * m + ii, cell * m, cell * mm + ii * m)], [(cell[:0],) * 3]
+        for d, (off, at) in enumerate(dirs):
+            self.nbr[d, at] = black[at] + off
+            c0 = at - at % self.ilu_pass                # first black cell of at's pass
+            width = np.minimum(self.ilu_pass, nb - c0)
+            src = c0 * len(dirs) * mm + ((ii * len(dirs) + d) * width + at - c0) * m
+            lower.append((black[at] * m + ii, (black[at] + off) * m, n * mm + src))
+            upper.append(((black[at] + off) * m + ii, black[at] * m, src))
+        wells = base + np.arange(a.nwell)
+        self.ilu_lower = _Gathered(lower, (nunk, nunk), m, tail=(wells, wells))
+        self.ilu_upper = _Gathered(upper, (nunk, nunk), m)
         self.aggregates: list[np.ndarray] | None = None
 
     def fits(self, a: BlockMatrix) -> bool:
@@ -347,20 +377,29 @@ def quasi_impes_decouple(a: BlockMatrix, b: np.ndarray):
     Left-scales each cell block row by E = [[1, -D_ps D_ss^{-1}], [0, I]]
     built from the cell's diagonal block D, which makes the transformed
     pressure row an IMPES-like pressure equation.  Exact-solution-preserving.
-    Cells with singular D_ss fall back to the identity (counted on the
-    returned matrix as ``decouple_fallbacks``).
+    E differs from the identity only in its first row, so the other rows are
+    copied and the pressure row gains sum_k E[0, k] (row k), k >= 1.  Cells
+    with singular D_ss fall back to the identity (counted on the returned
+    matrix as ``decouple_fallbacks``).
     """
-    n, m = a.ncell, a.m
+    m = a.m
     d = a.diag
-    e = np.tile(np.eye(m), (n, 1, 1))
     inv, det = _block_inv(d[:, 1:, 1:])
     ok = np.abs(det) > _TINY
     nfall = int(np.count_nonzero(~ok))
     if nfall:
         log.warning("quasi-IMPES: %d singular D_ss blocks, identity fallback", nfall)
     inv[~ok] = 0.0
-    e[:, 0, 1:] = -_block_mv(inv.transpose(0, 2, 1), d[:, 0, 1:])   # -D_ss^-T D_ps^T
-    out = a.transformed(e, b)
+    w = -np.einsum("nji,nj->ni", inv, d[:, 0, 1:])       # E[:, 0, 1:] = -D_ss^-T D_ps^T
+
+    def fold(x, cells):
+        out, rows = x.copy(), x.reshape(len(x), m, math.prod(x.shape[2:]))
+        for j in range(rows.shape[2]):           # one entry of row 0 at a time: long loops
+            for k in range(1, m):
+                out.reshape(rows.shape)[:, 0, j] += w[cells, k - 1] * rows[:, k, j]
+        return out
+
+    out = a.transformed(fold, b)
     out.decouple_fallbacks = nfall
     return out, out.b
 
@@ -384,7 +423,8 @@ def abf_decouple(a: BlockMatrix, b: np.ndarray):
         fall = np.zeros((nfall, m, m))
         fall[:, np.arange(m), np.arange(m)] = 1.0 / rs
         e[~ok] = fall
-    out = a.transformed(e, b)
+    out = a.transformed(lambda x, cells: np.matmul(e[cells], x) if x.ndim == 3
+                        else np.einsum("nij,nj->ni", e[cells], x), b)
     out.decouple_fallbacks = nfall
     return out, out.b
 
@@ -425,67 +465,65 @@ class BlockILU0:
     Cells are coloured by the parity of i+j+k, so every stencil neighbor of a
     red cell is black and vice versa (the multicolour ILU(0) of Saad,
     *Iterative Methods for Sparse Linear Systems*, section 12.4).  The
-    factorisation then changes only the black diagonal blocks:
-    D~_b = D_b - sum L_{b,r} inv(D_r) U_{r,b} over red neighbors r, formed
-    for the black cells alone, one gather per axis direction.  The inverse
-    diagonal blocks come from the closed-form ``_block_inv``.
-
-    Each solve is one forward and one backward sweep in the natural unknown
-    order.  A colour's unknowns are read and written through flat indices
-    (``u_red``, ``u_black``), its diagonal blocks are applied entry by entry
-    (``_block_mv``), and each sweep's off-diagonal product is one half-size
-    CSR product on vectors of one colour: ``L_br`` (black rows, red columns)
-    forward, ``U_rb`` backward.  Both blocks are gathered from ``a_csr``, the
-    system ``a.to_csr()``, on the slots of ``a``'s ``CsrPattern``; in each row
-    they keep the system's entries in the system's order, so a sweep adds the
-    same terms in the same order as the system's product restricted to those
-    rows.
+    factorisation changes only the black diagonal blocks, D~_b = D_b -
+    sum L_{b,r} inv(D_r) U_{r,b} over red neighbors r; ``inv_diag`` holds
+    inv(D_r) and inv(D~_b).  Folding them into the off-diagonal factors
+    leaves a solve of two sparse products in the natural unknown order,
+    t = K_lo r and z = t - K_up t: ``k_lo`` holds every inverse diagonal
+    block, -inv(D~_b) L_{b,r} inv(D_r) on black rows and 1/ww on well rows,
+    ``k_up`` holds inv(D_r) U_{r,b} on red rows.  Both are ``PooledMatvec``
+    products on ``pool``, their values gathered once into the layouts of
+    ``a``'s ``CsrPattern``; the block products run entry by entry, in
+    passes over the black cells (``_block_mm``).
     """
 
-    def __init__(self, a: BlockMatrix, a_csr: sp.csr_matrix):
+    def __init__(self, a: BlockMatrix, pool=None):
         self.a = a
         pattern = a.csr_pattern()
-        self.l_br = pattern.black_red.take(a_csr.data)
-        self.u_rb = pattern.red_black.take(a_csr.data)
+        n, m, mm, nwell = a.ncell, a.m, a.m * a.m, a.nwell
+        black, nbr = pattern.black, pattern.nbr
+        ndir, nb = nbr.shape
         counter = [0]
-        self.ww_inv = np.where(np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
-        m = a.m
-        ired = np.flatnonzero(pattern.red)
-        iblack = np.flatnonzero(~pattern.red)
-        self.u_red = (ired[:, None] * m + np.arange(m)).ravel()
-        self.u_black = (iblack[:, None] * m + np.arange(m)).ravel()
-        inv = np.zeros_like(a.diag)
-        inv[ired] = _safe_inv(a.diag[ired], counter)
-        # black diagonal Schur update keeps only in-pattern (diagonal) fill;
-        # a black cell's block to a missing neighbor is zero, so a clipped
-        # neighbor index adds a zero term there
-        upd = np.zeros((len(iblack), m, m))
-        for ax in a.axes:
-            s = a.stride(ax)
-            for nbr, low, up in ((np.maximum(iblack - s, 0), a.lo[ax], a.hi[ax]),
-                                 (np.minimum(iblack + s, a.ncell - 1), a.hi[ax], a.lo[ax])):
-                upd += np.matmul(np.matmul(low[iblack], inv[nbr]), up[nbr])
-        inv[iblack] = _safe_inv(a.diag[iblack] - upd, counter)
-        self.inv_diag = inv
-        self.inv_red = inv[ired]
-        self.inv_black = inv[iblack]
+        # K_lo's source: inverse diagonal blocks (n, m, m), the black rows'
+        # folded blocks and the well diagonals; K_up's is laid out as the
+        # folded blocks, per pass over black cells (m, ndir, cells, m)
+        lower, upper = np.empty(n * mm + ndir * mm * nb + nwell), np.empty(ndir * mm * nb)
+        inv, folded = lower[:n * mm].reshape(n, m, m), lower[n * mm:len(lower) - nwell]
+        lower[len(lower) - nwell:] = np.where(
+            np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
+        inv[pattern.red] = _safe_inv(a.diag[pattern.red], counter)
+        stencil = [x.reshape(n, mm) for ax in a.axes for x in (a.lo[ax], a.hi[ax])]
+        dinv = np.ascontiguousarray(np.moveaxis(inv, 0, -1))   # entry-major, red cells read
+        for c in range(0, nb, pattern.ilu_pass):
+            cells, near = black[c:c + pattern.ilu_pass], nbr[:, c:c + pattern.ilu_pass]
+            # entry-major (m, m, ndir, cells): each black cell's block L to its
+            # red neighbour r per direction, inv(D_r), and r's block U back; a
+            # missing neighbour has zero blocks, so it adds zero terms
+            rows = np.empty((2, ndir, len(cells), mm))
+            for d in range(ndir):
+                np.take(stencil[d], cells, axis=0, out=rows[0, d])
+                np.take(stencil[d ^ 1], near[d], axis=0, out=rows[1, d])
+            rows = np.ascontiguousarray(rows.transpose(0, 3, 1, 2)).reshape(2, m, m, ndir, -1)
+            (l_br, u_rb), dinv_r = rows, np.take(dinv, near, axis=-1)
+            run, shape = slice(c * ndir * mm, (c + len(cells)) * ndir * mm), (m, ndir, -1, m)
+            ld = _block_mm(l_br, dinv_r)
+            _block_mm(dinv_r, u_rb, out=upper[run].reshape(shape).transpose(0, 3, 1, 2))
+            upd = _block_mm(ld, u_rb, out=l_br).sum(axis=2)
+            inv[cells] = inv_b = _safe_inv(a.diag[cells] - np.moveaxis(upd, -1, 0), counter)
+            _block_mm(-np.ascontiguousarray(np.moveaxis(inv_b, 0, -1))[:, :, None], ld,
+                      out=folded[run].reshape(shape).transpose(0, 3, 1, 2))
+        self.k_up = PooledMatvec(pattern.ilu_upper.take(upper), pool)
+        del upper
+        self.k_lo = PooledMatvec(pattern.ilu_lower.take(lower), pool)
+        self.inv_diag = inv.copy()               # not a view that keeps `lower`
         self.pivot_shifts = counter[0]
         if counter[0]:
             log.warning("block ILU(0): %d shifted pivots", counter[0])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        m = self.a.m
-        r_red = r[self.u_red]
-        z_red = _block_mv(self.inv_red, r_red.reshape(-1, m))
-        y_black = r[self.u_black] - self.l_br @ z_red.ravel()
-        w_black = _block_mv(self.inv_black, y_black.reshape(-1, m)).ravel()
-        y_red = r_red - self.u_rb @ w_black
-        w = np.empty_like(r)
-        w[self.u_red] = _block_mv(self.inv_red, y_red.reshape(-1, m)).ravel()
-        w[self.u_black] = w_black
-        nm = self.a.ncell * m
-        w[nm:] = r[nm:] * self.ww_inv
-        return w
+        t = self.k_lo(r)
+        t -= self.k_up(t)
+        return t
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +677,8 @@ class CprFpf:
 
     Stage F is the block ILU(0) smoother over the full system (well rows via
     diagonal approximation); stage P is one AMG V-cycle on the pressure block,
-    applied multiplicatively between two F stages.
+    applied multiplicatively between two F stages.  The residual the
+    V-cycle reads is formed on the system's pressure rows alone (``a_p``).
 
     ``amg``, the hierarchy of an earlier pressure block of this structure,
     is reused with this pressure block on its finest level (``with_fine``).
@@ -653,23 +692,27 @@ class CprFpf:
                  amg: AmgHierarchy | None = None):
         self.a = a
         self.matvec = matvec
-        self.smoother = BlockILU0(a, matvec.a)
+        self.smoother = BlockILU0(a, matvec.pool)
+        pattern = a.csr_pattern()
+        csr = matvec.a
+        rows = np.unpackbits(pattern.pressure_rows, count=csr.nnz).view(bool)
+        self.a_p = PooledMatvec(sp.csr_matrix((csr.data[rows], csr.indices[rows],
+                                               pattern.pressure_indptr), (a.ncell, a.nunk)),
+                                matvec.pool)
         self.app = a.extract_app()
         if amg is not None and amg.levels:
             self.amg = amg.with_fine(self.app)
         else:
-            pattern = a.csr_pattern()
             self.amg = build_amg(self.app, pattern.aggregates)
             pattern.aggregates = self.amg.aggregates
-        self.pslots = np.arange(a.ncell) * a.m
+        self.pslots = slice(0, a.ncell * a.m, a.m)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         z = self.smoother.solve(r)
-        rr = r - self.matvec(z)
-        zp = amg_vcycle(self.amg, rr[self.pslots])
-        z[self.pslots] += zp
-        rr = r - self.matvec(z)
-        return z + self.smoother.solve(rr)
+        z[self.pslots] += amg_vcycle(self.amg, r[self.pslots] - self.a_p(z))
+        rr = self.matvec(z)
+        z += self.smoother.solve(np.subtract(r, rr, out=rr))
+        return z
 
 
 def make_preconditioner(a: BlockMatrix, config: SolverConfig, matvec: PooledMatvec,
@@ -679,12 +722,17 @@ def make_preconditioner(a: BlockMatrix, config: SolverConfig, matvec: PooledMatv
     if config.preconditioner == "none":
         return None
     if config.preconditioner == "ilu0":
-        return BlockILU0(a, matvec.a)
+        return BlockILU0(a, matvec.pool)
     return CprFpf(a, matvec, amg=amg)
 
 
 # ---------------------------------------------------------------------------
 # BiCGSTAB
+
+
+def _usable(v: float) -> bool:
+    """A divisor BiCGSTAB can use: finite, and no smaller than _TINY."""
+    return _TINY <= abs(v) < math.inf
 
 
 def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int):
@@ -696,7 +744,10 @@ def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int):
     records it as ``NewtonIterLog.lhs_norm``.  ``a`` is the operator, a
     callable or anything that supports ``a @ x``; ``m`` is None or has
     ``solve``.  Returns (x, iterations, status) with status in
-    {'converged', 'max_it', 'breakdown'}.
+    {'converged', 'max_it', 'breakdown'}: 'breakdown' as soon as rho, the
+    step denominator, omega or a residual norm is not finite, or a divisor
+    is below _TINY, so a NaN or infinite preconditioner output ends the
+    solve in the iteration it appears.
     """
     mv = a if callable(a) else a.__matmul__
     prec = (lambda r: r) if m is None else m.solve
@@ -705,45 +756,40 @@ def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int):
     if bnorm == 0.0:
         return x, 0, "converged"
     target = tol * bnorm
-    r = b.copy()
-    r0 = b.copy()
-    rho_old = 1.0
-    alpha = 1.0
-    omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
+    r = r0 = b                          # vectors are rebound, never written in place
+    rho_old = alpha = omega = 1.0
+    v = p = np.zeros_like(b)
     for it in range(1, max_it + 1):
         rho = det_dot(r0, r)
-        if abs(rho) < _TINY:
+        if not _usable(rho) or (it > 1 and not _usable(omega)):
             return x, it - 1, "breakdown"
-        if it == 1:
-            p = r.copy()
-        else:
-            if abs(omega) < _TINY:
-                return x, it - 1, "breakdown"
-            beta = (rho / rho_old) * (alpha / omega)
-            p = r + beta * (p - omega * v)
+        p = r if it == 1 else r + (rho / rho_old) * (alpha / omega) * (p - omega * v)
         phat = prec(p)
         v = mv(phat)
         denom = det_dot(r0, v)
-        if abs(denom) < _TINY:
+        if not _usable(denom):
             return x, it - 1, "breakdown"
         alpha = rho / denom
         s = r - alpha * v
-        if det_norm(s) <= target:
-            x = x + alpha * phat
-            return x, it, "converged"
+        s_norm = det_norm(s)
+        if s_norm <= target:
+            return x + alpha * phat, it, "converged"
+        if not math.isfinite(s_norm):
+            return x, it - 1, "breakdown"
         shat = prec(s)
         t = mv(shat)
         tt = det_dot(t, t)
-        if tt < _TINY:
+        if not _usable(tt):
             return x, it, "breakdown"
         omega = det_dot(t, s) / tt
         x = x + alpha * phat + omega * shat
         r = s - omega * t
         rho_old = rho
-        if det_norm(r) <= target:
+        r_norm = det_norm(r)
+        if r_norm <= target:
             return x, it, "converged"
+        if not math.isfinite(r_norm):           # omega, or an update, not finite
+            return x, it, "breakdown"
     return x, max_it, "max_it"
 
 

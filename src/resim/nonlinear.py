@@ -66,6 +66,12 @@ class NewtonConfig:
             raise ValueError("beta must be in (1, 2]")
         if self.forcing_rule not in FORCING_RULES:
             raise ValueError(f"unknown forcing rule {self.forcing_rule!r}")
+        if self.max_ds <= 0 or self.max_dp <= 0:
+            raise ValueError("max_ds and max_dp must be > 0")
+        if self.atol < 0:
+            raise ValueError("atol must be >= 0")
+        if not (0 < self.theta_fixed < 1):
+            raise ValueError("theta_fixed must be in (0, 1)")
 
     def resolved_mb_tol(self, fluid_kind: str) -> float:
         if self.mb_tol is not None:
@@ -89,6 +95,8 @@ class StepController:
             raise ValueError("growth must be > 1")
         if not (0 < self.cut < 1):
             raise ValueError("cut must be in (0, 1)")
+        if self.max_cuts < 0:
+            raise ValueError("max_cuts must be >= 0")
 
 
 @dataclass
@@ -198,15 +206,18 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
     Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: build
     one).  Returns (new_state, dx, iter_log, jac, timing, amg), the last the
     hierarchy its CPR preconditioner used (None without CPR), or raises
-    _StepFailure when the linear solver does not meet its contract.
+    _StepFailure when the linear solver does not meet its contract.  ``jac``
+    is None unless the forcing rule (eq13_a, eq13_b) reads it after the
+    step, so the Jacobian is not held through the solve for nothing.
     """
     t0 = time.perf_counter()
     jac = model.assemble_jacobian(state, state_old, dt, wells, pool=pool)
     t1 = time.perf_counter()
-    b = jac.b
     if dump_prefix is not None:
-        dump_matrix_market(jac, b, dump_prefix)
-    a2, b2 = decouple(jac, b, scfg.decoupling)
+        dump_matrix_market(jac, jac.b, dump_prefix)
+    a2, b2 = decouple(jac, jac.b, scfg.decoupling)
+    if ncfg.forcing_rule not in ("eq13_a", "eq13_b"):
+        jac = None
     matvec = PooledMatvec(a2.to_csr(), pool)
     precond = make_preconditioner(a2, scfg, matvec, amg=amg)
     dx, iters, status = bicgstab(matvec, precond, b2, theta, scfg.max_iterations)

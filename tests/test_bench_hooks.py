@@ -66,7 +66,7 @@ def test_sample_patch_targets_exist():
 
 def test_attributes_the_tracer_reads():
     a = random_block_matrix(np.random.default_rng(0), m=2, nwell=1)
-    ilu = linear.BlockILU0(a, a.to_csr())
+    ilu = linear.BlockILU0(a)
     assert ilu.a is a and set(ilu.a.lo) == set(ilu.a.hi)
     assert ilu.inv_diag.shape == a.diag.shape
     assert ilu.pivot_shifts == 0

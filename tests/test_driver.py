@@ -67,13 +67,20 @@ REJECTED_VALUES = [
     ("solver", "preconditioner = foo"), ("solver", "decoupling = xyz"),
     ("solver", "forcing_rule = eq99"), ("fluid", "s_wc = 0.9"),
     ("fluid", "mu_w = -1.0"), ("fields", "poro = abc"), ("fields", "poro = 1.5"),
-    ("solver", "newton_max = 0")]
+    ("solver", "newton_max = 0"), ("solver", "max_ds = -0.5"), ("solver", "max_ds = 0"),
+    ("solver", "max_dp = 0"), ("solver", "newton_atol = -1e-8"),
+    ("solver", "theta_fixed = 0"), ("solver", "theta_fixed = 1.0"),
+    ("time", "max_cuts = -1"), ("output", "vtk_every = -2"),
+    ("output", "dump_matrices = maybe")]
 
 
 def deck_with(section, line):
-    """TINY_RUN_DECK with ``line`` first in [section], replacing its key's line."""
+    """TINY_RUN_DECK with ``line`` first in [section] (added at the end if the
+    deck has none), replacing its key's line."""
     key = line.split(" = ")[0]
     rows = [ln for ln in TINY_RUN_DECK.splitlines() if not ln.startswith(key + " = ")]
+    if f"[{section}]" not in rows:
+        rows.append(f"[{section}]")
     i = rows.index(f"[{section}]")
     return "\n".join(rows[:i + 1] + [line] + rows[i + 1:]) + "\n"
 
@@ -606,6 +613,28 @@ class TestBadTrialState:
         assert "non-finite Jacobian" in capsys.readouterr().err
         with open(tmp_path / "steps.csv") as fh:
             assert len(fh.read().splitlines()) >= 2      # header, accepted steps
+        assert os.path.exists(tmp_path / "resim_out_final.vtk")
+
+    def test_non_finite_preconditioner_cuts_the_step(self, tmp_path, monkeypatch,
+                                                     caplog):
+        # a singular coarse LU makes the V-cycle return +-inf: BiCGSTAB
+        # breaks down in its first iteration and the step is cut once
+        vcycle, calls = linear.amg_vcycle, [0]
+
+        def infinite_once(hier, r_p, level=0):
+            calls[0] += 1
+            z = vcycle(hier, r_p, level)
+            return np.full_like(z, np.inf) if calls[0] == 1 else z
+
+        monkeypatch.setattr(linear, "amg_vcycle", infinite_once)
+        with caplog.at_level(logging.WARNING):
+            report = run_simulation(parse_deck(TINY_RUN_DECK), report_csv="steps.csv",
+                                    output_dir=str(tmp_path))
+        assert report.steps[0].cuts == report.n_cuts == 1
+        assert any("breakdown after 0 iterations" in r.message and "cutting dt" in r.message
+                   for r in caplog.records)
+        assert report.steps[-1].t == pytest.approx(2.0)
+        assert os.path.exists(tmp_path / "steps.csv")
         assert os.path.exists(tmp_path / "resim_out_final.vtk")
 
     def test_error_that_cuts_no_step_still_writes_outputs(self, tmp_path, monkeypatch):

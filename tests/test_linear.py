@@ -185,6 +185,34 @@ class TestDecoupling:
             expect = dense[2 * c] - f * dense[2 * c + 1]
             np.testing.assert_allclose(a2.to_csr().toarray()[2 * c], expect, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_quasi_impes_equals_left_multiplication(self, m):
+        # only the pressure row changes, by sum_k E[0, k] (row k); the
+        # result is the per-cell product E @ blocks with E built as
+        # quasi-IMPES defines it, rows k >= 1 copied exactly
+        rng = np.random.default_rng(45)
+        a = random_block_matrix(rng, shape=(4, 3, 2), m=m, nwell=2)
+        a.diag[3, 1:, 1:] = 0.0                 # a singular D_ss: identity row
+        b = rng.standard_normal(a.nunk)
+        n = a.ncell
+        inv, det = linear._block_inv(a.diag[:, 1:, 1:])
+        inv[~(np.abs(det) > 1e-30)] = 0.0
+        e = np.tile(np.eye(m), (n, 1, 1))
+        e[:, 0, 1:] = -np.einsum("nji,nj->ni", inv, a.diag[:, 0, 1:])
+        a2, b2 = decouple(a, b, "quasi_impes")
+        assert a2.decouple_fallbacks == 1
+        pairs = [(a2.diag, np.matmul(e, a.diag)),
+                 (a2.cw_blocks, np.matmul(e[a.cw_cells], a.cw_blocks[:, :, None])[:, :, 0]),
+                 (b2[:n * m].reshape(n, m), np.matmul(e, b[:n * m].reshape(n, m, 1))[:, :, 0])]
+        pairs += [(a2.lo[ax], np.matmul(e, a.lo[ax])) for ax in a.axes]
+        pairs += [(a2.hi[ax], np.matmul(e, a.hi[ax])) for ax in a.axes]
+        for got, ref in pairs:
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+            np.testing.assert_array_equal(got[:, 1:], ref[:, 1:])
+        np.testing.assert_array_equal(b2[n * m:], b[n * m:])
+        for name in ("wc_blocks", "ww", "cw_cells", "cw_well"):
+            np.testing.assert_array_equal(getattr(a2, name), getattr(a, name))
+
     def test_abf_identity_diagonal(self):
         rng = np.random.default_rng(4)
         for m in (2, 3):
@@ -302,18 +330,25 @@ class TestBlockKernels:
         fine = np.setdiff1d(np.arange(6), singular)
         np.testing.assert_allclose(inv[fine], np.linalg.inv(blocks[fine]), rtol=1e-10)
 
-    def test_block_mv_bitwise_equal_to_einsum(self):
+    def test_block_mm_sums_in_order(self):
+        # entry-major products add the inner terms in order, like the
+        # per-entry loop sum_k a[i, k] * b[k, j], bit for bit
         rng = np.random.default_rng(80)
-        a = rng.standard_normal((5000, 2, 2)) * 10 ** rng.uniform(-8, 8, (5000, 2, 2))
-        x = rng.standard_normal((5000, 2))
-        np.testing.assert_array_equal(linear._block_mv(a, x),
-                                      np.einsum("nij,nj->ni", a, x))
+        a = rng.standard_normal((2, 2, 3, 500)) * 10 ** rng.uniform(-8, 8, (2, 2, 3, 500))
+        b = rng.standard_normal((2, 2, 3, 500))
+        ref = np.empty_like(a)
+        for i in range(2):
+            for j in range(2):
+                ref[i, j] = a[i, 0] * b[0, j] + a[i, 1] * b[1, j]
+        np.testing.assert_array_equal(linear._block_mm(a, b), ref)
 
-    def test_block_mv_three_unknowns(self):
+    def test_block_mm_three_unknowns(self):
+        # leading entry axes, broadcast trailing axes
         rng = np.random.default_rng(81)
-        a = rng.standard_normal((300, 3, 3))
-        x = rng.standard_normal((300, 3))
-        np.testing.assert_allclose(linear._block_mv(a, x), np.matmul(a, x[:, :, None])[:, :, 0],
+        a = rng.standard_normal((3, 3, 1, 300))
+        b = rng.standard_normal((3, 3, 4, 300))
+        ref = np.matmul(np.moveaxis(a, (0, 1), (-2, -1)), np.moveaxis(b, (0, 1), (-2, -1)))
+        np.testing.assert_allclose(linear._block_mm(a, b), np.moveaxis(ref, (-2, -1), (0, 1)),
                                    rtol=1e-13, atol=1e-15)
 
 
@@ -348,7 +383,7 @@ class TestBicgstab:
                         np.zeros(0))
         b = rng.standard_normal(n)
         op = csr_operator(a)
-        x, it, status = bicgstab(op, BlockILU0(a, op.a), b, 1e-8, 200)
+        x, it, status = bicgstab(op, BlockILU0(a), b, 1e-8, 200)
         assert status == "converged"
         x_ref = np.linalg.solve(a.to_csr().toarray(), b)
         assert np.max(np.abs(x - x_ref)) <= 1e-6 * np.max(np.abs(x_ref))
@@ -365,6 +400,23 @@ class TestBicgstab:
         r = b2 - a2.to_csr() @ x
         assert det_norm(r) <= tol * det_norm(b2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_preconditioner_breaks_down_at_once(self, bad):
+        # a NaN or infinite preconditioner output (a singular coarse LU
+        # gives +-inf) ends the solve in its first iteration, not at max_it
+        rng = np.random.default_rng(46)
+        a, b = assembled_system(rng)
+        calls = []
+
+        class Broken:
+            def solve(self, r):
+                calls.append(1)
+                return np.full_like(r, bad)
+
+        x, it, status = bicgstab(csr_operator(a), Broken(), b, 1e-8, 50)
+        assert status == "breakdown" and it == 0 and len(calls) == 1
+        np.testing.assert_array_equal(x, 0.0)
+
     def test_max_it_status(self):
         rng = np.random.default_rng(12)
         a, b = assembled_system(rng)
@@ -378,7 +430,7 @@ class TestBlockILU0:
         a, b = assembled_system(rng)
         a2, b2 = decouple(a, b, "quasi_impes")
         op = csr_operator(a2)
-        x, it, status = bicgstab(op, BlockILU0(a2, op.a), b2, 1e-8, 200)
+        x, it, status = bicgstab(op, BlockILU0(a2), b2, 1e-8, 200)
         assert status == "converged"
         x_ref = np.linalg.solve(a2.to_csr().toarray(), b2)
         assert np.max(np.abs(x - x_ref)) <= 1e-6 * np.max(np.abs(x_ref))
@@ -388,7 +440,7 @@ class TestBlockILU0:
         for m in (2, 3):
             a = random_block_matrix(rng, m=m, nwell=0)
             a.diag[0] = 0.0  # fully singular diagonal block on a red cell
-            ilu = BlockILU0(a, a.to_csr())
+            ilu = BlockILU0(a)
             assert ilu.pivot_shifts >= 1
             z = ilu.solve(np.ones(a.nunk))
             assert np.all(np.isfinite(z))
@@ -398,7 +450,7 @@ class TestBlockILU0:
         rng = np.random.default_rng(16)
         a, b = assembled_system(rng)
         a2, _ = decouple(a, b, "quasi_impes")
-        m = BlockILU0(a2, a2.to_csr())
+        m = BlockILU0(a2)
         r = rng.standard_normal(a2.nunk)
         lhs = m.solve(alpha * r)
         rhs = alpha * m.solve(r)
@@ -417,7 +469,7 @@ class TestBlockILU0:
         # red cell just past the row end of a black one
         rng = np.random.default_rng(30)
         a = random_block_matrix(rng, shape=shape, m=m, nwell=nwell)
-        ilu = BlockILU0(a, a.to_csr())
+        ilu = BlockILU0(a)
         assert ilu.pivot_shifts == 0
         n, nm = a.ncell, a.ncell * a.m
         nx, ny, _ = shape
@@ -438,6 +490,34 @@ class TestBlockILU0:
         ref[perm] = np.linalg.solve(lower @ upper, r[perm])
         ref[nm:] = r[nm:] / a.ww
         np.testing.assert_allclose(ilu.solve(r), ref, rtol=1e-12)
+
+    def test_set_up_in_passes_over_black_cells(self, monkeypatch):
+        # the set-up passes over the black cells a few at a time; passes of
+        # 3 cells (the last one short) give the same factors bit for bit
+        rng = np.random.default_rng(47)
+        a = random_block_matrix(rng, shape=(5, 3, 3), m=3, nwell=2)
+        r = rng.standard_normal(a.nunk)
+        whole = BlockILU0(a)
+        monkeypatch.setattr(linear, "_ILU_PASS_BYTES", 3 * 24 * 9 * 6)
+        a.pattern = None                        # the layouts follow the passes
+        runs = BlockILU0(a)
+        assert a.csr_pattern().ilu_pass == 3 and len(a.csr_pattern().black) % 3 == 1
+        np.testing.assert_array_equal(runs.inv_diag, whole.inv_diag)
+        assert runs.solve(r).tobytes() == whole.solve(r).tobytes()
+
+    def test_pooled_sweeps_match_one_worker(self, monkeypatch):
+        # both sweeps are row-sliced products on the pool; with two workers
+        # the solve is bitwise the one-worker solve
+        rng = np.random.default_rng(48)
+        a, b = assembled_system(rng)
+        a2, _ = decouple(a, b, "quasi_impes")
+        r = rng.standard_normal(a2.nunk)
+        serial = BlockILU0(a2).solve(r)
+        monkeypatch.setattr(parallel, "MIN_ROWS", 1)
+        with WorkerPool(2) as pool:
+            ilu = BlockILU0(a2, pool)
+            assert ilu.k_lo.slices is not None and ilu.k_up.slices is not None
+            assert ilu.solve(r).tobytes() == serial.tobytes()
 
     def test_solve_replaced_on_the_class_is_called(self, monkeypatch):
         # profilers and samplers wrap BlockILU0.solve on the class; BiCGSTAB
@@ -642,10 +722,41 @@ class TestCprFpf:
         a, b = assembled_system(rng, shape=(20, 20, 1))
         a2, b2 = decouple(a, b, "quasi_impes")
         op = csr_operator(a2)
-        _, it_ilu, st_ilu = bicgstab(op, BlockILU0(a2, op.a), b2, 1e-8, 400)
+        _, it_ilu, st_ilu = bicgstab(op, BlockILU0(a2), b2, 1e-8, 400)
         _, it_cpr, st_cpr = bicgstab(op, CprFpf(a2, op), b2, 1e-8, 400)
         assert st_ilu == "converged" and st_cpr == "converged"
         assert it_cpr <= 0.5 * it_ilu
+
+    def test_pressure_row_residual_matches_full_product(self):
+        # the V-cycle's residual comes from the system's pressure rows
+        # alone, bitwise equal to the full product's pressure entries
+        rng = np.random.default_rng(49)
+        a, b = assembled_system(rng)
+        for m, kind in ((2, "quasi_impes"), (3, "abf")):
+            if m == 3:
+                a = random_block_matrix(rng, shape=(4, 3, 2), m=3, nwell=2)
+            a2, _ = decouple(a, a.to_csr() @ np.ones(a.nunk), kind)
+            op = csr_operator(a2)
+            cpr = CprFpf(a2, op)
+            z, r = rng.standard_normal((2, a2.nunk))
+            assert cpr.a_p(z).tobytes() == op(z)[cpr.pslots].tobytes()
+            # the solve as first written, with the full product
+            zf = cpr.smoother.solve(r)
+            zf[cpr.pslots] += amg_vcycle(cpr.amg, (r - op(zf))[cpr.pslots])
+            full = zf + cpr.smoother.solve(r - op(zf))
+            assert cpr.solve(r).tobytes() == full.tobytes()
+
+    def test_pooled_solve_matches_one_worker(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        a, b = assembled_system(rng)
+        a2, _ = decouple(a, b, "quasi_impes")
+        r = rng.standard_normal(a2.nunk)
+        serial = CprFpf(a2, csr_operator(a2)).solve(r)
+        monkeypatch.setattr(parallel, "MIN_ROWS", 1)
+        with WorkerPool(2) as pool:
+            cpr = CprFpf(a2, PooledMatvec(a2.to_csr(), pool))
+            assert cpr.a_p.slices is not None and cpr.smoother.k_lo.slices is not None
+            assert cpr.solve(r).tobytes() == serial.tobytes()
 
     def reuse_pair(self):
         """Two decoupled Newton systems of one structure with different values."""
