@@ -12,7 +12,6 @@ See decks/ for complete examples.
 from __future__ import annotations
 
 import argparse
-import copy
 import logging
 import math
 import os
@@ -597,8 +596,7 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
     state = initial_state(deck)
     report = RunReport(workers=workers)
     report.initial_mass = model.mass_in_place(state)
-    # schedule switches replace constraints on these copies, not on the deck
-    wells = [copy.copy(w) for w in deck.wells]
+    wells = deck.wells
 
     vtk_path = os.path.join(output_dir, f"{out.vtk_prefix}_final.vtk")
     csv_path = os.path.join(output_dir, report_csv) if report_csv else None
@@ -610,9 +608,9 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
         dt = min(deck.controller.dt_init, deck.t_end) if deck.t_end > 0 else 0.0
         step = 0
         try:
-            apply_schedule(deck.schedule, 0.0, wells)
             while t < deck.t_end - 1e-9:
-                if apply_schedule(deck.schedule, t, wells) and step > 0:
+                wells, changed = apply_schedule(deck.schedule, t, wells)
+                if changed and step > 0:
                     dt = deck.controller.dt_init
                     log.info("t=%g: schedule switch, dt reset to %g", t, dt)
                 dt = min(dt, deck.t_end - t)
@@ -637,7 +635,9 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
                     solve_time=stats.solve_time, mass_in_place=masses,
                     well_injected={c: r[0] * dt_acc for c, r in rates.items()},
                     well_produced={c: r[1] * dt_acc for c, r in rates.items()},
-                    residual_sums=stats.residual_sums))
+                    residual_sums=stats.residual_sums,
+                    corrections_tried=stats.corrections_tried,
+                    corrections_kept=stats.corrections_kept))
                 report.newton_log.extend(stats.newton_log)
                 state = state_new
                 t += dt_acc

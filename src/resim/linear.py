@@ -739,9 +739,10 @@ def bicgstab(a, m, b: np.ndarray, tol: float, max_it: int):
     """Right-preconditioned BiCGSTAB from a zero initial guess.
 
     Stops when a recursively updated residual, the half-step s or the full
-    step r, satisfies ||.|| <= tol * ||b||.  The true residual b - A x is not
-    recomputed here and can drift from the recursive one; ``newton_step``
-    records it as ``NewtonIterLog.lhs_norm``.  ``a`` is the operator, a
+    step r, satisfies ||.|| <= tol * ||b||.  The true residual b - A x can
+    drift from the recursive one; ``newton_step`` computes it, restarts this
+    solve on it when it misses the tolerance, and records it as
+    ``NewtonIterLog.lhs_norm``.  ``a`` is the operator, a
     callable or anything that supports ``a @ x``; ``m`` is None or has
     ``solve``.  Returns (x, iterations, status) with status in
     {'converged', 'max_it', 'breakdown'}: 'breakdown' as soon as rho, the

@@ -8,7 +8,7 @@ solution gas).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,23 +88,23 @@ class Schedule:
                 raise WellConfigError(f"schedule references undeclared well {name!r}")
 
 
-def apply_schedule(schedule: Schedule, t: float, wells: list[Well]) -> bool:
+def apply_schedule(schedule: Schedule, t: float, wells: list[Well]) -> tuple[list[Well], bool]:
     """Activate, per well, the latest schedule entry with start <= t.
 
-    Returns True when any active constraint changed (the driver restarts the
-    step-size ramp on a switch).
+    Returns (wells, changed): the wells with those constraints, a new
+    ``Well`` for each whose constraint switched, and whether any did (the
+    driver restarts the step-size ramp on a switch).  The wells passed in
+    are not changed.
     """
-    changed = False
-    by_name = {w.name: w for w in wells}
+    active = {w.name: w.constraint for w in wells}
     for t0, name, constraint in schedule.entries:
         if t0 <= t:
-            well = by_name.get(name)
-            if well is None:
+            if name not in active:
                 raise WellConfigError(f"schedule references undeclared well {name!r}")
-            if well.constraint != constraint:
-                well.constraint = constraint
-                changed = True
-    return changed
+            active[name] = constraint
+    out = [w if w.constraint == active[w.name] else replace(w, constraint=active[w.name])
+           for w in wells]
+    return out, any(new is not old for new, old in zip(out, wells))
 
 
 def peaceman_wi(dx: float, dy: float, dz: float, kx: float, ky: float,

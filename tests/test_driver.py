@@ -392,6 +392,23 @@ class TestRunSimulation:
         snaps = [f for f in os.listdir(tmp_path) if f.startswith("resim_out_0")]
         assert snaps, "expected periodic VTK snapshots"
 
+    def test_csv_appends_correction_counts(self, tmp_path):
+        import csv
+
+        report = run_simulation(load_deck(deck_path("spe1_mini.deck")),
+                                report_csv="steps.csv", output_dir=str(tmp_path))
+        with open(tmp_path / "steps.csv") as fh:
+            rows = list(csv.reader(fh))
+        prefix = ["step", "t_days", "dt_days", "newtons", "linear_iters", "cuts",
+                  "wall_s", "assembly_s", "solve_s"]
+        for c in sorted(report.initial_mass):
+            prefix += [f"mass_{c}_lbm", f"injected_{c}_lbm", f"produced_{c}_lbm"]
+        assert rows[0] == prefix + ["corrections_tried", "corrections_kept"]
+        assert [(int(r[-2]), int(r[-1])) for r in rows[1:]] == \
+            [(s.corrections_tried, s.corrections_kept) for s in report.steps]
+        assert all(s.corrections_kept <= s.corrections_tried for s in report.steps)
+        assert 1 <= report.n_corrections_kept <= report.n_corrections_tried
+
     def test_matrix_dumps(self, tmp_path):
         deck = parse_deck(TINY_RUN_DECK)
         deck.t_end = 0.5

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 import resim
-from resim.linear import AmgHierarchy, SolverConfig
+from resim import nonlinear
+from resim.driver import load_deck, run_simulation
+from resim.linear import AmgHierarchy, BlockMatrix, SolverConfig
 from resim.model import ReservoirModel, ReservoirState
 from resim.nonlinear import (NewtonConfig, StepController, ForcingHistory,
                              forcing_term, newton_step, advance_timestep,
                              apply_update, SimulationAbort, RunReport,
                              StepRecord)
-from conftest import two_phase_fluid, black_oil_fluid
+from resim.parallel import det_norm
+from conftest import deck_path, two_phase_fluid, black_oil_fluid
+from test_linear import random_block_matrix
 
 
 def waterflood_setup(nx=40, mu=1.0, c=0.0, rate=100.0):
@@ -110,11 +114,51 @@ class TestNewtonStep:
         st = state.copy()
         st.t = 0.5
         theta = 0.05
-        _, _, entry, _, _, amg = newton_step(model, st, state, 0.5, wells,
-                                             NewtonConfig(), SolverConfig(), theta)
+        _, _, entry, _, _, _, amg = newton_step(model, st, state, 0.5, wells,
+                                                NewtonConfig(), SolverConfig(), theta)
         assert entry.status == "converged"
         assert isinstance(amg, AmgHierarchy)
         assert entry.lhs_norm <= theta * entry.b_norm * (1 + 1e-12)
+        assert entry.restarts == 0
+
+    def test_true_residual_miss_restarts_bicgstab(self, monkeypatch):
+        # the first solve reports convergence with a dx whose true residual
+        # misses theta: BiCGSTAB goes on from the true residual, once
+        model, state, wells = waterflood_setup()
+        st = state.copy()
+        st.t = 0.5
+        theta = 0.05
+        calls = []
+        solve = nonlinear.bicgstab
+
+        def drifting(a, m, b, tol, max_it):
+            x, iters, status = solve(a, m, b, tol, max_it)
+            calls.append((iters, max_it))
+            return (0.8 * x if len(calls) == 1 else x), iters, status
+
+        monkeypatch.setattr(nonlinear, "bicgstab", drifting)
+        _, _, entry, _, _, _, _ = newton_step(model, st, state, 0.5, wells,
+                                              NewtonConfig(), SolverConfig(), theta)
+        assert len(calls) == 2 and entry.restarts == 1
+        assert calls[1][1] == SolverConfig().max_iterations - calls[0][0]
+        assert entry.iterations == calls[0][0] + calls[1][0]
+        assert entry.status == "converged"
+        assert entry.lhs_norm <= theta * entry.b_norm
+
+    def test_spent_budget_on_true_residual_miss_fails_the_step(self, monkeypatch):
+        model, state, wells = waterflood_setup()
+        st = state.copy()
+        st.t = 0.5
+        scfg = SolverConfig()
+
+        def spent(a, m, b, tol, max_it):
+            return np.zeros_like(b), max_it, "converged"
+
+        monkeypatch.setattr(nonlinear, "bicgstab", spent)
+        with pytest.raises(nonlinear._StepFailure, match="inner contract") as exc:
+            newton_step(model, st, state, 0.5, wells, NewtonConfig(), scfg, 0.05)
+        log_entry = exc.value.stats.newton_log[0]
+        assert log_entry.restarts == 0 and log_entry.iterations == scfg.max_iterations
 
     def test_saturation_clamp(self):
         model, state, wells = waterflood_setup()
@@ -163,8 +207,8 @@ class TestNewtonStep:
         for _ in range(6):
             err = abs(state.p_o[0] - ref.p_o[0]) + 1e4 * abs(state.s_w[0] - ref.s_w[0])
             errors.append(err)
-            state, _, _, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
-                                                 scfg, 1e-10)
+            state, _, _, _, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
+                                                    scfg, 1e-10)
             assert amg is None
         errors.append(abs(state.p_o[0] - ref.p_o[0]))
         meaningful = [(e1, e2) for e1, e2 in zip(errors, errors[1:])
@@ -267,7 +311,7 @@ class TestAdvanceTimestep:
 
     def test_inexactness_pays_at_most_two_extra_newtons(self):
         # eq13_c with gamma=1, beta=2 vs a tight fixed tolerance on the 1-D
-        # waterflood; the component-balance polish is disabled so this
+        # waterflood; the component-balance check is disabled so this
         # compares the bare Newton loops, and the inexact rule must also not
         # spend more linear work
         totals = {}
@@ -309,6 +353,14 @@ class TestRunReport:
         assert rep.total_time == pytest.approx(4.0)
         assert rep.avg_time == pytest.approx(0.5)
 
+    def test_correction_totals_leave_the_table_alone(self):
+        rep = self.make_report()
+        table = rep.format_table()
+        rep.steps[0].corrections_tried, rep.steps[0].corrections_kept = 3, 2
+        rep.steps[1].corrections_tried = 1
+        assert (rep.n_corrections_tried, rep.n_corrections_kept) == (4, 2)
+        assert rep.format_table() == table
+
     def test_rounding_of_reference_row(self):
         # 7189 / 298 = 24.12... printed as 24.1
         rep = RunReport(workers=8)
@@ -339,3 +391,113 @@ class TestRunReport:
         assert rows[0][:4] == ["step", "t_days", "dt_days", "newtons"]
         assert len(rows) == 3
         assert float(rows[1][1]) == 1.0
+
+
+def coarse_reference(a: BlockMatrix) -> np.ndarray:
+    """Z^T J W from the dense matrix: Z = W sums each cell unknown over all
+    cells and takes each well unknown."""
+    n, m, nwell = a.ncell, a.m, a.nwell
+    z = np.zeros((a.nunk, m + nwell))
+    z[np.arange(n * m), np.tile(np.arange(m), n)] = 1.0
+    z[n * m + np.arange(nwell), m + np.arange(nwell)] = 1.0
+    return z.T @ a.to_csr().toarray() @ z
+
+
+class TestCoarseCorrection:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("nwell", [0, 1, 2])
+    def test_coarse_matrix_is_galerkin_product(self, m, nwell):
+        rng = np.random.default_rng(10 * m + nwell)
+        a = random_block_matrix(rng, shape=(4, 3, 2), m=m, nwell=nwell)
+        if nwell:
+            # a second perforation of well 0, so a well sums several blocks
+            extra = next(c for c in range(a.ncell) if c not in a.cw_cells)
+            a = BlockMatrix(a.shape, m, a.diag, a.lo, a.hi,
+                            np.append(a.cw_cells, extra), np.append(a.cw_well, 0),
+                            np.vstack([a.cw_blocks, rng.standard_normal(m)]),
+                            np.vstack([a.wc_blocks, rng.standard_normal(m)]), a.ww)
+        g = nonlinear._coarse_matrix(a)
+        ref = coarse_reference(a)
+        assert g.shape == (m + nwell, m + nwell)
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_kept_corrections_meet_the_targets(self, monkeypatch, tmp_path):
+        # every kept correction meets the residual target and shrinks the
+        # worst component imbalance; nearly all also meet the mass check (on
+        # this deck 120 of 125, and Newton goes on after the other five)
+        kept = []
+        correct = nonlinear._coarse_correction
+
+        def checked(model, state, state_old, dt, wells, f, g, target, ncfg, pool, stats):
+            out = correct(model, state, state_old, dt, wells, f, g, target, ncfg,
+                          pool, stats)
+            if out is not None:
+                mass = model.mass_in_place(state_old)
+                tol = ncfg.resolved_mb_tol(model.fluid.kind)
+
+                def imbalance(ff):
+                    sums = nonlinear._component_sums(ff, model)
+                    return max(abs(v) * dt / max(mass[c], 1.0) for c, v in sums.items()), \
+                        nonlinear._mb_converged(sums, dt, mass, tol)
+
+                # the residual of the kept state, assembled afresh
+                f_kept = model.assemble_residual(out[0], state_old, dt, wells)
+                kept.append((det_norm(f_kept), out[2], target,
+                             imbalance(f)[0], *imbalance(f_kept)))
+            return out
+
+        monkeypatch.setattr(nonlinear, "_coarse_correction", checked)
+        report = run_simulation(load_deck(deck_path("buckley_leverett.deck")),
+                                output_dir=str(tmp_path))
+        assert kept and report.n_corrections_kept == len(kept)
+        assert report.n_corrections_tried >= len(kept)
+        for norm, reported, target, before, after, _ in kept:
+            assert norm == reported and norm <= target
+            assert after < before
+        met = sum(k[-1] for k in kept)
+        assert met >= 0.9 * len(kept)
+
+    @pytest.mark.parametrize("bad", ["singular", "nan", "residual"])
+    def test_unusable_correction_changes_nothing(self, monkeypatch, bad):
+        def run():
+            model, state, wells = waterflood_setup()
+            return advance_timestep(model, state, 0.5, wells, NewtonConfig(),
+                                    SolverConfig(), StepController(dt_init=0.5, dt_max=0.5))
+
+        _, _, stats = run()
+        assert stats.corrections_tried > 0        # the case needs corrections
+        # the loop without the correction step is the reference
+        monkeypatch.setattr(nonlinear, "_coarse_correction", lambda *a: None)
+        ref, _, ref_stats = run()
+        monkeypatch.undo()
+        if bad == "residual":
+            # the corrected state's residual is not finite: rejected, no cut
+            correct, assemble = nonlinear._coarse_correction, ReservoirModel.assemble_residual
+            inside = []
+
+            def correction(*args):
+                inside.append(True)
+                try:
+                    return correct(*args)
+                finally:
+                    inside.clear()
+
+            def residual(self, *args, **kw):
+                if inside:
+                    raise nonlinear.AssemblyError("non-finite residual")
+                return assemble(self, *args, **kw)
+
+            monkeypatch.setattr(nonlinear, "_coarse_correction", correction)
+            monkeypatch.setattr(ReservoirModel, "assemble_residual", residual)
+        else:
+            # an all-zero (singular) or non-finite G
+            value = 0.0 if bad == "singular" else np.nan
+            monkeypatch.setattr(nonlinear, "_coarse_matrix",
+                                lambda jac: np.full((jac.m + jac.nwell,) * 2, value))
+        new, _, stats = run()
+        assert stats.corrections_kept == 0
+        assert (stats.corrections_tried > 0) == (bad == "residual")
+        assert (stats.newtons, stats.linear_iters, stats.cuts) == \
+            (ref_stats.newtons, ref_stats.linear_iters, ref_stats.cuts)
+        for name in ("p_o", "s_w", "p_h"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name))

@@ -189,17 +189,17 @@ class TestSchedule:
 
     def test_empty_schedule_unchanged(self):
         wells = self.make_wells()
-        before = [w.constraint for w in wells]
-        assert resim.apply_schedule(resim.Schedule([]), 100.0, wells) is False
-        assert [w.constraint for w in wells] == before
+        out, changed = resim.apply_schedule(resim.Schedule([]), 100.0, wells)
+        assert changed is False
+        assert out == wells and all(a is b for a, b in zip(out, wells))
 
     def test_single_entry_always_active(self):
         wells = self.make_wells()
         sched = resim.Schedule([(0.0, "A", resim.Constraint("bhp", 5000.0))])
-        resim.apply_schedule(sched, 0.0, wells)
-        assert wells[0].constraint.value == 5000.0
-        resim.apply_schedule(sched, 1e6, wells)
-        assert wells[0].constraint.value == 5000.0
+        out, _ = resim.apply_schedule(sched, 0.0, wells)
+        assert out[0].constraint.value == 5000.0
+        out, _ = resim.apply_schedule(sched, 1e6, out)
+        assert out[0].constraint.value == 5000.0
 
     def test_start_inclusive_boundary(self):
         wells = self.make_wells()
@@ -207,10 +207,10 @@ class TestSchedule:
             (0.0, "A", resim.Constraint("bhp", 5000.0)),
             (500.0, "A", resim.Constraint("water_rate", 300.0)),
         ])
-        resim.apply_schedule(sched, 499.99, wells)
-        assert wells[0].constraint == resim.Constraint("bhp", 5000.0)
-        resim.apply_schedule(sched, 500.0, wells)
-        assert wells[0].constraint == resim.Constraint("water_rate", 300.0)
+        out, _ = resim.apply_schedule(sched, 499.99, wells)
+        assert out[0].constraint == resim.Constraint("bhp", 5000.0)
+        out, _ = resim.apply_schedule(sched, 500.0, out)
+        assert out[0].constraint == resim.Constraint("water_rate", 300.0)
 
     def test_unknown_well_rejected(self):
         wells = self.make_wells()
@@ -228,8 +228,32 @@ class TestSchedule:
     def test_switch_returns_changed_flag(self):
         wells = self.make_wells()
         sched = resim.Schedule([(0.0, "A", resim.Constraint("bhp", 5000.0))])
-        assert resim.apply_schedule(sched, 0.0, wells) is True
-        assert resim.apply_schedule(sched, 0.0, wells) is False
+        out, changed = resim.apply_schedule(sched, 0.0, wells)
+        assert changed is True
+        assert resim.apply_schedule(sched, 0.0, out)[1] is False
+
+    def test_no_change_after_the_last_of_several_entries(self):
+        # the earlier entries of a well are superseded, not switched through
+        wells = self.make_wells()
+        sched = resim.Schedule([
+            (0.0, "A", resim.Constraint("bhp", 5000.0)),
+            (500.0, "A", resim.Constraint("water_rate", 300.0)),
+        ])
+        out, changed = resim.apply_schedule(sched, 600.0, wells)
+        assert changed is True
+        assert resim.apply_schedule(sched, 700.0, out)[1] is False
+
+    def test_passed_wells_keep_their_constraints(self):
+        wells = self.make_wells()
+        before = [w.constraint for w in wells]
+        sched = resim.Schedule([(0.0, "A", resim.Constraint("water_rate", 300.0)),
+                                (0.0, "B", resim.Constraint("bhp", 2500.0))])
+        out, changed = resim.apply_schedule(sched, 0.0, wells)
+        assert changed is True
+        assert [w.constraint for w in wells] == before
+        assert [w.constraint for w in out] == [resim.Constraint("water_rate", 300.0),
+                                               resim.Constraint("bhp", 2500.0)]
+        assert out[0].perforations is wells[0].perforations and out[0].slot == 0
 
 
 class TestMatrixStructure:
