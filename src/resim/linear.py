@@ -39,6 +39,9 @@ _AMG_STRENGTH = 0.08
 _AMG_MIN_COARSE = 40
 _AMG_MAX_LEVELS = 10
 _JACOBI_OMEGA = 0.8
+# a level whose first aggregation pass coarsens by less than this factor
+# aggregates its aggregates once more
+_AMG_MIN_RATIO = 4
 # bytes of the three block arrays per pass of the ILU set-up over black
 # cells, so a pass's arrays stay small (in cache, and no new peak memory)
 _ILU_PASS_BYTES = 1 << 20
@@ -309,17 +312,16 @@ class CsrPattern:
     ``system`` is the full system (cells then wells) and ``pressure`` the
     pressure-pressure block; each knows the slots of every block array, so a
     matrix of this structure only scatters its values into them.
-    ``pressure_rows`` marks, bit-packed, the system's entries in its
-    pressure rows (rows c*m), whose CSR has the row pointer
-    ``pressure_indptr``.  Cells are red where i+j+k is even; ``red`` and
-    ``black`` list each colour's cells and ``nbr[d]`` the black cells' red
-    neighbours in stencil direction d (lower, upper per axis; cell 0, which
-    is red, where there is none).  ``ilu_lower`` and ``ilu_upper`` are the
-    layouts of ``BlockILU0``'s two factors, whose set-up passes over
-    ``ilu_pass`` black cells at a time.  ``fits`` tells whether a matrix has
-    this structure: grid shape, block size, stencil axes and well borders.
-    ``aggregates`` keeps the AMG aggregates of the last hierarchy built on it
-    by ``CprFpf``.
+    ``pressure_rows`` is the layout of the system's pressure rows (rows
+    c*m), whose values are the system's entries ``pressure_entries`` marks.  Cells are
+    red where i+j+k is even; ``red`` and ``black`` list each colour's cells
+    and ``nbr[d]`` the black cells' red neighbours in stencil direction d
+    (lower, upper per axis; cell 0, which is red, where there is none).
+    ``ilu_lower`` and ``ilu_upper`` are the layouts of ``BlockILU0``'s two
+    factors, whose set-up passes over ``ilu_pass`` black cells at a time.
+    ``fits`` tells whether a matrix has this structure: grid shape, block
+    size, stencil axes and well borders.  ``aggregates`` keeps the AMG
+    aggregates of the last hierarchy built on it by ``CprFpf``.
     """
 
     def __init__(self, a: BlockMatrix):
@@ -334,9 +336,12 @@ class CsrPattern:
             a._stencil_coo(m) + [(pr, pw), (pw, pr), (pw_diag, pw_diag)], (nunk, nunk))
         self.pressure = _FilledLayout(a._stencil_coo(1), (n, n))
         rows = np.repeat(np.arange(nunk), np.diff(self.system.indptr))
-        self.pressure_rows = np.packbits((rows < base) & (rows % m == 0))
-        self.pressure_indptr = np.append(0, np.cumsum(np.diff(self.system.indptr)[:base:m]))
-        self.pressure_indptr = self.pressure_indptr.astype(np.int32)
+        # a mask, not positions: a quarter of int64 positions' memory, and
+        # faster to gather by than int32 ones, which numpy converts each time
+        self.pressure_entries = (rows < base) & (rows % m == 0)
+        self.pressure_rows = _Layout(rows[self.pressure_entries] // m,
+                                     self.system.indices[self.pressure_entries], (n, nunk))
+        self.pressure_entries.flags.writeable = False
 
         nx, ny, _ = a.shape
         cell = np.arange(n)
@@ -550,6 +555,13 @@ class AmgHierarchy:
     def nlevels(self) -> int:
         return len(self.levels) + 1
 
+    @property
+    def operator_complexity(self) -> float:
+        """Entries stored over all levels, the dense coarsest one included,
+        over the finest level's."""
+        stored = sum(lev.a.nnz for lev in self.levels) + self.coarse_n ** 2
+        return stored / (self.levels[0].a.nnz if self.levels else self.coarse_n ** 2)
+
     def with_fine(self, a_pp: sp.csr_matrix) -> "AmgHierarchy":
         """A hierarchy whose finest level smooths and computes residuals on
         ``a_pp`` and its inverse diagonal; prolongators, restrictions, coarse
@@ -621,17 +633,32 @@ def build_amg(a_pp: sp.csr_matrix, aggregates: list | None = None) -> AmgHierarc
     """Smoothed-aggregation hierarchy with a dense coarsest-level factorization.
 
     Level k takes ``aggregates[k]`` when there is one, else aggregates its
-    operator; the hierarchy keeps the aggregates of its levels.  This is the
+    operator.  Where that pass coarsens by less than ``_AMG_MIN_RATIO`` and
+    leaves more than ``_AMG_MIN_COARSE`` aggregates, the tentative coarse
+    operator P0^T A P0 (P0 the 0/1 aggregate map) is aggregated once more
+    and the two maps composed: strongly anisotropic operators, such as
+    thin-layered 3-D pressure blocks, otherwise coarsen along their strong
+    direction alone (Notay, ETNA 37, 2010, on aggregating aggregates).  The
+    hierarchy keeps the (composed) aggregates of its levels.  This is the
     only place a hierarchy is built.
     """
     hier = AmgHierarchy()
     a = a_pp.tocsr()
     known = aggregates or []
+    twice = []
     for lvl in range(_AMG_MAX_LEVELS):
         n = a.shape[0]
         if n <= _AMG_MIN_COARSE:
             break
-        agg = known[lvl] if lvl < len(known) else _aggregate(a, _AMG_STRENGTH)
+        if lvl < len(known):
+            agg = known[lvl]
+        else:
+            agg = _aggregate(a, _AMG_STRENGTH)
+            ncoarse = int(agg.max()) + 1
+            if n < _AMG_MIN_RATIO * ncoarse and ncoarse > _AMG_MIN_COARSE:
+                p0 = sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, ncoarse))
+                agg = _aggregate((p0.T @ a @ p0).tocsr(), _AMG_STRENGTH)[agg]
+                twice.append(lvl)
         ncoarse = int(agg.max()) + 1
         if ncoarse >= n:
             break
@@ -652,6 +679,11 @@ def build_amg(a_pp: sp.csr_matrix, aggregates: list | None = None) -> AmgHierarc
         a = (r @ a @ p).tocsr()
     hier.coarse_lu = scipy.linalg.lu_factor(a.toarray())
     hier.coarse_n = a.shape[0]
+    sizes = [lev.a.shape[0] for lev in hier.levels] + [hier.coarse_n]
+    log.info("AMG levels %s, operator complexity %.2f, %s", " -> ".join(map(str, sizes)),
+             hier.operator_complexity, "aggregates reused" if known else
+             f"second aggregation pass on levels {twice}" if twice else
+             "no second aggregation pass")
     return hier
 
 
@@ -694,11 +726,8 @@ class CprFpf:
         self.matvec = matvec
         self.smoother = BlockILU0(a, matvec.pool)
         pattern = a.csr_pattern()
-        csr = matvec.a
-        rows = np.unpackbits(pattern.pressure_rows, count=csr.nnz).view(bool)
-        self.a_p = PooledMatvec(sp.csr_matrix((csr.data[rows], csr.indices[rows],
-                                               pattern.pressure_indptr), (a.ncell, a.nunk)),
-                                matvec.pool)
+        p_rows = matvec.a.data[pattern.pressure_entries]
+        self.a_p = PooledMatvec(pattern.pressure_rows.csr(p_rows), matvec.pool)
         self.app = a.extract_app()
         if amg is not None and amg.levels:
             self.amg = amg.with_fine(self.app)

@@ -1,4 +1,5 @@
 import copy
+import logging
 
 import numpy as np
 import pytest
@@ -603,9 +604,9 @@ def counting_build_amg(monkeypatch):
 
 
 class TestAmg:
-    def build_app(self, shape=(16, 16, 1), hetero=False):
+    def build_app(self, shape=(16, 16, 1), hetero=False, dz=10.0):
         rng = np.random.default_rng(17)
-        g = resim.Grid(*shape, 20.0, 20.0, 10.0)
+        g = resim.Grid(*shape, 20.0, 20.0, dz)
         n = g.ncell
         k = 10 ** rng.uniform(0, 3, n) if hetero else np.full(n, 100.0)
         rock = resim.RockFields(k, k, k, np.full(n, 0.2))
@@ -674,6 +675,51 @@ class TestAmg:
             ref = aggregate_reference(a, theta)
             assert agg.dtype == ref.dtype
             np.testing.assert_array_equal(agg, ref)
+
+    def test_thin_layers_aggregate_twice(self, caplog):
+        # 2 ft layers of 20 ft cells: z-transmissibility 100x the lateral, so
+        # the strong couplings are vertical and a first pass makes columns
+        app = self.build_app(shape=(16, 16, 6), dz=2.0)
+        first = linear._aggregate(app, linear._AMG_STRENGTH)
+        assert app.shape[0] < linear._AMG_MIN_RATIO * (first.max() + 1)
+        with caplog.at_level(logging.INFO, logger="resim.linear"):
+            hier = build_amg(app)
+        sizes = [lev.a.shape[0] for lev in hier.levels] + [hier.coarse_n]
+        assert sizes[0] >= linear._AMG_MIN_RATIO * sizes[1]
+        # the second pass joins whole first-pass aggregates
+        assert len(np.unique(np.c_[first, hier.aggregates[0]], axis=0)) == first.max() + 1
+        assert hier.operator_complexity < 2.0
+        lines = [r.getMessage() for r in caplog.records if r.name == "resim.linear"]
+        assert lines == [f"AMG levels {' -> '.join(map(str, sizes))}, operator complexity "
+                         f"{hier.operator_complexity:.2f}, second aggregation pass on levels [0]"]
+        x = np.random.default_rng(29).standard_normal(app.shape[0])
+        errs = [np.linalg.norm(x)]
+        for _ in range(8):
+            x += amg_vcycle(hier, -(app @ x))
+            errs.append(np.linalg.norm(x))
+        assert max(e2 / e1 for e1, e2 in zip(errs, errs[1:])) <= 0.8
+        assert errs[-1] <= 0.05 * errs[0]
+
+    def test_enough_coarsening_aggregates_once(self, monkeypatch):
+        # an isotropic operator whose first pass coarsens by 4x or more builds
+        # bitwise the hierarchy of a single pass
+        a = laplacian_2d(30, 30)
+        assert a.shape[0] >= linear._AMG_MIN_RATIO * (
+            linear._aggregate(a, linear._AMG_STRENGTH).max() + 1)
+        hier = build_amg(a)
+        monkeypatch.setattr(linear, "_AMG_MIN_RATIO", 1)     # no second pass
+        once = build_amg(a)
+        assert len(hier.levels) == len(once.levels) >= 2
+        for x, y in zip(hier.aggregates, once.aggregates):
+            np.testing.assert_array_equal(x, y)
+        for lx, ly in zip(hier.levels, once.levels):
+            for mx, my in ((lx.a, ly.a), (lx.p, ly.p), (lx.r, ly.r)):
+                for attr in ("data", "indices", "indptr"):
+                    assert getattr(mx, attr).tobytes() == getattr(my, attr).tobytes()
+            assert lx.dinv.tobytes() == ly.dinv.tobytes() and lx.omega == ly.omega
+        assert hier.coarse_n == once.coarse_n
+        for x, y in zip(hier.coarse_lu, once.coarse_lu):
+            assert x.tobytes() == y.tobytes()
 
     def test_homogeneous_field_converges(self):
         app = self.build_app()
@@ -759,11 +805,12 @@ class TestCprFpf:
             assert cpr.solve(r).tobytes() == serial.tobytes()
 
     def reuse_pair(self):
-        """Two decoupled Newton systems of one structure with different values."""
+        """Two decoupled Newton systems of one structure with different values,
+        large enough for a hierarchy of two levels above the coarsest."""
         rng = np.random.default_rng(25)
-        a, b = assembled_system(rng, shape=(20, 20, 1))
+        a, b = assembled_system(rng, shape=(30, 30, 1))
         a2, _ = decouple(a, b, "quasi_impes")
-        c, d = assembled_system(rng, shape=(20, 20, 1))
+        c, d = assembled_system(rng, shape=(30, 30, 1))
         c2, _ = decouple(c, d, "quasi_impes")
         assert not np.array_equal(a2.extract_app().data, c2.extract_app().data)
         return rng, a2, c2
@@ -847,9 +894,14 @@ class TestCprFpf:
 
         monkeypatch.setattr(linear, "_aggregate", counted)
         m1 = CprFpf(a2, csr_operator(a2))
-        assert len(aggregated) == len(m1.amg.levels) >= 2
+        # one first pass per level, on the level's operator, and at most one
+        # second pass per level, on the smaller tentative coarse operator
+        sizes = [lev.a.shape[0] for lev in m1.amg.levels]
+        assert [k for k in aggregated if k in sizes] == sizes and len(sizes) >= 2
+        assert len(aggregated) - len(sizes) <= len(sizes)
+        calls = len(aggregated)
         m2 = CprFpf(c2, csr_operator(c2))
-        assert len(aggregated) == len(m1.amg.levels)
+        assert len(aggregated) == calls
         assert m2.amg.levels[1] is not m1.amg.levels[1]
         assert len(m2.amg.aggregates) == len(m1.amg.aggregates)
         assert all(x is y for x, y in zip(m2.amg.aggregates, m1.amg.aggregates))
