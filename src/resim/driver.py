@@ -24,8 +24,8 @@ import numpy as np
 from .grid import Grid, RockFields, cell_index, load_spe10_fields
 from .linear import SolverConfig
 from .model import ReservoirModel, ReservoirState
-from .nonlinear import (NewtonConfig, StepController, RunReport, StepRecord,
-                        SimulationAbort, advance_timestep)
+from .nonlinear import (NewtonConfig, StepController, RunReport, SimulationAbort,
+                        advance_timestep)
 from .parallel import WorkerPool
 from .pvt import CoreyTwoPhase, FluidSystem, PvtModel, Table1D, ThreePhaseRelPerm
 from .wells import (CONSTRAINT_KINDS, Constraint, Schedule, Well, WellConfigError,
@@ -622,27 +622,19 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
                 prefix = os.path.join(output_dir, f"step{step:04d}") \
                     if dump_matrices else None
                 wall0 = time.perf_counter()
-                state_new, dt_acc, stats = advance_timestep(
+                state, rec = advance_timestep(
                     model, state, dt, wells, deck.newton, deck.solver,
                     deck.controller, pool=pool, dump_prefix=prefix)
-                wall = time.perf_counter() - wall0
-                masses = model.mass_in_place(state_new)
-                rates = model.well_mass_rates(state_new, wells)
-                report.steps.append(StepRecord(
-                    step=step + 1, t=t + dt_acc, dt=dt_acc, newtons=stats.newtons,
-                    linear_iters=stats.linear_iters, cuts=stats.cuts,
-                    wall_time=wall, assembly_time=stats.assembly_time,
-                    solve_time=stats.solve_time, mass_in_place=masses,
-                    well_injected={c: r[0] * dt_acc for c, r in rates.items()},
-                    well_produced={c: r[1] * dt_acc for c, r in rates.items()},
-                    residual_sums=stats.residual_sums,
-                    corrections_tried=stats.corrections_tried,
-                    corrections_kept=stats.corrections_kept))
-                report.newton_log.extend(stats.newton_log)
-                state = state_new
-                t += dt_acc
+                rec.wall_time = time.perf_counter() - wall0
+                t += rec.dt
                 step += 1
-                dt = min(dt_acc * deck.controller.growth, deck.controller.dt_max)
+                rec.step, rec.t = step, t
+                rec.mass_in_place = model.mass_in_place(state)
+                rates = model.well_mass_rates(state, wells)
+                rec.well_injected = {c: r[0] * rec.dt for c, r in rates.items()}
+                rec.well_produced = {c: r[1] * rec.dt for c, r in rates.items()}
+                report.steps.append(rec)
+                dt = min(rec.dt * deck.controller.growth, deck.controller.dt_max)
                 if vtk_every and step % vtk_every == 0:
                     write_vtk(grid, state, deck.rock,
                               os.path.join(output_dir, f"{out.vtk_prefix}_{step:04d}.vtk"))

@@ -129,6 +129,7 @@ class BlockMatrix:
         self.ww = ww
         self.b = b
         self.pattern: CsrPattern | None = None
+        self.decouple_fallbacks = 0      # singular cell blocks a decoupler fell back on
 
     @property
     def ncell(self) -> int:

@@ -11,6 +11,10 @@ SPE 12265): on the space that shifts every cell's unknown k uniformly and
 each well's BHP, solve G y = -Z^T F with G = Z^T J W, Z summing each
 component's cell rows and taking each well row.  The corrected iterate is
 kept only if its residual still meets the target; otherwise Newton goes on.
+
+Each step's accounting is one ``StepRecord``, which ``advance_timestep``
+creates and passes down: every Newton iteration, cut attempts included,
+adds its counts, times and ``NewtonIterLog`` to it where they are computed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .linear import AmgHierarchy, CprFpf, SolverConfig, decouple, \
     make_preconditioner, bicgstab, dump_matrix_market
-from .model import AssemblyError
+from .model import AssemblyError, ReservoirState
 from .parallel import det_norm, PooledMatvec
 
 log = logging.getLogger(__name__)
@@ -147,32 +151,33 @@ class NewtonIterLog:
 
 
 @dataclass
-class StepStats:
+class StepRecord:
+    """One time step's counts, times and balances, cut attempts included.
+
+    ``advance_timestep`` creates it, each count and time is added where it
+    is computed, and the driver sets the accepted step's number, time, wall
+    time, masses and well totals."""
+
+    step: int = 0
+    t: float = 0.0
+    dt: float = 0.0
     newtons: int = 0
     linear_iters: int = 0
     cuts: int = 0
-    corrections_tried: int = 0
-    corrections_kept: int = 0
+    wall_time: float = 0.0
     assembly_time: float = 0.0
     solve_time: float = 0.0
+    mass_in_place: dict[str, float] = field(default_factory=dict)
+    well_injected: dict[str, float] = field(default_factory=dict)
+    well_produced: dict[str, float] = field(default_factory=dict)
+    residual_sums: dict[str, float] = field(default_factory=dict)
+    corrections_tried: int = 0
+    corrections_kept: int = 0
     newton_log: list[NewtonIterLog] = field(default_factory=list)
-    residual_sums: dict = field(default_factory=dict)
-
-    def absorb(self, other: "StepStats"):
-        self.newtons += other.newtons
-        self.linear_iters += other.linear_iters
-        self.corrections_tried += other.corrections_tried
-        self.corrections_kept += other.corrections_kept
-        self.assembly_time += other.assembly_time
-        self.solve_time += other.solve_time
-        self.newton_log.extend(other.newton_log)
 
 
 class _StepFailure(Exception):
-    def __init__(self, reason, stats):
-        super().__init__(reason)
-        self.reason = reason
-        self.stats = stats
+    """A step attempt failed; the step is cut and tried again."""
 
 
 def apply_update(state, dx: np.ndarray, model, config: NewtonConfig):
@@ -209,22 +214,24 @@ def apply_update(state, dx: np.ndarray, model, config: NewtonConfig):
 
 
 def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
-                scfg: SolverConfig, theta: float, pool=None, dump_prefix=None,
-                amg: AmgHierarchy | None = None):
+                scfg: SolverConfig, theta: float, rec: StepRecord, pool=None,
+                dump_prefix=None, amg: AmgHierarchy | None = None):
     """One assemble-solve-update cycle at the given linear tolerance.
 
     Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: build
-    one).  Returns (new_state, dx, iter_log, jac, g, timing, amg): ``g`` is
-    the coarse matrix Z^T J W of this Jacobian (``_coarse_matrix``), ``amg``
-    the hierarchy its CPR preconditioner used (None without CPR).  ``jac``
-    is None unless the forcing rule (eq13_a, eq13_b) reads it after the
-    step, so the Jacobian is not held through the solve for nothing.
+    one).  Returns (new_state, dx, iter_log, jac, g, amg): ``g`` is the coarse
+    matrix Z^T J W of this Jacobian (``_coarse_matrix``), ``amg`` the
+    hierarchy its CPR preconditioner used (None without CPR).  ``jac`` is
+    None unless the forcing rule (eq13_a, eq13_b) reads it after the step,
+    so the Jacobian is not held through the solve for nothing.
 
     The solve must meet ||b - A dx|| <= theta ||b|| on the true residual.
     BiCGSTAB stops on its recursive residual, so when the true one misses
     the target BiCGSTAB is restarted on it with the iterations left, and
-    the result added to dx.  Raises _StepFailure when the linear solver
-    fails or its budget is spent before the contract is met.
+    the result added to dx.  Once the solve has run, the iteration, its
+    linear iterations, assembly and solve times and ``iter_log`` are added
+    to ``rec``; then it raises _StepFailure if the linear solver failed or
+    its budget was spent before the contract was met.
     """
     t0 = time.perf_counter()
     jac = model.assemble_jacobian(state, state_old, dt, wells, pool=pool)
@@ -251,20 +258,21 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         restarts += 1
         r = b2 - matvec(dx)
         lhs = det_norm(r)
-    t2 = time.perf_counter()
     entry = NewtonIterLog(theta=theta, b_norm=b_norm, lhs_norm=lhs,
                           iterations=iters, status=status, restarts=restarts)
+    rec.newtons += 1
+    rec.linear_iters += iters
+    rec.assembly_time += t1 - t0
+    rec.solve_time += time.perf_counter() - t1
+    rec.newton_log.append(entry)
     if status != "converged" or not lhs <= bound:
         reason = (f"linear solver {status}" if status != "converged" else
                   f"true linear residual {lhs:.3e} misses the inner contract "
                   f"||b - A dx|| <= theta ||b|| = {bound:.3e}")
-        raise _StepFailure(f"{reason} after {iters} iterations",
-                           StepStats(newtons=1, linear_iters=iters,
-                                     assembly_time=t1 - t0, solve_time=t2 - t1,
-                                     newton_log=[entry]))
+        raise _StepFailure(f"{reason} after {iters} iterations")
     new_state = apply_update(state, dx, model, ncfg)
     amg = precond.amg if isinstance(precond, CprFpf) else None
-    return new_state, dx, entry, jac, g, (t1 - t0, t2 - t1), amg
+    return new_state, dx, entry, jac, g, amg
 
 
 def _coarse_matrix(jac) -> np.ndarray:
@@ -312,13 +320,13 @@ def _mb_converged(sums, dt, mass_ref, mb_tol) -> bool:
 
 
 def _coarse_correction(model, state, state_old, dt, wells, f, g, target, ncfg,
-                       pool, stats):
+                       pool, rec):
     """The coarse Newton correction of ``state``, whose residual is ``f``.
 
     Solves g y = -Z^T f and applies W y.  Returns (state, residual, norm) of
     the corrected iterate if its residual norm is at most ``target``, else
     None; a singular ``g``, a non-finite y or a non-finite corrected
-    residual is no correction.  Counts the tries and keeps in ``stats``.
+    residual is no correction.  Counts the tries and keeps in ``rec``.
     """
     n, m = model.grid.ncell, model.m
     try:
@@ -327,7 +335,7 @@ def _coarse_correction(model, state, state_old, dt, wells, f, g, target, ncfg,
         return None
     if not np.all(np.isfinite(y)):
         return None
-    stats.corrections_tried += 1
+    rec.corrections_tried += 1
     candidate = apply_update(state, np.concatenate([np.tile(y[:m], n), y[m:]]),
                              model, ncfg)
     t0 = time.perf_counter()
@@ -336,40 +344,32 @@ def _coarse_correction(model, state, state_old, dt, wells, f, g, target, ncfg,
     except AssemblyError:
         return None
     finally:
-        stats.assembly_time += time.perf_counter() - t0
+        rec.assembly_time += time.perf_counter() - t0
     norm = det_norm(f_c)
     if not norm <= target:
         return None
-    stats.corrections_kept += 1
+    rec.corrections_kept += 1
     return candidate, f_c, norm
 
 
-def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix):
-    """Run Newton to convergence at fixed dt; raises _StepFailure otherwise.
+def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec):
+    """Run Newton to convergence at fixed dt and return the new state.
 
-    A trial state with a non-finite residual or Jacobian (``AssemblyError``)
-    fails the attempt, so the step is cut.  The AMG hierarchy lives for one
-    attempt: its first Newton iteration builds one, each later one reuses the
-    previous one's, and a new step or a retry after a cut builds afresh.
+    Raises _StepFailure if it does not converge, and ``AssemblyError`` if a
+    trial state has a non-finite residual or Jacobian; either cuts the step.
+    The AMG hierarchy lives for one attempt: its first Newton iteration
+    builds one, each later one reuses the previous one's, and a new step or
+    a retry after a cut builds afresh.
     """
-    stats = StepStats()
-    try:
-        return _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool,
-                            dump_prefix, stats)
-    except AssemblyError as exc:
-        raise _StepFailure(f"bad trial state: {exc}", stats) from None
-
-
-def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, stats):
     state = state_old.copy()
     state.t = state_old.t + dt
     t0 = time.perf_counter()
     f = model.assemble_residual(state, state_old, dt, wells, pool=pool)
-    stats.assembly_time += time.perf_counter() - t0
+    rec.assembly_time += time.perf_counter() - t0
     b_norm0 = det_norm(f)
     if b_norm0 <= ncfg.atol:
-        stats.residual_sums = _component_sums(f, model)
-        return state, stats
+        rec.residual_sums = _component_sums(f, model)
+        return state
     target = max(ncfg.tol * b_norm0, ncfg.atol)
     mass_ref = model.mass_in_place(state_old)
     mb_tol = ncfg.resolved_mb_tol(model.fluid.kind)
@@ -392,25 +392,16 @@ def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, sta
         # distance to the convergence target wastes a Newton iteration
         theta = min(theta, 0.5 * target / b_norm)
         theta = min(max(theta, ncfg.theta_min), ncfg.theta_max)
-        prefix = None if dump_prefix is None else f"{dump_prefix}_n{stats.newtons}"
-        try:
-            state_new, dx, entry, jac, g, (ta, ts), amg = newton_step(
-                model, state, state_old, dt, wells, ncfg, scfg, theta,
-                pool=pool, dump_prefix=prefix, amg=amg)
-        except _StepFailure as fail:
-            stats.absorb(fail.stats)
-            raise _StepFailure(fail.reason, stats) from None
+        prefix = None if dump_prefix is None else f"{dump_prefix}_n{rec.newtons}"
+        state_new, dx, entry, jac, g, amg = newton_step(
+            model, state, state_old, dt, wells, ncfg, scfg, theta, rec,
+            pool=pool, dump_prefix=prefix, amg=amg)
         entry.forcing = hist
         entry.theta_rule = theta_rule
-        stats.newtons += 1
-        stats.linear_iters += entry.iterations
-        stats.assembly_time += ta
-        stats.solve_time += ts
-        stats.newton_log.append(entry)
 
         t0 = time.perf_counter()
         f_new = model.assemble_residual(state_new, state_old, dt, wells, pool=pool)
-        stats.assembly_time += time.perf_counter() - t0
+        rec.assembly_time += time.perf_counter() - t0
         b_new_norm = det_norm(f_new)
 
         if ncfg.forcing_rule in ("eq13_a", "eq13_b"):
@@ -418,7 +409,7 @@ def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, sta
             r_prev = -f - jac.to_csr() @ dx
             r_prev_norm = det_norm(r_prev)
             b_minus_r_prev = det_norm(-f_new - r_prev)
-            stats.solve_time += time.perf_counter() - t0
+            rec.solve_time += time.perf_counter() - t0
         # not held through the next assembly, where memory peaks
         del jac
 
@@ -433,19 +424,19 @@ def _newton_loop(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, sta
             # live in the coarse space, so correct it there at the cost of
             # one residual evaluation, not another Newton solve
             corrected = _coarse_correction(model, state, state_old, dt, wells, f, g,
-                                           target, ncfg, pool, stats)
+                                           target, ncfg, pool, rec)
             if corrected is None:
                 continue
             state, f, b_norm = corrected
             sums = _component_sums(f, model)
             if not _mb_converged(sums, dt, mass_ref, mb_tol):
                 continue
-        stats.residual_sums = sums
-        return state, stats
+        rec.residual_sums = sums
+        return state
 
     raise _StepFailure(
         f"no convergence in {ncfg.max_newton} Newton iterations "
-        f"(|b|/|b0| = {b_norm / b_norm0:.3e})", stats)
+        f"(|b|/|b0| = {b_norm / b_norm0:.3e})")
 
 
 def advance_timestep(model, state_old, dt: float, wells, ncfg: NewtonConfig,
@@ -453,52 +444,32 @@ def advance_timestep(model, state_old, dt: float, wells, ncfg: NewtonConfig,
                      pool=None, dump_prefix=None):
     """Advance one accepted step, cutting dt on failures.
 
-    Returns (state_new, accepted_dt, StepStats); Newton iterations and linear
-    iterations spent in failed attempts are included in the stats, and the
-    number of cuts is recorded.
+    Returns (state_new, rec): the ``StepRecord`` of the step, with ``dt``
+    the accepted step size and ``cuts`` the number of cuts.  Its Newton and
+    linear iterations, times and Newton log include the attempts that were
+    cut.
     """
-    stats = StepStats()
+    rec = StepRecord()
     dt_try = dt
     while True:
         try:
-            state_new, astats = _attempt(model, state_old, dt_try, wells, ncfg,
-                                         scfg, pool, dump_prefix)
-            stats.absorb(astats)
-            stats.residual_sums = astats.residual_sums
-            return state_new, dt_try, stats
-        except _StepFailure as fail:
-            stats.absorb(fail.stats)
-            stats.cuts += 1
+            state_new = _attempt(model, state_old, dt_try, wells, ncfg, scfg, pool,
+                                 dump_prefix, rec)
+            rec.dt = dt_try
+            return state_new, rec
+        except (_StepFailure, AssemblyError) as fail:
+            rec.cuts += 1
             dt_next = dt_try * controller.cut
             log.warning("step at t=%g: %s; cutting dt %g -> %g",
-                        state_old.t, fail.reason, dt_try, dt_next)
-            if stats.cuts > controller.max_cuts or dt_next < controller.dt_min:
+                        state_old.t, fail, dt_try, dt_next)
+            if rec.cuts > controller.max_cuts or dt_next < controller.dt_min:
                 cause = ("cut budget exhausted"
-                         if stats.cuts > controller.max_cuts
+                         if rec.cuts > controller.max_cuts
                          else f"dt fell below dt_min={controller.dt_min:g}")
                 raise SimulationAbort(
-                    f"time step abandoned after {stats.cuts} cuts ({cause}): "
-                    f"{fail.reason}") from None
+                    f"time step abandoned after {rec.cuts} cuts ({cause}): "
+                    f"{fail}") from None
             dt_try = dt_next
-
-
-@dataclass
-class StepRecord:
-    step: int
-    t: float
-    dt: float
-    newtons: int
-    linear_iters: int
-    cuts: int
-    wall_time: float
-    assembly_time: float
-    solve_time: float
-    mass_in_place: dict[str, float] = field(default_factory=dict)
-    well_injected: dict[str, float] = field(default_factory=dict)
-    well_produced: dict[str, float] = field(default_factory=dict)
-    residual_sums: dict[str, float] = field(default_factory=dict)
-    corrections_tried: int = 0
-    corrections_kept: int = 0
 
 
 @dataclass
@@ -507,8 +478,13 @@ class RunReport:
 
     workers: int = 1
     steps: list[StepRecord] = field(default_factory=list)
-    newton_log: list[NewtonIterLog] = field(default_factory=list)
     initial_mass: dict[str, float] = field(default_factory=dict)
+    final_state: ReservoirState | None = None
+
+    @property
+    def newton_log(self) -> list[NewtonIterLog]:
+        """Every Newton iteration of the accepted steps, cut attempts included."""
+        return [e for s in self.steps for e in s.newton_log]
 
     @property
     def n_steps(self) -> int:
@@ -580,7 +556,8 @@ class RunReport:
                       "cuts", "wall_s", "assembly_s", "solve_s"]
             for c in comps:
                 header += [f"mass_{c}_lbm", f"injected_{c}_lbm", f"produced_{c}_lbm"]
-            w.writerow(header + ["corrections_tried", "corrections_kept"])
+            w.writerow(header + ["corrections_tried", "corrections_kept"]
+                       + [f"residual_{c}" for c in comps])
             for s in self.steps:
                 row = [s.step, f"{s.t:.6g}", f"{s.dt:.6g}", s.newtons,
                        s.linear_iters, s.cuts, f"{s.wall_time:.4f}",
@@ -589,4 +566,5 @@ class RunReport:
                     row += [f"{s.mass_in_place.get(c, 0.0):.10e}",
                             f"{s.well_injected.get(c, 0.0):.10e}",
                             f"{s.well_produced.get(c, 0.0):.10e}"]
-                w.writerow(row + [s.corrections_tried, s.corrections_kept])
+                w.writerow(row + [s.corrections_tried, s.corrections_kept]
+                           + [f"{s.residual_sums.get(c, 0.0):.10e}" for c in comps])

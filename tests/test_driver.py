@@ -403,8 +403,11 @@ class TestRunSimulation:
                   "wall_s", "assembly_s", "solve_s"]
         for c in sorted(report.initial_mass):
             prefix += [f"mass_{c}_lbm", f"injected_{c}_lbm", f"produced_{c}_lbm"]
-        assert rows[0] == prefix + ["corrections_tried", "corrections_kept"]
-        assert [(int(r[-2]), int(r[-1])) for r in rows[1:]] == \
+        comps = sorted(report.initial_mass)
+        assert rows[0] == prefix + ["corrections_tried", "corrections_kept"] + \
+            [f"residual_{c}" for c in comps]
+        k = len(prefix)
+        assert [(int(r[k]), int(r[k + 1])) for r in rows[1:]] == \
             [(s.corrections_tried, s.corrections_kept) for s in report.steps]
         assert all(s.corrections_kept <= s.corrections_tried for s in report.steps)
         assert 1 <= report.n_corrections_kept <= report.n_corrections_tried
@@ -683,6 +686,42 @@ class TestBadTrialState:
         assert "non-finite residual" in capsys.readouterr().err
         assert os.path.exists(tmp_path / "steps.csv")
         assert os.path.exists(tmp_path / "resim_out_final.vtk")
+
+
+class TestStepRecord:
+    def test_counts_match_the_newton_log_with_a_cut(self, tmp_path, monkeypatch):
+        import csv
+
+        # the first attempt's trial state has a non-finite residual: one
+        # Newton iteration, then a cut
+        inject_nan_residual(monkeypatch, 3, 3)
+        attempts = AttemptLog(monkeypatch)
+        report = run_simulation(parse_deck(TINY_RUN_DECK), report_csv="steps.csv",
+                                output_dir=str(tmp_path))
+        assert report.steps[0].cuts == report.n_cuts == 1
+        assert report.steps[0].newtons == attempts.newtons[0] + attempts.newtons[1]
+        assert attempts.newtons[0] == 1
+        assert report.n_newton == sum(attempts.newtons)
+        for rec in report.steps:
+            assert rec.newtons == len(rec.newton_log)
+            assert rec.linear_iters == sum(e.iterations for e in rec.newton_log)
+        assert report.newton_log == [e for rec in report.steps for e in rec.newton_log]
+
+        with open(tmp_path / "steps.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == report.n_steps
+        for row, rec in zip(rows, report.steps):
+            assert [int(row[k]) for k in ("step", "newtons", "linear_iters", "cuts",
+                                          "corrections_tried", "corrections_kept")] == \
+                [rec.step, rec.newtons, rec.linear_iters, rec.cuts,
+                 rec.corrections_tried, rec.corrections_kept]
+            assert float(row["t_days"]) == pytest.approx(rec.t, rel=1e-5)
+            assert float(row["dt_days"]) == pytest.approx(rec.dt, rel=1e-5)
+            for c, mass in rec.mass_in_place.items():
+                assert float(row[f"mass_{c}_lbm"]) == pytest.approx(mass, rel=1e-9)
+            assert rec.residual_sums.keys() == rec.mass_in_place.keys()
+            for c, s in rec.residual_sums.items():
+                assert float(row[f"residual_{c}"]) == pytest.approx(s, rel=1e-9)
 
 
 class TestCli:

@@ -63,9 +63,8 @@ class TestForcingTerm:
         model, state, wells = waterflood_setup()
         ncfg = NewtonConfig(forcing_rule=rule, tol=1e-6, mb_tol=0.0)
         ctl = StepController(dt_init=0.5, dt_max=0.5)
-        _, _, stats = advance_timestep(model, state, 0.5, wells, ncfg,
-                                       SolverConfig(), ctl)
-        logged = [e for e in stats.newton_log if e.forcing is not None]
+        _, rec = advance_timestep(model, state, 0.5, wells, ncfg, SolverConfig(), ctl)
+        logged = [e for e in rec.newton_log if e.forcing is not None]
         assert len(logged) >= 2
         for e in logged:
             h = e.forcing
@@ -114,8 +113,8 @@ class TestNewtonStep:
         st = state.copy()
         st.t = 0.5
         theta = 0.05
-        _, _, entry, _, _, _, amg = newton_step(model, st, state, 0.5, wells,
-                                                NewtonConfig(), SolverConfig(), theta)
+        _, _, entry, _, _, amg = newton_step(model, st, state, 0.5, wells, NewtonConfig(),
+                                             SolverConfig(), theta, StepRecord())
         assert entry.status == "converged"
         assert isinstance(amg, AmgHierarchy)
         assert entry.lhs_norm <= theta * entry.b_norm * (1 + 1e-12)
@@ -137,8 +136,8 @@ class TestNewtonStep:
             return (0.8 * x if len(calls) == 1 else x), iters, status
 
         monkeypatch.setattr(nonlinear, "bicgstab", drifting)
-        _, _, entry, _, _, _, _ = newton_step(model, st, state, 0.5, wells,
-                                              NewtonConfig(), SolverConfig(), theta)
+        _, _, entry, _, _, _ = newton_step(model, st, state, 0.5, wells, NewtonConfig(),
+                                           SolverConfig(), theta, StepRecord())
         assert len(calls) == 2 and entry.restarts == 1
         assert calls[1][1] == SolverConfig().max_iterations - calls[0][0]
         assert entry.iterations == calls[0][0] + calls[1][0]
@@ -155,9 +154,12 @@ class TestNewtonStep:
             return np.zeros_like(b), max_it, "converged"
 
         monkeypatch.setattr(nonlinear, "bicgstab", spent)
-        with pytest.raises(nonlinear._StepFailure, match="inner contract") as exc:
-            newton_step(model, st, state, 0.5, wells, NewtonConfig(), scfg, 0.05)
-        log_entry = exc.value.stats.newton_log[0]
+        rec = StepRecord()
+        with pytest.raises(nonlinear._StepFailure, match="inner contract"):
+            newton_step(model, st, state, 0.5, wells, NewtonConfig(), scfg, 0.05, rec)
+        # the failed iteration is counted before the raise
+        (log_entry,) = rec.newton_log
+        assert (rec.newtons, rec.linear_iters) == (1, scfg.max_iterations)
         assert log_entry.restarts == 0 and log_entry.iterations == scfg.max_iterations
 
     def test_saturation_clamp(self):
@@ -198,8 +200,8 @@ class TestNewtonStep:
                             forcing_rule="fixed", theta_fixed=1e-12,
                             theta_min=1e-13, mb_tol=0.0, max_dp=1e9, max_ds=1.0)
         scfg = SolverConfig(preconditioner="none", max_iterations=400)
-        ref, _, _ = advance_timestep(model, old, 1.0, [w], ncfg, scfg,
-                                     StepController(dt_init=1.0, dt_max=1.0))
+        ref, _ = advance_timestep(model, old, 1.0, [w], ncfg, scfg,
+                                  StepController(dt_init=1.0, dt_max=1.0))
         # replay the iteration, recording errors against the reference
         state = old.copy()
         state.t = old.t + 1.0
@@ -207,8 +209,8 @@ class TestNewtonStep:
         for _ in range(6):
             err = abs(state.p_o[0] - ref.p_o[0]) + 1e4 * abs(state.s_w[0] - ref.s_w[0])
             errors.append(err)
-            state, _, _, _, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
-                                                    scfg, 1e-10)
+            state, _, _, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
+                                                 scfg, 1e-10, StepRecord())
             assert amg is None
         errors.append(abs(state.p_o[0] - ref.p_o[0]))
         meaningful = [(e1, e2) for e1, e2 in zip(errors, errors[1:])
@@ -267,8 +269,8 @@ class TestAdvanceTimestep:
         model = ReservoirModel(g, resim.RockFields.uniform(g, 100.0, 0.2),
                                two_phase_fluid())
         st = ReservoirState(np.full(9, 5000.0), np.full(9, 0.4))
-        new, dt, stats = advance_timestep(model, st, 10.0, [], NewtonConfig(),
-                                          SolverConfig(), StepController(dt_max=10.0))
+        new, stats = advance_timestep(model, st, 10.0, [], NewtonConfig(),
+                                      SolverConfig(), StepController(dt_max=10.0))
         assert stats.newtons <= 1
         assert stats.linear_iters == 0
         assert stats.cuts == 0
@@ -282,14 +284,13 @@ class TestAdvanceTimestep:
                              dt_min=1e-9)
         st = state
         for _ in range(6):
-            st, _, _ = advance_timestep(model, st, 0.5, wells,
-                                        NewtonConfig(tol=1e-4), SolverConfig(), ctl)
+            st, _ = advance_timestep(model, st, 0.5, wells,
+                                     NewtonConfig(tol=1e-4), SolverConfig(), ctl)
         ncfg = NewtonConfig(max_newton=2, tol=1e-4)
-        new, dt_acc, stats = advance_timestep(model, st, 8.0, wells, ncfg,
-                                              SolverConfig(), ctl)
+        new, stats = advance_timestep(model, st, 8.0, wells, ncfg, SolverConfig(), ctl)
         assert stats.cuts >= 1
-        assert dt_acc < 8.0
-        assert new.t == pytest.approx(st.t + dt_acc)
+        assert stats.dt < 8.0
+        assert new.t == pytest.approx(st.t + stats.dt)
         # wasted Newtons from failed attempts are counted
         assert stats.newtons > ncfg.max_newton * 0 + stats.cuts
 
@@ -303,9 +304,9 @@ class TestAdvanceTimestep:
     def test_rate_constraint_satisfied_at_convergence(self):
         model, state, wells = waterflood_setup(rate=120.0)
         ncfg = NewtonConfig(tol=1e-2)
-        new, _, stats = advance_timestep(model, state, 1.0, wells, ncfg,
-                                         SolverConfig(),
-                                         StepController(dt_init=1.0, dt_max=1.0))
+        new, _ = advance_timestep(model, state, 1.0, wells, ncfg,
+                                  SolverConfig(),
+                                  StepController(dt_init=1.0, dt_max=1.0))
         res = resim.constraint_residual(wells[0], new, model)
         assert abs(res) / 120.0 <= ncfg.tol
 
@@ -323,8 +324,8 @@ class TestAdvanceTimestep:
             tot = lin = 0
             st = state
             for _ in range(10):
-                st, _, stats = advance_timestep(model, st, 0.5, wells, ncfg,
-                                                SolverConfig(), ctl)
+                st, stats = advance_timestep(model, st, 0.5, wells, ncfg,
+                                             SolverConfig(), ctl)
                 tot += stats.newtons
                 lin += stats.linear_iters
             totals[rule] = (tot, lin)
@@ -464,11 +465,11 @@ class TestCoarseCorrection:
             return advance_timestep(model, state, 0.5, wells, NewtonConfig(),
                                     SolverConfig(), StepController(dt_init=0.5, dt_max=0.5))
 
-        _, _, stats = run()
+        _, stats = run()
         assert stats.corrections_tried > 0        # the case needs corrections
         # the loop without the correction step is the reference
         monkeypatch.setattr(nonlinear, "_coarse_correction", lambda *a: None)
-        ref, _, ref_stats = run()
+        ref, ref_stats = run()
         monkeypatch.undo()
         if bad == "residual":
             # the corrected state's residual is not finite: rejected, no cut
@@ -494,7 +495,7 @@ class TestCoarseCorrection:
             value = 0.0 if bad == "singular" else np.nan
             monkeypatch.setattr(nonlinear, "_coarse_matrix",
                                 lambda jac: np.full((jac.m + jac.nwell,) * 2, value))
-        new, _, stats = run()
+        new, stats = run()
         assert stats.corrections_kept == 0
         assert (stats.corrections_tried > 0) == (bad == "residual")
         assert (stats.newtons, stats.linear_iters, stats.cuts) == \

@@ -28,9 +28,9 @@ class TestGravity:
         st = ReservoirState(p, np.full(g.ncell, 0.2))
         f = model.assemble_residual(st, st, 1.0, [])
         assert np.max(np.abs(f)) < 1e-8
-        new, _, stats = advance_timestep(model, st, 5.0, [], NewtonConfig(),
-                                         SolverConfig(),
-                                         StepController(dt_max=5.0))
+        new, stats = advance_timestep(model, st, 5.0, [], NewtonConfig(),
+                                      SolverConfig(),
+                                      StepController(dt_max=5.0))
         assert stats.newtons <= 1
         np.testing.assert_allclose(new.s_w, st.s_w)
 
@@ -51,10 +51,9 @@ class TestGravity:
         ctl = StepController(dt_init=1.0, dt_max=5.0)
         t, dt = 0.0, 1.0
         while t < 60.0:
-            st, dta, _ = advance_timestep(model, st, dt, [], ncfg,
-                                          SolverConfig(), ctl)
-            t += dta
-            dt = min(dta * 2, 5.0)
+            st, rec = advance_timestep(model, st, dt, [], ncfg, SolverConfig(), ctl)
+            t += rec.dt
+            dt = min(rec.dt * 2, 5.0)
         depth_com1 = float(np.sum(st.s_w * g.cell_depth) / np.sum(st.s_w))
         assert depth_com1 > depth_com0 + 1.0  # water center of mass moved down
         # closed box: component masses conserved
@@ -83,17 +82,16 @@ class TestCompressibleConservation:
         t, dt = 0.0, 0.5
         masses = model.mass_in_place(st)
         while t < 10.0:
-            st, dta, _ = advance_timestep(model, st, dt, wells, ncfg,
-                                          SolverConfig(), ctl)
+            st, rec = advance_timestep(model, st, dt, wells, ncfg, SolverConfig(), ctl)
             new_masses = model.mass_in_place(st)
             rates = model.well_mass_rates(st, wells)
             for comp in ("w", "o"):
                 dm = new_masses[comp] - masses[comp]
-                net = (rates[comp][0] - rates[comp][1]) * dta
+                net = (rates[comp][0] - rates[comp][1]) * rec.dt
                 worst = max(worst, abs(dm - net) / max(new_masses[comp], 1.0))
             masses = new_masses
-            t += dta
-            dt = min(dta * 2, 2.0)
+            t += rec.dt
+            dt = min(rec.dt * 2, 2.0)
         assert worst <= 1e-6  # compressible tolerance
 
 
@@ -118,12 +116,11 @@ class TestBlackOilWaterflood:
         t, dt = 0.0, 0.25
         masses0 = model.mass_in_place(st)
         while t < 5.0:
-            st, dta, stats = advance_timestep(model, st, dt, wells, ncfg,
-                                              SolverConfig(decoupling="abf",
-                                                           max_iterations=20),
-                                              ctl)
-            t += dta
-            dt = min(dta * 2, 1.0)
+            st, rec = advance_timestep(model, st, dt, wells, ncfg,
+                                       SolverConfig(decoupling="abf", max_iterations=20),
+                                       ctl)
+            t += rec.dt
+            dt = min(rec.dt * 2, 1.0)
         assert st.s_w[0] > 0.2  # water accumulated at the injector
         assert model.mass_in_place(st)["w"] > masses0["w"]
         # producer drawdown frees gas nowhere above bubble point
