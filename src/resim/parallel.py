@@ -1,8 +1,9 @@
 """Shared-memory worker pool and deterministic reductions.
 
-Reductions use a fixed 65536-element blocking whose summation order does not
-depend on the worker count, so iteration counts are reproducible no matter
-how many workers run assembly or matrix-vector products.
+Reductions use a fixed 65536-element blocking whose summation order depends
+neither on the worker count nor on the BLAS thread count, so iteration counts
+are reproducible no matter how many workers run assembly or matrix-vector
+products.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ _BLOCK = 1 << 16
 
 
 def det_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product with a fixed-order blocked summation."""
-    n = a.shape[0]
-    if n <= _BLOCK:
-        return float(np.dot(a, b))
+    """Dot product with a fixed-order blocked summation.
+
+    Each block is summed by ``einsum``, not by a BLAS dot product, whose
+    summation order follows the BLAS thread count.
+    """
     total = 0.0
-    for i in range(0, n, _BLOCK):
-        total += float(np.dot(a[i:i + _BLOCK], b[i:i + _BLOCK]))
+    for i in range(0, a.shape[0], _BLOCK):
+        total += float(np.einsum("i,i->", a[i:i + _BLOCK], b[i:i + _BLOCK]))
     return total
 
 

@@ -1,5 +1,8 @@
 import copy
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -936,6 +939,19 @@ class TestDeterministicReductions:
         a = rng.standard_normal((1 << 17) + 5)
         b = rng.standard_normal((1 << 17) + 5)
         assert det_dot(a, b) == det_dot(a.copy(), b.copy())
+
+    def test_det_dot_independent_of_blas_threads(self):
+        # the 60x220x6 system's length: three blocks, the last one partial
+        code = ("import numpy as np; from resim.parallel import det_dot; "
+                "rng = np.random.default_rng(29); a, b = rng.standard_normal((2, 158405)); "
+                "print(det_dot(a, b).hex())")
+        src = os.path.dirname(os.path.dirname(parallel.__file__))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+        assert out[0] == out[1]
 
 
 class TestPooledMatvec:
