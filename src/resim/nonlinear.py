@@ -12,9 +12,8 @@ each well's BHP, solve G y = -Z^T F with G = Z^T J W, Z summing each
 component's cell rows and taking each well row.  The corrected iterate is
 kept only if its residual still meets the target; otherwise Newton goes on.
 
-Each step's accounting is one ``StepRecord``, which ``advance_timestep``
-creates and passes down: every Newton iteration, cut attempts included,
-adds its counts, times and ``NewtonIterLog`` to it where they are computed.
+Each step's counts, times and Newton log go into one ``StepRecord``, filled
+where they are computed, cut attempts included.
 """
 
 from __future__ import annotations
@@ -228,10 +227,9 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
     The solve must meet ||b - A dx|| <= theta ||b|| on the true residual.
     BiCGSTAB stops on its recursive residual, so when the true one misses
     the target BiCGSTAB is restarted on it with the iterations left, and
-    the result added to dx.  Once the solve has run, the iteration, its
-    linear iterations, assembly and solve times and ``iter_log`` are added
-    to ``rec``; then it raises _StepFailure if the linear solver failed or
-    its budget was spent before the contract was met.
+    the result added to dx.  The iteration is counted in ``rec``, also when
+    it then raises _StepFailure because the linear solver failed or its
+    budget was spent before the contract was met.
     """
     t0 = time.perf_counter()
     jac = model.assemble_jacobian(state, state_old, dt, wells, pool=pool)
@@ -444,10 +442,9 @@ def advance_timestep(model, state_old, dt: float, wells, ncfg: NewtonConfig,
                      pool=None, dump_prefix=None):
     """Advance one accepted step, cutting dt on failures.
 
-    Returns (state_new, rec): the ``StepRecord`` of the step, with ``dt``
-    the accepted step size and ``cuts`` the number of cuts.  Its Newton and
-    linear iterations, times and Newton log include the attempts that were
-    cut.
+    Returns (state_new, rec), the step's ``StepRecord`` with ``dt`` the
+    accepted step size; its counts, times and Newton log include the cut
+    attempts.
     """
     rec = StepRecord()
     dt_try = dt

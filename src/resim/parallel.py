@@ -1,9 +1,8 @@
 """Shared-memory worker pool and deterministic reductions.
 
 Reductions use a fixed 65536-element blocking whose summation order depends
-neither on the worker count nor on the BLAS thread count, so iteration counts
-are reproducible no matter how many workers run assembly or matrix-vector
-products.
+on neither the worker count nor the BLAS thread count, so iteration counts
+are reproducible however many workers run assembly or sparse products.
 """
 
 from __future__ import annotations
@@ -18,11 +17,8 @@ _BLOCK = 1 << 16
 
 
 def det_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product with a fixed-order blocked summation.
-
-    Each block is summed by ``einsum``, not by a BLAS dot product, whose
-    summation order follows the BLAS thread count.
-    """
+    """Dot product with a fixed-order blocked summation: ``einsum``, not a
+    BLAS dot product, whose summation order follows the BLAS thread count."""
     total = 0.0
     for i in range(0, a.shape[0], _BLOCK):
         total += float(np.einsum("i,i->", a[i:i + _BLOCK], b[i:i + _BLOCK]))

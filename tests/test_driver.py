@@ -723,6 +723,17 @@ class TestStepRecord:
             for c, s in rec.residual_sums.items():
                 assert float(row[f"residual_{c}"]) == pytest.approx(s, rel=1e-9)
 
+    def test_matrix_dumps_number_the_step_newtons(self, tmp_path, monkeypatch):
+        # the retry after the cut does not overwrite the cut attempt's dump
+        inject_nan_residual(monkeypatch, 3, 3)
+        deck = parse_deck(TINY_RUN_DECK)
+        deck.t_end = 0.5
+        report = run_simulation(deck, dump_matrices=True, output_dir=str(tmp_path))
+        assert report.n_cuts == 1
+        mtx = sorted(f for f in os.listdir(tmp_path) if f.endswith("_A.mtx"))
+        assert mtx == [f"step{rec.step - 1:04d}_n{i}_A.mtx"
+                       for rec in report.steps for i in range(rec.newtons)]
+
 
 class TestCli:
     def write_deck(self, tmp_path):
