@@ -5,15 +5,13 @@ time stepping, Peaceman wells, inexact Newton iteration and decoupled
 CPR-preconditioned BiCGSTAB.
 """
 
-from .grid import (Grid, RockFields, cell_index, cell_ijk,
-                   geometric_transmissibility, load_spe10_fields)
+from .grid import Grid, RockFields, cell_index, load_spe10_fields
 from .pvt import (CoreyTwoPhase, ThreePhaseRelPerm, PvtModel, FluidSystem,
                   Table1D, krw, kro_two_phase, kro_stone2, phase_density,
-                  property_derivatives, evaluate_properties)
+                  evaluate_properties)
 from .model import ReservoirModel, ReservoirState, AssemblyError
 from .wells import (Well, Perforation, Constraint, Schedule, peaceman_wi,
-                    perforation_rate, constraint_residual, apply_schedule,
-                    complete_vertical, WellConfigError)
+                    apply_schedule, complete_vertical, WellConfigError)
 from .linear import (BlockMatrix, SolverConfig, quasi_impes_decouple,
                      abf_decouple, bicgstab, amg_vcycle, build_amg,
                      AmgHierarchy, BlockILU0)
@@ -26,15 +24,13 @@ from .driver import (Deck, DeckError, parse_deck, load_deck, run_simulation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid", "RockFields", "cell_index", "cell_ijk", "geometric_transmissibility",
-    "load_spe10_fields", "CoreyTwoPhase", "ThreePhaseRelPerm", "PvtModel",
-    "FluidSystem", "Table1D", "krw", "kro_two_phase", "kro_stone2",
-    "phase_density", "property_derivatives", "evaluate_properties",
-    "ReservoirModel", "ReservoirState", "AssemblyError", "Well",
-    "Perforation", "Constraint", "Schedule", "peaceman_wi", "perforation_rate",
-    "constraint_residual", "apply_schedule", "complete_vertical",
-    "WellConfigError", "BlockMatrix", "SolverConfig", "quasi_impes_decouple",
-    "abf_decouple", "bicgstab", "amg_vcycle",
+    "Grid", "RockFields", "cell_index", "load_spe10_fields", "CoreyTwoPhase",
+    "ThreePhaseRelPerm", "PvtModel", "FluidSystem", "Table1D", "krw",
+    "kro_two_phase", "kro_stone2", "phase_density", "evaluate_properties",
+    "ReservoirModel", "ReservoirState", "AssemblyError", "Well", "Perforation",
+    "Constraint", "Schedule", "peaceman_wi", "apply_schedule",
+    "complete_vertical", "WellConfigError", "BlockMatrix", "SolverConfig",
+    "quasi_impes_decouple", "abf_decouple", "bicgstab", "amg_vcycle",
     "build_amg", "AmgHierarchy", "BlockILU0", "NewtonConfig", "StepController",
     "RunReport", "ForcingHistory", "forcing_term", "newton_step",
     "advance_timestep", "SimulationAbort", "Deck", "DeckError", "parse_deck",

@@ -584,6 +584,8 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
     out = deck.output
     report_csv = report_csv if report_csv is not None else (out.report_csv or None)
     vtk_every = out.vtk_every if vtk_every is None else vtk_every
+    if vtk_every < 0:
+        raise ValueError(f"vtk_every must be >= 0, got {vtk_every}")
     dump_matrices = out.dump_matrices if dump_matrices is None else dump_matrices
     os.makedirs(output_dir, exist_ok=True)
 
@@ -676,6 +678,9 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 1
+    if args.vtk_every is not None and args.vtk_every < 0:
+        print(f"error: --vtk-every must be >= 0, got {args.vtk_every}", file=sys.stderr)
         return 1
     try:
         deck = load_deck(args.deck)

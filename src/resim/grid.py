@@ -75,15 +75,6 @@ def cell_index(i: int, j: int, k: int, grid: Grid) -> int:
     return i + grid.nx * (j + grid.ny * k)
 
 
-def cell_ijk(idx: int, grid: Grid) -> tuple[int, int, int]:
-    """Inverse of :func:`cell_index`."""
-    if not (0 <= idx < grid.ncell):
-        raise IndexError(f"cell id {idx} outside grid with {grid.ncell} cells")
-    k, rem = divmod(idx, grid.nx * grid.ny)
-    j, i = divmod(rem, grid.nx)
-    return i, j, k
-
-
 @dataclass
 class RockFields:
     """Per-cell absolute permeability (md) and porosity (fraction)."""
@@ -125,22 +116,6 @@ class RockFields:
 def directional_half_trans(grid: Grid, rock: RockFields, axis: int) -> np.ndarray:
     """Per-cell K*A/dd contribution (md*ft) in the given axis."""
     return rock.perm(axis) * (grid.face_area(axis) / grid.spacing(axis))
-
-
-def geometric_transmissibility(cell_a: int, cell_b: int, axis: int,
-                               grid: Grid, rock: RockFields) -> float:
-    """Harmonic-average face factor 2*Ta*Tb/(Ta+Tb) in md*ft.
-
-    Ta, Tb are the cells' K*A/dd contributions; symmetric in (a, b).
-    """
-    ia = np.array(cell_ijk(cell_a, grid))
-    ib = np.array(cell_ijk(cell_b, grid))
-    diff = ib - ia
-    if abs(diff[axis]) != 1 or np.any(np.delete(diff, axis) != 0):
-        raise ValueError(f"cells {cell_a} and {cell_b} are not axis-{axis} neighbors")
-    t = directional_half_trans(grid, rock, axis)
-    ta, tb = t[cell_a], t[cell_b]
-    return 2.0 * ta * tb / (ta + tb)
 
 
 def face_transmissibilities(grid: Grid, rock: RockFields, axis: int) -> np.ndarray:

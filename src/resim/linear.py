@@ -242,9 +242,9 @@ class _FilledLayout(_Layout):
 
     Built once from COO coordinates, one (rows, cols) pair per source array
     (rows < 0: the entry is not in the matrix).  ``fill`` then writes each
-    source with one scatter.  A (row, col) that several entries share gets
-    the first by the scatter and the others added after it, in COO order, as
-    a COO-to-CSR conversion sums duplicates.
+    source with one scatter.  No (row, col) may repeat: a Newton system has
+    none, as a well perforates a cell at most once, each well has its own
+    column and the stencil offsets are distinct.
     """
 
     def __init__(self, coords, shape):
@@ -254,27 +254,22 @@ class _FilledLayout(_Layout):
         inside = np.flatnonzero(key >= 0)
         order = inside[np.argsort(key[inside], kind="stable")]
         skey = key[order]
-        first = np.ones(len(skey), bool)
-        np.not_equal(skey[1:], skey[:-1], out=first[1:])
-        uniq = skey[first]
-        super().__init__(uniq // ncols, uniq % ncols, shape)
-        self.nnz = len(uniq)
-        rank = np.cumsum(first, dtype=np.int32) - 1
+        repeated = skey[1:][skey[1:] == skey[:-1]]
+        if len(repeated):
+            row, col = divmod(int(repeated[0]), ncols)
+            raise ValueError(f"entry ({row}, {col}) is given more than once")
+        super().__init__(skey // ncols, skey % ncols, shape)
+        self.nnz = len(skey)
         slots = np.full(len(key), self.nnz, np.int32)   # nnz: a scratch slot
-        slots[order[first]] = rank[first]
+        slots[order] = np.arange(self.nnz, dtype=np.int32)
         bounds = np.cumsum([0] + [r.size for r, _ in coords])
         self.slots = [slots[b0:b1].reshape(r.shape)
                       for (r, _), b0, b1 in zip(coords, bounds, bounds[1:])]
-        again = order[~first]
-        src = np.searchsorted(bounds, again, side="right") - 1
-        self.repeats = list(zip(src, again - bounds[src], rank[~first]))
 
     def fill(self, values) -> sp.csr_matrix:
         data = np.empty(self.nnz + 1)
         for slots, v in zip(self.slots, values):
             data[slots] = v
-        for src, idx, slot in self.repeats:
-            data[slot] += values[src].ravel()[idx]
         return self.csr(data[:-1])
 
 

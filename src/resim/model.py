@@ -120,45 +120,7 @@ class ReservoirModel:
             out["g"] = phi * (props.rho_og * props.s_o + props.rho_g * props.s_g)
         return out
 
-    # -- public single-entity operations ----------------------------------
-
-    def accumulation(self, cell: int, state_new: ReservoirState,
-                     state_old: ReservoirState, dt: float) -> np.ndarray:
-        """Per-component accumulation residual of one cell, lbm/day."""
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        out = np.empty(self.m)
-        w = slice(cell, cell + 1)
-        pn = self._props(state_new, False, w)
-        po = self._props(state_old, False, w)
-        mn = self._masses(pn, self._phi(pn, w))
-        mo = self._masses(po, self._phi(po, w))
-        v = self.grid.cell_volume / dt
-        for comp in self.components:
-            out[self.comp_row(comp)] = v * (mn[comp].v[0] - mo[comp].v[0])
-        return out
-
-    def face_flux(self, cell_a: int, cell_b: int, axis: int,
-                  state: ReservoirState) -> np.ndarray:
-        """Per-component mass flux (lbm/day) from cell_a to cell_b."""
-        from .grid import geometric_transmissibility
-
-        t = geometric_transmissibility(cell_a, cell_b, axis, self.grid, self.rock)
-        sign = 1.0
-        if cell_b < cell_a:
-            cell_a, cell_b = cell_b, cell_a
-            sign = -1.0
-        props = self._props(state, False)
-        idxa = np.array([cell_a])
-        idxb = np.array([cell_b])
-        dz = self.depth[idxa] - self.depth[idxb]
-        out = np.zeros(self.m)
-        for comp, lam, p, rho in _STREAMS[self.fluid.kind]:
-            v = _stream_flux(props, lam, p, rho, idxa, idxb, np.array([t]), dz)[0]
-            out[self.comp_row(comp)] += sign * v[0]
-        return out
-
-    # -- full-system assembly ---------------------------------------------
+    # -- whole-grid assembly: accumulation, fluxes and wells -------------
 
     def assemble_residual(self, state_new: ReservoirState, state_old: ReservoirState,
                           dt: float, wells: list[Well], pool=None) -> np.ndarray:

@@ -144,9 +144,9 @@ class NewtonIterLog:
     lhs_norm: float          # ||b - A dx|| of that system after the solve
     iterations: int
     status: str
-    forcing: ForcingHistory | None = None   # rule inputs, iterations l >= 1
-    theta_rule: float | None = None         # rule output before the finish cap
-    restarts: int = 0        # BiCGSTAB restarts on the true residual
+    forcing: ForcingHistory | None   # rule inputs, iterations l >= 1
+    theta_rule: float | None         # rule output before the finish cap
+    restarts: int            # BiCGSTAB restarts on the true residual
 
 
 @dataclass
@@ -213,12 +213,17 @@ def apply_update(state, dx: np.ndarray, model, config: NewtonConfig):
 
 
 def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
-                scfg: SolverConfig, theta: float, rec: StepRecord, pool=None,
+                scfg: SolverConfig, theta: float, forcing: ForcingHistory | None,
+                theta_rule: float | None, rec: StepRecord, pool=None,
                 dump_prefix=None, amg: AmgHierarchy | None = None):
     """One assemble-solve-update cycle at the given linear tolerance.
 
+    ``forcing`` and ``theta_rule`` are the forcing rule's inputs and output
+    that led to ``theta`` (None for both where no rule ran); they go into
+    the iteration's log entry.
+
     Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: build
-    one).  Returns (new_state, dx, iter_log, jac, g, amg): ``g`` is the coarse
+    one).  Returns (new_state, dx, jac, g, amg): ``g`` is the coarse
     matrix Z^T J W of this Jacobian (``_coarse_matrix``), ``amg`` the
     hierarchy its CPR preconditioner used (None without CPR).  ``jac`` is
     None unless the forcing rule (eq13_a, eq13_b) reads it after the step,
@@ -257,7 +262,8 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         r = b2 - matvec(dx)
         lhs = det_norm(r)
     entry = NewtonIterLog(theta=theta, b_norm=b_norm, lhs_norm=lhs,
-                          iterations=iters, status=status, restarts=restarts)
+                          iterations=iters, status=status, forcing=forcing,
+                          theta_rule=theta_rule, restarts=restarts)
     rec.newtons += 1
     rec.linear_iters += iters
     rec.assembly_time += t1 - t0
@@ -270,7 +276,7 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         raise _StepFailure(f"{reason} after {iters} iterations")
     new_state = apply_update(state, dx, model, ncfg)
     amg = precond.amg if isinstance(precond, CprFpf) else None
-    return new_state, dx, entry, jac, g, amg
+    return new_state, dx, jac, g, amg
 
 
 def _coarse_matrix(jac) -> np.ndarray:
@@ -391,11 +397,9 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec):
         theta = min(theta, 0.5 * target / b_norm)
         theta = min(max(theta, ncfg.theta_min), ncfg.theta_max)
         prefix = None if dump_prefix is None else f"{dump_prefix}_n{rec.newtons}"
-        state_new, dx, entry, jac, g, amg = newton_step(
-            model, state, state_old, dt, wells, ncfg, scfg, theta, rec,
-            pool=pool, dump_prefix=prefix, amg=amg)
-        entry.forcing = hist
-        entry.theta_rule = theta_rule
+        state_new, dx, jac, g, amg = newton_step(
+            model, state, state_old, dt, wells, ncfg, scfg, theta, hist,
+            theta_rule, rec, pool=pool, dump_prefix=prefix, amg=amg)
 
         t0 = time.perf_counter()
         f_new = model.assemble_residual(state_new, state_old, dt, wells, pool=pool)

@@ -130,12 +130,6 @@ class ThreePhaseRelPerm:
         return CellVal.lift(u * u, np.where(interior, -2.0 * u / span, 0.0), s_g)
 
 
-def krg(s_g, model: ThreePhaseRelPerm):
-    span = 1.0 - model.corey.s_wc - model.s_gc
-    val = np.clip((np.asarray(s_g, dtype=float) - model.s_gc) / span, 0.0, 1.0) ** 2
-    return val if val.ndim else float(val)
-
-
 def kro_stone2(s_w, s_g, tables: ThreePhaseRelPerm):
     """Stone II three-phase oil relative permeability, clamped below at 0.
 
@@ -261,16 +255,6 @@ def phase_density(phase: str, p_o, p_b, s, model: PvtModel):
     return val if val.shape != (1,) else float(val[0])
 
 
-def oil_component_densities(p_o, p_b, model: PvtModel):
-    """(rho_o^o, rho_o^g): oil-component and solution-gas densities in the oil phase."""
-    p_o = np.asarray(p_o, dtype=float)
-    p_b = np.asarray(p_b, dtype=float)
-    rs, _ = model.rs_table(p_b)
-    bo_sat, _ = model.bo_table(p_b)
-    bo = bo_sat * (1.0 - model.c_o * (p_o - p_b))
-    return model.rho_o_ref / bo, rs * model.rho_g_ref / bo
-
-
 @dataclass
 class FluidSystem:
     """Model kind plus rel-perm and PVT data; m is the per-cell unknown count."""
@@ -375,22 +359,3 @@ def evaluate_properties(p_o, s_w, x3, sat_mask, fluid: FluidSystem,
     pr.lam_og = pr.rho_og * pr.kro / pr.mu_o
     pr.lam_g = pr.rho_g * pr.krg / pv.mu_g
     return pr
-
-
-def property_derivatives(p_o: float, s_w: float, x3: float, saturated: bool,
-                         fluid: FluidSystem) -> dict[str, tuple[float, np.ndarray]]:
-    """Per-cell property values and derivative rows (d/dp_o, d/ds_w, d/dx3).
-
-    Returns a mapping property name -> (value, gradient).  For two-phase
-    systems the third slot is absent.
-    """
-    n1 = np.array([p_o]), np.array([s_w])
-    x = None if fluid.kind == "two_phase" else np.array([x3])
-    mask = None if fluid.kind == "two_phase" else np.array([saturated])
-    pr = evaluate_properties(n1[0], n1[1], x, mask, fluid, derivs=True)
-    out = {}
-    for name in ("krw", "kro", "krg", "rho_w", "rho_o", "rho_oo", "rho_og",
-                 "rho_g", "mu_o", "p_w", "p_g"):
-        cv = getattr(pr, name)
-        out[name] = (float(cv.v[0]), cv.d[0].copy())
-    return out

@@ -246,37 +246,3 @@ def surface_rate_scale(comp: str, pvt) -> float:
 
 RATE_COMPONENTS = {"water_rate": ("w",), "oil_rate": ("o",),
                     "liquid_rate": ("o", "w"), "gas_rate": ("g",)}
-
-
-def constraint_residual(well: Well, state, model) -> float:
-    """Scalar residual of the active constraint at the given state.
-
-    Fixed BHP: p_h - c.  Fixed rate: sum of surface perforation rates minus
-    the target (liquid sums oil and water; gas includes free and solution gas).
-    """
-    from .pvt import evaluate_properties
-
-    p_h = float(state.p_h[well.slot])
-    if well.constraint.kind == "bhp":
-        return p_h - well.constraint.value
-    props = evaluate_properties(state.p_o, state.s_w, state.x3, state.sat,
-                                model.fluid, derivs=False)
-    rates = well_component_rates(well, p_h, props, model.fluid, derivs=False)
-    total = 0.0
-    for comp in RATE_COMPONENTS[well.constraint.kind]:
-        total += float(np.sum(rates.q[comp])) * surface_rate_scale(comp, model.fluid.pvt)
-    return total - well.constraint.value
-
-
-def perforation_rate(well: Well, perf: Perforation, phase: str, state, model) -> float:
-    """Signed mass rate (lbm/day) of one component at one perforation."""
-    from .pvt import evaluate_properties
-
-    props = evaluate_properties(state.p_o, state.s_w, state.x3, state.sat,
-                                model.fluid, derivs=False)
-    rates = well_component_rates(well, float(state.p_h[well.slot]), props,
-                                 model.fluid, derivs=False)
-    for i, p in enumerate(well.perforations):
-        if p is perf or p.cell == perf.cell:
-            return float(rates.q[phase][i])
-    raise WellConfigError(f"perforation at cell {perf.cell} not found on well {well.name}")

@@ -392,6 +392,13 @@ class TestRunSimulation:
         snaps = [f for f in os.listdir(tmp_path) if f.startswith("resim_out_0")]
         assert snaps, "expected periodic VTK snapshots"
 
+    def test_negative_vtk_every_rejected(self, tmp_path):
+        deck = parse_deck(TINY_RUN_DECK)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="vtk_every must be >= 0, got -2"):
+            run_simulation(deck, vtk_every=-2, output_dir=str(out))
+        assert not out.exists()                           # nothing was run
+
     def test_csv_appends_correction_counts(self, tmp_path):
         import csv
 
@@ -778,6 +785,14 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: --workers must be >= 1, got 0"]
+        assert os.listdir(tmp_path) == ["tiny.deck"]      # nothing was run
+
+    def test_negative_vtk_every_exit_code(self, tmp_path, capsys):
+        rc = main(["run", self.write_deck(tmp_path), "--vtk-every", "-2",
+                   "--output-dir", str(tmp_path), "-q"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: --vtk-every must be >= 0, got -2"]
         assert os.listdir(tmp_path) == ["tiny.deck"]      # nothing was run
 
     @pytest.mark.parametrize("args", [["--workers", "abc"], ["--no-such-option"]])

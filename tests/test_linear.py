@@ -132,15 +132,17 @@ class TestBlockMatrix:
         np.testing.assert_array_equal(a.to_csr().toarray(), dense_from_blocks(a))
         assert a.pattern is not first.pattern
 
-    def test_repeated_perforation_entries_add(self):
-        # two perforation entries of one well in one cell share CSR slots
+    def test_repeated_perforation_entries_rejected(self):
+        # two perforation entries of one well in one cell would share CSR
+        # slots; wells refuse such a completion, and so does the layout
         rng = np.random.default_rng(42)
         a = random_block_matrix(rng, m=3, nwell=2)
         a.cw_cells = np.array([4, 9, 4])
         a.cw_well = np.array([0, 1, 0])
         a.cw_blocks = rng.standard_normal((3, 3))
         a.wc_blocks = rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(a.to_csr().toarray(), dense_from_blocks(a))
+        with pytest.raises(ValueError, match="more than once"):
+            a.to_csr()
 
     def test_newton_systems_of_a_model_share_one_pattern(self):
         rng = np.random.default_rng(43)

@@ -3,7 +3,10 @@ import pytest
 
 import resim
 from resim import units
+from resim.grid import face_transmissibilities
 from resim.model import ReservoirModel, ReservoirState, AssemblyError
+from resim.pvt import evaluate_properties
+from resim.wells import well_component_rates
 from resim import model as model_module
 from resim.parallel import WorkerPool
 from conftest import (two_phase_fluid, black_oil_fluid, random_two_phase_model,
@@ -18,13 +21,22 @@ def flat_model(nx=3, ny=3, fluid=None, k=100.0, poro=0.2):
     return ReservoirModel(g, rock, fluid or two_phase_fluid())
 
 
+def cell_rows(f, model):
+    """The cell rows of a residual, shaped (ncell, m)."""
+    n, m = model.grid.ncell, model.m
+    return f[:n * m].reshape(n, m)
+
+
 class TestAccumulation:
+    """A spatially uniform state carries no flux, so with no wells each cell's
+    residual row is its accumulation."""
+
     def test_steady_state_zero(self):
-        model = flat_model()
+        model = flat_model(fluid=two_phase_fluid(c=3e-6))
         n = model.grid.ncell
         st = ReservoirState(np.full(n, 5000.0), np.full(n, 0.4))
-        acc = model.accumulation(4, st, st, 1.0)
-        np.testing.assert_array_equal(acc, 0.0)
+        f = model.assemble_residual(st, st, 1.0, [])
+        np.testing.assert_array_equal(cell_rows(f, model)[4], 0.0)
 
     def test_water_difference_quotient(self):
         # V*phi*ds*rho_w/dt with V = 1000 ft^3, phi = 0.2, ds = 0.1, dt = 1 d
@@ -32,7 +44,7 @@ class TestAccumulation:
         n = model.grid.ncell
         old = ReservoirState(np.full(n, 5000.0), np.full(n, 0.2))
         new = ReservoirState(np.full(n, 5000.0), np.full(n, 0.3))
-        acc = model.accumulation(0, new, old, 1.0)
+        acc = cell_rows(model.assemble_residual(new, old, 1.0, []), model)[0]
         rho_w = model.fluid.pvt.rho_w_ref
         assert acc[model.comp_row("w")] == pytest.approx(0.2 * 1000.0 * rho_w * 0.1)
         assert acc[model.comp_row("o")] == pytest.approx(-0.2 * 1000.0 * 53.0 * 0.1)
@@ -44,9 +56,10 @@ class TestAccumulation:
         model = ReservoirModel(g, resim.RockFields.uniform(g, 100.0, 0.2), fluid)
         old = ReservoirState(np.array([4000.0, 4000.0]), np.array([0.3, 0.3]),
                              x3=np.array([3000.0, 3000.0]), sat=np.zeros(2, bool))
-        new = ReservoirState(np.array([4000.0, 4000.0]), np.array([0.5, 0.4]),
+        new = ReservoirState(np.array([4000.0, 4000.0]), np.array([0.5, 0.5]),
                              x3=np.array([3000.0, 3000.0]), sat=np.zeros(2, bool))
-        acc = model.accumulation(0, new, old, 2.0)
+        acc = cell_rows(model.assemble_residual(new, old, 2.0, []), model)[0]
+        assert acc[model.comp_row("w")] > 0.0
         assert acc[model.comp_row("g")] == 0.0
 
     def test_rejects_nonpositive_dt(self):
@@ -54,47 +67,52 @@ class TestAccumulation:
         n = model.grid.ncell
         st = ReservoirState(np.full(n, 5000.0), np.full(n, 0.4))
         with pytest.raises(ValueError):
-            model.accumulation(0, st, st, 0.0)
+            model.assemble_residual(st, st, 0.0, [])
 
 
 class TestFaceFlux:
+    """With state_new == state_old and no wells, the residual of a two-cell
+    model is its one face's flux v: +v in cell a's rows, -v in cell b's."""
+
     def test_zero_potential_difference(self):
-        model = flat_model()
-        n = model.grid.ncell
-        st = ReservoirState(np.full(n, 5000.0), np.full(n, 0.4))
-        np.testing.assert_array_equal(model.face_flux(0, 1, 0, st), 0.0)
+        # saturations differ, but neither phase has a potential difference
+        model = flat_model(nx=2, ny=1)
+        st = ReservoirState(np.full(2, 5000.0), np.array([0.3, 0.6]))
+        np.testing.assert_array_equal(model.assemble_residual(st, st, 1.0, []), 0.0)
 
     def test_antisymmetry_random_states(self):
         rng = np.random.default_rng(5)
-        model = random_two_phase_model(rng)
-        st = random_two_phase_state(rng, model)
-        for (a, b, ax) in [(0, 1, 0), (4, 7, 1), (10, 19, 2)]:
-            f_ab = model.face_flux(a, b, ax, st)
-            f_ba = model.face_flux(b, a, ax, st)
-            np.testing.assert_allclose(f_ab, -f_ba, rtol=0, atol=0)
+        for shape in [(2, 1, 1), (1, 2, 1), (1, 1, 2)]:
+            model = random_two_phase_model(rng, shape=shape)
+            st = random_two_phase_state(rng, model)
+            rows = cell_rows(model.assemble_residual(st, st, 1.0, []), model)
+            assert np.all(rows[0] != 0.0)
+            np.testing.assert_array_equal(rows[0], -rows[1])
 
     def test_two_cell_waterflood_hand_value(self):
         # single face: flux = C * T * (krw*rho/mu) * dp with upwind cell 0
         model = flat_model(nx=2, ny=1)
         st = ReservoirState(np.array([3100.0, 3000.0]), np.array([0.5, 0.2]))
-        t_geo = resim.geometric_transmissibility(0, 1, 0, model.grid, model.rock)
+        t_geo = face_transmissibilities(model.grid, model.rock, 0)[0]
         pvt = model.fluid.pvt
         lam_w = resim.krw(0.5, model.fluid.relperm.corey) * pvt.rho_w_ref / pvt.mu_w
         lam_o = resim.kro_two_phase(0.5, model.fluid.relperm.corey) * 53.0 / 3.0
         expected_w = units.DARCY * t_geo * lam_w * 100.0
         expected_o = units.DARCY * t_geo * lam_o * 100.0
-        flux = model.face_flux(0, 1, 0, st)
-        assert flux[model.comp_row("w")] == pytest.approx(expected_w, rel=1e-12)
-        assert flux[model.comp_row("o")] == pytest.approx(expected_o, rel=1e-12)
+        rows = cell_rows(model.assemble_residual(st, st, 1.0, []), model)
+        iw, io = model.comp_row("w"), model.comp_row("o")
+        assert rows[0, iw] == pytest.approx(expected_w, rel=1e-12)
+        assert rows[0, io] == pytest.approx(expected_o, rel=1e-12)
+        np.testing.assert_array_equal(rows[1], -rows[0])
 
     def test_strict_upwinding(self):
         # perturbing the downwind cell's mobility inputs leaves the flux alone
         model = flat_model(nx=2, ny=1)  # zero capillary
         st = ReservoirState(np.array([3100.0, 3000.0]), np.array([0.5, 0.3]))
-        base = model.face_flux(0, 1, 0, st)
+        base = model.assemble_residual(st, st, 1.0, [])
         st2 = st.copy()
         st2.s_w[1] = 0.7  # downwind saturation
-        np.testing.assert_array_equal(model.face_flux(0, 1, 0, st2), base)
+        np.testing.assert_array_equal(model.assemble_residual(st2, st2, 1.0, []), base)
 
 
 class TestResidual:
@@ -126,13 +144,15 @@ class TestResidual:
         old = ReservoirState(np.array([3000.0]), np.array([0.3]), p_h=np.array([3200.0]))
         new = ReservoirState(np.array([3050.0]), np.array([0.35]), p_h=np.array([3300.0]))
         f = model.assemble_residual(new, old, 1.0, [w])
-        acc = model.accumulation(0, new, old, 1.0)
-        q_w = resim.perforation_rate(w, w.perforations[0], "w", new, model)
+        # one cell has no faces: without the well its rows are the accumulation
+        acc = model.assemble_residual(new, old, 1.0, [])
+        props = evaluate_properties(new.p_o, new.s_w, None, None, fluid, derivs=False)
+        q_w = well_component_rates(w, 3300.0, props, fluid).q["w"][0]
         iw = model.comp_row("w")
         assert f[iw] == pytest.approx(acc[iw] - q_w, rel=1e-12)
         assert f[model.comp_row("o")] == pytest.approx(acc[model.comp_row("o")], rel=1e-12)
         # well row: surface rate balance
-        expected = resim.constraint_residual(w, new, model)
+        expected = q_w / (fluid.pvt.rho_w_ref * units.FT3_PER_BBL) - 100.0
         assert f[2] == pytest.approx(expected, rel=1e-12)
 
     def test_nan_detection_names_cell(self):

@@ -113,8 +113,10 @@ class TestNewtonStep:
         st = state.copy()
         st.t = 0.5
         theta = 0.05
-        _, _, entry, _, _, amg = newton_step(model, st, state, 0.5, wells, NewtonConfig(),
-                                             SolverConfig(), theta, StepRecord())
+        rec = StepRecord()
+        _, _, _, _, amg = newton_step(model, st, state, 0.5, wells, NewtonConfig(),
+                                      SolverConfig(), theta, None, None, rec)
+        (entry,) = rec.newton_log
         assert entry.status == "converged"
         assert isinstance(amg, AmgHierarchy)
         assert entry.lhs_norm <= theta * entry.b_norm * (1 + 1e-12)
@@ -136,8 +138,10 @@ class TestNewtonStep:
             return (0.8 * x if len(calls) == 1 else x), iters, status
 
         monkeypatch.setattr(nonlinear, "bicgstab", drifting)
-        _, _, entry, _, _, _ = newton_step(model, st, state, 0.5, wells, NewtonConfig(),
-                                           SolverConfig(), theta, StepRecord())
+        rec = StepRecord()
+        newton_step(model, st, state, 0.5, wells, NewtonConfig(), SolverConfig(),
+                    theta, None, None, rec)
+        (entry,) = rec.newton_log
         assert len(calls) == 2 and entry.restarts == 1
         assert calls[1][1] == SolverConfig().max_iterations - calls[0][0]
         assert entry.iterations == calls[0][0] + calls[1][0]
@@ -156,7 +160,8 @@ class TestNewtonStep:
         monkeypatch.setattr(nonlinear, "bicgstab", spent)
         rec = StepRecord()
         with pytest.raises(nonlinear._StepFailure, match="inner contract"):
-            newton_step(model, st, state, 0.5, wells, NewtonConfig(), scfg, 0.05, rec)
+            newton_step(model, st, state, 0.5, wells, NewtonConfig(), scfg, 0.05,
+                        None, None, rec)
         # the failed iteration is counted before the raise
         (log_entry,) = rec.newton_log
         assert (rec.newtons, rec.linear_iters) == (1, scfg.max_iterations)
@@ -209,8 +214,8 @@ class TestNewtonStep:
         for _ in range(6):
             err = abs(state.p_o[0] - ref.p_o[0]) + 1e4 * abs(state.s_w[0] - ref.s_w[0])
             errors.append(err)
-            state, _, _, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
-                                                 scfg, 1e-10, StepRecord())
+            state, _, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
+                                              scfg, 1e-10, None, None, StepRecord())
             assert amg is None
         errors.append(abs(state.p_o[0] - ref.p_o[0]))
         meaningful = [(e1, e2) for e1, e2 in zip(errors, errors[1:])
@@ -294,6 +299,31 @@ class TestAdvanceTimestep:
         # wasted Newtons from failed attempts are counted
         assert stats.newtons > ncfg.max_newton * 0 + stats.cuts
 
+    def test_failed_iteration_logs_the_forcing_that_chose_theta(self, monkeypatch):
+        # the second linear solve, that of the second Newton iteration, breaks
+        # down: its log entry still holds the rule's inputs and output
+        model, state, wells = waterflood_setup()
+        solve, tols = nonlinear.bicgstab, []
+
+        def second_breaks_down(a, m, b, tol, max_it):
+            tols.append(tol)
+            if len(tols) == 2:
+                return np.zeros_like(b), 0, "breakdown"
+            return solve(a, m, b, tol, max_it)
+
+        monkeypatch.setattr(nonlinear, "bicgstab", second_breaks_down)
+        ncfg = NewtonConfig(tol=1e-6, mb_tol=0.0)
+        _, rec = advance_timestep(model, state, 0.5, wells, ncfg, SolverConfig(),
+                                  StepController(dt_init=0.5, dt_max=0.5))
+        assert rec.cuts == 1
+        first, failed = rec.newton_log[:2]
+        assert first.restarts == 0 and first.forcing is None
+        assert failed.status == "breakdown" and failed.theta == tols[1]
+        assert failed.forcing is not None
+        assert failed.forcing.b_prev_norm > 0 and failed.forcing.b_norm > 0
+        assert failed.theta_rule == forcing_term(ncfg.forcing_rule, failed.forcing, ncfg)
+        assert failed.theta <= failed.theta_rule
+
     def test_dt_collapse_aborts(self):
         model, state, wells = waterflood_setup(rate=400.0)
         ncfg = NewtonConfig(max_newton=1, tol=1e-10)
@@ -307,7 +337,8 @@ class TestAdvanceTimestep:
         new, _ = advance_timestep(model, state, 1.0, wells, ncfg,
                                   SolverConfig(),
                                   StepController(dt_init=1.0, dt_max=1.0))
-        res = resim.constraint_residual(wells[0], new, model)
+        f = model.assemble_residual(new, state, 1.0, wells)
+        res = f[model.grid.ncell * model.m + wells[0].slot]
         assert abs(res) / 120.0 <= ncfg.tol
 
     def test_inexactness_pays_at_most_two_extra_newtons(self):

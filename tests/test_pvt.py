@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import resim
-from resim.pvt import evaluate_properties, oil_component_densities
+from resim.pvt import evaluate_properties
 from conftest import two_phase_fluid, black_oil_fluid
 
 # table breakpoints where piecewise-linear properties are non-differentiable
@@ -132,8 +132,11 @@ class TestPhaseDensity:
         bo = bo_sat * (1.0 - pvt.c_o * (p_o - p_b))
         expected = (pvt.rho_o_ref + rs * pvt.rho_g_ref) / bo
         assert resim.phase_density("o", p_o, p_b, 0.0, pvt) == pytest.approx(expected, rel=1e-12)
-        roo, rog = oil_component_densities(p_o, p_b, pvt)
-        assert roo + rog == pytest.approx(expected, rel=1e-12)
+        # the oil and solution-gas components of an undersaturated cell
+        pr = evaluate_properties(np.array([p_o]), np.array([0.3]), np.array([p_b]),
+                                 np.array([False]), resim.FluidSystem("black_oil", pvt=pvt),
+                                 derivs=False)
+        assert pr.rho_oo.v[0] + pr.rho_og.v[0] == pytest.approx(expected, rel=1e-12)
 
     def test_gas_from_fvf_table(self):
         pvt = resim.PvtModel.spe1_like()
@@ -148,15 +151,15 @@ class TestPhaseDensity:
 
 class TestPropertyDerivatives:
     def test_krw_slope_midpoint(self):
-        fluid = two_phase_fluid()
-        out = resim.property_derivatives(3000.0, 0.5, 0.0, False, fluid)
+        pr = evaluate_properties(np.array([3000.0]), np.array([0.5]), None, None,
+                                 two_phase_fluid())
         # d/ds of ((s - 0.2)/0.6)^2 at s = 0.5: 2*0.3/0.36
-        assert out["krw"][1][1] == pytest.approx(2.0 * 0.3 / 0.36)
+        assert pr.krw.d[0, 1] == pytest.approx(2.0 * 0.3 / 0.36)
 
     def test_incompressible_water_pressure_derivative(self):
-        fluid = two_phase_fluid(c=0.0)
-        out = resim.property_derivatives(3000.0, 0.5, 0.0, False, fluid)
-        assert out["rho_w"][1][0] == 0.0
+        pr = evaluate_properties(np.array([3000.0]), np.array([0.5]), None, None,
+                                 two_phase_fluid(c=0.0))
+        assert pr.rho_w.d[0, 0] == 0.0
 
     @pytest.mark.parametrize("kind", ["two_phase", "black_oil"])
     def test_derivatives_match_finite_differences(self, kind):

@@ -6,7 +6,8 @@ import pytest
 import resim
 from resim import units
 from resim.model import ReservoirModel, ReservoirState
-from resim.wells import WellConfigError
+from resim.pvt import evaluate_properties
+from resim.wells import WellConfigError, well_component_rates
 from conftest import two_phase_fluid, black_oil_fluid
 
 
@@ -14,6 +15,18 @@ def one_cell_model(fluid=None):
     g = resim.Grid(1, 1, 1, 20.0, 20.0, 10.0, depth_top=5000.0)
     rock = resim.RockFields.uniform(g, 100.0, 0.2)
     return ReservoirModel(g, rock, fluid or two_phase_fluid())
+
+
+def perf_rates(well, st, fluid):
+    """Signed component mass rates (lbm/day) at each of the well's perforations."""
+    props = evaluate_properties(st.p_o, st.s_w, st.x3, st.sat, fluid, derivs=False)
+    return well_component_rates(well, float(st.p_h[well.slot]), props, fluid).q
+
+
+def well_row(model, st, well):
+    """The residual of the well's constraint: its row of the assembled residual."""
+    f = model.assemble_residual(st, st, 1.0, [well])
+    return f[model.grid.ncell * model.m + well.slot]
 
 
 class TestPeaceman:
@@ -52,25 +65,24 @@ class TestPerforationRate:
         model = one_cell_model()
         w = resim.Well("P", constraint=resim.Constraint("bhp", 3000.0), slot=0)
         resim.complete_vertical(w, model.grid, model.rock, [0])
-        perf = w.perforations[0]
         # p_h = p_alpha + rho*g*(z_h - z): z_h == z here, so p_h = p_o
         st = ReservoirState(np.array([3000.0]), np.array([0.5]),
                             p_h=np.array([3000.0]))
-        assert resim.perforation_rate(w, perf, "o", st, model) == 0.0
+        q = perf_rates(w, st, model.fluid)
+        assert q["o"][0] == 0.0
         # water sees p_w = p_o (zero capillary): also exactly zero
-        assert resim.perforation_rate(w, perf, "w", st, model) == 0.0
+        assert q["w"][0] == 0.0
 
     def test_linear_in_drawdown(self):
         model = one_cell_model()
         w = resim.Well("P", constraint=resim.Constraint("bhp", 0.0), slot=0)
         resim.complete_vertical(w, model.grid, model.rock, [0])
-        perf = w.perforations[0]
         base = ReservoirState(np.array([6000.0]), np.array([0.5]),
                               p_h=np.array([5000.0]))
         double = ReservoirState(np.array([6000.0]), np.array([0.5]),
                                 p_h=np.array([4000.0]))
-        q1 = resim.perforation_rate(w, perf, "o", base, model)
-        q2 = resim.perforation_rate(w, perf, "o", double, model)
+        q1 = perf_rates(w, base, model.fluid)["o"][0]
+        q2 = perf_rates(w, double, model.fluid)["o"][0]
         # cell properties frozen; drawdown doubles
         assert q2 == pytest.approx(2.0 * q1, rel=1e-12)
 
@@ -82,11 +94,9 @@ class TestPerforationRate:
         perf = w.perforations[0]
         st = ReservoirState(np.array([6000.0]), np.array([0.5]),
                             p_h=np.array([4000.0]))
-        pvt = model.fluid.pvt
         lam_o = resim.kro_two_phase(0.5, model.fluid.relperm.corey) * 53.0 / 3.0
         expected = units.DARCY * perf.wi * lam_o * (4000.0 - 6000.0)
-        assert resim.perforation_rate(w, perf, "o", st, model) == \
-            pytest.approx(expected, rel=1e-12)
+        assert perf_rates(w, st, model.fluid)["o"][0] == pytest.approx(expected, rel=1e-12)
         assert expected < 0  # production is negative
 
     def test_injector_uses_endpoint_mobility(self):
@@ -98,11 +108,11 @@ class TestPerforationRate:
         st = ReservoirState(np.array([6000.0]), np.array([0.2]),  # krw(0.2) = 0
                             p_h=np.array([7000.0]))
         pvt = model.fluid.pvt
-        q = resim.perforation_rate(w, perf, "w", st, model)
+        q = perf_rates(w, st, model.fluid)
         # endpoint k_r = 1 even at connate water
         expected = units.DARCY * perf.wi * (pvt.rho_w_ref / pvt.mu_w) * 1000.0
-        assert q == pytest.approx(expected, rel=1e-12)
-        assert resim.perforation_rate(w, perf, "o", st, model) == 0.0
+        assert q["w"][0] == pytest.approx(expected, rel=1e-12)
+        assert q["o"][0] == 0.0
 
 
 class TestConstraintResidual:
@@ -112,7 +122,7 @@ class TestConstraintResidual:
         resim.complete_vertical(w, model.grid, model.rock, [0])
         st = ReservoirState(np.array([6000.0]), np.array([0.5]),
                             p_h=np.array([4321.0]))
-        assert resim.constraint_residual(w, st, model) == 0.0
+        assert well_row(model, st, w) == 0.0
 
     def test_single_perforation_rate_at_target(self):
         model = one_cell_model()
@@ -120,10 +130,10 @@ class TestConstraintResidual:
         resim.complete_vertical(w, model.grid, model.rock, [0])
         st = ReservoirState(np.array([6000.0]), np.array([0.5]),
                             p_h=np.array([6500.0]))
-        q_surface = resim.perforation_rate(w, w.perforations[0], "w", st, model) \
+        q_surface = perf_rates(w, st, model.fluid)["w"][0] \
             / (model.fluid.pvt.rho_w_ref * units.FT3_PER_BBL)
         w.constraint = resim.Constraint("water_rate", q_surface)
-        assert resim.constraint_residual(w, st, model) == pytest.approx(0.0, abs=1e-12)
+        assert well_row(model, st, w) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_perforation_sum_oracle(self):
         g = resim.Grid(1, 1, 2, 20.0, 20.0, 10.0, depth_top=5000.0)
@@ -134,13 +144,12 @@ class TestConstraintResidual:
         rng = np.random.default_rng(3)
         st = ReservoirState(6000.0 + 100 * rng.standard_normal(2),
                             rng.uniform(0.3, 0.6, 2), p_h=np.array([5000.0]))
+        q = perf_rates(w, st, model.fluid)
         total = 0.0
-        for perf in w.perforations:
+        for i in range(len(w.perforations)):
             for comp, rho in (("o", 53.0), ("w", 62.4)):
-                total += resim.perforation_rate(w, perf, comp, st, model) \
-                    / (rho * units.FT3_PER_BBL)
-        assert resim.constraint_residual(w, st, model) == \
-            pytest.approx(total + 500.0, rel=1e-12)
+                total += q[comp][i] / (rho * units.FT3_PER_BBL)
+        assert well_row(model, st, w) == pytest.approx(total + 500.0, rel=1e-12)
 
     def test_gas_rate_includes_solution_gas(self):
         model = one_cell_model(black_oil_fluid())
@@ -149,8 +158,8 @@ class TestConstraintResidual:
         st = ReservoirState(np.array([4000.0]), np.array([0.3]),
                             x3=np.array([0.15]), sat=np.array([True]),
                             p_h=np.array([3000.0]))
-        q_g = resim.perforation_rate(w, w.perforations[0], "g", st, model)
-        res = resim.constraint_residual(w, st, model)
+        q_g = perf_rates(w, st, model.fluid)["g"][0]
+        res = well_row(model, st, w)
         scale = model.fluid.pvt.rho_g_ref * units.FT3_PER_MSCF
         assert res == pytest.approx(q_g / scale + 100.0, rel=1e-12)
 
@@ -166,7 +175,7 @@ class TestSignConventions:
             st = ReservoirState(np.array([rng.uniform(2000, 8000)]),
                                 np.array([rng.uniform(0.2, 0.8)]),
                                 p_h=np.array([9000.0]))
-            assert resim.perforation_rate(w, w.perforations[0], "w", st, model) >= 0.0
+            assert perf_rates(w, st, model.fluid)["w"][0] >= 0.0
 
     def test_bhp_producer_never_injects(self):
         model = one_cell_model()
@@ -177,8 +186,8 @@ class TestSignConventions:
             st = ReservoirState(np.array([rng.uniform(2000, 8000)]),
                                 np.array([rng.uniform(0.25, 0.75)]),
                                 p_h=np.array([1000.0]))
-            for comp in ("w", "o"):
-                assert resim.perforation_rate(w, w.perforations[0], comp, st, model) <= 0.0
+            q = perf_rates(w, st, model.fluid)
+            assert q["w"][0] <= 0.0 and q["o"][0] <= 0.0
 
 
 class TestSchedule:
