@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .model import ReservoirModel, ReservoirState
 from .nonlinear import (NewtonConfig, StepController, RunReport, SimulationAbort,
                         advance_timestep)
 from .parallel import WorkerPool
-from .pvt import CoreyTwoPhase, FluidSystem, PvtModel, Table1D, ThreePhaseRelPerm
+from .pvt import (CoreyTwoPhase, FluidSystem, PvtModel, Table1D, ThreePhaseRelPerm,
+                  evaluate_properties)
 from .wells import (CONSTRAINT_KINDS, Constraint, Schedule, Well, WellConfigError,
                     apply_schedule, complete_vertical)
 from . import units
@@ -207,6 +208,24 @@ def _make(section: _Section, cls, kw: dict, defaults: dict | None = None,
         raise DeckError(f"{where} {exc}") from None
 
 
+def _config(section: _Section, cls, rec, keys: dict | None = None):
+    """A config dataclass from a deck section, echoed under the section name.
+
+    Each field reads the deck key of its name (``keys`` maps field names to
+    deck keys where the two differ), cast as the type of the field's default
+    (a None default casts as float) and defaulting to it.
+    """
+    keys = keys or {}
+    kw = {}
+    for fld in fields(cls):
+        cast = float if fld.default is None else type(fld.default)
+        kw[fld.name] = section.get(keys.get(fld.name, fld.name), fld.default, cast)
+    obj = _make(section, cls, kw, keys=keys)
+    for name in kw:
+        rec(section.name, name, getattr(obj, name))
+    return obj
+
+
 def _build_deck(sections, tables, base_dir) -> Deck:
     eff: dict[str, str] = {}
 
@@ -248,53 +267,19 @@ def _build_deck(sections, tables, base_dir) -> Deck:
     _check_constraints_at_start(unconstrained, schedule)
 
     sv = _Section(sections.get("solver", []), "solver")
-    newton = _make(sv, NewtonConfig, dict(
-        tol=sv.get("newton_tol", 1e-2, float),
-        atol=sv.get("newton_atol", 1e-8, float),
-        max_newton=sv.get("newton_max", 20, int),
-        forcing_rule=sv.get("forcing_rule", "eq13_c"),
-        gamma=sv.get("gamma", 1.0, float),
-        beta=sv.get("beta", 2.0, float),
-        theta_fixed=sv.get("theta_fixed", 1e-5, float),
-        theta0=sv.get("theta0", 0.1, float),
-        theta_min=sv.get("theta_min", 1e-4, float),
-        theta_max=sv.get("theta_max", 0.9, float),
-        max_ds=sv.get("max_ds", 0.2, float),
-        max_dp=sv.get("max_dp", 500.0, float),
-        mb_tol=sv.get("mb_tol", None, float)),
-        keys=dict(tol="newton_tol", atol="newton_atol", max_newton="newton_max"))
-    solver = _make(sv, SolverConfig, dict(
-        max_iterations=sv.get("linear_max_it", 50, int),
-        preconditioner=sv.get("preconditioner", "cpr_fpf"),
-        decoupling=sv.get("decoupling", "quasi_impes")),
-        keys=dict(max_iterations="linear_max_it"))
-    for k in ("tol", "atol", "max_newton", "forcing_rule", "gamma", "beta",
-              "theta_fixed", "theta0", "theta_min", "theta_max", "max_ds",
-              "max_dp", "mb_tol"):
-        rec("solver", k, getattr(newton, k))
-    for k in ("max_iterations", "preconditioner", "decoupling"):
-        rec("solver", k, getattr(solver, k))
+    newton = _config(sv, NewtonConfig, rec, keys=dict(
+        tol="newton_tol", atol="newton_atol", max_newton="newton_max"))
+    solver = _config(sv, SolverConfig, rec, keys=dict(max_iterations="linear_max_it"))
 
     t = _required(sections, "time")
-    controller = _make(t, StepController, dict(
-        dt_init=t.get("dt_init", 1.0, float), dt_max=t.get("dt_max", 100.0, float),
-        dt_min=t.get("dt_min", 1e-6, float), growth=t.get("growth", 2.0, float),
-        cut=t.get("cut", 0.5, float), max_cuts=t.get("max_cuts", 10, int)))
     t_end = t.get("t_end", None, float)
     if t_end is None or t_end < 0:
         raise DeckError("[time] must set t_end >= 0")
     rec("time", "t_end", t_end)
-    for k in ("dt_init", "dt_max", "dt_min", "growth", "cut", "max_cuts"):
-        rec("time", k, getattr(controller, k))
+    controller = _config(t, StepController, rec)
 
     o = _Section(sections.get("output", []), "output")
-    output = _make(o, OutputConfig, dict(
-        report_csv=o.get("report_csv", "", str),
-        vtk_every=o.get("vtk_every", 0, int),
-        vtk_prefix=o.get("vtk_prefix", "resim_out", str),
-        dump_matrices=o.get("dump_matrices", False, bool)))
-    for k in ("report_csv", "vtk_every", "vtk_prefix", "dump_matrices"):
-        rec("output", k, getattr(output, k))
+    output = _config(o, OutputConfig, rec)
 
     return Deck(grid=grid, rock=rock, fluid=fluid, wells=wells, schedule=schedule,
                 newton=newton, solver=solver, controller=controller, t_end=t_end,
@@ -356,7 +341,8 @@ def _build_fluid(fl: _Section, tables, rec) -> FluidSystem:
         raise DeckError(f"[fluid] model must be two_phase or black_oil, got {kind!r}")
     corey = _make(fl, CoreyTwoPhase, dict(s_wc=fl.get("s_wc", 0.2, float),
                                           s_or=fl.get("s_or", 0.2, float)))
-    relperm = ThreePhaseRelPerm(corey=corey, s_gc=fl.get("s_gc", 0.0, float))
+    relperm = _make(fl, ThreePhaseRelPerm,
+                    dict(corey=corey, s_gc=fl.get("s_gc", 0.0, float)), dict(corey=corey))
 
     use_spe1 = fl.get("pvt_defaults", "spe1" if kind == "black_oil" else "none")
     base = PvtModel.spe1_like() if use_spe1 == "spe1" else PvtModel()
@@ -519,26 +505,24 @@ def _check_constraints_at_start(unconstrained, schedule):
 
 
 def initial_state(deck: Deck) -> ReservoirState:
-    """Uniform pressure at the top datum, hydrostatically adjusted by depth."""
-    from .pvt import phase_density
-
+    """Uniform pressure at the top datum, hydrostatically adjusted by depth
+    with the model's oil density at the datum state."""
     grid, fluid = deck.grid, deck.fluid
-    n = grid.ncell
-    if fluid.kind == "black_oil" and deck.p_b_init > 0:
-        pb_for_rho = min(deck.p_b_init, deck.p_init)
-    else:
-        pb_for_rho = fluid.pvt.p_ref if fluid.kind == "two_phase" else deck.p_init
-    rho0 = phase_density("o", deck.p_init, pb_for_rho, 0.0, fluid.pvt)
-    p_o = deck.p_init + rho0 * units.GRAVITY * (grid.cell_depth - grid.depth_top)
     s_w0 = deck.s_w_init if deck.s_w_init >= 0 else fluid.relperm.corey.s_wc
-    s_w = np.full(n, s_w0)
-    if fluid.kind == "black_oil":
-        sat = np.asarray(deck.p_b_init >= p_o - 1e-12) | (deck.s_g_init > 0)
-        sat = np.broadcast_to(sat, (n,)).copy()
-        x3 = np.where(sat, deck.s_g_init, deck.p_b_init)
-    else:
-        sat = None
-        x3 = None
+
+    def switched(p_o):
+        """(x3, sat) of the black-oil state at oil pressures p_o."""
+        if fluid.kind != "black_oil":
+            return None, None
+        sat = (deck.p_b_init >= p_o - 1e-12) | (deck.s_g_init > 0)
+        return np.where(sat, deck.s_g_init, deck.p_b_init), sat
+
+    datum = np.array([deck.p_init])
+    rho0 = evaluate_properties(datum, np.array([s_w0]), *switched(datum), fluid,
+                               derivs=False).rho_o.v[0]
+    p_o = deck.p_init + rho0 * units.GRAVITY * (grid.cell_depth - grid.depth_top)
+    s_w = np.full(grid.ncell, s_w0)
+    x3, sat = switched(p_o)
     p_h = np.zeros(len(deck.wells))
     for well in deck.wells:
         if well.constraint.kind == "bhp":

@@ -127,18 +127,19 @@ def face_transmissibilities(grid: Grid, rock: RockFields, axis: int) -> np.ndarr
     t = directional_half_trans(grid, rock, axis)
     s = grid.stride(axis)
     out = np.zeros(grid.ncell)
-    ia = np.nonzero(has_upper_neighbor(grid, axis))[0]
+    ia = np.nonzero(neighbor_mask(grid.shape(), axis, upper=True))[0]
     ta, tb = t[ia], t[ia + s]
     out[ia] = 2.0 * ta * tb / (ta + tb)
     return out
 
 
-def has_upper_neighbor(grid: Grid, axis: int) -> np.ndarray:
-    """Boolean mask: cell has a neighbor at +1 in the given axis."""
-    n = (grid.nx, grid.ny, grid.nz)[axis]
-    idx = np.arange(grid.ncell)
-    pos = (idx // grid.stride(axis)) % n
-    return pos < n - 1
+def neighbor_mask(shape, axis: int, upper: bool) -> np.ndarray:
+    """Boolean mask over the cells of an (nx, ny, nz) grid, i fastest: the
+    cell has a neighbor at +1 (``upper``) or at -1 in the given axis."""
+    nx, ny, nz = shape
+    n = shape[axis]
+    pos = (np.arange(nx * ny * nz) // (1, nx, nx * ny)[axis]) % n
+    return pos < n - 1 if upper else pos > 0
 
 
 def _parse_tokens(source, what: str) -> np.ndarray:

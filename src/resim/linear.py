@@ -28,6 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .grid import neighbor_mask
 from .parallel import PooledMatvec, det_dot, det_norm
 
 log = logging.getLogger(__name__)
@@ -150,19 +151,14 @@ class BlockMatrix:
     def stride(self, axis: int) -> int:
         return (1, self.shape[0], self.shape[0] * self.shape[1])[axis]
 
-    def neighbor_mask(self, axis: int, upper: bool) -> np.ndarray:
-        nax = self.shape[axis]
-        pos = (np.arange(self.ncell) // self.stride(axis)) % nax
-        return pos < nax - 1 if upper else pos > 0
-
     def _stencil_blocks(self):
         """(blocks, column-cell offset, cells that have the neighbor) per
         stencil block array: diagonal first, then lower and upper per axis."""
         yield self.diag, 0, np.ones(self.ncell, bool)
         for ax in self.axes:
             s = self.stride(ax)
-            yield self.lo[ax], -s, self.neighbor_mask(ax, upper=False)
-            yield self.hi[ax], s, self.neighbor_mask(ax, upper=True)
+            yield self.lo[ax], -s, neighbor_mask(self.shape, ax, upper=False)
+            yield self.hi[ax], s, neighbor_mask(self.shape, ax, upper=True)
 
     def _stencil_coo(self, q: int):
         """COO coordinates of the leading q x q corner of every stencil block.
@@ -344,7 +340,8 @@ class CsrPattern:
         red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
         self.red, self.black = (np.flatnonzero(x).astype(np.int32) for x in (red, ~red))
         black, nb, mm, ii = self.black, np.count_nonzero(~red), m * m, np.arange(m)[:, None]
-        dirs = [(sign * a.stride(ax), np.flatnonzero(a.neighbor_mask(ax, sign > 0)[black]))
+        dirs = [(sign * a.stride(ax),
+                 np.flatnonzero(neighbor_mask(a.shape, ax, sign > 0)[black]))
                 for ax in a.axes for sign in (-1, 1)]
         self.nbr = np.zeros((len(dirs), nb), np.int32)
         self.ilu_pass = max(1, _ILU_PASS_BYTES // (24 * mm * max(1, len(dirs))))

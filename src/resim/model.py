@@ -57,15 +57,6 @@ class ReservoirState:
             self.p_h.copy(), self.t)
 
 
-# (component, mass-mobility, potential pressure, gravity density) per flux stream;
-# solution gas travels with the oil phase.
-_STREAMS = {
-    "two_phase": [("w", "lam_w", "p_w", "rho_w"), ("o", "lam_o", "p_o", "rho_o")],
-    "black_oil": [("w", "lam_w", "p_w", "rho_w"), ("o", "lam_o", "p_o", "rho_o"),
-                  ("g", "lam_og", "p_o", "rho_o"), ("g", "lam_g", "p_g", "rho_g")],
-}
-
-
 class ReservoirModel:
     """Grid + rock + fluid bundle with assembly routines."""
 
@@ -257,7 +248,7 @@ class ReservoirModel:
             b_lo, b_hi = max(f0, c0 - s), min(f1, c1 - s)  # rows b = a + s
             asl = slice(a_lo - f0, a_hi - f0)
             bsl = slice(b_lo - f0, b_hi - f0)
-            for comp, lam, p, rho in _STREAMS[self.fluid.kind]:
+            for comp, lam, p, rho in self.fluid.streams:
                 ci = self.comp_row(comp)
                 v, da, db = _stream_flux(props, lam, p, rho, idxa, idxb, tface, dz)
                 if a_hi > a_lo:

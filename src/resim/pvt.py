@@ -1,10 +1,13 @@
 """Rock-fluid and PVT property evaluation with analytic derivatives.
 
-Relative permeabilities use the Corey-quadratic curves (oil-water) and the
-Stone II combination for three-phase oil.  Pressure-dependent properties come
-from piecewise-linear tables with flat two-sided clamping.  Every property can
-be evaluated together with its partial derivatives with respect to the cell
-unknowns, packaged as :class:`resim.diff.CellVal` bundles.
+Relative permeabilities use Corey-quadratic curves (oil-water and gas) and
+the Stone II combination for three-phase oil.  Pressure-dependent properties
+come from piecewise-linear tables with flat two-sided clamping.  Each formula
+is written once, in :func:`evaluate_properties`, which returns every property
+of a set of cells as :class:`resim.diff.CellVal` bundles: values, plus the
+partial derivatives with respect to the cell unknowns unless
+``derivs=False``.  Single values, such as the datum oil density of the
+initial state, are read from a length-1 evaluation.
 """
 
 from __future__ import annotations
@@ -78,32 +81,24 @@ class CoreyTwoPhase:
         return 1.0 - self.s_wc - self.s_or
 
 
-def krw(s_w, model: CoreyTwoPhase):
-    """Water relative permeability (s_w - s_wc)^2 / (1 - s_wc - s_or)^2, in [0, 1]."""
-    s = np.asarray(s_w, dtype=float)
-    val = np.clip((s - model.s_wc) / model._span, 0.0, 1.0) ** 2
-    return val if val.ndim else float(val)
+def _corey_cv(s: CellVal, s0: float, span: float) -> CellVal:
+    """Corey-quadratic curve u^2 with u = clip((s - s0) / span, 0, 1).
 
-
-def kro_two_phase(s_w, model: CoreyTwoPhase):
-    """Oil relative permeability (1 - s_or - s_w)^2 / (1 - s_wc - s_or)^2, in [0, 1]."""
-    s = np.asarray(s_w, dtype=float)
-    val = np.clip((1.0 - model.s_or - s) / model._span, 0.0, 1.0) ** 2
-    return val if val.ndim else float(val)
+    A negative ``span`` gives the decreasing curve, u = clip((s0 - s) / |span|).
+    """
+    u = np.clip((s.v - s0) / span, 0.0, 1.0)
+    interior = (u > 0.0) & (u < 1.0)
+    return CellVal.lift(u * u, np.where(interior, 2.0 * u / span, 0.0), s)
 
 
 def _krw_cv(s_w: CellVal, model: CoreyTwoPhase) -> CellVal:
-    u = np.clip((s_w.v - model.s_wc) / model._span, 0.0, 1.0)
-    interior = (u > 0.0) & (u < 1.0)
-    slope = np.where(interior, 2.0 * u / model._span, 0.0)
-    return CellVal.lift(u * u, slope, s_w)
+    """Water: (s_w - s_wc)^2 / (1 - s_wc - s_or)^2, clamped to [0, 1]."""
+    return _corey_cv(s_w, model.s_wc, model._span)
 
 
 def _kro2_cv(s_w: CellVal, model: CoreyTwoPhase) -> CellVal:
-    u = np.clip((1.0 - model.s_or - s_w.v) / model._span, 0.0, 1.0)
-    interior = (u > 0.0) & (u < 1.0)
-    slope = np.where(interior, -2.0 * u / model._span, 0.0)
-    return CellVal.lift(u * u, slope, s_w)
+    """Oil against water: (1 - s_or - s_w)^2 / (1 - s_wc - s_or)^2, in [0, 1]."""
+    return _corey_cv(s_w, 1.0 - model.s_or, -model._span)
 
 
 @dataclass
@@ -113,41 +108,28 @@ class ThreePhaseRelPerm:
     corey: CoreyTwoPhase = field(default_factory=CoreyTwoPhase)
     s_gc: float = 0.0
 
+    def __post_init__(self):
+        if self.s_gc < 0 or self.corey.s_wc + self.s_gc >= 1:
+            raise ValueError(f"need 0 <= s_gc and s_wc + s_gc < 1, "
+                             f"got s_wc={self.corey.s_wc}, s_gc={self.s_gc}")
+
     @property
     def krocw(self) -> float:
-        return kro_two_phase(self.corey.s_wc, self.corey)
-
-    def _krg_cv(self, s_g: CellVal) -> CellVal:
-        span = 1.0 - self.corey.s_wc - self.s_gc
-        u = np.clip((s_g.v - self.s_gc) / span, 0.0, 1.0)
-        interior = (u > 0.0) & (u < 1.0)
-        return CellVal.lift(u * u, np.where(interior, 2.0 * u / span, 0.0), s_g)
-
-    def _krog_cv(self, s_g: CellVal) -> CellVal:
-        span = self.corey._span
-        u = np.clip((1.0 - self.corey.s_wc - self.corey.s_or - s_g.v) / span, 0.0, 1.0)
-        interior = (u > 0.0) & (u < 1.0)
-        return CellVal.lift(u * u, np.where(interior, -2.0 * u / span, 0.0), s_g)
+        """Oil relative permeability at connate water and no gas."""
+        return float(_kro2_cv(CellVal.const([self.corey.s_wc]), self.corey).v[0])
 
 
-def kro_stone2(s_w, s_g, tables: ThreePhaseRelPerm):
-    """Stone II three-phase oil relative permeability, clamped below at 0.
+def _kro_stone2_cv(s_w: CellVal, s_g: CellVal, rw: CellVal, rg: CellVal,
+                   tables: ThreePhaseRelPerm) -> CellVal:
+    """Stone II three-phase oil relative permeability, clamped below at 0,
+    from the water and gas curves ``rw`` and ``rg`` at (s_w, s_g).
 
     Reduces exactly to the two-phase oil curve at s_g = 0.
     """
-    n = np.broadcast(np.asarray(s_w, dtype=float), np.asarray(s_g, dtype=float)).size
-    sw = CellVal.const(np.broadcast_to(np.asarray(s_w, dtype=float), (n,)).copy())
-    sg = CellVal.const(np.broadcast_to(np.asarray(s_g, dtype=float), (n,)).copy())
-    val = _kro_stone2_cv(sw, sg, tables).v
-    return val if np.ndim(s_w) or np.ndim(s_g) else float(val[0])
-
-
-def _kro_stone2_cv(s_w: CellVal, s_g: CellVal, tables: ThreePhaseRelPerm) -> CellVal:
+    corey = tables.corey
     a = tables.krocw
-    row = _kro2_cv(s_w, tables.corey)
-    rw = _krw_cv(s_w, tables.corey)
-    rog = tables._krog_cv(s_g)
-    rg = tables._krg_cv(s_g)
+    row = _kro2_cv(s_w, corey)
+    rog = _corey_cv(s_g, 1.0 - corey.s_wc - corey.s_or, -corey._span)
     kro = a * ((row / a + rw) * (rog / a + rg) - rw - rg)
     neg = kro.v < 0.0
     if np.any(neg):
@@ -201,10 +183,14 @@ class PvtModel:
                 raise ValueError(f"{name} must be >= 0")
         if self.mu_w <= 0:
             raise ValueError("mu_w must be > 0")
+        if self.mu_g <= 0:
+            raise ValueError("mu_g must be > 0")
         if np.any(self.mu_o_table.y <= 0):
             raise ValueError("oil viscosity table must be positive")
         if np.any(self.bo_table.y <= 0):
             raise ValueError("B_o table must be positive")
+        if np.any(self.bg_table.y <= 0):
+            raise ValueError("B_g table must be positive")
         if np.any(np.diff(self.rs_table.y) < 0):
             raise ValueError("R_s table must be nondecreasing in p_b")
 
@@ -228,33 +214,6 @@ class PvtModel:
         return cls(**kw)
 
 
-def phase_density(phase: str, p_o, p_b, s, model: PvtModel):
-    """Mass density (lbm/ft^3) of phase 'w', 'o' or 'g' at the given state.
-
-    ``s`` is the phase saturation used for capillary shifts (s_w for water,
-    s_g for gas; ignored for oil).  Oil returns the full phase density
-    (oil component plus solution gas).
-    """
-    p_o = np.atleast_1d(np.asarray(p_o, dtype=float))
-    p_b = np.atleast_1d(np.asarray(p_b, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if phase == "w":
-        pcow, _ = model.pcow_table(s)
-        val = model.rho_w_ref * (1.0 + model.c_w * ((p_o - pcow) - model.p_ref))
-    elif phase == "o":
-        rs, _ = model.rs_table(p_b)
-        bo_sat, _ = model.bo_table(p_b)
-        bo = bo_sat * (1.0 - model.c_o * (p_o - p_b))
-        val = (model.rho_o_ref + rs * model.rho_g_ref) / bo
-    elif phase == "g":
-        pcog, _ = model.pcog_table(s)
-        bg, _ = model.bg_table(p_o + pcog)
-        val = model.rho_g_ref / bg
-    else:
-        raise ValueError(f"unknown phase {phase!r}")
-    return val if val.shape != (1,) else float(val[0])
-
-
 @dataclass
 class FluidSystem:
     """Model kind plus rel-perm and PVT data; m is the per-cell unknown count."""
@@ -274,6 +233,16 @@ class FluidSystem:
     @property
     def components(self) -> tuple[str, ...]:
         return ("o", "w") if self.kind == "two_phase" else ("o", "w", "g")
+
+    @property
+    def streams(self) -> tuple[tuple[str, str, str, str], ...]:
+        """(component, mass mobility, potential pressure, density) of every
+        flux stream, named as ``CellProps`` attributes.  Solution gas travels
+        with the oil phase, at its pressure and density."""
+        water_oil = (("w", "lam_w", "p_w", "rho_w"), ("o", "lam_o", "p_o", "rho_o"))
+        if self.kind == "two_phase":
+            return water_oil
+        return water_oil + (("g", "lam_og", "p_o", "rho_o"), ("g", "lam_g", "p_g", "rho_g"))
 
 
 class CellProps:
@@ -335,13 +304,14 @@ def evaluate_properties(p_o, s_w, x3, sat_mask, fluid: FluidSystem,
     pr.p_w = po - pcow
     pr.p_g = po + pcog
 
-    pr.krw = _krw_cv(sw, fluid.relperm.corey)
+    rp = fluid.relperm
+    pr.krw = _krw_cv(sw, rp.corey)
     if fluid.kind == "two_phase":
-        pr.kro = _kro2_cv(sw, fluid.relperm.corey)
+        pr.kro = _kro2_cv(sw, rp.corey)
         pr.krg = CellVal.const(np.zeros(n), nder)
     else:
-        pr.kro = _kro_stone2_cv(sw, sg, fluid.relperm)
-        pr.krg = fluid.relperm._krg_cv(sg)
+        pr.krg = _corey_cv(sg, rp.s_gc, 1.0 - rp.corey.s_wc - rp.s_gc)
+        pr.kro = _kro_stone2_cv(sw, sg, pr.krw, pr.krg, rp)
 
     pr.rho_w = pv.rho_w_ref * (1.0 + pv.c_w * (pr.p_w - pv.p_ref))
     bo = pv.bo_table.cv(pb) * (1.0 - pv.c_o * dp_usat)

@@ -174,9 +174,10 @@ def well_component_rates(well: Well, p_h: float, props, fluid,
                          derivs: bool = False, cell_map=None) -> WellRates:
     """Signed component mass rates at every perforation of one well.
 
-    Producers draw at the perforated cell's mobilities and export solution
-    gas with the oil-phase stream; injectors deliver their declared phase at
-    endpoint relative permeability with in-cell density and viscosity.
+    Producers draw every stream of ``fluid.streams`` at the perforated
+    cell's mobilities, so solution gas leaves with the oil phase; injectors
+    deliver their declared phase at endpoint relative permeability with
+    in-cell pressure, density and viscosity of that phase.
     ``cell_map`` translates grid cell ids into rows of ``props`` when the
     properties were evaluated on a subset of cells.
     """
@@ -196,35 +197,19 @@ def well_component_rates(well: Well, p_h: float, props, fluid,
         return v, d
 
     if well.kind == "injector":
-        if well.inj_phase == "w":
-            rho_v, rho_d = gat(props.rho_w)
-            p_v, p_d = gat(props.p_w)
-            _phase_term(r, "w", wi, dz, p_h, rho_v / fluid.pvt.mu_w,
-                        rho_d / fluid.pvt.mu_w, p_v, p_d, rho_v, rho_d, derivs)
-        else:
-            rho_v, rho_d = gat(props.rho_g)
-            p_v, p_d = gat(props.p_g)
-            _phase_term(r, "g", wi, dz, p_h, rho_v / fluid.pvt.mu_g,
-                        rho_d / fluid.pvt.mu_g, p_v, p_d, rho_v, rho_d, derivs)
+        ph = well.inj_phase
+        mu = getattr(fluid.pvt, "mu_" + ph)
+        rho_v, rho_d = gat(getattr(props, "rho_" + ph))
+        p_v, p_d = gat(getattr(props, "p_" + ph))
+        _phase_term(r, ph, wi, dz, p_h, rho_v / mu, rho_d / mu, p_v, p_d,
+                    rho_v, rho_d, derivs)
     else:
-        lam_v, lam_d = gat(props.lam_w)
-        p_v, p_d = gat(props.p_w)
-        rho_v, rho_d = gat(props.rho_w)
-        _phase_term(r, "w", wi, dz, p_h, lam_v, lam_d, p_v, p_d, rho_v, rho_d, derivs)
-
-        lam_v, lam_d = gat(props.lam_o)
-        p_v, p_d = gat(props.p_o)
-        rho_v, rho_d = gat(props.rho_o)
-        _phase_term(r, "o", wi, dz, p_h, lam_v, lam_d, p_v, p_d, rho_v, rho_d, derivs)
-
-        if fluid.kind == "black_oil":
-            # solution gas rides the oil-phase stream
-            lam_v, lam_d = gat(props.lam_og)
-            _phase_term(r, "g", wi, dz, p_h, lam_v, lam_d, p_v, p_d, rho_v, rho_d, derivs)
-            lam_v, lam_d = gat(props.lam_g)
-            p_v, p_d = gat(props.p_g)
-            rho_v, rho_d = gat(props.rho_g)
-            _phase_term(r, "g", wi, dz, p_h, lam_v, lam_d, p_v, p_d, rho_v, rho_d, derivs)
+        for comp, lam, p, rho in fluid.streams:
+            lam_v, lam_d = gat(getattr(props, lam))
+            p_v, p_d = gat(getattr(props, p))
+            rho_v, rho_d = gat(getattr(props, rho))
+            _phase_term(r, comp, wi, dz, p_h, lam_v, lam_d, p_v, p_d,
+                        rho_v, rho_d, derivs)
 
     for comp in ("w", "o", "g"):
         if comp not in r.q:

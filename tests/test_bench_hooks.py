@@ -55,6 +55,10 @@ def test_tracer_counts_match_the_run_report(monkeypatch, tmp_path):
     # 6 cells, no coarse AMG level: every Newton iteration builds a hierarchy
     builds = sum(1 for span in t.spans if span[0] == "linear.build_amg")
     assert builds == report.n_newton
+    # property and well-rate calls reach their layers
+    layers, _ = t.summarize(1.0)
+    assert layers["pvt.evaluate_calls"] > 0
+    assert layers["wells.rates_calls"] > 0
 
 
 def test_sample_patch_targets_exist():

@@ -6,7 +6,7 @@ import pytest
 import scipy.io
 
 import resim
-from resim import linear, model, nonlinear
+from resim import linear, model, nonlinear, units
 from resim.driver import (DeckError, load_deck, parse_deck, run_simulation,
                           write_vtk, initial_state, main)
 from resim.nonlinear import SimulationAbort
@@ -71,7 +71,8 @@ REJECTED_VALUES = [
     ("solver", "max_dp = 0"), ("solver", "newton_atol = -1e-8"),
     ("solver", "theta_fixed = 0"), ("solver", "theta_fixed = 1.0"),
     ("time", "max_cuts = -1"), ("output", "vtk_every = -2"),
-    ("output", "dump_matrices = maybe")]
+    ("output", "dump_matrices = maybe"), ("fluid", "s_gc = -0.1"),
+    ("fluid", "s_gc = 0.95"), ("fluid", "mu_g = 0.0")]
 
 
 def deck_with(section, line):
@@ -818,6 +819,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("deck error: line ")
         assert os.listdir(tmp_path) == ["bad.deck"]      # nothing was run
 
+    def test_nonpositive_bg_table_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "bad.deck"
+        p.write_text(TINY_RUN_DECK + "\n[table:bg]\n14.7 1.0\n5000.0 0.0\n")
+        rc = main(["run", str(p), "--output-dir", str(tmp_path), "-q"])
+        assert rc == 1
+        assert "B_g table must be positive" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["bad.deck"]      # nothing was run
+
     def test_workers_flag(self, tmp_path, capsys):
         rc = main(["run", self.write_deck(tmp_path), "--workers", "2",
                    "--output-dir", str(tmp_path), "-q"])
@@ -841,6 +850,23 @@ class TestInitialState:
         np.testing.assert_allclose(st.x3, 4014.7)
         # BHP producers get their target, rate wells the local pressure
         assert st.p_h[0] == pytest.approx(np.mean(st.p_o[[0]]), abs=200.0)
+
+
+    @pytest.mark.parametrize("fluid", ["model = black_oil",
+                                       "model = two_phase\npvt_defaults = spe1"])
+    def test_datum_density_is_the_models(self, fluid):
+        # the hydrostatic gradient takes the oil density that the model
+        # assigns to the initial state at the datum
+        deck = parse_deck(TINY_RUN_DECK.replace("model = two_phase", fluid)
+                          .replace("nz = 1", "nz = 3"))
+        st = initial_state(deck)
+        # without p_b_init, black oil starts undersaturated at p_b = 0
+        x3, sat = (None, None) if st.x3 is None else (np.zeros(1), np.zeros(1, bool))
+        rho = resim.evaluate_properties(np.array([deck.p_init]), st.s_w[:1], x3, sat,
+                                        deck.fluid, derivs=False).rho_o.v[0]
+        depth = deck.grid.cell_depth - deck.grid.depth_top
+        np.testing.assert_allclose(st.p_o, deck.p_init + rho * units.GRAVITY * depth,
+                                   rtol=1e-13)
 
 
 class TestScheduleAlignment:

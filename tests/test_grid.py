@@ -6,7 +6,7 @@ import pytest
 
 import resim
 from resim.grid import (FieldFormatError, face_transmissibilities,
-                        has_upper_neighbor, PORO_FLOOR, PERM_FLOOR_MD)
+                        neighbor_mask, PORO_FLOOR, PERM_FLOOR_MD)
 
 
 def test_cell_index_origin():
@@ -89,10 +89,15 @@ def test_homogeneous_interior_faces_identical(small_grid):
     rock = resim.RockFields.uniform(small_grid, 50.0, 0.2)
     for ax in range(3):
         t = face_transmissibilities(small_grid, rock, ax)
-        mask = has_upper_neighbor(small_grid, ax)
+        mask = neighbor_mask(small_grid.shape(), ax, upper=True)
         vals = t[mask]
         assert np.all(vals == vals[0])
         assert np.all(t[~mask] == 0.0)
+        # cell c has an upper neighbor exactly when c + stride has a lower one
+        s = small_grid.stride(ax)
+        lower = neighbor_mask(small_grid.shape(), ax, upper=False)
+        np.testing.assert_array_equal(lower[s:], mask[:-s])
+        assert not lower[:s].any()
 
 
 def test_load_spe10_uniform_synthetic():

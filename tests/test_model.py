@@ -95,8 +95,10 @@ class TestFaceFlux:
         st = ReservoirState(np.array([3100.0, 3000.0]), np.array([0.5, 0.2]))
         t_geo = face_transmissibilities(model.grid, model.rock, 0)[0]
         pvt = model.fluid.pvt
-        lam_w = resim.krw(0.5, model.fluid.relperm.corey) * pvt.rho_w_ref / pvt.mu_w
-        lam_o = resim.kro_two_phase(0.5, model.fluid.relperm.corey) * 53.0 / 3.0
+        kr = evaluate_properties(st.p_o[:1], st.s_w[:1], None, None, model.fluid,
+                                 derivs=False)
+        lam_w = kr.krw.v[0] * pvt.rho_w_ref / pvt.mu_w
+        lam_o = kr.kro.v[0] * 53.0 / 3.0
         expected_w = units.DARCY * t_geo * lam_w * 100.0
         expected_o = units.DARCY * t_geo * lam_o * 100.0
         rows = cell_rows(model.assemble_residual(st, st, 1.0, []), model)

@@ -24,27 +24,46 @@ def _nudge(values, kinks, margin):
     return v
 
 
+def two_phase_kr(s_w, corey):
+    """(k_rw, k_ro) of a two-phase fluid at the water saturations s_w."""
+    s = np.atleast_1d(np.asarray(s_w, dtype=float))
+    fluid = resim.FluidSystem("two_phase", resim.ThreePhaseRelPerm(corey))
+    pr = evaluate_properties(np.full(s.shape, 3000.0), s, None, None, fluid,
+                             derivs=False)
+    return pr.krw.v, pr.kro.v
+
+
+def stone2(s_w, s_g, tables, derivs=False):
+    """Stone II k_ro bundle of saturated black-oil cells at (s_w, s_g)."""
+    s_w, s_g = np.broadcast_arrays(np.atleast_1d(np.asarray(s_w, dtype=float)),
+                                   np.atleast_1d(np.asarray(s_g, dtype=float)))
+    n = len(s_w)
+    fluid = resim.FluidSystem("black_oil", tables)
+    return evaluate_properties(np.full(n, 3000.0), s_w, s_g, np.ones(n, bool),
+                               fluid, derivs=derivs).kro
+
+
 class TestCorey:
     def test_krw_endpoints(self, corey):
-        assert resim.krw(0.2, corey) == 0.0
-        assert resim.krw(0.8, corey) == pytest.approx(1.0)
-        assert resim.krw(0.1, corey) == 0.0
+        krw, _ = two_phase_kr([0.2, 0.8, 0.1], corey)
+        assert krw[0] == 0.0
+        assert krw[1] == pytest.approx(1.0)
+        assert krw[2] == 0.0
 
     def test_krw_midpoint(self, corey):
         # (0.3)^2 / (0.6)^2
-        assert resim.krw(0.5, corey) == pytest.approx(0.25)
+        assert two_phase_kr(0.5, corey)[0][0] == pytest.approx(0.25)
 
     def test_kro_endpoints(self, corey):
-        assert resim.kro_two_phase(0.2, corey) == pytest.approx(1.0)
-        assert resim.kro_two_phase(0.8, corey) == 0.0
+        _, kro = two_phase_kr([0.2, 0.8], corey)
+        assert kro[0] == pytest.approx(1.0)
+        assert kro[1] == 0.0
 
     def test_kro_midpoint(self, corey):
-        assert resim.kro_two_phase(0.5, corey) == pytest.approx(0.25)
+        assert two_phase_kr(0.5, corey)[1][0] == pytest.approx(0.25)
 
     def test_bounds_and_monotonicity(self, corey):
-        s = np.linspace(0, 1, 101)
-        w = resim.krw(s, corey)
-        o = resim.kro_two_phase(s, corey)
+        w, o = two_phase_kr(np.linspace(0, 1, 101), corey)
         assert np.all((0 <= w) & (w <= 1)) and np.all((0 <= o) & (o <= 1))
         assert np.all(np.diff(w) >= 0)
         assert np.all(np.diff(o) <= 0)
@@ -58,12 +77,16 @@ class TestStone2:
     def test_reduces_to_two_phase_at_zero_gas(self, corey):
         tables = resim.ThreePhaseRelPerm(corey)
         s = np.linspace(0.0, 1.0, 41)
-        np.testing.assert_array_equal(resim.kro_stone2(s, np.zeros_like(s), tables),
-                                      resim.kro_two_phase(s, corey))
+        kro = stone2(s, 0.0, tables, derivs=True)
+        two_phase = evaluate_properties(np.full(s.shape, 3000.0), s, None, None,
+                                        resim.FluidSystem("two_phase", tables)).kro
+        np.testing.assert_array_equal(kro.v, two_phase.v)
+        # the (p_o, s_w) derivatives are the two-phase curve's too
+        np.testing.assert_array_equal(kro.d[:, :2], two_phase.d)
 
     def test_connate_endpoint(self, corey):
         tables = resim.ThreePhaseRelPerm(corey)
-        assert resim.kro_stone2(0.2, 0.0, tables) == pytest.approx(tables.krocw)
+        assert stone2(0.2, 0.0, tables).v[0] == pytest.approx(tables.krocw)
 
     def test_against_independent_formula(self, corey):
         # independent scripted Stone II evaluation (krocw-normalized form)
@@ -76,14 +99,14 @@ class TestStone2:
         krg_ = (s_g / (1.0 - 0.2)) ** 2
         krocw = 1.0
         expected = krocw * ((krow / krocw + krw_) * (krog / krocw + krg_) - krw_ - krg_)
-        assert resim.kro_stone2(s_w, s_g, tables) == pytest.approx(expected, rel=1e-12)
+        assert stone2(s_w, s_g, tables).v[0] == pytest.approx(expected, rel=1e-12)
 
     def test_clamped_nonnegative(self, corey):
         tables = resim.ThreePhaseRelPerm(corey)
         s = np.linspace(0, 1, 21)
         sw, sg = np.meshgrid(s, s)
         keep = sw + sg <= 1.0
-        vals = resim.kro_stone2(sw[keep], sg[keep], tables)
+        vals = stone2(sw[keep], sg[keep], tables).v
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
@@ -114,14 +137,28 @@ class TestTables:
             resim.PvtModel(rs_table=resim.Table1D([1.0, 2.0], [5.0, 1.0]))
 
 
+def datum_props(pvt, p_o, p_b=None, kind="black_oil"):
+    """Values of one cell at oil pressure p_o and s_w = s_g = 0: saturated,
+    or undersaturated at bubble point p_b when given (black oil only)."""
+    fluid = resim.FluidSystem(kind, pvt=pvt)
+    if kind == "two_phase":
+        return evaluate_properties(np.array([p_o]), np.zeros(1), None, None, fluid,
+                                   derivs=False)
+    sat = np.array([p_b is None])
+    x3 = np.array([0.0 if p_b is None else p_b])
+    return evaluate_properties(np.array([p_o]), np.zeros(1), x3, sat, fluid,
+                               derivs=False)
+
+
 class TestPhaseDensity:
     def test_water_reference_state(self):
         pvt = resim.PvtModel(c_w=3e-6, p_ref=500.0, rho_w_ref=62.4)
-        assert resim.phase_density("w", 500.0, 500.0, 0.0, pvt) == pytest.approx(62.4)
+        assert datum_props(pvt, 500.0, kind="two_phase").rho_w.v[0] == pytest.approx(62.4)
 
     def test_dead_oil_identity(self):
         pvt = resim.PvtModel(rho_o_ref=53.0)  # R_s = 0, B_o = 1 defaults
-        assert resim.phase_density("o", 3000.0, 3000.0, 0.0, pvt) == pytest.approx(53.0)
+        assert datum_props(pvt, 3000.0, kind="two_phase").rho_o.v[0] == \
+            pytest.approx(53.0)
 
     def test_oil_against_independent_interpolation(self):
         pvt = resim.PvtModel.spe1_like()
@@ -131,22 +168,16 @@ class TestPhaseDensity:
         bo_sat = np.interp(p_b, pvt.bo_table.x, pvt.bo_table.y)
         bo = bo_sat * (1.0 - pvt.c_o * (p_o - p_b))
         expected = (pvt.rho_o_ref + rs * pvt.rho_g_ref) / bo
-        assert resim.phase_density("o", p_o, p_b, 0.0, pvt) == pytest.approx(expected, rel=1e-12)
-        # the oil and solution-gas components of an undersaturated cell
-        pr = evaluate_properties(np.array([p_o]), np.array([0.3]), np.array([p_b]),
-                                 np.array([False]), resim.FluidSystem("black_oil", pvt=pvt),
-                                 derivs=False)
+        # the oil phase, and its oil and solution-gas components
+        pr = datum_props(pvt, p_o, p_b)
+        assert pr.rho_o.v[0] == pytest.approx(expected, rel=1e-12)
         assert pr.rho_oo.v[0] + pr.rho_og.v[0] == pytest.approx(expected, rel=1e-12)
 
     def test_gas_from_fvf_table(self):
         pvt = resim.PvtModel.spe1_like()
         bg = np.interp(2000.0, pvt.bg_table.x, pvt.bg_table.y)
-        assert resim.phase_density("g", 2000.0, 2000.0, 0.0, pvt) == \
+        assert datum_props(pvt, 2000.0).rho_g.v[0] == \
             pytest.approx(pvt.rho_g_ref / bg, rel=1e-12)
-
-    def test_unknown_phase(self):
-        with pytest.raises(ValueError):
-            resim.phase_density("x", 100.0, 100.0, 0.0, resim.PvtModel())
 
 
 class TestPropertyDerivatives:

@@ -94,7 +94,9 @@ class TestPerforationRate:
         perf = w.perforations[0]
         st = ReservoirState(np.array([6000.0]), np.array([0.5]),
                             p_h=np.array([4000.0]))
-        lam_o = resim.kro_two_phase(0.5, model.fluid.relperm.corey) * 53.0 / 3.0
+        kro = evaluate_properties(st.p_o, st.s_w, None, None, model.fluid,
+                                  derivs=False).kro.v[0]
+        lam_o = kro * 53.0 / 3.0
         expected = units.DARCY * perf.wi * lam_o * (4000.0 - 6000.0)
         assert perf_rates(w, st, model.fluid)["o"][0] == pytest.approx(expected, rel=1e-12)
         assert expected < 0  # production is negative
