@@ -29,8 +29,8 @@ from .nonlinear import (NewtonConfig, StepController, RunReport, SimulationAbort
 from .parallel import WorkerPool
 from .pvt import (CoreyTwoPhase, FluidSystem, PvtModel, Table1D, ThreePhaseRelPerm,
                   evaluate_properties)
-from .wells import (CONSTRAINT_KINDS, Constraint, Schedule, Well, WellConfigError,
-                    apply_schedule, complete_vertical)
+from .wells import (CONSTRAINT_KINDS, RATE_KINDS, Constraint, Schedule, Well,
+                    WellConfigError, apply_schedule, complete_vertical)
 from . import units
 
 log = logging.getLogger(__name__)
@@ -256,10 +256,10 @@ def _build_deck(sections, tables, base_dir) -> Deck:
         rec("init", k, v)
 
     w = _Section(sections.get("wells", []), "wells")
-    wells, unconstrained = _build_wells(w, grid, rock, rec)
+    wells, unconstrained = _build_wells(w, grid, rock, rec, fluid.kind)
 
     s = _Section(sections.get("schedule", []), "schedule")
-    schedule = _build_schedule(s, rec)
+    schedule = _build_schedule(s, rec, wells, fluid.kind)
     try:
         schedule.validate_names(wells)
     except WellConfigError as exc:
@@ -396,7 +396,7 @@ def _table_from_rows(rows, name) -> Table1D | None:
         raise DeckError(f"[table:{name}]: {exc}") from None
 
 
-def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec):
+def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec, model: str):
     """The deck's wells, and the names of those whose line sets no constraint."""
     wells: list[Well] = []
     unconstrained: list[str] = []
@@ -428,6 +428,8 @@ def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec):
         except WellConfigError as exc:
             raise DeckError(f"line {lineno}: {exc}") from None
         given = [ckind for ckind in CONSTRAINT_KINDS if ckind in kv]
+        for ckind in given or [None]:
+            _check_meetable(lineno, well, ckind, model)
         for ckind in given:
             well.constraint = Constraint(ckind, num[ckind])
         if not given:
@@ -478,8 +480,23 @@ def _well_number(lineno: int, key: str, text: str) -> float:
     return value
 
 
-def _build_schedule(s: _Section, rec) -> Schedule:
-    entries = []
+def _check_meetable(lineno: int, well: Well, kind: str | None, model: str):
+    """Reject a well, or a constraint kind given for it, that the model can
+    never meet: gas injectors and gas_rate need black oil, and an injector's
+    rate constraint must count the component it injects."""
+    injector = well.kind == "injector"
+    if model != "black_oil" and (kind == "gas_rate" or (injector and well.inj_phase == "g")):
+        raise DeckError(f"line {lineno}: well {well.name}: gas injectors and gas_rate "
+                        f"need model = black_oil")
+    phase, rates = {"w": ("water", ("water_rate", "liquid_rate")),
+                    "g": ("gas", ("gas_rate",))}[well.inj_phase]
+    if injector and kind in RATE_KINDS and kind not in rates:
+        raise DeckError(f"line {lineno}: well {well.name}: a {phase} injector's rate "
+                        f"constraint must be {' or '.join(rates)}, not {kind}")
+
+
+def _build_schedule(s: _Section, rec, wells: list[Well], model: str) -> Schedule:
+    entries, by_name = [], {well.name: well for well in wells}
     for i, (lineno, val) in enumerate(s.repeated("at")):
         parts = val.split()
         if len(parts) != 4:
@@ -489,6 +506,8 @@ def _build_schedule(s: _Section, rec) -> Schedule:
                             Constraint(parts[2], float(parts[3]))))
         except (ValueError, WellConfigError) as exc:
             raise DeckError(f"line {lineno}: {exc}") from None
+        if parts[1] in by_name:           # an undeclared name is reported below
+            _check_meetable(lineno, by_name[parts[1]], parts[2], model)
         rec("schedule", f"at.{i}", val)
     try:
         return Schedule(entries)
@@ -534,25 +553,22 @@ def initial_state(deck: Deck) -> ReservoirState:
 
 
 def write_vtk(grid: Grid, state: ReservoirState, rock: RockFields, path: str):
-    """Legacy-VTK structured-points file with cell-data arrays."""
+    """Legacy-VTK structured-points file with BINARY cell-data arrays:
+    big-endian float64, so the file holds the state bit for bit."""
     arrays = [("pressure", state.p_o), ("s_w", state.s_w)]
     if state.x3 is not None:
         arrays.append(("s_g", np.where(state.sat, state.x3, 0.0)))
     arrays += [("kx", rock.kx), ("poro", rock.poro)]
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("# vtk DataFile Version 3.0\n")
-            fh.write(f"resim state t={state.t:g} days\n")
-            fh.write("ASCII\nDATASET STRUCTURED_POINTS\n")
-            fh.write(f"DIMENSIONS {grid.nx + 1} {grid.ny + 1} {grid.nz + 1}\n")
-            fh.write("ORIGIN 0 0 0\n")
-            fh.write(f"SPACING {grid.dx:g} {grid.dy:g} {grid.dz:g}\n")
-            fh.write(f"CELL_DATA {grid.ncell}\n")
+        with open(path, "wb") as fh:
+            fh.write(f"# vtk DataFile Version 3.0\nresim state t={state.t:g} days\n"
+                     f"BINARY\nDATASET STRUCTURED_POINTS\n"
+                     f"DIMENSIONS {grid.nx + 1} {grid.ny + 1} {grid.nz + 1}\n"
+                     f"ORIGIN 0 0 0\nSPACING {grid.dx:g} {grid.dy:g} {grid.dz:g}\n"
+                     f"CELL_DATA {grid.ncell}\n".encode("ascii"))
             for name, arr in arrays:
-                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                text = list(map("{:.9e}".format, arr.tolist()))
-                fh.writelines(" ".join(text[i0:i0 + 6]) + "\n"
-                              for i0 in range(0, len(text), 6))
+                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode("ascii"))
+                fh.write(np.asarray(arr, ">f8").tobytes() + b"\n")
     except OSError as exc:
         raise OSError(f"cannot write VTK file {path}: {exc}") from exc
 

@@ -12,7 +12,8 @@ blocks in closed form (adjugate over determinant) and ``_block_mm``
 multiplies blocks stored entry by entry, so no block goes through LAPACK on
 its own; only ABF's left transformation uses ``np.matmul``.  The scalar CSR
 layouts of a block structure (``CsrPattern``: the system, its pressure
-block and pressure rows, the ILU's two factors) are built once and shared
+block, the ILU's two factors) follow in closed form from the stencil's
+neighbour masks, with no sort over entries; they are built once and shared
 by every matrix of that structure, so a Newton iteration only moves values
 into them.  The Krylov products, the CPR residuals and both ILU sweeps are
 ``PooledMatvec`` products over the worker pool's row ranges.
@@ -151,33 +152,9 @@ class BlockMatrix:
     def stride(self, axis: int) -> int:
         return (1, self.shape[0], self.shape[0] * self.shape[1])[axis]
 
-    def _stencil_blocks(self):
-        """(blocks, column-cell offset, cells that have the neighbor) per
-        stencil block array: diagonal first, then lower and upper per axis."""
-        yield self.diag, 0, np.ones(self.ncell, bool)
-        for ax in self.axes:
-            s = self.stride(ax)
-            yield self.lo[ax], -s, neighbor_mask(self.shape, ax, upper=False)
-            yield self.hi[ax], s, neighbor_mask(self.shape, ax, upper=True)
-
-    def _stencil_coo(self, q: int):
-        """COO coordinates of the leading q x q corner of every stencil block.
-
-        Cell c owns scalar rows and columns c*q .. c*q+q-1: q = m gives the
-        cell part of the full system, q = 1 the pressure-pressure block.  One
-        (rows, cols) pair of shape (ncell, q, q) per ``_stencil_blocks`` entry;
-        rows are -1 at cells without the neighbor.
-        """
-        cell = np.arange(self.ncell)
-        ii, jj = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-        coords = []
-        for _, offset, mask in self._stencil_blocks():
-            rows = np.where(mask[:, None, None], cell[:, None, None] * q + ii, -1)
-            coords.append((rows, (cell + offset)[:, None, None] * q + jj))
-        return coords
-
-    def _stencil_values(self, q: int):
-        return [blocks[:, :q, :q] for blocks, _, _ in self._stencil_blocks()]
+    def _stencil_blocks(self) -> list:
+        """The stencil block arrays: diagonal, then lower and upper per axis."""
+        return [self.diag] + [x[ax] for ax in self.axes for x in (self.lo, self.hi)]
 
     def csr_pattern(self) -> "CsrPattern":
         """The scalar CSR pattern of this matrix's structure.
@@ -193,11 +170,12 @@ class BlockMatrix:
     def to_csr(self) -> sp.csr_matrix:
         """Scalar CSR of the full system (cells then wells)."""
         return self.csr_pattern().system.fill(
-            self._stencil_values(self.m) + [self.cw_blocks, self.wc_blocks, self.ww])
+            self._stencil_blocks() + [self.cw_blocks, self.wc_blocks, self.ww])
 
     def extract_app(self) -> sp.csr_matrix:
         """Pressure-pressure scalar sub-matrix on the cell stencil pattern."""
-        return self.csr_pattern().pressure.fill(self._stencil_values(1))
+        return self.csr_pattern().pressure.fill(
+            [blocks[:, :1, :1] for blocks in self._stencil_blocks()])
 
     def transformed(self, fn, b=None):
         """This matrix, and b, with every array x of cell block rows replaced by
@@ -216,155 +194,140 @@ class BlockMatrix:
         return out
 
 
-class _Layout:
-    """indptr/indices of one scalar CSR matrix, shared by every matrix built
-    on it; read-only, so no in-place scipy operation can change the layout
-    under another matrix."""
+class _StencilLayout:
+    """CSR layout of q x q blocks on the cell stencil plus well borders, in
+    closed form; read-only, so no in-place scipy operation changes it under
+    another matrix.
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape):
-        # rows ascending, cols ascending within a row, no repeated pair
-        self.shape = shape
-        self.indptr = np.zeros(shape[0] + 1, np.int32)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=self.indptr[1:])
-        self.indices = cols.astype(np.int32)
+    Cell c owns rows and columns c*q .. c*q+q-1 and, per (offset, mask) of
+    ``blocks``, a block to cell c + offset where mask[c]; well w owns row and
+    column n*q + w.  Perforation p couples cells[p]'s rows to wells[p]'s
+    column and back; ``well_diag`` adds the wells' diagonals.  A cell row
+    holds its blocks by offset, then its wells; a well row its cells, then
+    its diagonal.  So columns ascend with no sort over entries, and entry
+    (i, j) of a block at cell c has slot indptr[c*q + i] + r*q + j, r the
+    number of c's blocks of lower offset.  Only perforations are sorted,
+    which finds one given twice.  ``slots`` maps each value source to its
+    slots: per block (n, q, q), nnz (a scratch slot) where the mask is unset,
+    then the perforations' cell and well rows (nperf, q) and the well
+    diagonals.  Given ``runs`` (per block, (n, q): each block row's run of q
+    values in one source), ``src`` keeps the run of every block row in slot
+    order instead, for ``take``; the well diagonals come last.
+    """
+
+    def __init__(self, n, blocks, q, nwell=0, perfs=((), ()), well_diag=False, runs=None):
+        cells, wells = (np.asarray(x, np.int64) for x in perfs)
+        by_cell, by_well = np.lexsort((wells, cells)), np.lexsort((cells, wells))
+        c, w = cells[by_cell], wells[by_cell]
+        twice = (c[1:] == c[:-1]) & (w[1:] == w[:-1])
+        if twice.any():
+            k = twice.argmax()
+            raise ValueError(f"entry ({c[k] * q}, {n * q + w[k]}) is given more than once")
+        per_cell, per_well = np.bincount(cells, minlength=n), np.bincount(wells, minlength=nwell)
+        in_cell, in_well = np.empty((2, len(c)), np.int32)
+        in_cell[by_cell] = np.arange(len(c)) - (np.cumsum(per_cell) - per_cell)[c]
+        in_well[by_well] = np.arange(len(c)) - (np.cumsum(per_well) - per_well)[wells[by_well]]
+        count = sum((mask.astype(np.int32) for _, mask in blocks), np.zeros(n, np.int32))
+        self.indptr = np.zeros(n * q + nwell + 1, np.int32)
+        np.cumsum(np.concatenate([np.repeat(q * count + per_cell, q),
+                                  q * per_well + well_diag]), out=self.indptr[1:])
+        self.nnz, self.shape = int(self.indptr[-1]), (n * q + nwell,) * 2
+        row0, jj = self.indptr[:n * q].reshape(n, q), np.arange(q, dtype=np.int32)
+        self.slots, first, rank = [None] * len(blocks), [None] * len(blocks), np.zeros(n, np.int32)
+        for k, (_, mask) in sorted(enumerate(blocks), key=lambda kb: kb[1][0]):
+            first[k] = row0 + (q * rank)[:, None]       # the block's slot in each cell row
+            self.slots[k] = np.where(mask[:, None, None], first[k][:, :, None] + jj, self.nnz)
+            rank += mask
+        self.slots += [row0[cells] + (q * count[cells] + in_cell)[:, None],
+                       (self.indptr[n * q + wells] + q * in_well)[:, None] + jj]
+        if well_diag:
+            self.slots.append(self.indptr[n * q + 1:] - 1)
+        cell = np.arange(n, dtype=np.int32)
+        self.indices = self._scatter([((cell + off) * q)[:, None, None] + jj for off, _ in blocks]
+                                     + [n * q + wells[:, None], cells[:, None] * q + jj,
+                                        n * q + np.arange(nwell)], np.int32)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
+        if runs is not None:
+            self.q, self.ntail = q, nwell * well_diag
+            self.src = np.empty((self.nnz - self.ntail) // q, np.int32)
+            for (_, mask), f, run in zip(blocks, first, runs):
+                self.src[f[mask] // q] = run[mask]
+            del self.slots
 
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+    def _scatter(self, values, dtype=float) -> np.ndarray:
+        out = np.empty(self.nnz + 1, dtype)
+        for slots, v in zip(self.slots, values):
+            out[slots] = v
+        return out[:-1]
+
+    def fill(self, values) -> sp.csr_matrix:
+        return sp.csr_matrix((self._scatter(values), self.indices, self.indptr), shape=self.shape)
+
+    def take(self, source: np.ndarray) -> sp.csr_matrix:
+        data, head = np.empty(self.nnz), len(source) - self.ntail
+        np.take(source[:head].reshape(-1, self.q), self.src, axis=0, mode="clip",
+                out=data[:self.nnz - self.ntail].reshape(-1, self.q))
+        data[self.nnz - self.ntail:] = source[head:]
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-class _FilledLayout(_Layout):
-    """A CSR layout with the int32 slots each value source is written to.
-
-    Built once from COO coordinates, one (rows, cols) pair per source array
-    (rows < 0: the entry is not in the matrix).  ``fill`` then writes each
-    source with one scatter.  No (row, col) may repeat: a Newton system has
-    none, as a well perforates a cell at most once, each well has its own
-    column and the stencil offsets are distinct.
-    """
-
-    def __init__(self, coords, shape):
-        ncols = shape[1]
-        key = np.concatenate([np.where(r >= 0, r * ncols + c, -1).ravel()
-                              for r, c in coords])
-        inside = np.flatnonzero(key >= 0)
-        order = inside[np.argsort(key[inside], kind="stable")]
-        skey = key[order]
-        repeated = skey[1:][skey[1:] == skey[:-1]]
-        if len(repeated):
-            row, col = divmod(int(repeated[0]), ncols)
-            raise ValueError(f"entry ({row}, {col}) is given more than once")
-        super().__init__(skey // ncols, skey % ncols, shape)
-        self.nnz = len(skey)
-        slots = np.full(len(key), self.nnz, np.int32)   # nnz: a scratch slot
-        slots[order] = np.arange(self.nnz, dtype=np.int32)
-        bounds = np.cumsum([0] + [r.size for r, _ in coords])
-        self.slots = [slots[b0:b1].reshape(r.shape)
-                      for (r, _), b0, b1 in zip(coords, bounds, bounds[1:])]
-
-    def fill(self, values) -> sp.csr_matrix:
-        data = np.empty(self.nnz + 1)
-        for slots, v in zip(self.slots, values):
-            data[slots] = v
-        return self.csr(data[:-1])
-
-
-class _Gathered(_Layout):
-    """A CSR layout whose values are gathered from one source array.
-
-    Built once from COO parts (rows, cols, src), in any order: the entries
-    at (rows[k], cols[k] + j), j < ``run``, take source[src[k] + j], src a
-    multiple of ``run``.  The ``tail`` (rows, cols), all in rows after the
-    others, take the source's last values in order.
-    """
-
-    def __init__(self, parts, shape, run=1, tail=None):
-        rows, cols, src = (np.concatenate([np.ravel(x) for x in xs])
-                           for xs in zip(*(np.broadcast_arrays(*part) for part in parts)))
-        order = np.argsort(rows.astype(np.int64) * shape[1] + cols, kind="stable")
-        tail = (rows[:0], cols[:0]) if tail is None else tail
-        cols = (cols[order][:, None] + np.arange(run)).ravel()
-        super().__init__(np.concatenate([np.repeat(rows[order], run), tail[0]]),
-                         np.concatenate([cols, tail[1]]), shape)
-        self.run, self.ntail = run, len(tail[0])
-        self.src = (src[order] // run).astype(np.int32)
-
-    def take(self, source: np.ndarray) -> sp.csr_matrix:
-        data = np.empty(len(self.src) * self.run + self.ntail)
-        head = len(source) - self.ntail
-        np.take(source[:head].reshape(-1, self.run), self.src, axis=0, mode="clip",
-                out=data[:len(data) - self.ntail].reshape(-1, self.run))
-        data[len(data) - self.ntail:] = source[head:]
-        return self.csr(data)
-
-
 class CsrPattern:
-    """Scalar CSR layouts of one block structure, built once per structure.
+    """Scalar CSR layouts of one block structure, built once per structure in
+    closed form from the stencil's neighbour masks (``_StencilLayout``).
 
     ``system`` is the full system (cells then wells) and ``pressure`` the
-    pressure-pressure block; each knows the slots of every block array, so a
-    matrix of this structure only scatters its values into them.
-    ``pressure_rows`` is the layout of the system's pressure rows (rows
-    c*m), whose values are the system's entries ``pressure_entries`` marks.  Cells are
-    red where i+j+k is even; ``red`` and ``black`` list each colour's cells
-    and ``nbr[d]`` the black cells' red neighbours in stencil direction d
-    (lower, upper per axis; cell 0, which is red, where there is none).
-    ``ilu_lower`` and ``ilu_upper`` are the layouts of ``BlockILU0``'s two
-    factors, whose set-up passes over ``ilu_pass`` black cells at a time.
-    ``fits`` tells whether a matrix has this structure: grid shape, block
-    size, stencil axes and well borders.  ``aggregates`` keeps the AMG
-    aggregates of the last hierarchy built on it by ``CprFpf``.
+    pressure-pressure block; a matrix of this structure only scatters its
+    block arrays into their slots.  Cells are red where i+j+k is even;
+    ``red`` and ``black`` list each colour's cells and ``nbr[d]`` the black
+    cells' red neighbours in stencil direction d (lower, upper per axis;
+    cell 0, which is red, where there is none).  ``ilu_lower`` (diagonal
+    blocks, black rows' neighbour blocks, well diagonals) and ``ilu_upper``
+    (red rows' neighbour blocks) are the layouts of ``BlockILU0``'s factors,
+    whose set-up passes over ``ilu_pass`` black cells at a time.  ``fits``
+    tells whether a matrix has this structure: grid shape, block size,
+    stencil axes and well borders.  ``aggregates`` keeps the AMG aggregates
+    of the last hierarchy built on it by ``CprFpf``.
     """
 
     def __init__(self, a: BlockMatrix):
         self.shape, self.m, self.axes, self.nwell = a.shape, a.m, a.axes, a.nwell
         self.cw_cells, self.cw_well = a.cw_cells.copy(), a.cw_well.copy()
-        n, m, nunk = a.ncell, a.m, a.nunk
-        base = n * m
-        pr = a.cw_cells[:, None] * m + np.arange(m)
-        pw = base + np.broadcast_to(a.cw_well[:, None], pr.shape)
-        pw_diag = base + np.arange(a.nwell)
-        self.system = _FilledLayout(
-            a._stencil_coo(m) + [(pr, pw), (pw, pr), (pw_diag, pw_diag)], (nunk, nunk))
-        self.pressure = _FilledLayout(a._stencil_coo(1), (n, n))
-        rows = np.repeat(np.arange(nunk), np.diff(self.system.indptr))
-        # a mask, not positions: a quarter of int64 positions' memory, and
-        # faster to gather by than int32 ones, which numpy converts each time
-        self.pressure_entries = (rows < base) & (rows % m == 0)
-        self.pressure_rows = _Layout(rows[self.pressure_entries] // m,
-                                     self.system.indices[self.pressure_entries], (n, nunk))
-        self.pressure_entries.flags.writeable = False
-
+        n, m = a.ncell, a.m
+        # (column-cell offset, cells with the neighbour): ``_stencil_blocks`` order
+        dirs = [(sign * a.stride(ax), neighbor_mask(a.shape, ax, sign > 0))
+                for ax in a.axes for sign in (-1, 1)]
+        stencil = [(0, np.ones(n, bool))] + dirs
+        self.system = _StencilLayout(n, stencil, m, a.nwell, (a.cw_cells, a.cw_well), True)
+        self.pressure = _StencilLayout(n, stencil, 1)
         nx, ny, _ = a.shape
         cell = np.arange(n)
         red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
         self.red, self.black = (np.flatnonzero(x).astype(np.int32) for x in (red, ~red))
-        black, nb, mm, ii = self.black, np.count_nonzero(~red), m * m, np.arange(m)[:, None]
-        dirs = [(sign * a.stride(ax),
-                 np.flatnonzero(neighbor_mask(a.shape, ax, sign > 0)[black]))
-                for ax in a.axes for sign in (-1, 1)]
-        self.nbr = np.zeros((len(dirs), nb), np.int32)
-        self.ilu_pass = max(1, _ILU_PASS_BYTES // (24 * mm * max(1, len(dirs))))
-        # BlockILU0's sources, gathered in runs over a block's m columns (see
-        # there), and the CSR entries each run fills: a cell's diagonal block
-        # row i, a black cell b's row i to its neighbour r (lower), and r's
-        # row i back to b (upper); the well diagonals come last
-        lower, upper = [(cell * m + ii, cell * m, cell * mm + ii * m)], [(cell[:0],) * 3]
-        for d, (off, at) in enumerate(dirs):
-            self.nbr[d, at] = black[at] + off
-            c0 = at - at % self.ilu_pass                # first black cell of at's pass
-            width = np.minimum(self.ilu_pass, nb - c0)
-            src = c0 * len(dirs) * mm + ((ii * len(dirs) + d) * width + at - c0) * m
-            lower.append((black[at] * m + ii, (black[at] + off) * m, n * mm + src))
-            upper.append(((black[at] + off) * m + ii, black[at] * m, src))
-        wells = base + np.arange(a.nwell)
-        self.ilu_lower = _Gathered(lower, (nunk, nunk), m, tail=(wells, wells))
-        self.ilu_upper = _Gathered(upper, (nunk, nunk), m)
+        ndir, nb, ii = len(dirs), len(self.black), np.arange(m)
+        self.ilu_pass = p = max(1, _ILU_PASS_BYTES // (24 * m * m * max(1, ndir)))
+        # BlockILU0's sources in runs of a block row's m values (see there):
+        # K_lo's the inverse diagonal blocks, then per direction d black cell
+        # b's folded block to its red neighbour r (row b), per pass over black
+        # cells as (m, ndir, cells, m); K_up's r's block back to b (row r)
+        at = np.cumsum(~red) - 1                # black cells' place among them
+        c0 = at - at % p                        # first black cell of at's pass
+        lower, upper = [stencil[0] + (cell[:, None] * m + ii,)], []
+        self.nbr = np.array([np.where(has[self.black], self.black + off, 0)
+                             for off, has in dirs], np.int32).reshape(ndir, nb)
+        for d, (off, has) in enumerate(dirs):
+            run = (c0 * ndir * m + at - c0)[:, None] + (ii * ndir + d) * np.minimum(
+                p, nb - c0)[:, None]
+            rows = has & ~red
+            lower.append((off, rows, n * m + run))
+            # r = b + off: rolled by off, and every rolled-in cell is masked
+            upper.append((-off, np.roll(rows, off), np.roll(run, off, axis=0)))
+        self.ilu_lower, self.ilu_upper = (
+            _StencilLayout(n, [blk[:2] for blk in part], m, a.nwell, well_diag=part is lower,
+                           runs=[blk[2] for blk in part]) for part in (lower, upper))
         self.aggregates: list[np.ndarray] | None = None
 
     def fits(self, a: BlockMatrix) -> bool:
-        return (a.shape == self.shape and a.m == self.m and a.axes == self.axes
-                and a.nwell == self.nwell
+        return ((a.shape, a.m, a.axes, a.nwell) == (self.shape, self.m, self.axes, self.nwell)
                 and np.array_equal(a.cw_cells, self.cw_cells)
                 and np.array_equal(a.cw_well, self.cw_well))
 
@@ -380,8 +343,7 @@ def quasi_impes_decouple(a: BlockMatrix, b: np.ndarray):
     with singular D_ss fall back to the identity (counted on the returned
     matrix as ``decouple_fallbacks``).
     """
-    m = a.m
-    d = a.diag
+    m, d = a.m, a.diag
     inv, det = _block_inv(d[:, 1:, 1:])
     ok = np.abs(det) > _TINY
     nfall = int(np.count_nonzero(~ok))
@@ -409,8 +371,7 @@ def abf_decouple(a: BlockMatrix, b: np.ndarray):
     Singular diagonal blocks fall back to row-wise scaling (counted on the
     returned matrix as ``decouple_fallbacks``).
     """
-    n, m = a.ncell, a.m
-    d = a.diag
+    m, d = a.m, a.diag
     e, det = _block_inv(d)
     ok = np.abs(det) > _TINY
     nfall = int(np.count_nonzero(~ok))
@@ -719,8 +680,7 @@ class CprFpf:
         self.matvec = matvec
         self.smoother = BlockILU0(a, matvec.pool)
         pattern = a.csr_pattern()
-        p_rows = matvec.a.data[pattern.pressure_entries]
-        self.a_p = PooledMatvec(pattern.pressure_rows.csr(p_rows), matvec.pool)
+        self.a_p = PooledMatvec(matvec.a[:a.ncell * a.m:a.m], matvec.pool)
         self.app = a.extract_app()
         if amg is not None and amg.levels:
             self.amg = amg.with_fine(self.app)

@@ -172,6 +172,8 @@ class StepRecord:
     residual_sums: dict[str, float] = field(default_factory=dict)
     corrections_tried: int = 0
     corrections_kept: int = 0
+    decouple_fallbacks: int = 0      # singular cell blocks the decoupling fell back on
+    pivot_shifts: int = 0            # singular pivots the block ILU(0) shifted
     newton_log: list[NewtonIterLog] = field(default_factory=list)
 
 
@@ -243,10 +245,13 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         dump_matrix_market(jac, jac.b, dump_prefix)
     g = _coarse_matrix(jac)
     a2, b2 = decouple(jac, jac.b, scfg.decoupling)
+    rec.decouple_fallbacks += a2.decouple_fallbacks
     if ncfg.forcing_rule not in ("eq13_a", "eq13_b"):
         jac = None
     matvec = PooledMatvec(a2.to_csr(), pool)
     precond = make_preconditioner(a2, scfg, matvec, amg=amg)
+    ilu = precond.smoother if isinstance(precond, CprFpf) else precond
+    rec.pivot_shifts += ilu.pivot_shifts if ilu is not None else 0
     dx, iters, status = bicgstab(matvec, precond, b2, theta, scfg.max_iterations)
     b_norm = det_norm(b2)
     r = b2 - matvec(dx)
@@ -558,7 +563,8 @@ class RunReport:
             for c in comps:
                 header += [f"mass_{c}_lbm", f"injected_{c}_lbm", f"produced_{c}_lbm"]
             w.writerow(header + ["corrections_tried", "corrections_kept"]
-                       + [f"residual_{c}" for c in comps])
+                       + [f"residual_{c}" for c in comps]
+                       + ["decouple_fallbacks", "pivot_shifts"])
             for s in self.steps:
                 row = [s.step, f"{s.t:.6g}", f"{s.dt:.6g}", s.newtons,
                        s.linear_iters, s.cuts, f"{s.wall_time:.4f}",
@@ -568,4 +574,5 @@ class RunReport:
                             f"{s.well_injected.get(c, 0.0):.10e}",
                             f"{s.well_produced.get(c, 0.0):.10e}"]
                 w.writerow(row + [s.corrections_tried, s.corrections_kept]
-                           + [f"{s.residual_sums.get(c, 0.0):.10e}" for c in comps])
+                           + [f"{s.residual_sums.get(c, 0.0):.10e}" for c in comps]
+                           + [s.decouple_fallbacks, s.pivot_shifts])

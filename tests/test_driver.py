@@ -75,6 +75,29 @@ REJECTED_VALUES = [
     ("fluid", "s_gc = 0.95"), ("fluid", "mu_g = 0.0")]
 
 
+# wells the model can never hold to their constraint, as (deck, the rejected
+# line, error); before these were rejected at load, the gas injector ran to
+# the end injecting nothing and the other two cut the step until the run
+# aborted
+UNMEETABLE_WELLS = [
+    pytest.param(TINY_RUN_DECK.replace("fluid=water rw=0.3 water_rate=5.0",
+                                       "fluid=gas rw=0.3 gas_rate=5.0"), "well = I",
+                 "well I: gas injectors and gas_rate need model = black_oil",
+                 id="two-phase-gas-injector"),
+    pytest.param(TINY_RUN_DECK.replace("rw=0.3 bhp=3000.0", "rw=0.3 gas_rate=-5.0"),
+                 "well = P", "well P: gas injectors and gas_rate need model = black_oil",
+                 id="two-phase-gas-rate"),
+    pytest.param(TINY_RUN_DECK.replace("water_rate=5.0", "oil_rate=5.0"), "well = I",
+                 "well I: a water injector's rate constraint must be water_rate or "
+                 "liquid_rate, not oil_rate", id="water-injector-oil-rate"),
+    pytest.param(TINY_RUN_DECK + "\n[schedule]\nat = 1.0 P gas_rate -5.0\n", "at = ",
+                 "well P: gas injectors and gas_rate need model = black_oil",
+                 id="scheduled-two-phase-gas-rate"),
+    pytest.param(TINY_RUN_DECK + "\n[schedule]\nat = 1.0 I oil_rate 5.0\n", "at = ",
+                 "well I: a water injector's rate constraint must be water_rate or "
+                 "liquid_rate, not oil_rate", id="scheduled-water-injector-oil-rate")]
+
+
 def deck_with(section, line):
     """TINY_RUN_DECK with ``line`` first in [section] (added at the end if the
     deck has none), replacing its key's line."""
@@ -86,28 +109,34 @@ def deck_with(section, line):
     return "\n".join(rows[:i + 1] + [line] + rows[i + 1:]) + "\n"
 
 def parse_vtk_cell_data(path):
-    """Minimal legacy-VTK structured-points reader for round-trip checks."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Minimal BINARY legacy-VTK structured-points reader for round-trip
+    checks: big-endian float64 cell data, read back bit for bit."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode("ascii"), end + 1
+        return text
+
+    lines = [line() for _ in range(8)]
     assert lines[0].startswith("# vtk DataFile")
-    assert lines[2] == "ASCII"
+    assert lines[2] == "BINARY"
     assert lines[3] == "DATASET STRUCTURED_POINTS"
     dims = tuple(int(v) for v in lines[4].split()[1:])
-    i = next(idx for idx, ln in enumerate(lines) if ln.startswith("CELL_DATA"))
-    ncell = int(lines[i].split()[1])
+    assert lines[7].startswith("CELL_DATA ")
+    ncell = int(lines[7].split()[1])
     arrays = {}
-    i += 1
-    while i < len(lines):
-        if not lines[i].startswith("SCALARS"):
-            i += 1
-            continue
-        name = lines[i].split()[1]
-        i += 2  # skip LOOKUP_TABLE
-        vals = []
-        while i < len(lines) and len(vals) < ncell:
-            vals.extend(float(v) for v in lines[i].split())
-            i += 1
-        arrays[name] = np.array(vals)
+    while pos < len(data):
+        kind, name, dtype, ncomp = line().split()
+        assert (kind, dtype, ncomp) == ("SCALARS", "double", "1")
+        assert line() == "LOOKUP_TABLE default"
+        arrays[name] = np.frombuffer(data, ">f8", ncell, pos).astype(np.float64)
+        pos += 8 * ncell
+        assert data[pos:pos + 1] == b"\n"
+        pos += 1
     return dims, ncell, arrays
 
 
@@ -239,6 +268,19 @@ class TestParseDeck:
                                             r"phase 'oil'$"):
             parse_deck(bad)
 
+    @pytest.mark.parametrize("text, line, error", UNMEETABLE_WELLS)
+    def test_unmeetable_well_reports_line(self, text, line, error):
+        lineno = next(i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith(line))
+        with pytest.raises(DeckError, match=rf"^line {lineno}: {error}$"):
+            parse_deck(text)
+
+    def test_gas_injector_meets_gas_rate_in_black_oil(self):
+        deck = load_deck(deck_path("spe1_mini.deck"))
+        gas = [w for w in deck.wells if w.kind == "injector"]
+        assert [(w.inj_phase, w.constraint.kind) for w in gas] == [("g", "gas_rate")]
+        text = TINY_RUN_DECK.replace("water_rate=5.0", "liquid_rate=5.0")
+        assert parse_deck(text).wells[0].constraint.kind == "liquid_rate"
+
     def test_spe10_subset_deck_matches_paper_wells(self):
         deck = load_deck(deck_path("spe10_subset.deck"))
         assert (deck.grid.nx, deck.grid.ny, deck.grid.nz) == (60, 220, 1)
@@ -328,24 +370,23 @@ class TestVtk:
         assert arrays["kx"].min() == pytest.approx(deck.rock.kx.min(), rel=1e-7)
         assert arrays["kx"].max() == pytest.approx(deck.rock.kx.max(), rel=1e-7)
 
-    def test_bytes_match_per_value_formatting(self, tmp_path):
-        # seven cells: one full line of six values and one of one
+    def test_edge_values_round_trip_exactly(self, tmp_path):
+        # binary float64 keeps every value bit for bit: subnormals, signed
+        # zeros and the extremes included
         g = resim.Grid(7, 1, 1, 10.0, 10.0, 5.0)
         p = np.array([-1.5, 0.0, 1e-300, 1e300, -1e300, 4012.345678912, -0.0])
         s_w = np.array([0.25, 1.0 / 3.0, 5e-324, 0.0, 1.0, -1e-300, 0.2])
         rock = resim.RockFields(np.array([1e-3, 2e4, 7.0, 1e300, 1e-300, 0.0, 3.0]),
                                 np.ones(7), np.ones(7), np.linspace(0.0, 0.5, 7))
         st = resim.ReservoirState(p, s_w)
-        path = tmp_path / "fmt.vtk"
+        path = tmp_path / "edge.vtk"
         write_vtk(g, st, rock, str(path))
-        lines = path.read_text().splitlines(keepends=True)
-        body = lines[:lines.index("CELL_DATA 7\n") + 1]
+        _, ncell, arrays = parse_vtk_cell_data(str(path))
+        assert ncell == 7 and list(arrays) == ["pressure", "s_w", "kx", "poro"]
         for name, arr in (("pressure", p), ("s_w", s_w), ("kx", rock.kx),
                           ("poro", rock.poro)):
-            body.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for i0 in range(0, len(arr), 6):
-                body.append(" ".join(f"{v:.9e}" for v in arr[i0:i0 + 6]) + "\n")
-        assert path.read_bytes() == "".join(body).encode("ascii")
+            assert np.array_equal(arrays[name], arr)
+            assert arrays[name].tobytes() == arr.astype(np.float64).tobytes()
 
     def test_unwritable_path_raises(self, tmp_path):
         g = resim.Grid(1, 1, 1, 1.0, 1.0, 1.0)
@@ -413,7 +454,7 @@ class TestRunSimulation:
             prefix += [f"mass_{c}_lbm", f"injected_{c}_lbm", f"produced_{c}_lbm"]
         comps = sorted(report.initial_mass)
         assert rows[0] == prefix + ["corrections_tried", "corrections_kept"] + \
-            [f"residual_{c}" for c in comps]
+            [f"residual_{c}" for c in comps] + ["decouple_fallbacks", "pivot_shifts"]
         k = len(prefix)
         assert [(int(r[k]), int(r[k + 1])) for r in rows[1:]] == \
             [(s.corrections_tried, s.corrections_kept) for s in report.steps]
@@ -697,6 +738,33 @@ class TestBadTrialState:
 
 
 class TestStepRecord:
+    def test_singular_blocks_reach_the_csv(self, tmp_path, monkeypatch):
+        import csv
+
+        # the first Jacobian's diagonal block at cell 0, a red cell, is zero:
+        # quasi-IMPES falls back to the identity there, and the block ILU(0)
+        # shifts that pivot
+        calls = [0]
+        assemble = model.ReservoirModel._assemble
+
+        def singular(self, *args, **kwargs):
+            out = assemble(self, *args, **kwargs)
+            if out[2] is not None:
+                calls[0] += 1
+                if calls[0] == 1:
+                    out[2].diag[0] = 0.0
+            return out
+
+        monkeypatch.setattr(model.ReservoirModel, "_assemble", singular)
+        report = run_simulation(parse_deck(TINY_RUN_DECK), report_csv="steps.csv",
+                                output_dir=str(tmp_path))
+        counts = [(s.decouple_fallbacks, s.pivot_shifts) for s in report.steps]
+        assert counts == [(1, 1)] + [(0, 0)] * (report.n_steps - 1)
+        with open(tmp_path / "steps.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[-2:] == ["decouple_fallbacks", "pivot_shifts"]
+        assert [(int(r["decouple_fallbacks"]), int(r["pivot_shifts"])) for r in rows] == counts
+
     def test_counts_match_the_newton_log_with_a_cut(self, tmp_path, monkeypatch):
         import csv
 
@@ -814,6 +882,15 @@ class TestCli:
     def test_rejected_value_exit_code(self, tmp_path, capsys, section, line):
         p = tmp_path / "bad.deck"
         p.write_text(deck_with(section, line))
+        rc = main(["run", str(p), "--output-dir", str(tmp_path), "-q"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("deck error: line ")
+        assert os.listdir(tmp_path) == ["bad.deck"]      # nothing was run
+
+    @pytest.mark.parametrize("text, line, error", UNMEETABLE_WELLS)
+    def test_unmeetable_well_exit_code(self, tmp_path, capsys, text, line, error):
+        p = tmp_path / "bad.deck"
+        p.write_text(text)
         rc = main(["run", str(p), "--output-dir", str(tmp_path), "-q"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("deck error: line ")

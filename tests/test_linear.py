@@ -73,6 +73,28 @@ def dense_from_blocks(a):
     return dense
 
 
+def dense_red_black_factors(a):
+    """(perm, lower, upper): the dense red-black block ILU(0) of the cells,
+    M = lower @ upper = [[D_R, 0], [L_BR, S]] [[I, D_R^-1 U_RB], [0, I]] in
+    the red-then-black unknown order perm, S = D_B - blockdiag(L_BR D_R^-1
+    U_RB)."""
+    n, m, nm = a.ncell, a.m, a.ncell * a.m
+    nx, ny, _ = a.shape
+    cell = np.arange(n)
+    red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
+    order = np.concatenate([cell[red], cell[~red]])
+    perm = (order[:, None] * m + np.arange(m)).ravel()
+    full = dense_from_blocks(a)[np.ix_(perm, perm)]
+    k = np.count_nonzero(red) * m
+    d_r, u_rb, l_br = full[:k, :k], full[:k, k:], full[k:, :k]
+    dinv_u = np.linalg.solve(d_r, u_rb)
+    blocks = np.kron(np.eye(n - k // m), np.ones((m, m)))
+    s = (full[k:, k:] - l_br @ dinv_u) * blocks
+    lower = np.block([[d_r, np.zeros((k, nm - k))], [l_br, s]])
+    upper = np.block([[np.eye(k), dinv_u], [np.zeros((nm - k, k)), np.eye(nm - k)]])
+    return perm, lower, upper
+
+
 def csr_operator(a):
     """The system operator a solver multiplies with: x -> A x on a.to_csr()."""
     return PooledMatvec(a.to_csr(), None)
@@ -166,6 +188,83 @@ class TestBlockMatrix:
             mhi = neighbor_mask(a.shape, ax, upper=True)
             rows = np.nonzero(mhi)[0]
             assert all(app[r, r + s] == a.hi[ax][r, 0, 0] for r in rows[:5])
+
+
+class TestCsrLayouts:
+    """Every closed-form layout of a ``CsrPattern`` against scipy's canonical
+    CSR of the same structure, built entry by entry from the dense system."""
+
+    @staticmethod
+    def structure(shape, m, wells):
+        rng = np.random.default_rng(49)
+        a = random_block_matrix(rng, shape=shape, m=m, nwell=0)
+        if wells:
+            # cell 3 has both wells; the perforations are out of (cell, well)
+            # and (well, cell) order
+            a.cw_cells, a.cw_well = np.array([3, 1, 3, 0]), np.array([1, 0, 0, 1])
+            a.cw_blocks = rng.standard_normal((4, m))
+            a.wc_blocks = rng.standard_normal((4, m))
+            a.ww = 2.0 + rng.random(2)
+        return a, rng
+
+    @staticmethod
+    def assert_canonical(csr, mask, rng):
+        rows, cols = np.nonzero(mask)
+        shuffled = rng.permutation(len(rows))
+        ref = sp.coo_matrix((np.ones(len(rows)), (rows[shuffled], cols[shuffled])),
+                            shape=mask.shape).tocsr()
+        np.testing.assert_array_equal(csr.indptr, ref.indptr)
+        np.testing.assert_array_equal(csr.indices, ref.indices)
+        assert csr.has_sorted_indices
+        summed = csr.copy()
+        summed.sum_duplicates()
+        assert summed.nnz == csr.nnz
+
+    @pytest.mark.parametrize("shape", [(1, 4, 3), (5, 1, 1), (3, 3, 3), (4, 3, 2)])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("wells", [False, True])
+    def test_layouts_match_canonical_csr(self, shape, m, wells):
+        a, rng = self.structure(shape, m, wells)
+        n, nm = a.ncell, a.ncell * m
+        system = dense_from_blocks(a) != 0      # random values: no structural zero
+        cell = np.arange(a.nunk) // m
+        in_cells = np.arange(a.nunk) < nm
+        nx, ny, _ = shape
+        red = in_cells & ((cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0)
+        own_block = (cell[:, None] == cell) & in_cells[:, None] & in_cells
+        to_cells = system & in_cells            # entries in cell columns
+        k_lo = own_block | (to_cells & (in_cells & ~red)[:, None]) | np.diag(~in_cells)
+        k_up = to_cells & red[:, None] & ~own_block
+        ilu = BlockILU0(a)
+        p = np.arange(n) * m
+        for csr, mask in ((a.to_csr(), system), (a.extract_app(), system[np.ix_(p, p)]),
+                          (ilu.k_lo.a, k_lo), (ilu.k_up.a, k_up)):
+            self.assert_canonical(csr, mask, rng)
+        pattern = a.csr_pattern()
+        for layout in (pattern.system, pattern.pressure, pattern.ilu_lower, pattern.ilu_upper):
+            assert not layout.indptr.flags.writeable and not layout.indices.flags.writeable
+        for slots in pattern.system.slots + pattern.pressure.slots:
+            assert slots.dtype == np.int32
+        assert pattern.ilu_lower.src.dtype == pattern.ilu_upper.src.dtype == np.int32
+
+    @pytest.mark.parametrize("shape", [(1, 4, 3), (5, 1, 1), (4, 3, 2)])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("wells", [False, True])
+    def test_ilu_factors_match_dense_red_black_reference(self, shape, m, wells):
+        # K_lo = lower^-1 and K_up = upper - I on the cells, in red-black
+        # order; the wells' rows of K_lo hold 1/ww on the diagonal alone
+        a, _ = self.structure(shape, m, wells)
+        nm = a.ncell * m
+        ilu = BlockILU0(a)
+        perm, lower, upper = dense_red_black_factors(a)
+        k_lo, k_up = ilu.k_lo.a.toarray(), ilu.k_up.a.toarray()
+        np.testing.assert_allclose(k_lo[np.ix_(perm, perm)], np.linalg.inv(lower),
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(k_up[np.ix_(perm, perm)], upper - np.eye(nm),
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(k_lo[nm:], np.c_[np.zeros((a.nwell, nm)),
+                                                       np.diag(1.0 / a.ww)])
+        assert not k_lo[:nm, nm:].any() and not k_up[nm:].any() and not k_up[:, nm:].any()
 
 
 class TestDecoupling:
@@ -470,28 +569,15 @@ class TestBlockILU0:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("nwell", [0, 2])
     def test_solve_matches_dense_red_black_ilu(self, shape, m, nwell):
-        # M = [[D_R, 0], [L_BR, S]] [[I, D_R^-1 U_RB], [0, I]] on the cells in
-        # red-then-black order, S = D_B - blockdiag(L_BR D_R^-1 U_RB);
-        # well unknowns are divided by their diagonal.  Odd extents put a
-        # red cell just past the row end of a black one
+        # M = lower @ upper on the cells (dense_red_black_factors); well
+        # unknowns are divided by their diagonal.  Odd extents put a red
+        # cell just past the row end of a black one
         rng = np.random.default_rng(30)
         a = random_block_matrix(rng, shape=shape, m=m, nwell=nwell)
         ilu = BlockILU0(a)
         assert ilu.pivot_shifts == 0
-        n, nm = a.ncell, a.ncell * a.m
-        nx, ny, _ = shape
-        cell = np.arange(n)
-        red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
-        order = np.concatenate([cell[red], cell[~red]])
-        perm = (order[:, None] * m + np.arange(m)).ravel()
-        full = dense_from_blocks(a)[np.ix_(perm, perm)]
-        k = np.count_nonzero(red) * m
-        d_r, u_rb, l_br = full[:k, :k], full[:k, k:], full[k:, :k]
-        dinv_u = np.linalg.solve(d_r, u_rb)
-        blocks = np.kron(np.eye(n - k // m), np.ones((m, m)))
-        s = (full[k:, k:] - l_br @ dinv_u) * blocks
-        lower = np.block([[d_r, np.zeros((k, nm - k))], [l_br, s]])
-        upper = np.block([[np.eye(k), dinv_u], [np.zeros((nm - k, k)), np.eye(nm - k)]])
+        nm = a.ncell * a.m
+        perm, lower, upper = dense_red_black_factors(a)
         r = rng.standard_normal(a.nunk)
         ref = np.empty(a.nunk)
         ref[perm] = np.linalg.solve(lower @ upper, r[perm])
