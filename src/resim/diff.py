@@ -15,7 +15,8 @@ import numpy as np
 class CellVal:
     """Array of per-cell values with derivatives w.r.t. that cell's unknowns.
 
-    v: (n,), d: (n, nder) or None.
+    v: (n,), d: (nder, n) or None; d[k] holds every cell's derivative with
+    respect to unknown k, one contiguous row, so bundles combine row by row.
     """
 
     __slots__ = ("v", "d")
@@ -28,21 +29,21 @@ class CellVal:
     @classmethod
     def const(cls, v, nder=None):
         v = np.asarray(v, dtype=float)
-        d = None if nder is None else np.zeros((v.shape[0], nder))
+        d = None if nder is None else np.zeros((nder, v.shape[0]))
         return cls(v, d)
 
     @classmethod
     def var(cls, v, slot, nder):
         """Independent unknown occupying derivative slot ``slot``."""
         v = np.asarray(v, dtype=float)
-        d = np.zeros((v.shape[0], nder))
-        d[:, slot] = 1.0
+        d = np.zeros((nder, v.shape[0]))
+        d[slot] = 1.0
         return cls(v, d)
 
     @classmethod
     def lift(cls, v, dv_dx, x: "CellVal"):
         """Univariate chain rule: f(x) with pointwise derivative dv_dx."""
-        d = None if x.d is None else np.asarray(dv_dx)[:, None] * x.d
+        d = None if x.d is None else np.asarray(dv_dx) * x.d
         return cls(v, d)
 
     def __add__(self, other):
@@ -100,6 +101,5 @@ def _subd(a, b):
 def _scale(d, s):
     if d is None:
         return None
-    s = np.asarray(s)
-    return d * (s[:, None] if s.ndim == 1 else s)
+    return d * s
 

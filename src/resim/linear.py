@@ -6,11 +6,12 @@ decoupling are exact left transformations; the CPR preconditioner combines a
 red-black block ILU(0) full-system smoother with one smoothed-aggregation AMG
 V-cycle on the extracted pressure block, in a fine-pressure-fine
 composition, and is used from right-preconditioned BiCGSTAB.  The block
-layout is for assembly, decoupling and factorisation.  Its per-cell m x m
-algebra works entry by entry over all cells at once: ``_block_inv`` inverts
-blocks in closed form (adjugate over determinant) and ``_block_mm``
-multiplies blocks stored entry by entry, so no block goes through LAPACK on
-its own; only ABF's left transformation uses ``np.matmul``.  The scalar CSR
+layout is for assembly, decoupling and factorisation, entry-major from
+assembly on: entry (i, j) of every cell's m x m block is one (ncell,) row.
+So the per-cell algebra works entry by entry over all cells at once:
+``_block_inv`` inverts blocks in closed form (adjugate over determinant) and
+``_block_mm`` multiplies them, so no block goes through LAPACK or BLAS on
+its own.  The scalar CSR
 layouts of a block structure (``CsrPattern``: the system, its pressure
 block, the ILU's two factors) follow in closed form from the stencil's
 neighbour masks, with no sort over entries; they are built once and shared
@@ -47,6 +48,9 @@ _AMG_MIN_RATIO = 4
 # bytes of the three block arrays per pass of the ILU set-up over black
 # cells, so a pass's arrays stay small (in cache, and no new peak memory)
 _ILU_PASS_BYTES = 1 << 20
+# cells per pass of a CSR fill, so a pass's rows stay in cache while every
+# entry (i, j) of every stencil block is scattered into them
+_FILL_PASS_CELLS = 8192
 
 
 @dataclass
@@ -82,11 +86,12 @@ def _det(rows: list):
 
 
 def _block_inv(blocks: np.ndarray):
-    """(inverses, determinants) of (n, m, m) blocks by the adjugate:
-    inv = adj / det.  Where det == 0 the inverse is not finite, so callers
-    test det before they use an inverse."""
-    m = blocks.shape[1]
-    a = [[blocks[:, i, j] for j in range(m)] for i in range(m)]
+    """(inverses, determinants) of (m, m, n) entry-major blocks by the
+    adjugate: inv = adj / det, both over the trailing cell axis.  Where
+    det == 0 the inverse is not finite, so callers test det before they use
+    an inverse."""
+    m = blocks.shape[0]
+    a = [[blocks[i, j] for j in range(m)] for i in range(m)]
     cof = [[(-1) ** (i + j) * _det([row[:j] + row[j + 1:] for k, row in enumerate(a) if k != i])
             for j in range(m)] for i in range(m)]
     det = a[0][0] * cof[0][0]
@@ -96,7 +101,7 @@ def _block_inv(blocks: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(m):
             for j in range(m):
-                np.divide(cof[j][i], det, out=inv[:, i, j])
+                np.divide(cof[j][i], det, out=inv[i, j])
     return inv, det
 
 
@@ -110,15 +115,21 @@ def _block_mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
 class BlockMatrix:
     """Jacobian in block layout: cell-stencil blocks plus well borders.
 
-    diag/lo/hi hold (ncell, m, m) block diagonals of the 7-point stencil,
-    keyed by axis; entries at cells lacking the corresponding neighbor are
-    zero.  Well couplings are stored per perforation entry: cw_blocks are
-    cell-row columns d(cell eq)/d(p_h), wc_blocks are well-row entries
-    d(well eq)/d(cell unknowns), ww is the diagonal d(well eq)/d(p_h).
+    diag/lo/hi hold the block diagonals of the 7-point stencil, lo and hi
+    keyed by axis, each entry-major (m, m, ncell): x[i, j, c] is entry (i, j)
+    of cell c's block.  Entries at cells lacking the corresponding neighbor
+    are zero.  Well couplings are stored per perforation p, as (m, nperf)
+    columns: cw_blocks[:, p] is the cell-row column d(cell eq)/d(p_h),
+    wc_blocks[:, p] the well-row entries d(well eq)/d(cell unknowns); ww is
+    the diagonal d(well eq)/d(p_h).  Arrays of any other shape are rejected.
     """
 
     def __init__(self, shape, m, diag, lo, hi, cw_cells, cw_well, cw_blocks,
                  wc_blocks, ww, b=None):
+        arrays = [np.shape(x) for x in (diag, *lo.values(), *hi.values(), cw_blocks, wc_blocks)]
+        if arrays != [(m, m, math.prod(shape))] * (len(arrays) - 2) + [(m, len(cw_cells))] * 2:
+            raise ValueError(f"block arrays must be entry-major, (m, m, ncell) and "
+                             f"(m, nperf) for m = {m}: got {arrays}")
         self.shape = shape
         self.m = m
         self.diag = diag
@@ -175,11 +186,12 @@ class BlockMatrix:
     def extract_app(self) -> sp.csr_matrix:
         """Pressure-pressure scalar sub-matrix on the cell stencil pattern."""
         return self.csr_pattern().pressure.fill(
-            [blocks[:, :1, :1] for blocks in self._stencil_blocks()])
+            [blocks[:1, :1] for blocks in self._stencil_blocks()])
 
     def transformed(self, fn, b=None):
         """This matrix, and b, with every array x of cell block rows replaced by
-        fn(x, cells): x is (k, m, m) or (k, m), its row i belongs to cells[i]."""
+        fn(x, cells): x is (m, m, k) or (m, k), its x[..., i] belongs to
+        cells[i]; b's cell rows come as an (m, ncell) view."""
         n, m = self.ncell, self.m
         every = slice(None)
         out = BlockMatrix(self.shape, m, fn(self.diag, every),
@@ -190,7 +202,7 @@ class BlockMatrix:
                           self.ww.copy())
         out.pattern = self.pattern
         if b is not None:
-            out.b = np.concatenate([fn(b[: n * m].reshape(n, m), every).ravel(), b[n * m:]])
+            out.b = np.concatenate([fn(b[:n * m].reshape(n, m).T, every).T.ravel(), b[n * m:]])
         return out
 
 
@@ -207,12 +219,14 @@ class _StencilLayout:
     its diagonal.  So columns ascend with no sort over entries, and entry
     (i, j) of a block at cell c has slot indptr[c*q + i] + r*q + j, r the
     number of c's blocks of lower offset.  Only perforations are sorted,
-    which finds one given twice.  ``slots`` maps each value source to its
-    slots: per block (n, q, q), nnz (a scratch slot) where the mask is unset,
-    then the perforations' cell and well rows (nperf, q) and the well
-    diagonals.  Given ``runs`` (per block, (n, q): each block row's run of q
-    values in one source), ``src`` keeps the run of every block row in slot
-    order instead, for ``take``; the well diagonals come last.
+    which finds one given twice.  ``slots`` maps each entry-major value
+    source to its slots: per block (q, q, n), nnz (a scratch slot) where the
+    mask is unset, then the perforations' cell and well rows (q, nperf) and
+    the well diagonals.  Given ``runs`` (per block, (q, k): the run of block
+    row i's q values in one source at each of the k cells of the mask, in
+    ascending order), ``src`` keeps the run of every block row in slot order
+    instead, for ``take``, and no slot arrays are built; the well diagonals
+    come last.
     """
 
     def __init__(self, n, blocks, q, nwell=0, perfs=((), ()), well_diag=False, runs=None):
@@ -228,40 +242,45 @@ class _StencilLayout:
         in_cell[by_cell] = np.arange(len(c)) - (np.cumsum(per_cell) - per_cell)[c]
         in_well[by_well] = np.arange(len(c)) - (np.cumsum(per_well) - per_well)[wells[by_well]]
         count = sum((mask.astype(np.int32) for _, mask in blocks), np.zeros(n, np.int32))
+        width = (q * count + per_cell).astype(np.int32)         # a cell row's length
         self.indptr = np.zeros(n * q + nwell + 1, np.int32)
-        np.cumsum(np.concatenate([np.repeat(q * count + per_cell, q),
-                                  q * per_well + well_diag]), out=self.indptr[1:])
+        np.cumsum(np.concatenate([np.repeat(width, q), q * per_well + well_diag]),
+                  out=self.indptr[1:])
         self.nnz, self.shape = int(self.indptr[-1]), (n * q + nwell,) * 2
-        row0, jj = self.indptr[:n * q].reshape(n, q), np.arange(q, dtype=np.int32)
-        self.slots, first, rank = [None] * len(blocks), [None] * len(blocks), np.zeros(n, np.int32)
+        self.ncell, self.nblocks = n, len(blocks)
+        jj, ii = np.arange(q, dtype=np.int32), np.arange(q, dtype=np.int32)[:, None]
+        row0 = self.indptr[:n * q:q] + ii * width               # (q, n): cell c's row i
+        first, rank = [None] * len(blocks), np.zeros(n, np.int32)
         for k, (_, mask) in sorted(enumerate(blocks), key=lambda kb: kb[1][0]):
-            first[k] = row0 + (q * rank)[:, None]       # the block's slot in each cell row
-            self.slots[k] = np.where(mask[:, None, None], first[k][:, :, None] + jj, self.nnz)
+            first[k] = row0 + q * rank          # the block's slot in each cell row
             rank += mask
-        self.slots += [row0[cells] + (q * count[cells] + in_cell)[:, None],
-                       (self.indptr[n * q + wells] + q * in_well)[:, None] + jj]
-        if well_diag:
-            self.slots.append(self.indptr[n * q + 1:] - 1)
-        cell = np.arange(n, dtype=np.int32)
-        self.indices = self._scatter([((cell + off) * q)[:, None, None] + jj for off, _ in blocks]
-                                     + [n * q + wells[:, None], cells[:, None] * q + jj,
-                                        n * q + np.arange(nwell)], np.int32)
+        at = [np.flatnonzero(mask) for _, mask in blocks]
+        border = [row0[:, cells] + q * count[cells] + in_cell,
+                  self.indptr[n * q + wells] + q * in_well + ii]
+        self.indices = np.empty(self.nnz, np.int32)
+        for (off, _), f, cm in zip(blocks, first, at):
+            self.indices[f[:, cm, None] + jj] = ((cm + off) * q)[:, None] + jj
+        tail = [self.indptr[n * q + 1:] - 1] if well_diag else []     # the well diagonals
+        for s, v in zip(border + tail, [n * q + wells, cells * q + ii, n * q + np.arange(nwell)]):
+            self.indices[s] = v
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        if runs is not None:
+        if runs is None:
+            self.slots = [np.where(mask, f[:, None] + ii, self.nnz)
+                          for (_, mask), f in zip(blocks, first)] + border + tail
+        else:
             self.q, self.ntail = q, nwell * well_diag
             self.src = np.empty((self.nnz - self.ntail) // q, np.int32)
-            for (_, mask), f, run in zip(blocks, first, runs):
-                self.src[f[mask] // q] = run[mask]
-            del self.slots
-
-    def _scatter(self, values, dtype=float) -> np.ndarray:
-        out = np.empty(self.nnz + 1, dtype)
-        for slots, v in zip(self.slots, values):
-            out[slots] = v
-        return out[:-1]
+            for f, cm, run in zip(first, at, runs):
+                self.src[f[:, cm] // q] = run
 
     def fill(self, values) -> sp.csr_matrix:
-        return sp.csr_matrix((self._scatter(values), self.indices, self.indptr), shape=self.shape)
+        data, nb, step = np.empty(self.nnz + 1), self.nblocks, _FILL_PASS_CELLS
+        for c in range(0, self.ncell, step):
+            for slots, v in zip(self.slots[:nb], values):
+                data[slots[..., c:c + step]] = v[..., c:c + step]
+        for slots, v in zip(self.slots[nb:], values[nb:]):
+            data[slots] = v
+        return sp.csr_matrix((data[:-1], self.indices, self.indptr), shape=self.shape)
 
     def take(self, source: np.ndarray) -> sp.csr_matrix:
         data, head = np.empty(self.nnz), len(source) - self.ntail
@@ -303,24 +322,25 @@ class CsrPattern:
         cell = np.arange(n)
         red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
         self.red, self.black = (np.flatnonzero(x).astype(np.int32) for x in (red, ~red))
-        ndir, nb, ii = len(dirs), len(self.black), np.arange(m)
+        ndir, nb, ii = len(dirs), len(self.black), np.arange(m)[:, None]
         self.ilu_pass = p = max(1, _ILU_PASS_BYTES // (24 * m * m * max(1, ndir)))
         # BlockILU0's sources in runs of a block row's m values (see there):
-        # K_lo's the inverse diagonal blocks, then per direction d black cell
-        # b's folded block to its red neighbour r (row b), per pass over black
-        # cells as (m, ndir, cells, m); K_up's r's block back to b (row r)
+        # K_lo's the inverse diagonal blocks as (m, ncell, m), then per
+        # direction d black cell b's folded block to its red neighbour r
+        # (row b), per pass over black cells as (m, ndir, cells, m); K_up's
+        # r's block back to b (row r).  Runs are set at masked cells only.
         at = np.cumsum(~red) - 1                # black cells' place among them
         c0 = at - at % p                        # first black cell of at's pass
-        lower, upper = [stencil[0] + (cell[:, None] * m + ii,)], []
+        lower, upper = [stencil[0] + (ii * n + cell,)], []
         self.nbr = np.array([np.where(has[self.black], self.black + off, 0)
                              for off, has in dirs], np.int32).reshape(ndir, nb)
         for d, (off, has) in enumerate(dirs):
-            run = (c0 * ndir * m + at - c0)[:, None] + (ii * ndir + d) * np.minimum(
-                p, nb - c0)[:, None]
             rows = has & ~red
+            b = np.flatnonzero(rows)
+            run = (c0 * ndir * m + at - c0)[b] + (ii * ndir + d) * np.minimum(p, nb - c0[b])
             lower.append((off, rows, n * m + run))
             # r = b + off: rolled by off, and every rolled-in cell is masked
-            upper.append((-off, np.roll(rows, off), np.roll(run, off, axis=0)))
+            upper.append((-off, np.roll(rows, off), run))
         self.ilu_lower, self.ilu_upper = (
             _StencilLayout(n, [blk[:2] for blk in part], m, a.nwell, well_diag=part is lower,
                            runs=[blk[2] for blk in part]) for part in (lower, upper))
@@ -344,19 +364,18 @@ def quasi_impes_decouple(a: BlockMatrix, b: np.ndarray):
     matrix as ``decouple_fallbacks``).
     """
     m, d = a.m, a.diag
-    inv, det = _block_inv(d[:, 1:, 1:])
+    inv, det = _block_inv(d[1:, 1:])
     ok = np.abs(det) > _TINY
     nfall = int(np.count_nonzero(~ok))
     if nfall:
         log.warning("quasi-IMPES: %d singular D_ss blocks, identity fallback", nfall)
-    inv[~ok] = 0.0
-    w = -np.einsum("nji,nj->ni", inv, d[:, 0, 1:])       # E[:, 0, 1:] = -D_ss^-T D_ps^T
+    inv[..., ~ok] = 0.0
+    w = -np.einsum("jin,jn->in", inv, d[0, 1:])       # E[0, 1:] = -D_ss^-T D_ps^T
 
     def fold(x, cells):
-        out, rows = x.copy(), x.reshape(len(x), m, math.prod(x.shape[2:]))
-        for j in range(rows.shape[2]):           # one entry of row 0 at a time: long loops
-            for k in range(1, m):
-                out.reshape(rows.shape)[:, 0, j] += w[cells, k - 1] * rows[:, k, j]
+        out = x.copy()
+        for k in range(1, m):                    # row 0 gains E[0, k] (row k)
+            out[0] += w[k - 1, cells] * x[k]
         return out
 
     out = a.transformed(fold, b)
@@ -367,9 +386,10 @@ def quasi_impes_decouple(a: BlockMatrix, b: np.ndarray):
 def abf_decouple(a: BlockMatrix, b: np.ndarray):
     """Alternate-block-factorization scaling: diagonal blocks become identity.
 
-    Left-multiplies each cell block row by the inverse of its diagonal block.
-    Singular diagonal blocks fall back to row-wise scaling (counted on the
-    returned matrix as ``decouple_fallbacks``).
+    Left-multiplies each cell block row by the inverse of its diagonal block
+    (``_block_mm``; a vector is a one-column block).  Singular diagonal
+    blocks fall back to row-wise scaling (counted on the returned matrix as
+    ``decouple_fallbacks``).
     """
     m, d = a.m, a.diag
     e, det = _block_inv(d)
@@ -377,13 +397,13 @@ def abf_decouple(a: BlockMatrix, b: np.ndarray):
     nfall = int(np.count_nonzero(~ok))
     if nfall:
         log.warning("ABF: %d singular diagonal blocks, row-scaling fallback", nfall)
-        rs = np.max(np.abs(d[~ok]), axis=2)
+        rs = np.max(np.abs(d[..., ~ok]), axis=1)
         rs[rs == 0.0] = 1.0
-        fall = np.zeros((nfall, m, m))
-        fall[:, np.arange(m), np.arange(m)] = 1.0 / rs
-        e[~ok] = fall
-    out = a.transformed(lambda x, cells: np.matmul(e[cells], x) if x.ndim == 3
-                        else np.einsum("nij,nj->ni", e[cells], x), b)
+        fall = np.zeros((m, m, nfall))
+        fall[np.arange(m), np.arange(m)] = 1.0 / rs
+        e[..., ~ok] = fall
+    out = a.transformed(lambda x, cells: _block_mm(e[..., cells], x) if x.ndim == 3
+                        else _block_mm(e[..., cells], x[:, None])[:, 0], b)
     out.decouple_fallbacks = nfall
     return out, out.b
 
@@ -403,19 +423,24 @@ def decouple(a: BlockMatrix, b: np.ndarray, kind: str):
 
 
 def _safe_inv(blocks: np.ndarray, counter: list) -> np.ndarray:
-    """Inverses of (n, m, m) blocks; a block with |det| <= _TINY is counted
+    """Inverses of (m, m, n) blocks; a block with |det| <= _TINY is counted
     in counter[0] and inverted with a small diagonal shift, or replaced by
     the identity if it stays singular."""
     inv, det = _block_inv(blocks)
     bad = ~(np.abs(det) > _TINY)
     if np.any(bad):
         counter[0] += int(np.count_nonzero(bad))
-        m = blocks.shape[1]
-        boost = 1e-12 * (1.0 + np.max(np.abs(blocks[bad]), axis=(1, 2)))
-        inv_bad, det_bad = _block_inv(blocks[bad] + boost[:, None, None] * np.eye(m))
-        inv_bad[~(np.abs(det_bad) > _TINY)] = np.eye(m)
-        inv[bad] = inv_bad
+        eye = np.eye(blocks.shape[0])[:, :, None]
+        boost = 1e-12 * (1.0 + np.max(np.abs(blocks[..., bad]), axis=(0, 1)))
+        inv_bad, det_bad = _block_inv(blocks[..., bad] + boost * eye)
+        inv_bad[..., ~(np.abs(det_bad) > _TINY)] = eye
+        inv[..., bad] = inv_bad
     return inv
+
+
+def _in_runs(source: np.ndarray, m: int, *mid) -> np.ndarray:
+    """(m, m, *mid) view of a factor's source, laid out (m, *mid, m) in runs."""
+    return np.moveaxis(source.reshape(m, *mid, m), -1, 1)
 
 
 class BlockILU0:
@@ -426,14 +451,14 @@ class BlockILU0:
     *Iterative Methods for Sparse Linear Systems*, section 12.4).  The
     factorisation changes only the black diagonal blocks, D~_b = D_b -
     sum L_{b,r} inv(D_r) U_{r,b} over red neighbors r; ``inv_diag`` holds
-    inv(D_r) and inv(D~_b).  Folding them into the off-diagonal factors
-    leaves a solve of two sparse products in the natural unknown order,
-    t = K_lo r and z = t - K_up t: ``k_lo`` holds every inverse diagonal
-    block, -inv(D~_b) L_{b,r} inv(D_r) on black rows and 1/ww on well rows,
-    ``k_up`` holds inv(D_r) U_{r,b} on red rows.  Both are ``PooledMatvec``
-    products on ``pool``, their values gathered once into the layouts of
-    ``a``'s ``CsrPattern``; the block products run entry by entry, in
-    passes over the black cells (``_block_mm``).
+    inv(D_r) and inv(D~_b), (m, m, ncell) as ``a.diag``.  Folding them into
+    the off-diagonal factors leaves a solve of two sparse products in the
+    natural unknown order, t = K_lo r and z = t - K_up t: ``k_lo`` holds
+    every inverse diagonal block, -inv(D~_b) L_{b,r} inv(D_r) on black rows
+    and 1/ww on well rows, ``k_up`` holds inv(D_r) U_{r,b} on red rows.  Both
+    are ``PooledMatvec`` products on ``pool``, their values gathered once
+    into the layouts of ``a``'s ``CsrPattern``; the block products run entry
+    by entry, in passes over the black cells (``_block_mm``).
     """
 
     def __init__(self, a: BlockMatrix, pool=None):
@@ -443,38 +468,36 @@ class BlockILU0:
         black, nbr = pattern.black, pattern.nbr
         ndir, nb = nbr.shape
         counter = [0]
-        # K_lo's source: inverse diagonal blocks (n, m, m), the black rows'
-        # folded blocks and the well diagonals; K_up's is laid out as the
-        # folded blocks, per pass over black cells (m, ndir, cells, m)
+        # K_lo's source: inverse diagonal blocks, the black rows' folded
+        # blocks and the well diagonals; K_up's the folded blocks back.  Both
+        # are laid out in runs of a block row's m values (see CsrPattern)
         lower, upper = np.empty(n * mm + ndir * mm * nb + nwell), np.empty(ndir * mm * nb)
-        inv, folded = lower[:n * mm].reshape(n, m, m), lower[n * mm:len(lower) - nwell]
+        inv, folded = np.empty((m, m, n)), lower[n * mm:len(lower) - nwell]
         lower[len(lower) - nwell:] = np.where(
             np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
-        inv[pattern.red] = _safe_inv(a.diag[pattern.red], counter)
-        stencil = [x.reshape(n, mm) for ax in a.axes for x in (a.lo[ax], a.hi[ax])]
-        dinv = np.ascontiguousarray(np.moveaxis(inv, 0, -1))   # entry-major, red cells read
+        inv[..., pattern.red] = _safe_inv(np.take(a.diag, pattern.red, axis=-1), counter)
+        stencil = [x[ax] for ax in a.axes for x in (a.lo, a.hi)]
         for c in range(0, nb, pattern.ilu_pass):
             cells, near = black[c:c + pattern.ilu_pass], nbr[:, c:c + pattern.ilu_pass]
-            # entry-major (m, m, ndir, cells): each black cell's block L to its
-            # red neighbour r per direction, inv(D_r), and r's block U back; a
+            # (m, m, ndir, cells): each black cell's block L to its red
+            # neighbour r per direction, inv(D_r), and r's block U back; a
             # missing neighbour has zero blocks, so it adds zero terms
-            rows = np.empty((2, ndir, len(cells), mm))
+            l_br, u_rb = np.empty((2, m, m, ndir, len(cells)))
             for d in range(ndir):
-                np.take(stencil[d], cells, axis=0, out=rows[0, d])
-                np.take(stencil[d ^ 1], near[d], axis=0, out=rows[1, d])
-            rows = np.ascontiguousarray(rows.transpose(0, 3, 1, 2)).reshape(2, m, m, ndir, -1)
-            (l_br, u_rb), dinv_r = rows, np.take(dinv, near, axis=-1)
-            run, shape = slice(c * ndir * mm, (c + len(cells)) * ndir * mm), (m, ndir, -1, m)
+                l_br[:, :, d] = np.take(stencil[d], cells, axis=-1)
+                u_rb[:, :, d] = np.take(stencil[d ^ 1], near[d], axis=-1)
+            dinv_r = np.take(inv, near, axis=-1)
+            run = slice(c * ndir * mm, (c + len(cells)) * ndir * mm)
             ld = _block_mm(l_br, dinv_r)
-            _block_mm(dinv_r, u_rb, out=upper[run].reshape(shape).transpose(0, 3, 1, 2))
+            _block_mm(dinv_r, u_rb, out=_in_runs(upper[run], m, ndir, -1))
             upd = _block_mm(ld, u_rb, out=l_br).sum(axis=2)
-            inv[cells] = inv_b = _safe_inv(a.diag[cells] - np.moveaxis(upd, -1, 0), counter)
-            _block_mm(-np.ascontiguousarray(np.moveaxis(inv_b, 0, -1))[:, :, None], ld,
-                      out=folded[run].reshape(shape).transpose(0, 3, 1, 2))
+            inv[..., cells] = inv_b = _safe_inv(np.take(a.diag, cells, axis=-1) - upd, counter)
+            _block_mm(-inv_b[:, :, None], ld, out=_in_runs(folded[run], m, ndir, -1))
+        _in_runs(lower[:n * mm], m, n)[...] = inv
         self.k_up = PooledMatvec(pattern.ilu_upper.take(upper), pool)
         del upper
         self.k_lo = PooledMatvec(pattern.ilu_lower.take(lower), pool)
-        self.inv_diag = inv.copy()               # not a view that keeps `lower`
+        self.inv_diag = inv
         self.pivot_shifts = counter[0]
         if counter[0]:
             log.warning("block ILU(0): %d shifted pivots", counter[0])

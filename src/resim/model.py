@@ -143,9 +143,9 @@ class ReservoirModel:
             raise ValueError(f"dt must be > 0, got {dt}")
         n, m = self.grid.ncell, self.m
         r = np.zeros((n, m))
-        diag = np.zeros((n, m, m)) if derivs else None
-        lo = {ax: np.zeros((n, m, m)) for ax in self.axes} if derivs else None
-        hi = {ax: np.zeros((n, m, m)) for ax in self.axes} if derivs else None
+        diag = np.zeros((m, m, n)) if derivs else None
+        lo = {ax: np.zeros((m, m, n)) for ax in self.axes} if derivs else None
+        hi = {ax: np.zeros((m, m, n)) for ax in self.axes} if derivs else None
 
         ranges = [(0, n)] if pool is None else pool.ranges(n, MIN_CELLS)
 
@@ -162,53 +162,44 @@ class ReservoirModel:
         # are applied sequentially after the parallel cell phase, with
         # properties evaluated only at the perforated cells
         nwell = len(wells)
-        r_wells = np.zeros(nwell)
+        r_wells, ww = np.zeros(nwell), np.zeros(nwell)
         props, cell_map = self._perf_props(state_new, wells, derivs) if wells \
             else (None, None)
-        cw_cells, cw_well, cw_blocks = [], [], []
-        wc_blocks, ww = [], np.zeros(nwell)
+        # per perforation: its cell and well, and its (m,) columns of the
+        # cell-row coupling d(cell eq)/d(p_h) and the well row
+        cw_cells, cw_well = [np.zeros(0, int)], [np.zeros(0, int)]
+        cw_blocks, wc_blocks = [np.zeros((m, 0))], [np.zeros((m, 0))]
         for well in wells:
             p_h = float(state_new.p_h[well.slot])
             rates = well_component_rates(well, p_h, props, self.fluid,
                                          derivs=derivs, cell_map=cell_map)
-            cells = rates.cells
-            for comp in self.components:
-                ci = self.comp_row(comp)
+            cells, kind = rates.cells, well.constraint.kind
+            cw_cells.append(cells)
+            cw_well.append(np.full(len(cells), well.slot))
+            cw_blocks.append(np.zeros((m, len(cells))))
+            wc_blocks.append(np.zeros((m, len(cells))))
+            for ci, comp in enumerate(self.components):
                 r[cells, ci] -= rates.q[comp]
-            if derivs:
-                blk = np.zeros((len(cells), m))
-                for comp in self.components:
-                    ci = self.comp_row(comp)
-                    diag[cells, ci, :] -= rates.dq_dcell[comp]
-                    blk[:, ci] = -rates.dq_dph[comp]
-                cw_cells.append(cells)
-                cw_well.append(np.full(len(cells), well.slot))
-                cw_blocks.append(blk)
-            kind = well.constraint.kind
+                if derivs:
+                    diag[ci][:, cells] -= rates.dq_dcell[comp]
+                    cw_blocks[-1][ci] = -rates.dq_dph[comp]
             if kind == "bhp":
                 r_wells[well.slot] = p_h - well.constraint.value
-                if derivs:
-                    ww[well.slot] = 1.0
-                    wc_blocks.append(np.zeros((len(cells), m)))
+                ww[well.slot] = 1.0
             else:
                 total = -well.constraint.value
-                wrow = np.zeros((len(cells), m))
                 for comp in RATE_COMPONENTS[kind]:
                     scale = surface_rate_scale(comp, self.fluid.pvt)
                     total += float(np.sum(rates.q[comp])) * scale
                     if derivs:
-                        wrow += rates.dq_dcell[comp] * scale
+                        wc_blocks[-1] += rates.dq_dcell[comp] * scale
                         ww[well.slot] += float(np.sum(rates.dq_dph[comp])) * scale
                 r_wells[well.slot] = total
-                if derivs:
-                    wc_blocks.append(wrow)
 
         if not derivs:
             return r, r_wells, None
-        mat = BlockMatrix(
-            shape=self.grid.shape(), m=m, diag=diag, lo=lo, hi=hi,
-            cw_cells=_cat(cw_cells, int), cw_well=_cat(cw_well, int),
-            cw_blocks=_cat2(cw_blocks, m), wc_blocks=_cat2(wc_blocks, m), ww=ww)
+        mat = BlockMatrix(self.grid.shape(), m, diag, lo, hi, *(
+            np.concatenate(x, axis=-1) for x in (cw_cells, cw_well, cw_blocks, wc_blocks)), ww)
         return r, r_wells, mat
 
     def _assemble_range(self, rng, state_new, state_old, dt, derivs,
@@ -230,7 +221,7 @@ class ReservoirModel:
             acc = vol_dt * (masses[comp] - masses_old[comp].v)
             r[c0:c1, ci] += acc.v[own]
             if derivs:
-                diag[c0:c1, ci, :] += acc.d[own]
+                diag[ci, :, c0:c1] += acc.d[:, own]
 
         for ax in self.axes:
             s = self.grid.stride(ax)
@@ -254,13 +245,13 @@ class ReservoirModel:
                 if a_hi > a_lo:
                     r[a_lo:a_hi, ci] += v[asl]
                     if derivs:
-                        diag[a_lo:a_hi, ci, :] += da[asl]
-                        hi[ax][a_lo:a_hi, ci, :] += db[asl]
+                        diag[ci, :, a_lo:a_hi] += da[:, asl]
+                        hi[ax][ci, :, a_lo:a_hi] += db[:, asl]
                 if b_hi > b_lo:
                     r[b_lo + s:b_hi + s, ci] -= v[bsl]
                     if derivs:
-                        diag[b_lo + s:b_hi + s, ci, :] -= db[bsl]
-                        lo[ax][b_lo + s:b_hi + s, ci, :] -= da[bsl]
+                        diag[ci, :, b_lo + s:b_hi + s] -= db[:, bsl]
+                        lo[ax][ci, :, b_lo + s:b_hi + s] -= da[:, bsl]
 
     # -- conservation bookkeeping ------------------------------------------
 
@@ -293,7 +284,7 @@ def _stream_flux(props, lam_attr, p_attr, rho_attr, idxa, idxb, tface, dz):
     """Upwinded two-point mass flux of one stream over the faces a -> b.
 
     Returns ``(v, da, db)``: the (nf,) fluxes, positive from a to b, and
-    their (nf, nder) derivatives with respect to the unknowns of cell a and
+    their (nder, nf) derivatives with respect to the unknowns of cell a and
     of cell b, or None for both when the properties carry no derivatives.
     With potential difference dphi = (p_a - p_b) - (rho_a + rho_b) / 2 * g dz
     and the mobility lam taken from cell a where dphi >= 0, else from b,
@@ -314,12 +305,10 @@ def _stream_flux(props, lam_attr, p_attr, rho_attr, idxa, idxb, tface, dz):
     v = lam_c * dphi
     if lam.d is None:
         return v, None, None
-    up, c, dphi = up[:, None], c[:, None], dphi[:, None]
-    g, lam_c = g[:, None], lam_c[:, None]
-    da = np.where(up, lam.d[idxa], 0.0) * c * dphi \
-        + (p.d[idxa] - rho.d[idxa] * 0.5 * g) * lam_c
-    db = np.where(up, 0.0, lam.d[idxb]) * c * dphi \
-        + (-p.d[idxb] - rho.d[idxb] * 0.5 * g) * lam_c
+    da = np.where(up, lam.d[:, idxa], 0.0) * c * dphi \
+        + (p.d[:, idxa] - rho.d[:, idxa] * 0.5 * g) * lam_c
+    db = np.where(up, 0.0, lam.d[:, idxb]) * c * dphi \
+        + (-p.d[:, idxb] - rho.d[:, idxb] * 0.5 * g) * lam_c
     return v, da, db
 
 
@@ -334,14 +323,3 @@ def _flatten_check(r_cells: np.ndarray, r_wells: np.ndarray, m: int) -> np.ndarr
         raise AssemblyError(f"non-finite residual at well row {bad - ncell_rows}")
     return f
 
-
-def _cat(parts, dtype):
-    if not parts:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate(parts).astype(dtype)
-
-
-def _cat2(parts, m):
-    if not parts:
-        return np.zeros((0, m))
-    return np.concatenate(parts, axis=0)

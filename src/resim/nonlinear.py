@@ -291,18 +291,18 @@ def _coarse_matrix(jac) -> np.ndarray:
     shifts every cell's unknown k uniformly and takes each well's BHP.  So
     G[:m, :m] sums every stencil block, G[:m, m + w] and G[m + w, :m] sum
     well w's perforation columns and rows, and G[m + w, m + w] = ww[w].
-    The sums run in a fixed order over (n, m*m) views with ``einsum``: not
-    ``sum(axis=0)``, four times slower at m = 2, nor a BLAS product, whose
-    summation order can depend on the BLAS thread count.
+    Each entry of a block array is one contiguous row of the entry-major
+    (m*m, ncell) view, summed by ``einsum`` in a fixed order: not a BLAS
+    product, whose summation order can depend on the BLAS thread count.
     """
     n, m, nwell = jac.ncell, jac.m, jac.nwell
     stencil = [jac.diag] + [x[ax] for ax in jac.axes for x in (jac.lo, jac.hi)]
-    cells = sum(np.einsum("ij->j", blocks.reshape(n, m * m)) for blocks in stencil)
+    cells = sum(np.einsum("ji->j", blocks.reshape(m * m, n)) for blocks in stencil)
     perfs = (jac.cw_well == np.arange(nwell)[:, None]).astype(float)
     g = np.zeros((m + nwell, m + nwell))
     g[:m, :m] = cells.reshape(m, m)
-    g[:m, m:] = np.einsum("wp,pk->kw", perfs, jac.cw_blocks)
-    g[m:, :m] = np.einsum("wp,pk->wk", perfs, jac.wc_blocks)
+    g[:m, m:] = np.einsum("wp,kp->kw", perfs, jac.cw_blocks)
+    g[m:, :m] = np.einsum("wp,kp->wk", perfs, jac.wc_blocks)
     g[m:, m:] = np.diag(jac.ww)
     return g
 

@@ -134,7 +134,7 @@ def _kro_stone2_cv(s_w: CellVal, s_g: CellVal, rw: CellVal, rg: CellVal,
     neg = kro.v < 0.0
     if np.any(neg):
         kro = CellVal(np.where(neg, 0.0, kro.v),
-                      None if kro.d is None else np.where(neg[:, None], 0.0, kro.d))
+                      None if kro.d is None else np.where(neg, 0.0, kro.d))
     # exact two-phase limit: the rw terms cancel analytically at s_g = 0 but
     # not in floating point, so substitute the two-phase curve there (keeping
     # the formula's gas-slot derivative, which is one-sided growth into gas)
@@ -142,8 +142,7 @@ def _kro_stone2_cv(s_w: CellVal, s_g: CellVal, rw: CellVal, rg: CellVal,
     if np.any(zero_gas):
         kro.v = np.where(zero_gas, row.v, kro.v)
         if kro.d is not None:
-            nslots = min(2, kro.d.shape[1])
-            kro.d[zero_gas, :nslots] = row.d[zero_gas, :nslots]
+            kro.d[:2, zero_gas] = row.d[:2, zero_gas]
     return kro
 
 
@@ -285,12 +284,12 @@ def evaluate_properties(p_o, s_w, x3, sat_mask, fluid: FluidSystem,
         sat = np.asarray(sat_mask, dtype=bool)
         if derivs:
             x3v = np.asarray(x3, dtype=float)
-            d = np.zeros((n, 3))
-            d[sat, 2] = 1.0
+            d = np.zeros((3, n))
+            d[2, sat] = 1.0
             sg = CellVal(np.where(sat, x3v, 0.0), d)
-            dpb = np.zeros((n, 3))
-            dpb[sat, 0] = 1.0
-            dpb[~sat, 2] = 1.0
+            dpb = np.zeros((3, n))
+            dpb[0, sat] = 1.0
+            dpb[2, ~sat] = 1.0
             pb = CellVal(np.where(sat, np.asarray(p_o), x3v), dpb)
         else:
             sg = CellVal.const(np.where(sat, x3, 0.0))

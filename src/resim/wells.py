@@ -142,7 +142,7 @@ def complete_vertical(well: Well, grid: Grid, rock: RockFields, cells: list[int]
 class WellRates:
     """Per-perforation signed component mass rates of one well.
 
-    q[comp]: (nperf,) lbm/day; with derivatives, dq_dcell[comp]: (nperf, m)
+    q[comp]: (nperf,) lbm/day; with derivatives, dq_dcell[comp]: (m, nperf)
     w.r.t. the perforated cell's unknowns and dq_dph[comp]: (nperf,).
     """
 
@@ -164,8 +164,8 @@ def _phase_term(rates: WellRates, comp: str, wi, dz, p_h, lam_v, lam_d,
     q = coef * lam_v * dd
     rates.q[comp] = rates.q.get(comp, 0.0) + q
     if derivs:
-        ddd = -p_d - rho_d * g_dz[:, None]
-        dq = coef[:, None] * (lam_d * dd[:, None] + lam_v[:, None] * ddd)
+        ddd = -p_d - rho_d * g_dz
+        dq = coef * (lam_d * dd + lam_v * ddd)
         rates.dq_dcell[comp] = rates.dq_dcell.get(comp, 0.0) + dq
         rates.dq_dph[comp] = rates.dq_dph.get(comp, 0.0) + coef * lam_v
 
@@ -189,11 +189,11 @@ def well_component_rates(well: Well, p_h: float, props, fluid,
     r = WellRates(cells)
     m = fluid.m
     zero = np.zeros(len(perfs))
-    zerod = np.zeros((len(perfs), m))
+    zerod = np.zeros((m, len(perfs)))
 
     def gat(cv):
         v = cv.v[rows]
-        d = cv.d[rows] if (derivs and cv.d is not None) else zerod
+        d = cv.d[:, rows] if (derivs and cv.d is not None) else zerod
         return v, d
 
     if well.kind == "injector":

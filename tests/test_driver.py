@@ -752,7 +752,7 @@ class TestStepRecord:
             if out[2] is not None:
                 calls[0] += 1
                 if calls[0] == 1:
-                    out[2].diag[0] = 0.0
+                    out[2].diag[..., 0] = 0.0
             return out
 
         monkeypatch.setattr(model.ReservoirModel, "_assemble", singular)

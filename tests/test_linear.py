@@ -21,6 +21,16 @@ from resim.parallel import PooledMatvec, WorkerPool, det_dot, det_norm
 from conftest import two_phase_fluid
 
 
+def entry_major(blocks):
+    """(m, m, n) blocks of cell-major (n, m, m) ones."""
+    return np.ascontiguousarray(np.moveaxis(blocks, 0, -1))
+
+
+def cell_major(blocks):
+    """(n, m, m) view of entry-major (m, m, n) blocks."""
+    return np.moveaxis(blocks, -1, 0)
+
+
 def random_block_matrix(rng, shape=(3, 3, 3), m=2, nwell=1, dd_boost=4.0):
     """Random well-conditioned stencil matrix with the production layout."""
     nx, ny, nz = shape
@@ -49,8 +59,9 @@ def random_block_matrix(rng, shape=(3, 3, 3), m=2, nwell=1, dd_boost=4.0):
         cw_blocks = np.zeros((0, m))
         wc_blocks = np.zeros((0, m))
         ww = np.zeros(0)
-    return BlockMatrix(shape, m, diag, lo, hi, cw_cells, cw_well, cw_blocks,
-                       wc_blocks, ww)
+    return BlockMatrix(shape, m, entry_major(diag), {ax: entry_major(x) for ax, x in lo.items()},
+                       {ax: entry_major(x) for ax, x in hi.items()}, cw_cells, cw_well,
+                       cw_blocks.T.copy(), wc_blocks.T.copy(), ww)
 
 
 def dense_from_blocks(a):
@@ -58,17 +69,17 @@ def dense_from_blocks(a):
     n, m = a.ncell, a.m
     dense = np.zeros((a.nunk, a.nunk))
     for c in range(n):
-        dense[c * m:(c + 1) * m, c * m:(c + 1) * m] += a.diag[c]
+        dense[c * m:(c + 1) * m, c * m:(c + 1) * m] += a.diag[..., c]
         for ax in a.axes:
             s = a.stride(ax)
             pos = (c // s) % a.shape[ax]
             if pos > 0:
-                dense[c * m:(c + 1) * m, (c - s) * m:(c - s + 1) * m] += a.lo[ax][c]
+                dense[c * m:(c + 1) * m, (c - s) * m:(c - s + 1) * m] += a.lo[ax][..., c]
             if pos < a.shape[ax] - 1:
-                dense[c * m:(c + 1) * m, (c + s) * m:(c + s + 1) * m] += a.hi[ax][c]
+                dense[c * m:(c + 1) * m, (c + s) * m:(c + s + 1) * m] += a.hi[ax][..., c]
     for p, (c, w) in enumerate(zip(a.cw_cells, a.cw_well)):
-        dense[c * m:(c + 1) * m, n * m + w] += a.cw_blocks[p]
-        dense[n * m + w, c * m:(c + 1) * m] += a.wc_blocks[p]
+        dense[c * m:(c + 1) * m, n * m + w] += a.cw_blocks[:, p]
+        dense[n * m + w, c * m:(c + 1) * m] += a.wc_blocks[:, p]
     dense[n * m:, n * m:] += np.diag(a.ww)
     return dense
 
@@ -155,6 +166,19 @@ class TestBlockMatrix:
         np.testing.assert_array_equal(a.to_csr().toarray(), dense_from_blocks(a))
         assert a.pattern is not first.pattern
 
+    def test_rejects_cell_major_blocks(self):
+        # the stencil arrays are (m, m, n) and the well columns (m, nperf);
+        # the cell-major (n, m, m) and (nperf, m) layouts are refused
+        rng = np.random.default_rng(50)
+        a = random_block_matrix(rng, shape=(5, 1, 1), m=3, nwell=1)
+        args = dict(shape=a.shape, m=a.m, diag=a.diag, lo=a.lo, hi=a.hi, cw_cells=a.cw_cells,
+                    cw_well=a.cw_well, cw_blocks=a.cw_blocks, wc_blocks=a.wc_blocks, ww=a.ww)
+        BlockMatrix(**args)
+        for name, bad in (("diag", cell_major(a.diag)), ("hi", {0: cell_major(a.hi[0])}),
+                          ("cw_blocks", a.cw_blocks.T), ("wc_blocks", a.wc_blocks.T)):
+            with pytest.raises(ValueError, match="entry-major"):
+                BlockMatrix(**{**args, name: bad})
+
     def test_repeated_perforation_entries_rejected(self):
         # two perforation entries of one well in one cell would share CSR
         # slots; wells refuse such a completion, and so does the layout
@@ -187,7 +211,7 @@ class TestBlockMatrix:
             s = a.stride(ax)
             mhi = neighbor_mask(a.shape, ax, upper=True)
             rows = np.nonzero(mhi)[0]
-            assert all(app[r, r + s] == a.hi[ax][r, 0, 0] for r in rows[:5])
+            assert all(app[r, r + s] == a.hi[ax][0, 0, r] for r in rows[:5])
 
 
 class TestCsrLayouts:
@@ -202,8 +226,8 @@ class TestCsrLayouts:
             # cell 3 has both wells; the perforations are out of (cell, well)
             # and (well, cell) order
             a.cw_cells, a.cw_well = np.array([3, 1, 3, 0]), np.array([1, 0, 0, 1])
-            a.cw_blocks = rng.standard_normal((4, m))
-            a.wc_blocks = rng.standard_normal((4, m))
+            a.cw_blocks = rng.standard_normal((4, m)).T
+            a.wc_blocks = rng.standard_normal((4, m)).T
             a.ww = 2.0 + rng.random(2)
         return a, rng
 
@@ -271,7 +295,7 @@ class TestDecoupling:
     def test_quasi_impes_noop_when_uncoupled(self):
         rng = np.random.default_rng(2)
         a = random_block_matrix(rng, m=2, nwell=0)
-        a.diag[:, 0, 1] = 0.0  # D_ps = 0
+        a.diag[0, 1] = 0.0  # D_ps = 0
         b = rng.standard_normal(a.nunk)
         a2, b2 = decouple(a, b, "quasi_impes")
         np.testing.assert_allclose(a2.to_csr().toarray(), a.to_csr().toarray(), atol=1e-14)
@@ -284,7 +308,7 @@ class TestDecoupling:
         b = rng.standard_normal(a.nunk)
         dense = a.to_csr().toarray()
         a2, b2 = decouple(a, b, "quasi_impes")
-        assert np.max(np.abs(a2.diag[:, 0, 1:])) < 1e-13
+        assert np.max(np.abs(a2.diag[0, 1:])) < 1e-13
         # row operation reproduced densely
         for c in range(2):
             f = dense[2 * c, 2 * c + 1] / dense[2 * c + 1, 2 * c + 1]
@@ -298,20 +322,20 @@ class TestDecoupling:
         # quasi-IMPES defines it, rows k >= 1 copied exactly
         rng = np.random.default_rng(45)
         a = random_block_matrix(rng, shape=(4, 3, 2), m=m, nwell=2)
-        a.diag[3, 1:, 1:] = 0.0                 # a singular D_ss: identity row
+        a.diag[1:, 1:, 3] = 0.0                 # a singular D_ss: identity row
         b = rng.standard_normal(a.nunk)
         n = a.ncell
-        inv, det = linear._block_inv(a.diag[:, 1:, 1:])
-        inv[~(np.abs(det) > 1e-30)] = 0.0
+        inv, det = linear._block_inv(a.diag[1:, 1:])
+        inv[..., ~(np.abs(det) > 1e-30)] = 0.0
         e = np.tile(np.eye(m), (n, 1, 1))
-        e[:, 0, 1:] = -np.einsum("nji,nj->ni", inv, a.diag[:, 0, 1:])
+        e[:, 0, 1:] = -np.einsum("jin,jn->ni", inv, a.diag[0, 1:])
         a2, b2 = decouple(a, b, "quasi_impes")
         assert a2.decouple_fallbacks == 1
-        pairs = [(a2.diag, np.matmul(e, a.diag)),
-                 (a2.cw_blocks, np.matmul(e[a.cw_cells], a.cw_blocks[:, :, None])[:, :, 0]),
+        pairs = [(cell_major(a2.diag), np.matmul(e, cell_major(a.diag))),
+                 (a2.cw_blocks.T, np.matmul(e[a.cw_cells], a.cw_blocks.T[:, :, None])[:, :, 0]),
                  (b2[:n * m].reshape(n, m), np.matmul(e, b[:n * m].reshape(n, m, 1))[:, :, 0])]
-        pairs += [(a2.lo[ax], np.matmul(e, a.lo[ax])) for ax in a.axes]
-        pairs += [(a2.hi[ax], np.matmul(e, a.hi[ax])) for ax in a.axes]
+        pairs += [(cell_major(a2.lo[ax]), np.matmul(e, cell_major(a.lo[ax]))) for ax in a.axes]
+        pairs += [(cell_major(a2.hi[ax]), np.matmul(e, cell_major(a.hi[ax]))) for ax in a.axes]
         for got, ref in pairs:
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
             np.testing.assert_array_equal(got[:, 1:], ref[:, 1:])
@@ -325,13 +349,12 @@ class TestDecoupling:
             a = random_block_matrix(rng, m=m, nwell=1)
             b = rng.standard_normal(a.nunk)
             a2, _ = decouple(a, b, "abf")
-            eye = np.tile(np.eye(m), (a.ncell, 1, 1))
-            assert np.max(np.abs(a2.diag - eye)) < 1e-12
+            assert np.max(np.abs(a2.diag - np.eye(m)[:, :, None])) < 1e-12
 
     def test_abf_noop_when_identity(self):
         rng = np.random.default_rng(5)
         a = random_block_matrix(rng, m=2, nwell=0)
-        a.diag[:] = np.eye(2)
+        a.diag[:] = np.eye(2)[:, :, None]
         b = rng.standard_normal(a.nunk)
         a2, b2 = decouple(a, b, "abf")
         np.testing.assert_allclose(a2.to_csr().toarray(), a.to_csr().toarray(), atol=1e-13)
@@ -370,41 +393,41 @@ class TestDecoupling:
     def test_singular_dss_fallback(self):
         rng = np.random.default_rng(7)
         a = random_block_matrix(rng, m=2, nwell=0)
-        a.diag[3, 1, 1] = 0.0  # singular D_ss at one cell
+        a.diag[1, 1, 3] = 0.0  # singular D_ss at one cell
         b = rng.standard_normal(a.nunk)
         a2, _ = decouple(a, b, "quasi_impes")
         assert a2.decouple_fallbacks == 1
         # fallback row untouched
-        np.testing.assert_allclose(a2.diag[3], a.diag[3])
+        np.testing.assert_allclose(a2.diag[..., 3], a.diag[..., 3])
 
     def test_singular_dss_fallback_three_unknowns(self):
         rng = np.random.default_rng(45)
         a = random_block_matrix(rng, m=3, nwell=1)
-        a.diag[2, 1:, 1:] = [[1.0, 2.0], [2.0, 4.0]]      # rank one
-        a.diag[5, 1:, 1:] = 0.0
+        a.diag[1:, 1:, 2] = [[1.0, 2.0], [2.0, 4.0]]      # rank one
+        a.diag[1:, 1:, 5] = 0.0
         b = rng.standard_normal(a.nunk)
         a2, b2 = decouple(a, b, "quasi_impes")
         assert a2.decouple_fallbacks == 2
         for c in (2, 5):
-            np.testing.assert_array_equal(a2.diag[c], a.diag[c])
+            np.testing.assert_array_equal(a2.diag[..., c], a.diag[..., c])
             np.testing.assert_array_equal(b2[3 * c:3 * c + 3], b[3 * c:3 * c + 3])
-        assert np.max(np.abs(np.delete(a2.diag[:, 0, 1:], [2, 5], axis=0))) < 1e-12
+        assert np.max(np.abs(np.delete(a2.diag[0, 1:], [2, 5], axis=1))) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_singular_diagonal_abf_fallback(self, m):
         rng = np.random.default_rng(46)
         a = random_block_matrix(rng, m=m, nwell=1)
-        a.diag[1] = 0.0
-        a.diag[4, -1] = a.diag[4, -2]                      # two equal rows
+        a.diag[..., 1] = 0.0
+        a.diag[-1, :, 4] = a.diag[-2, :, 4]                # two equal rows
         b = rng.standard_normal(a.nunk)
         a2, _ = decouple(a, b, "abf")
         assert a2.decouple_fallbacks == 2
-        np.testing.assert_array_equal(a2.diag[1], 0.0)
-        rowmax = np.max(np.abs(a.diag[4]), axis=1)
-        np.testing.assert_allclose(a2.diag[4], a.diag[4] / rowmax[:, None], rtol=1e-15)
-        eye = np.eye(m)
+        np.testing.assert_array_equal(a2.diag[..., 1], 0.0)
+        rowmax = np.max(np.abs(a.diag[..., 4]), axis=1)
+        np.testing.assert_allclose(a2.diag[..., 4], a.diag[..., 4] / rowmax[:, None], rtol=1e-15)
+        eye = np.eye(m)[:, :, None]
         ok = np.delete(np.arange(a.ncell), [1, 4])
-        assert np.max(np.abs(a2.diag[ok] - eye)) < 1e-12
+        assert np.max(np.abs(a2.diag[..., ok] - eye)) < 1e-12
 
 
 class TestBlockKernels:
@@ -413,10 +436,10 @@ class TestBlockKernels:
     def test_block_inv_matches_lapack(self, m, scale):
         rng = np.random.default_rng(60 + m)
         blocks = scale * (rng.standard_normal((500, m, m)) + 4.0 * np.eye(m))
-        inv, det = linear._block_inv(blocks)
+        inv, det = linear._block_inv(entry_major(blocks))
         np.testing.assert_allclose(det, np.linalg.det(blocks), rtol=1e-12)
         ref = np.linalg.inv(blocks)
-        np.testing.assert_allclose(inv, ref, rtol=1e-10, atol=1e-13 * np.abs(ref).max())
+        np.testing.assert_allclose(cell_major(inv), ref, rtol=1e-10, atol=1e-13 * np.abs(ref).max())
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_exactly_singular_blocks(self, m):
@@ -427,10 +450,10 @@ class TestBlockKernels:
         if m > 1:
             blocks[2, -1] = blocks[2, -2]                   # two equal rows
         singular = [1, 4] + ([2] if m > 1 else [])
-        _, det = linear._block_inv(blocks)
+        _, det = linear._block_inv(entry_major(blocks))
         np.testing.assert_array_equal(det[singular], 0.0)
         counter = [0]
-        inv = linear._safe_inv(blocks, counter)
+        inv = cell_major(linear._safe_inv(entry_major(blocks), counter))
         assert counter[0] == len(singular)
         assert np.all(np.isfinite(inv))
         fine = np.setdiff1d(np.arange(6), singular)
@@ -479,13 +502,13 @@ class TestBicgstab:
         rng = np.random.default_rng(10)
         n = 100
         g = resim.Grid(n, 1, 1, 1.0, 1.0, 1.0)
-        diag = np.full((n, 1, 1), 2.0)
-        lo = {0: np.full((n, 1, 1), -1.0)}
-        hi = {0: np.full((n, 1, 1), -1.0)}
-        lo[0][0] = 0.0
-        hi[0][-1] = 0.0
+        diag = np.full((1, 1, n), 2.0)
+        lo = {0: np.full((1, 1, n), -1.0)}
+        hi = {0: np.full((1, 1, n), -1.0)}
+        lo[0][..., 0] = 0.0
+        hi[0][..., -1] = 0.0
         a = BlockMatrix((n, 1, 1), 1, diag, lo, hi, np.zeros(0, int),
-                        np.zeros(0, int), np.zeros((0, 1)), np.zeros((0, 1)),
+                        np.zeros(0, int), np.zeros((1, 0)), np.zeros((1, 0)),
                         np.zeros(0))
         b = rng.standard_normal(n)
         op = csr_operator(a)
@@ -541,11 +564,22 @@ class TestBlockILU0:
         x_ref = np.linalg.solve(a2.to_csr().toarray(), b2)
         assert np.max(np.abs(x - x_ref)) <= 1e-6 * np.max(np.abs(x_ref))
 
+    def test_input_unchanged(self):
+        # the set-up reads the blocks in place (a singular red pivot
+        # included) and writes only into its own factors
+        rng = np.random.default_rng(52)
+        a = random_block_matrix(rng, shape=(4, 3, 2), m=3, nwell=2)
+        a.diag[..., 0] = 0.0
+        arrays = [a.diag, *a.lo.values(), *a.hi.values(), a.cw_blocks, a.wc_blocks, a.ww]
+        before = [x.tobytes() for x in arrays]
+        assert BlockILU0(a).pivot_shifts == 1
+        assert [x.tobytes() for x in arrays] == before
+
     def test_pivot_shift_counter(self):
         rng = np.random.default_rng(15)
         for m in (2, 3):
             a = random_block_matrix(rng, m=m, nwell=0)
-            a.diag[0] = 0.0  # fully singular diagonal block on a red cell
+            a.diag[..., 0] = 0.0  # fully singular diagonal block on a red cell
             ilu = BlockILU0(a)
             assert ilu.pivot_shifts >= 1
             z = ilu.solve(np.ones(a.nunk))

@@ -446,8 +446,8 @@ class TestCoarseCorrection:
             extra = next(c for c in range(a.ncell) if c not in a.cw_cells)
             a = BlockMatrix(a.shape, m, a.diag, a.lo, a.hi,
                             np.append(a.cw_cells, extra), np.append(a.cw_well, 0),
-                            np.vstack([a.cw_blocks, rng.standard_normal(m)]),
-                            np.vstack([a.wc_blocks, rng.standard_normal(m)]), a.ww)
+                            np.column_stack([a.cw_blocks, rng.standard_normal(m)]),
+                            np.column_stack([a.wc_blocks, rng.standard_normal(m)]), a.ww)
         g = nonlinear._coarse_matrix(a)
         ref = coarse_reference(a)
         assert g.shape == (m + nwell, m + nwell)

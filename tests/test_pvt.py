@@ -82,7 +82,7 @@ class TestStone2:
                                         resim.FluidSystem("two_phase", tables)).kro
         np.testing.assert_array_equal(kro.v, two_phase.v)
         # the (p_o, s_w) derivatives are the two-phase curve's too
-        np.testing.assert_array_equal(kro.d[:, :2], two_phase.d)
+        np.testing.assert_array_equal(kro.d[:2], two_phase.d)
 
     def test_connate_endpoint(self, corey):
         tables = resim.ThreePhaseRelPerm(corey)
@@ -185,7 +185,7 @@ class TestPropertyDerivatives:
         pr = evaluate_properties(np.array([3000.0]), np.array([0.5]), None, None,
                                  two_phase_fluid())
         # d/ds of ((s - 0.2)/0.6)^2 at s = 0.5: 2*0.3/0.36
-        assert pr.krw.d[0, 1] == pytest.approx(2.0 * 0.3 / 0.36)
+        assert pr.krw.d[1, 0] == pytest.approx(2.0 * 0.3 / 0.36)
 
     def test_incompressible_water_pressure_derivative(self):
         pr = evaluate_properties(np.array([3000.0]), np.array([0.5]), None, None,
@@ -231,7 +231,7 @@ class TestPropertyDerivatives:
                 vm = values(p, sw, x3 - h)
             for nm in names:
                 fd = (vp[nm] - vm[nm]) / (2 * h)
-                an = getattr(pr, nm).d[:, slot]
+                an = getattr(pr, nm).d[slot]
                 scale = np.maximum(np.abs(fd), np.abs(an))
                 # 1e-6 relative, plus the cancellation noise floor of the
                 # central-difference oracle itself
