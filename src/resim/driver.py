@@ -135,9 +135,12 @@ def parse_deck(text: str, base_dir: str = ".") -> Deck:
         kind, name = current
         if kind == "table":
             try:
-                tables[name].append([float(t) for t in line.split()])
+                row = [float(t) for t in line.split()]
             except ValueError:
                 raise DeckError(f"line {lineno}: non-numeric table row {line!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise DeckError(f"line {lineno}: non-finite table row {line!r}")
+            tables[name].append(row)
             continue
         if "=" not in line:
             raise DeckError(f"line {lineno}: expected key = value, got {line!r}")

@@ -148,7 +148,7 @@ def _parse_tokens(source, what: str) -> np.ndarray:
         data = data.decode("ascii")
     tokens = data.split()
     try:
-        return np.array(tokens, dtype=float)
+        values = np.array(tokens, dtype=float)
     except ValueError:
         for pos, tok in enumerate(tokens):
             try:
@@ -157,6 +157,11 @@ def _parse_tokens(source, what: str) -> np.ndarray:
                 raise FieldFormatError(
                     f"{what}: non-numeric token {tok!r} at position {pos}") from None
         raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        pos = int(bad[0])
+        raise FieldFormatError(f"{what}: non-finite token {tokens[pos]!r} at position {pos}")
+    return values
 
 
 def load_spe10_fields(perm_source, poro_source, grid: Grid) -> RockFields:

@@ -23,7 +23,7 @@ from .diff import CellVal
 from .grid import Grid, RockFields, face_transmissibilities
 from .linear import BlockMatrix
 from .pvt import FluidSystem, evaluate_properties
-from .wells import Well, well_component_rates, surface_rate_scale, RATE_COMPONENTS
+from .wells import Well, well_component_rates, surface_rate_weights
 
 
 # below this many cells per range, thread dispatch costs more than it buys
@@ -91,12 +91,12 @@ class ReservoirModel:
         return evaluate_properties(state.p_o[cells], state.s_w[cells], x3, sat,
                                    self.fluid, derivs=derivs)
 
-    def _perf_props(self, state: ReservoirState, wells: list[Well], derivs: bool):
-        """Properties at the perforated cells, and each such cell's row in them."""
-        perf_cells = np.unique(np.array(
-            [p.cell for w in wells for p in w.perforations], dtype=int))
-        cell_map = {int(c): i for i, c in enumerate(perf_cells)}
-        return self._props(state, derivs, perf_cells), cell_map
+    def _well_rates(self, state: ReservoirState, wells: list[Well], derivs: bool):
+        """``(cells, *well_component_rates(...))`` at every perforation, with
+        properties evaluated at the perforated cells, one row per perforation."""
+        cells = np.array([p.cell for w in wells for p in w.perforations], dtype=int)
+        props = self._props(state, derivs, cells)
+        return (cells, *well_component_rates(wells, state.p_h, props, self.fluid, derivs))
 
     def _phi(self, props, cells=slice(None)) -> CellVal:
         pv = self.fluid.pvt
@@ -158,48 +158,31 @@ class ReservoirModel:
         else:
             pool.run(run_range, ranges)
 
-        # wells are single-owner; their few rows touch arbitrary cells, so they
-        # are applied sequentially after the parallel cell phase, with
-        # properties evaluated only at the perforated cells
+        # wells are single-owner; their few rows touch arbitrary cells, so every
+        # perforation of every well is applied after the parallel cell phase,
+        # in one rate pass and one scatter that adds up wells sharing a cell
         nwell = len(wells)
-        r_wells, ww = np.zeros(nwell), np.zeros(nwell)
-        props, cell_map = self._perf_props(state_new, wells, derivs) if wells \
-            else (None, None)
-        # per perforation: its cell and well, and its (m,) columns of the
-        # cell-row coupling d(cell eq)/d(p_h) and the well row
-        cw_cells, cw_well = [np.zeros(0, int)], [np.zeros(0, int)]
-        cw_blocks, wc_blocks = [np.zeros((m, 0))], [np.zeros((m, 0))]
-        for well in wells:
-            p_h = float(state_new.p_h[well.slot])
-            rates = well_component_rates(well, p_h, props, self.fluid,
-                                         derivs=derivs, cell_map=cell_map)
-            cells, kind = rates.cells, well.constraint.kind
-            cw_cells.append(cells)
-            cw_well.append(np.full(len(cells), well.slot))
-            cw_blocks.append(np.zeros((m, len(cells))))
-            wc_blocks.append(np.zeros((m, len(cells))))
-            for ci, comp in enumerate(self.components):
-                r[cells, ci] -= rates.q[comp]
-                if derivs:
-                    diag[ci][:, cells] -= rates.dq_dcell[comp]
-                    cw_blocks[-1][ci] = -rates.dq_dph[comp]
-            if kind == "bhp":
-                r_wells[well.slot] = p_h - well.constraint.value
-                ww[well.slot] = 1.0
-            else:
-                total = -well.constraint.value
-                for comp in RATE_COMPONENTS[kind]:
-                    scale = surface_rate_scale(comp, self.fluid.pvt)
-                    total += float(np.sum(rates.q[comp])) * scale
-                    if derivs:
-                        wc_blocks[-1] += rates.dq_dcell[comp] * scale
-                        ww[well.slot] += float(np.sum(rates.dq_dph[comp])) * scale
-                r_wells[well.slot] = total
-
+        cells, q, dq_dcell, dq_dph, slots = self._well_rates(state_new, wells, derivs)
+        np.subtract.at(r, cells, q.T)
+        # well rows: a bhp well's pressure, a rate well's surface rate, each
+        # less its target; a bhp well counts no component
+        wt = surface_rate_weights(wells, self.fluid)
+        bhp = ~wt.any(axis=0)
+        target = np.zeros(nwell)
+        target[[w.slot for w in wells]] = [w.constraint.value for w in wells]
+        wt = wt[:, slots]
+        rate = np.bincount(slots, (wt * q).sum(axis=0), minlength=nwell)
+        r_wells = np.where(bhp, state_new.p_h[:nwell] - target, rate - target)
         if not derivs:
             return r, r_wells, None
-        mat = BlockMatrix(self.grid.shape(), m, diag, lo, hi, *(
-            np.concatenate(x, axis=-1) for x in (cw_cells, cw_well, cw_blocks, wc_blocks)), ww)
+        np.subtract.at(diag, (slice(None), slice(None), cells), dq_dcell)
+        ww = np.where(bhp, 1.0, np.bincount(slots, (wt * dq_dph).sum(axis=0),
+                                            minlength=nwell))
+        # per perforation: the (m,) columns of the cell-row coupling
+        # d(cell eq)/d(p_h) and of the well row d(well eq)/d(cell unknowns)
+        wc_blocks = (wt[:, None] * dq_dcell).sum(axis=0)
+        mat = BlockMatrix(self.grid.shape(), m, diag, lo, hi, cells, slots, -dq_dph,
+                          wc_blocks, ww)
         return r, r_wells, mat
 
     def _assemble_range(self, rng, state_new, state_old, dt, derivs,
@@ -265,19 +248,9 @@ class ReservoirModel:
     def well_mass_rates(self, state: ReservoirState,
                         wells: list[Well]) -> dict[str, tuple[float, float]]:
         """Per component: (injected, produced) mass rates in lbm/day, both >= 0."""
-        out = {comp: [0.0, 0.0] for comp in self.components}
-        if not wells:
-            return {comp: (0.0, 0.0) for comp in self.components}
-        props, cell_map = self._perf_props(state, wells, False)
-        for well in wells:
-            rates = well_component_rates(well, float(state.p_h[well.slot]),
-                                         props, self.fluid, derivs=False,
-                                         cell_map=cell_map)
-            for comp in self.components:
-                q = rates.q[comp]
-                out[comp][0] += float(np.sum(q[q > 0]))
-                out[comp][1] -= float(np.sum(q[q < 0]))
-        return {comp: (v[0], v[1]) for comp, v in out.items()}
+        q = self._well_rates(state, wells, False)[1]
+        return {comp: (float(np.sum(qc[qc > 0])), float(np.sum(-qc[qc < 0])))
+                for comp, qc in zip(self.components, q)}
 
 
 def _stream_flux(props, lam_attr, p_attr, rho_attr, idxa, idxb, tface, dz):

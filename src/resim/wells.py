@@ -1,6 +1,8 @@
 """Peaceman sink-source well model: indices, rates, constraints, schedules.
 
-Rates are signed with injection positive.  Rate constraints are surface
+The perforations of all wells form one table, in well order and then
+completion order, and the rates of every perforation come from one pass over
+it.  Rates are signed with injection positive.  Rate constraints are surface
 volumetric: STB/day for water, oil and liquid, Mscf/day for gas (free plus
 solution gas).
 """
@@ -139,95 +141,65 @@ def complete_vertical(well: Well, grid: Grid, rock: RockFields, cells: list[int]
         well.ref_depth = min(p.depth for p in well.perforations)
 
 
-class WellRates:
-    """Per-perforation signed component mass rates of one well.
+def well_component_rates(wells: list[Well], p_h, props, fluid, derivs: bool = False):
+    """Signed component mass rates at every perforation of every well.
 
-    q[comp]: (nperf,) lbm/day; with derivatives, dq_dcell[comp]: (m, nperf)
-    w.r.t. the perforated cell's unknowns and dq_dph[comp]: (nperf,).
+    ``props`` holds the properties of the perforated cells, one row per
+    perforation, in well order and then completion order.  Each perforation
+    draws every stream of ``fluid.streams`` as
+    DARCY * wi * lam * (p_h - p - rho * g * dz), so a producer's solution gas
+    leaves with its oil phase.  An injector takes the same formula with
+    mobility rho / mu, endpoint relative permeability at the cell's pressure,
+    density and viscosity, on the free-phase stream of its injected phase,
+    and zero on every other stream.
+
+    Returns ``(q, dq_dcell, dq_dph, slots)``: q (m, nperf) in lbm/day, rows in
+    component-row order; dq_dcell (m, m, nperf) with respect to the perforated
+    cell's unknowns and dq_dph (m, nperf), both None unless ``derivs``; and
+    the slot of each perforation's well.
     """
-
-    __slots__ = ("cells", "q", "dq_dcell", "dq_dph")
-
-    def __init__(self, cells):
-        self.cells = cells
-        self.q: dict[str, np.ndarray] = {}
-        self.dq_dcell: dict[str, np.ndarray] = {}
-        self.dq_dph: dict[str, np.ndarray] = {}
-
-
-def _phase_term(rates: WellRates, comp: str, wi, dz, p_h, lam_v, lam_d,
-                p_v, p_d, rho_v, rho_d, derivs: bool):
-    """Accumulate C*wi*lam*(p_h - p - rho*g*dz) for one phase into one component."""
-    g_dz = units.GRAVITY * dz
-    dd = p_h - p_v - rho_v * g_dz
-    coef = units.DARCY * wi
-    q = coef * lam_v * dd
-    rates.q[comp] = rates.q.get(comp, 0.0) + q
-    if derivs:
-        ddd = -p_d - rho_d * g_dz
-        dq = coef * (lam_d * dd + lam_v * ddd)
-        rates.dq_dcell[comp] = rates.dq_dcell.get(comp, 0.0) + dq
-        rates.dq_dph[comp] = rates.dq_dph.get(comp, 0.0) + coef * lam_v
-
-
-def well_component_rates(well: Well, p_h: float, props, fluid,
-                         derivs: bool = False, cell_map=None) -> WellRates:
-    """Signed component mass rates at every perforation of one well.
-
-    Producers draw every stream of ``fluid.streams`` at the perforated
-    cell's mobilities, so solution gas leaves with the oil phase; injectors
-    deliver their declared phase at endpoint relative permeability with
-    in-cell pressure, density and viscosity of that phase.
-    ``cell_map`` translates grid cell ids into rows of ``props`` when the
-    properties were evaluated on a subset of cells.
-    """
-    perfs = well.perforations
-    cells = np.array([p.cell for p in perfs], dtype=int)
-    rows = cells if cell_map is None else np.array([cell_map[c] for c in cells])
-    wi = np.array([p.wi for p in perfs])
-    dz = well.ref_depth - np.array([p.depth for p in perfs])
-    r = WellRates(cells)
-    m = fluid.m
-    zero = np.zeros(len(perfs))
-    zerod = np.zeros((m, len(perfs)))
-
-    def gat(cv):
-        v = cv.v[rows]
-        d = cv.d[:, rows] if (derivs and cv.d is not None) else zerod
-        return v, d
-
-    if well.kind == "injector":
-        ph = well.inj_phase
-        mu = getattr(fluid.pvt, "mu_" + ph)
-        rho_v, rho_d = gat(getattr(props, "rho_" + ph))
-        p_v, p_d = gat(getattr(props, "p_" + ph))
-        _phase_term(r, ph, wi, dz, p_h, rho_v / mu, rho_d / mu, p_v, p_d,
-                    rho_v, rho_d, derivs)
-    else:
-        for comp, lam, p, rho in fluid.streams:
-            lam_v, lam_d = gat(getattr(props, lam))
-            p_v, p_d = gat(getattr(props, p))
-            rho_v, rho_d = gat(getattr(props, rho))
-            _phase_term(r, comp, wi, dz, p_h, lam_v, lam_d, p_v, p_d,
-                        rho_v, rho_d, derivs)
-
-    for comp in ("w", "o", "g"):
-        if comp not in r.q:
-            r.q[comp] = zero
-            if derivs:
-                r.dq_dcell[comp] = zerod
-                r.dq_dph[comp] = zero
-    return r
+    perfs = [(w, p) for w in wells for p in w.perforations]
+    slots = np.array([w.slot for w, _ in perfs], dtype=int)
+    coef = units.DARCY * np.array([p.wi for _, p in perfs])
+    g_dz = units.GRAVITY * np.array([w.ref_depth - p.depth for w, p in perfs])
+    # an injector's one stream, named by its mobility, and that phase's viscosity
+    injected = np.array(["lam_" + w.inj_phase if w.kind == "injector" else ""
+                         for w, _ in perfs], dtype=str)
+    producer = injected == ""
+    mu_inj = np.array([getattr(fluid.pvt, "mu_" + w.inj_phase) for w, _ in perfs])
+    p_h = np.asarray(p_h, dtype=float)[slots]
+    m, n = fluid.m, len(perfs)
+    q = np.zeros((m, n))
+    dq_dcell = np.zeros((m, m, n)) if derivs else None
+    dq_dph = np.zeros((m, n)) if derivs else None
+    for comp, lam_name, p_name, rho_name in fluid.streams:
+        lam, p, rho = (getattr(props, a) for a in (lam_name, p_name, rho_name))
+        ci = fluid.components.index(comp)
+        own = injected == lam_name
+        lam_v = np.where(producer, lam.v, own * rho.v / mu_inj)
+        dd = p_h - p.v - rho.v * g_dz
+        q[ci] += coef * lam_v * dd
+        if derivs:
+            lam_d = np.where(producer, lam.d, own * rho.d / mu_inj)
+            ddd = -p.d - rho.d * g_dz
+            dq_dcell[ci] += coef * (lam_d * dd + lam_v * ddd)
+            dq_dph[ci] += coef * lam_v
+    return q, dq_dcell, dq_dph, slots
 
 
-def surface_rate_scale(comp: str, pvt) -> float:
-    """Mass rate (lbm/day) -> surface volumetric rate (STB/day or Mscf/day)."""
-    if comp == "w":
-        return 1.0 / (pvt.rho_w_ref * units.FT3_PER_BBL)
-    if comp == "o":
-        return 1.0 / (pvt.rho_o_ref * units.FT3_PER_BBL)
-    return 1.0 / (pvt.rho_g_ref * units.FT3_PER_MSCF)
-
-
-RATE_COMPONENTS = {"water_rate": ("w",), "oil_rate": ("o",),
-                    "liquid_rate": ("o", "w"), "gas_rate": ("g",)}
+def surface_rate_weights(wells: list[Well], fluid) -> np.ndarray:
+    """(m, nwell) factors, columns by well slot, that turn each component's
+    mass rate (lbm/day) into the surface rate (STB/day or Mscf/day) its
+    well's rate constraint counts; zero for components the constraint does
+    not count and for every component of a bhp well."""
+    pvt = fluid.pvt
+    per_bbl = units.FT3_PER_BBL
+    scale = {"o": 1.0 / (pvt.rho_o_ref * per_bbl), "w": 1.0 / (pvt.rho_w_ref * per_bbl),
+             "g": 1.0 / (pvt.rho_g_ref * units.FT3_PER_MSCF)}
+    counted = {"bhp": "", "water_rate": "w", "oil_rate": "o", "liquid_rate": "ow",
+               "gas_rate": "g"}
+    wt = np.zeros((fluid.m, len(wells)))
+    wt[:, [w.slot for w in wells]] = np.array(
+        [[scale[c] * (c in counted[w.constraint.kind]) for w in wells]
+         for c in fluid.components])
+    return wt

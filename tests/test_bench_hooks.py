@@ -6,6 +6,7 @@ rename or deletion the harness depends on fails here in under a second.
 """
 
 import os
+from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,10 +56,16 @@ def test_tracer_counts_match_the_run_report(monkeypatch, tmp_path):
     # 6 cells, no coarse AMG level: every Newton iteration builds a hierarchy
     builds = sum(1 for span in t.spans if span[0] == "linear.build_amg")
     assert builds == report.n_newton
-    # property and well-rate calls reach their layers
+    # property and well-rate calls reach their layers: one rate pass over
+    # every perforation per assembly and per well-rate report, so a rate
+    # call that bypasses the traced name fails here
     layers, _ = t.summarize(1.0)
     assert layers["pvt.evaluate_calls"] > 0
-    assert layers["wells.rates_calls"] > 0
+    calls = Counter(span[0] for span in t.spans)
+    assert calls["model.well_mass_rates"] == report.n_steps
+    assert layers["wells.rates_calls"] == (calls["model.assemble_jacobian"]
+                                           + calls["model.assemble_residual"]
+                                           + calls["model.well_mass_rates"])
 
 
 def test_sample_patch_targets_exist():

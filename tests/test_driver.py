@@ -193,6 +193,22 @@ class TestParseDeck:
         with pytest.raises(DeckError, match="18"):
             parse_deck(text, base_dir=str(tmp_path))
 
+    def test_non_finite_field_file(self, tmp_path):
+        (tmp_path / "perm.dat").write_text("1.0 " * 9 + "nan " + "1.0 " * 8)
+        (tmp_path / "poro.dat").write_text("0.2 " * 6)
+        text = TINY_RUN_DECK.replace(
+            "kx = 100.0\nporo = 0.2",
+            "perm = file:perm.dat\nporo = file:poro.dat")
+        with pytest.raises(DeckError, match="non-finite token 'nan' at position 9"):
+            parse_deck(text, base_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("row", ["nan 1.1", "1000.0 inf"])
+    def test_non_finite_table_row(self, row):
+        text = TINY_RUN_DECK + f"\n[table:bo]\n0.0 1.0\n{row}\n"
+        line = text.splitlines().index(row) + 1
+        with pytest.raises(DeckError, match=f"line {line}: non-finite table row '{row}'"):
+            parse_deck(text)
+
     def test_missing_field_file(self):
         text = TINY_RUN_DECK.replace("kx = 100.0\nporo = 0.2",
                                      "perm = file:nope.dat\nporo = 0.2")
@@ -903,6 +919,23 @@ class TestCli:
         assert rc == 1
         assert "B_g table must be positive" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["bad.deck"]      # nothing was run
+
+    def test_non_finite_inputs_exit_code(self, tmp_path, capsys):
+        # a bad deck is a deck error, not a run that cuts its steps and aborts
+        (tmp_path / "perm.dat").write_text("1.0 " * 17 + "inf")
+        (tmp_path / "poro.dat").write_text("0.2 " * 6)
+        field = TINY_RUN_DECK.replace("kx = 100.0\nporo = 0.2",
+                                      "perm = file:perm.dat\nporo = file:poro.dat")
+        table = TINY_RUN_DECK + "\n[table:bo]\n0.0 1.0\nnan 1.1\n"
+        for name, text, err in (("field", field, "non-finite token 'inf'"),
+                                ("table", table, "non-finite table row")):
+            p = tmp_path / f"{name}.deck"
+            p.write_text(text)
+            out = tmp_path / name
+            rc = main(["run", str(p), "--output-dir", str(out), "-q"])
+            assert rc == 1
+            assert err in capsys.readouterr().err
+            assert not out.exists()      # nothing was run
 
     def test_workers_flag(self, tmp_path, capsys):
         rc = main(["run", self.write_deck(tmp_path), "--workers", "2",

@@ -125,6 +125,17 @@ def test_load_spe10_bad_token_position():
         resim.load_spe10_fields("1 2 3 oops 5 6", "0.2 0.2", g)
 
 
+@pytest.mark.parametrize("perm, poro, match", [
+    ("1 2 3 nan 5 6", "0.2 0.2", "permeability: non-finite token 'nan' at position 3"),
+    ("1 2 3 4 5 -inf", "0.2 0.2", "permeability: non-finite token '-inf' at position 5"),
+    ("1 2 3 4 5 6", "0.2 inf", "porosity: non-finite token 'inf' at position 1")])
+def test_load_spe10_rejects_non_finite(perm, poro, match):
+    # the floors would keep a nan and turn -inf into a valid cell
+    g = resim.Grid(2, 1, 1, 10.0, 10.0, 10.0)
+    with pytest.raises(FieldFormatError, match=match):
+        resim.load_spe10_fields(perm, poro, g)
+
+
 def test_load_spe10_clamps_nonpositive():
     g = resim.Grid(2, 1, 1, 10.0, 10.0, 10.0)
     rock = resim.load_spe10_fields("0 1 -2 1 3 1", "0.0 0.4", g)

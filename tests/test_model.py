@@ -149,7 +149,7 @@ class TestResidual:
         # one cell has no faces: without the well its rows are the accumulation
         acc = model.assemble_residual(new, old, 1.0, [])
         props = evaluate_properties(new.p_o, new.s_w, None, None, fluid, derivs=False)
-        q_w = well_component_rates(w, 3300.0, props, fluid).q["w"][0]
+        q_w = well_component_rates([w], new.p_h, props, fluid)[0][fluid.components.index("w"), 0]
         iw = model.comp_row("w")
         assert f[iw] == pytest.approx(acc[iw] - q_w, rel=1e-12)
         assert f[model.comp_row("o")] == pytest.approx(acc[model.comp_row("o")], rel=1e-12)
@@ -250,6 +250,23 @@ class TestJacobian:
         resim.complete_vertical(inj, model.grid, model.rock, [0])
         prod = resim.Well("P", constraint=resim.Constraint("oil_rate", -300.0), slot=1)
         resim.complete_vertical(prod, model.grid, model.rock, [26])
+        assert_jacobian_matches(model, state, old, 2.0, [inj, prod])
+
+    def test_black_oil_water_injector_and_liquid_rate_fd_match(self):
+        # a rate constraint summing two components over two perforations, and
+        # a water injector's single stream among the three of black oil
+        rng = np.random.default_rng(7)
+        model = random_black_oil_model(rng)
+        state = random_black_oil_state(rng, model, nwell=2)
+        state.p_h = np.array([5200.0, 3000.0])
+        old = state.copy()
+        old.p_o = np.full(27, 4000.0)
+        old.s_w = np.full(27, 0.3)
+        inj = resim.Well("I", kind="injector", inj_phase="w",
+                         constraint=resim.Constraint("water_rate", 400.0), slot=0)
+        resim.complete_vertical(inj, model.grid, model.rock, [0])
+        prod = resim.Well("P", constraint=resim.Constraint("liquid_rate", -300.0), slot=1)
+        resim.complete_vertical(prod, model.grid, model.rock, [17, 26])
         assert_jacobian_matches(model, state, old, 2.0, [inj, prod])
 
     def test_pressure_row_sums_zero_interior(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from resim import units
 from resim.model import ReservoirModel, ReservoirState
 from resim.pvt import evaluate_properties
 from resim.wells import WellConfigError, well_component_rates
-from conftest import two_phase_fluid, black_oil_fluid
+from conftest import (two_phase_fluid, black_oil_fluid, random_two_phase_model,
+                      random_two_phase_state)
 
 
 def one_cell_model(fluid=None):
@@ -19,8 +21,12 @@ def one_cell_model(fluid=None):
 
 def perf_rates(well, st, fluid):
     """Signed component mass rates (lbm/day) at each of the well's perforations."""
-    props = evaluate_properties(st.p_o, st.s_w, st.x3, st.sat, fluid, derivs=False)
-    return well_component_rates(well, float(st.p_h[well.slot]), props, fluid).q
+    cells = [p.cell for p in well.perforations]
+    props = evaluate_properties(st.p_o[cells], st.s_w[cells],
+                                None if st.x3 is None else st.x3[cells],
+                                None if st.sat is None else st.sat[cells], fluid, derivs=False)
+    q = well_component_rates([well], st.p_h, props, fluid)[0]
+    return dict(zip(fluid.components, q))
 
 
 def well_row(model, st, well):
@@ -164,6 +170,60 @@ class TestConstraintResidual:
         res = well_row(model, st, w)
         scale = model.fluid.pvt.rho_g_ref * units.FT3_PER_MSCF
         assert res == pytest.approx(q_g / scale + 100.0, rel=1e-12)
+
+
+class TestPerforationTable:
+    """Every perforation of every well goes through one rate pass and one scatter."""
+
+    @staticmethod
+    def setup():
+        rng = np.random.default_rng(11)
+        model = random_two_phase_model(rng)
+        st = random_two_phase_state(rng, model, nwell=2)
+        st.p_h = np.array([5200.0, 7000.0])
+        prod = resim.Well("P", constraint=resim.Constraint("liquid_rate", -200.0), slot=0)
+        resim.complete_vertical(prod, model.grid, model.rock, [13, 22])
+        inj = resim.Well("I", kind="injector", inj_phase="w",
+                         constraint=resim.Constraint("bhp", 7000.0), slot=1)
+        resim.complete_vertical(inj, model.grid, model.rock, [13])
+        return model, st, prod, inj
+
+    def test_wells_sharing_a_cell_add_up(self):
+        model, st, prod, inj = self.setup()
+        nm = model.grid.ncell * model.m
+        alone = [(model, replace(st, p_h=st.p_h[[k]]), [replace(w, slot=0)])
+                 for k, w in enumerate((prod, inj))]
+        f_none = model.assemble_residual(st, st, 1.0, [])
+        j_none = model.assemble_jacobian(st, st, 1.0, []).to_csr().toarray()
+        f_both = model.assemble_residual(st, st, 1.0, [prod, inj])
+        j_both = model.assemble_jacobian(st, st, 1.0, [prod, inj]).to_csr().toarray()
+        f_alone = [m.assemble_residual(s, s, 1.0, w) for m, s, w in alone]
+        j_alone = [m.assemble_jacobian(s, s, 1.0, w).to_csr().toarray() for m, s, w in alone]
+        # cell rows: each well's sources on top of the well-free rows
+        np.testing.assert_allclose(
+            f_both[:nm] - f_none, sum(f[:nm] - f_none for f in f_alone),
+            rtol=0, atol=1e-12 * np.abs(f_both).max())
+        np.testing.assert_allclose(
+            j_both[:nm, :nm] - j_none, sum(j[:nm, :nm] - j_none for j in j_alone),
+            rtol=0, atol=1e-12 * np.abs(j_both).max())
+        # well rows and columns: each well's own, at its slot
+        for k, (f, j) in enumerate(zip(f_alone, j_alone)):
+            assert f_both[nm + k] == f[nm]
+            np.testing.assert_array_equal(j_both[:nm, nm + k], j[:nm, nm])
+            np.testing.assert_array_equal(j_both[nm + k, :nm], j[nm, :nm])
+            assert j_both[nm + k, nm + k] == j[nm, nm]
+        assert j_both[nm, nm + 1] == j_both[nm + 1, nm] == 0.0
+
+    def test_well_order_does_not_matter(self):
+        model, st, prod, inj = self.setup()
+        resim.complete_vertical(inj, model.grid, model.rock, [4])
+        inj.perforations = inj.perforations[1:]      # no longer shares cell 13
+        ordered = model.assemble_residual(st, st, 1.0, [prod, inj])
+        swapped = model.assemble_residual(st, st, 1.0, [inj, prod])
+        np.testing.assert_array_equal(ordered, swapped)
+        j_ordered = model.assemble_jacobian(st, st, 1.0, [prod, inj]).to_csr()
+        j_swapped = model.assemble_jacobian(st, st, 1.0, [inj, prod]).to_csr()
+        np.testing.assert_array_equal(j_ordered.toarray(), j_swapped.toarray())
 
 
 class TestSignConventions:
