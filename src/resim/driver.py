@@ -89,7 +89,7 @@ _SECTION_KEYS = {
     "schedule": {"at"},
     "solver": {"newton_tol", "newton_atol", "newton_max", "forcing_rule",
                "gamma", "beta", "theta_fixed", "theta0", "theta_min",
-               "theta_max", "max_ds", "max_dp", "mb_tol", "linear_max_it",
+               "theta_max", "mb_tol", "linear_max_it",
                "preconditioner", "decoupling"},
     "time": {"t_end", "dt_init", "dt_max", "dt_min", "growth", "cut", "max_cuts"},
     "output": {"report_csv", "vtk_every", "vtk_prefix", "dump_matrices"},

@@ -60,15 +60,12 @@ class ReservoirState:
 class ReservoirModel:
     """Grid + rock + fluid bundle with assembly routines."""
 
-    def __init__(self, grid: Grid, rock: RockFields, fluid: FluidSystem,
-                 gravity: bool = True):
+    def __init__(self, grid: Grid, rock: RockFields, fluid: FluidSystem):
         self.grid = grid
         self.rock = rock
         self.fluid = fluid
-        self.gravity = gravity
         self.axes = [ax for ax, nax in enumerate(grid.shape()) if nax > 1]
         self.tgeo = {ax: face_transmissibilities(grid, rock, ax) for ax in self.axes}
-        self.depth = grid.cell_depth if gravity else np.zeros(grid.ncell)
         self._pattern = None    # CsrPattern of the last Jacobian
 
     @property
@@ -216,7 +213,7 @@ class ReservoirModel:
             idxa = slice(f0 - w0, f1 - w0)
             idxb = slice(f0 - w0 + s, f1 - w0 + s)
             tface = self.tgeo[ax][f0:f1]
-            dz = self.depth[f0:f1] - self.depth[f0 + s:f1 + s]
+            dz = self.grid.cell_depth[f0:f1] - self.grid.cell_depth[f0 + s:f1 + s]
             # sub-slices of the face window owned by this range
             a_lo, a_hi = max(f0, c0), min(f1, c1)          # rows a
             b_lo, b_hi = max(f0, c0 - s), min(f1, c1 - s)  # rows b = a + s

@@ -2,8 +2,10 @@
 
 Each time step repeats assemble-solve-update cycles until the 2-norm of the
 residual falls below ``tol`` relative to the step's initial residual, cutting
-the step size on failure.  The linear tolerance theta_l follows one of three
-adjustment rules (or a fixed value), safeguarded into [theta_min, theta_max].
+the step size on failure.  An update applies its pressure changes in full
+and chops each saturation change to +-_MAX_DS.  The linear tolerance
+theta_l follows one of three adjustment rules (or a fixed value),
+safeguarded into [theta_min, theta_max].
 An iterate must also bring every component's residual sum below a
 mass-balance target.  When the residual target is met but the mass target is
 not, one coarse Newton correction is tried (Wallis's constrained residual,
@@ -34,6 +36,7 @@ log = logging.getLogger(__name__)
 FORCING_RULES = ("eq13_a", "eq13_b", "eq13_c", "fixed")
 # p_b above p_o by more than this (psi) switches a cell to saturated
 _SWITCH_EPS = 1e-8
+_MAX_DS = 0.2   # largest saturation change one Newton update applies to a cell
 
 
 class SimulationAbort(RuntimeError):
@@ -57,8 +60,6 @@ class NewtonConfig:
     theta0: float = 0.1
     theta_min: float = 1e-4
     theta_max: float = 0.9
-    max_ds: float = 0.2
-    max_dp: float = 500.0
     mb_tol: float | None = None   # None: auto per fluid kind; 0 disables
 
     def __post_init__(self):
@@ -74,8 +75,6 @@ class NewtonConfig:
             raise ValueError("beta must be in (1, 2]")
         if self.forcing_rule not in FORCING_RULES:
             raise ValueError(f"unknown forcing rule {self.forcing_rule!r}")
-        if self.max_ds <= 0 or self.max_dp <= 0:
-            raise ValueError("max_ds and max_dp must be > 0")
         if self.atol < 0:
             raise ValueError("atol must be >= 0")
         if not (0 < self.theta_fixed < 1):
@@ -147,6 +146,7 @@ class NewtonIterLog:
     forcing: ForcingHistory | None   # rule inputs, iterations l >= 1
     theta_rule: float | None         # rule output before the finish cap
     restarts: int            # BiCGSTAB restarts on the true residual
+    ds_chops: int = 0        # cells whose saturation update _MAX_DS cut
 
 
 @dataclass
@@ -174,6 +174,7 @@ class StepRecord:
     corrections_kept: int = 0
     decouple_fallbacks: int = 0      # singular cell blocks the decoupling fell back on
     pivot_shifts: int = 0            # singular pivots the block ILU(0) shifted
+    ds_chops: int = 0                # saturation updates _MAX_DS cut
     newton_log: list[NewtonIterLog] = field(default_factory=list)
 
 
@@ -181,37 +182,40 @@ class _StepFailure(Exception):
     """A step attempt failed; the step is cut and tried again."""
 
 
-def apply_update(state, dx: np.ndarray, model, config: NewtonConfig):
-    """Damped Newton update with saturation clamping and variable switching."""
+def apply_update(state, dx: np.ndarray, model):
+    """The Newton iterate ``state + dx`` and the number of cells it chopped.
+
+    p_o, an undersaturated cell's p_b and the well BHPs take their update in
+    full; s_w, and s_g in a saturated cell, change by at most _MAX_DS.  Then
+    saturations are kept in [0, 1], a cell switches to p_b = p_o where its
+    s_g falls below 0 and to s_g = 0 where its p_b rises above p_o, and
+    p_b is capped at p_o."""
     n, m = model.grid.ncell, model.m
-    new = state.copy()
     dxc = dx[: n * m].reshape(n, m)
-    new.p_o = state.p_o + np.clip(dxc[:, 0], -config.max_dp, config.max_dp)
-    new.s_w = np.clip(state.s_w + np.clip(dxc[:, 1], -config.max_ds, config.max_ds),
-                      0.0, 1.0)
+    chopped = np.abs(dxc[:, 1]) > _MAX_DS
+    p_o = state.p_o + dxc[:, 0]
+    s_w = np.clip(state.s_w + np.clip(dxc[:, 1], -_MAX_DS, _MAX_DS), 0.0, 1.0)
+    x3, new_sat = None, None
     if m == 3:
         sat = state.sat
-        x3 = state.x3.copy()
-        dsg = np.clip(dxc[:, 2], -config.max_ds, config.max_ds)
-        dpb = np.clip(dxc[:, 2], -config.max_dp, config.max_dp)
-        sg_new = np.where(sat, x3 + dsg, 0.0)
-        pb_new = np.where(sat, new.p_o, x3 + dpb)
+        chopped |= sat & (np.abs(dxc[:, 2]) > _MAX_DS)
+        sg_new = np.where(sat, state.x3 + np.clip(dxc[:, 2], -_MAX_DS, _MAX_DS), 0.0)
+        pb_new = np.where(sat, p_o, state.x3 + dxc[:, 2])
         new_sat = sat.copy()
         # saturated cell loses its free gas: switch unknown to p_b = p_o
         to_undersat = sat & (sg_new < 0.0)
         new_sat[to_undersat] = False
-        pb_new[to_undersat] = new.p_o[to_undersat]
+        pb_new[to_undersat] = p_o[to_undersat]
         sg_new[to_undersat] = 0.0
         # undersaturated cell reaches bubble point: free gas appears
-        to_sat = (~sat) & (pb_new > new.p_o + _SWITCH_EPS)
+        to_sat = (~sat) & (pb_new > p_o + _SWITCH_EPS)
         new_sat[to_sat] = True
         sg_new[to_sat] = 0.0
-        pb_new = np.minimum(pb_new, new.p_o)
-        sg_new = np.clip(sg_new, 0.0, np.maximum(1.0 - new.s_w, 0.0))
-        new.sat = new_sat
-        new.x3 = np.where(new_sat, sg_new, pb_new)
-    new.p_h = state.p_h + dx[n * m:]
-    return new
+        pb_new = np.minimum(pb_new, p_o)
+        sg_new = np.clip(sg_new, 0.0, np.maximum(1.0 - s_w, 0.0))
+        x3 = np.where(new_sat, sg_new, pb_new)
+    new = ReservoirState(p_o, s_w, x3, new_sat, state.p_h + dx[n * m:], state.t)
+    return new, int(np.count_nonzero(chopped))
 
 
 def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
@@ -279,7 +283,8 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
                   f"true linear residual {lhs:.3e} misses the inner contract "
                   f"||b - A dx|| <= theta ||b|| = {bound:.3e}")
         raise _StepFailure(f"{reason} after {iters} iterations")
-    new_state = apply_update(state, dx, model, ncfg)
+    new_state, entry.ds_chops = apply_update(state, dx, model)
+    rec.ds_chops += entry.ds_chops
     amg = precond.amg if isinstance(precond, CprFpf) else None
     return new_state, dx, jac, g, amg
 
@@ -328,8 +333,7 @@ def _mb_converged(sums, dt, mass_ref, mb_tol) -> bool:
     return True
 
 
-def _coarse_correction(model, state, state_old, dt, wells, f, g, target, ncfg,
-                       pool, rec):
+def _coarse_correction(model, state, state_old, dt, wells, f, g, target, pool, rec):
     """The coarse Newton correction of ``state``, whose residual is ``f``.
 
     Solves g y = -Z^T f and applies W y.  Returns (state, residual, norm) of
@@ -345,8 +349,7 @@ def _coarse_correction(model, state, state_old, dt, wells, f, g, target, ncfg,
     if not np.all(np.isfinite(y)):
         return None
     rec.corrections_tried += 1
-    candidate = apply_update(state, np.concatenate([np.tile(y[:m], n), y[m:]]),
-                             model, ncfg)
+    candidate, _ = apply_update(state, np.concatenate([np.tile(y[:m], n), y[m:]]), model)
     t0 = time.perf_counter()
     try:
         f_c = model.assemble_residual(candidate, state_old, dt, wells, pool=pool)
@@ -431,7 +434,7 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec):
             # live in the coarse space, so correct it there at the cost of
             # one residual evaluation, not another Newton solve
             corrected = _coarse_correction(model, state, state_old, dt, wells, f, g,
-                                           target, ncfg, pool, rec)
+                                           target, pool, rec)
             if corrected is None:
                 continue
             state, f, b_norm = corrected
@@ -564,7 +567,7 @@ class RunReport:
                 header += [f"mass_{c}_lbm", f"injected_{c}_lbm", f"produced_{c}_lbm"]
             w.writerow(header + ["corrections_tried", "corrections_kept"]
                        + [f"residual_{c}" for c in comps]
-                       + ["decouple_fallbacks", "pivot_shifts"])
+                       + ["decouple_fallbacks", "pivot_shifts", "ds_chops"])
             for s in self.steps:
                 row = [s.step, f"{s.t:.6g}", f"{s.dt:.6g}", s.newtons,
                        s.linear_iters, s.cuts, f"{s.wall_time:.4f}",
@@ -575,4 +578,4 @@ class RunReport:
                             f"{s.well_produced.get(c, 0.0):.10e}"]
                 w.writerow(row + [s.corrections_tried, s.corrections_kept]
                            + [f"{s.residual_sums.get(c, 0.0):.10e}" for c in comps]
-                           + [s.decouple_fallbacks, s.pivot_shifts])
+                           + [s.decouple_fallbacks, s.pivot_shifts, s.ds_chops])

@@ -38,7 +38,7 @@ def black_oil_fluid(**overrides):
         resim.CoreyTwoPhase(0.12, 0.2)), resim.PvtModel.spe1_like(**overrides))
 
 
-def random_two_phase_model(rng, shape=(3, 3, 3), capillary=True, gravity=True):
+def random_two_phase_model(rng, shape=(3, 3, 3), capillary=True):
     g = resim.Grid(*shape, 20.0, 10.0, 2.0, depth_top=8000.0)
     kx = 10 ** rng.uniform(0, 3, g.ncell)
     rock = resim.RockFields(kx, kx * rng.uniform(0.5, 2, g.ncell), 0.3 * kx,
@@ -50,7 +50,7 @@ def random_two_phase_model(rng, shape=(3, 3, 3), capillary=True, gravity=True):
         if capillary else resim.Table1D.constant(0.0))
     fluid = resim.FluidSystem("two_phase", resim.ThreePhaseRelPerm(
         resim.CoreyTwoPhase(0.2, 0.2)), pvt)
-    return ReservoirModel(g, rock, fluid, gravity=gravity)
+    return ReservoirModel(g, rock, fluid)
 
 
 def random_two_phase_state(rng, model, nwell=0):

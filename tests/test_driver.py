@@ -67,12 +67,14 @@ REJECTED_VALUES = [
     ("solver", "preconditioner = foo"), ("solver", "decoupling = xyz"),
     ("solver", "forcing_rule = eq99"), ("fluid", "s_wc = 0.9"),
     ("fluid", "mu_w = -1.0"), ("fields", "poro = abc"), ("fields", "poro = 1.5"),
-    ("solver", "newton_max = 0"), ("solver", "max_ds = -0.5"), ("solver", "max_ds = 0"),
-    ("solver", "max_dp = 0"), ("solver", "newton_atol = -1e-8"),
+    ("solver", "newton_max = 0"), ("solver", "newton_atol = -1e-8"),
     ("solver", "theta_fixed = 0"), ("solver", "theta_fixed = 1.0"),
     ("time", "max_cuts = -1"), ("output", "vtk_every = -2"),
     ("output", "dump_matrices = maybe"), ("fluid", "s_gc = -0.1"),
-    ("fluid", "s_gc = 0.95"), ("fluid", "mu_g = 0.0")]
+    ("fluid", "s_gc = 0.95"), ("fluid", "mu_g = 0.0"),
+    # the Newton update's limits are no longer settings: unknown keys
+    ("solver", "max_ds = -0.5"), ("solver", "max_ds = 0"), ("solver", "max_dp = 0")]
+DELETED_KEYS = {"max_ds", "max_dp"}
 
 
 # wells the model can never hold to their constraint, as (deck, the rejected
@@ -277,6 +279,8 @@ class TestParseDeck:
         with pytest.raises(DeckError, match=rf"^line {lineno}: ") as err:
             parse_deck(text)
         assert f"[{section}]" in str(err.value) or key in str(err.value)
+        if key in DELETED_KEYS:
+            assert str(err.value) == f"line {lineno}: unknown key {key!r} in [{section}]"
 
     def test_unknown_injected_phase_names_token(self):
         bad = TINY_RUN_DECK.replace("fluid=water", "fluid=oil")
@@ -470,7 +474,8 @@ class TestRunSimulation:
             prefix += [f"mass_{c}_lbm", f"injected_{c}_lbm", f"produced_{c}_lbm"]
         comps = sorted(report.initial_mass)
         assert rows[0] == prefix + ["corrections_tried", "corrections_kept"] + \
-            [f"residual_{c}" for c in comps] + ["decouple_fallbacks", "pivot_shifts"]
+            [f"residual_{c}" for c in comps] + ["decouple_fallbacks", "pivot_shifts",
+                                                "ds_chops"]
         k = len(prefix)
         assert [(int(r[k]), int(r[k + 1])) for r in rows[1:]] == \
             [(s.corrections_tried, s.corrections_kept) for s in report.steps]
@@ -778,7 +783,7 @@ class TestStepRecord:
         assert counts == [(1, 1)] + [(0, 0)] * (report.n_steps - 1)
         with open(tmp_path / "steps.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0])[-2:] == ["decouple_fallbacks", "pivot_shifts"]
+        assert list(rows[0])[-3:-1] == ["decouple_fallbacks", "pivot_shifts"]
         assert [(int(r["decouple_fallbacks"]), int(r["pivot_shifts"])) for r in rows] == counts
 
     def test_counts_match_the_newton_log_with_a_cut(self, tmp_path, monkeypatch):
@@ -797,6 +802,7 @@ class TestStepRecord:
         for rec in report.steps:
             assert rec.newtons == len(rec.newton_log)
             assert rec.linear_iters == sum(e.iterations for e in rec.newton_log)
+            assert rec.ds_chops == sum(e.ds_chops for e in rec.newton_log)
         assert report.newton_log == [e for rec in report.steps for e in rec.newton_log]
 
         with open(tmp_path / "steps.csv") as fh:
@@ -804,9 +810,10 @@ class TestStepRecord:
         assert len(rows) == report.n_steps
         for row, rec in zip(rows, report.steps):
             assert [int(row[k]) for k in ("step", "newtons", "linear_iters", "cuts",
-                                          "corrections_tried", "corrections_kept")] == \
+                                          "corrections_tried", "corrections_kept",
+                                          "ds_chops")] == \
                 [rec.step, rec.newtons, rec.linear_iters, rec.cuts,
-                 rec.corrections_tried, rec.corrections_kept]
+                 rec.corrections_tried, rec.corrections_kept, rec.ds_chops]
             assert float(row["t_days"]) == pytest.approx(rec.t, rel=1e-5)
             assert float(row["dt_days"]) == pytest.approx(rec.dt, rel=1e-5)
             for c, mass in rec.mass_in_place.items():
@@ -897,11 +904,17 @@ class TestCli:
     @pytest.mark.parametrize("section, line", REJECTED_VALUES)
     def test_rejected_value_exit_code(self, tmp_path, capsys, section, line):
         p = tmp_path / "bad.deck"
-        p.write_text(deck_with(section, line))
+        text = deck_with(section, line)
+        p.write_text(text)
         rc = main(["run", str(p), "--output-dir", str(tmp_path), "-q"])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("deck error: line ")
+        err = capsys.readouterr().err
+        assert err.startswith("deck error: line ")
         assert os.listdir(tmp_path) == ["bad.deck"]      # nothing was run
+        key = line.split(" = ")[0]
+        if key in DELETED_KEYS:
+            lineno = text.splitlines().index(line) + 1
+            assert f"line {lineno}: unknown key {key!r} in [solver]" in err
 
     @pytest.mark.parametrize("text, line, error", UNMEETABLE_WELLS)
     def test_unmeetable_well_exit_code(self, tmp_path, capsys, text, line, error):

@@ -127,7 +127,7 @@ class TestResidual:
 
     def test_flux_telescoping(self):
         rng = np.random.default_rng(9)
-        model = random_two_phase_model(rng, capillary=False, gravity=False)
+        model = random_two_phase_model(rng, capillary=False)
         st = random_two_phase_state(rng, model)
         # acc terms vanish with state_new == state_old; remaining rows are
         # pure interior fluxes which cancel pairwise in the sum
@@ -336,7 +336,7 @@ class TestResidualMatchesJacobianRhs:
     def test_residual_is_minus_b_bytewise(self, kind, seed, workers, monkeypatch):
         rng = np.random.default_rng(seed)
         if kind == "two_phase":
-            model = random_two_phase_model(rng, capillary=True, gravity=True)
+            model = random_two_phase_model(rng, capillary=True)
             state = random_two_phase_state(rng, model, nwell=1)
         else:
             model = random_black_oil_model(rng)

@@ -174,19 +174,39 @@ class TestNewtonStep:
         st.s_w = np.full(n, 0.95)
         dx = np.zeros(n * 2 + 2)
         dx[1::2][: n] = 0.10  # drives s_w to 1.05
-        new = apply_update(st, dx, model, NewtonConfig())
-        assert np.all(new.s_w == 1.0)
+        new, chops = apply_update(st, dx, model)
+        assert np.all(new.s_w == 1.0) and chops == 0
 
     def test_local_damping_clamps(self):
         model, state, wells = waterflood_setup()
         n = model.grid.ncell
         dx = np.zeros(n * 2 + 2)
-        dx[0] = 5000.0   # pressure update above max_dp
-        dx[3] = -0.9     # saturation update below -max_ds
-        cfg = NewtonConfig(max_dp=500.0, max_ds=0.2)
-        new = apply_update(state, dx, model, cfg)
-        assert new.p_o[0] - state.p_o[0] == pytest.approx(500.0)
+        dx[3] = -0.9     # saturation update below -_MAX_DS
+        dx[5] = 0.25     # and above it
+        dx[7] = 0.2      # at it: not cut
+        new, chops = apply_update(state, dx, model)
         assert new.s_w[1] - state.s_w[1] == pytest.approx(-0.2)
+        assert new.s_w[2] - state.s_w[2] == pytest.approx(0.2)
+        assert new.s_w[3] - state.s_w[3] == pytest.approx(0.2)
+        assert chops == 2
+
+    def test_pressure_updates_applied_in_full(self):
+        # undersaturated black-oil cell 0: p_o and p_b take their whole
+        # update while s_w is chopped; saturated cell 1's s_g is chopped too
+        g = resim.Grid(2, 1, 1, 10.0, 10.0, 10.0)
+        model = ReservoirModel(g, resim.RockFields.uniform(g, 100.0, 0.2),
+                               black_oil_fluid())
+        st = ReservoirState(np.array([4000.0, 4000.0]), np.array([0.3, 0.3]),
+                            x3=np.array([3000.0, 0.05]), sat=np.array([False, True]),
+                            p_h=np.zeros(0))
+        dx = np.zeros(6)
+        dx[:3] = 5000.0, -0.9, 2000.0
+        dx[5] = 0.5
+        new, chops = apply_update(st, dx, model)
+        assert new.p_o[0] == 9000.0 and new.x3[0] == 5000.0 and not new.sat[0]
+        assert new.s_w[0] == pytest.approx(0.1)
+        assert new.sat[1] and new.x3[1] == pytest.approx(0.25)
+        assert chops == 2
 
     def test_quadratic_zone_single_cell(self):
         # smooth 1-cell compressible problem, theta fixed at 1e-10: Newton
@@ -203,7 +223,7 @@ class TestNewtonStep:
                              p_h=np.array([3500.0]))
         ncfg = NewtonConfig(tol=1e-13, atol=1e-12, max_newton=60,
                             forcing_rule="fixed", theta_fixed=1e-12,
-                            theta_min=1e-13, mb_tol=0.0, max_dp=1e9, max_ds=1.0)
+                            theta_min=1e-13, mb_tol=0.0)
         scfg = SolverConfig(preconditioner="none", max_iterations=400)
         ref, _ = advance_timestep(model, old, 1.0, [w], ncfg, scfg,
                                   StepController(dt_init=1.0, dt_max=1.0))
@@ -239,7 +259,7 @@ class TestVariableSwitching:
                             p_h=np.zeros(0))
         dx = np.zeros(6)
         dx[2] = -0.1  # drives s_g of cell 0 negative
-        new = apply_update(st, dx, model, NewtonConfig())
+        new, _ = apply_update(st, dx, model)
         assert not new.sat[0]
         assert new.x3[0] == pytest.approx(new.p_o[0])  # p_b starts at p_o
         assert new.sat[1]
@@ -251,7 +271,7 @@ class TestVariableSwitching:
                             sat=np.array([False, False]), p_h=np.zeros(0))
         dx = np.zeros(6)
         dx[2] = 200.0  # p_b of cell 0 exceeds p_o
-        new = apply_update(st, dx, model, NewtonConfig())
+        new, _ = apply_update(st, dx, model)
         assert new.sat[0]
         assert new.x3[0] == 0.0  # free gas appears from zero
         assert not new.sat[1]
@@ -263,7 +283,7 @@ class TestVariableSwitching:
                             sat=np.array([False, False]), p_h=np.zeros(0))
         dx = np.zeros(6)
         dx[2] = 100.0 + 1e-10  # lands within the switching threshold
-        new = apply_update(st, dx, model, NewtonConfig())
+        new, _ = apply_update(st, dx, model)
         assert not new.sat[0]
         assert new.x3[0] <= new.p_o[0]
 
@@ -298,6 +318,17 @@ class TestAdvanceTimestep:
         assert new.t == pytest.approx(st.t + stats.dt)
         # wasted Newtons from failed attempts are counted
         assert stats.newtons > ncfg.max_newton * 0 + stats.cuts
+
+    def test_saturation_chops_counted_in_cut_attempts(self):
+        # a 20-day first step: the cut attempts chop saturation updates in
+        # nearly every iteration, and the step sums their counts
+        model, state, wells = waterflood_setup()
+        ncfg = NewtonConfig()
+        _, stats = advance_timestep(model, state, 20.0, wells, ncfg, SolverConfig(),
+                                    StepController(dt_init=20.0, dt_max=20.0))
+        assert stats.cuts >= 1
+        assert sum(e.ds_chops for e in stats.newton_log[:ncfg.max_newton]) > 0
+        assert stats.ds_chops == sum(e.ds_chops for e in stats.newton_log)
 
     def test_failed_iteration_logs_the_forcing_that_chose_theta(self, monkeypatch):
         # the second linear solve, that of the second Newton iteration, breaks
@@ -417,12 +448,15 @@ class TestRunReport:
         rep = self.make_report()
         rep.steps[0].mass_in_place = {"w": 1.0, "o": 2.0}
         rep.steps[1].mass_in_place = {"w": 1.5, "o": 1.5}
+        rep.steps[1].ds_chops = 7
         path = tmp_path / "report.csv"
         rep.to_csv(path)
         rows = list(csv.reader(open(path)))
         assert rows[0][:4] == ["step", "t_days", "dt_days", "newtons"]
         assert len(rows) == 3
         assert float(rows[1][1]) == 1.0
+        # appended last, after pivot_shifts
+        assert [r[-1] for r in rows] == ["ds_chops", "0", "7"]
 
 
 def coarse_reference(a: BlockMatrix) -> np.ndarray:
@@ -459,13 +493,13 @@ class TestCoarseCorrection:
         # this deck 120 of 125, and Newton goes on after the other five)
         kept = []
         correct = nonlinear._coarse_correction
+        deck = load_deck(deck_path("buckley_leverett.deck"))
 
-        def checked(model, state, state_old, dt, wells, f, g, target, ncfg, pool, stats):
-            out = correct(model, state, state_old, dt, wells, f, g, target, ncfg,
-                          pool, stats)
+        def checked(model, state, state_old, dt, wells, f, g, target, pool, stats):
+            out = correct(model, state, state_old, dt, wells, f, g, target, pool, stats)
             if out is not None:
                 mass = model.mass_in_place(state_old)
-                tol = ncfg.resolved_mb_tol(model.fluid.kind)
+                tol = deck.newton.resolved_mb_tol(model.fluid.kind)
 
                 def imbalance(ff):
                     sums = nonlinear._component_sums(ff, model)
@@ -479,8 +513,7 @@ class TestCoarseCorrection:
             return out
 
         monkeypatch.setattr(nonlinear, "_coarse_correction", checked)
-        report = run_simulation(load_deck(deck_path("buckley_leverett.deck")),
-                                output_dir=str(tmp_path))
+        report = run_simulation(deck, output_dir=str(tmp_path))
         assert kept and report.n_corrections_kept == len(kept)
         assert report.n_corrections_tried >= len(kept)
         for norm, reported, target, before, after, _ in kept:
