@@ -590,7 +590,10 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
     if vtk_every < 0:
         raise ValueError(f"vtk_every must be >= 0, got {vtk_every}")
     dump_matrices = out.dump_matrices if dump_matrices is None else dump_matrices
-    os.makedirs(output_dir, exist_ok=True)
+    vtk_path = os.path.join(output_dir, f"{out.vtk_prefix}_final.vtk")
+    csv_path = os.path.join(output_dir, report_csv) if report_csv else None
+    for path in (vtk_path, csv_path or vtk_path):   # so a bad output path fails at once
+        os.makedirs(os.path.dirname(path), exist_ok=True)
 
     for line in deck.echo_lines():
         log.info("deck: %s", line)
@@ -602,9 +605,6 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
     report = RunReport(workers=workers)
     report.initial_mass = model.mass_in_place(state)
     wells = deck.wells
-
-    vtk_path = os.path.join(output_dir, f"{out.vtk_prefix}_final.vtk")
-    csv_path = os.path.join(output_dir, report_csv) if report_csv else None
 
     switch_times = sorted({entry[0] for entry in deck.schedule.entries})
 
@@ -698,6 +698,9 @@ def main(argv=None) -> int:
     except SimulationAbort as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:          # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(report.format_table())
     return 0
 

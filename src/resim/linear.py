@@ -7,7 +7,8 @@ red-black block ILU(0) full-system smoother with one smoothed-aggregation AMG
 V-cycle on the extracted pressure block, in a fine-pressure-fine
 composition, and is used from right-preconditioned BiCGSTAB.  The block
 layout is for assembly, decoupling and factorisation, entry-major from
-assembly on: entry (i, j) of every cell's m x m block is one (ncell,) row.
+assembly on: every stencil block of every cell lives in one (m, m, nblocks,
+ncell) array, so entry (i, j) of one stencil block is one (ncell,) row.
 So the per-cell algebra works entry by entry over all cells at once:
 ``_block_inv`` inverts blocks in closed form (adjugate over determinant) and
 ``_block_mm`` multiplies them, so no block goes through LAPACK or BLAS on
@@ -15,7 +16,7 @@ its own.  The scalar CSR
 layouts of a block structure (``CsrPattern``: the system, its pressure
 block, the ILU's two factors) follow in closed form from the stencil's
 neighbour masks, with no sort over entries; they are built once and shared
-by every matrix of that structure, so a Newton iteration only moves values
+by every matrix of that structure, so a Newton iteration only gathers values
 into them.  The Krylov products, the CPR residuals and both ILU sweeps are
 ``PooledMatvec`` products over the worker pool's row ranges.
 """
@@ -48,9 +49,6 @@ _AMG_MIN_RATIO = 4
 # bytes of the three block arrays per pass of the ILU set-up over black
 # cells, so a pass's arrays stay small (in cache, and no new peak memory)
 _ILU_PASS_BYTES = 1 << 20
-# cells per pass of a CSR fill, so a pass's rows stay in cache while every
-# entry (i, j) of every stencil block is scattered into them
-_FILL_PASS_CELLS = 8192
 
 
 @dataclass
@@ -115,26 +113,28 @@ def _block_mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np
 class BlockMatrix:
     """Jacobian in block layout: cell-stencil blocks plus well borders.
 
-    diag/lo/hi hold the block diagonals of the 7-point stencil, lo and hi
-    keyed by axis, each entry-major (m, m, ncell): x[i, j, c] is entry (i, j)
-    of cell c's block.  Entries at cells lacking the corresponding neighbor
-    are zero.  Well couplings are stored per perforation p, as (m, nperf)
+    ``stencil`` holds the 7-point stencil's block diagonals in one
+    entry-major (m, m, 1 + 2 naxes, ncell) array: stencil[i, j, k, c] is
+    entry (i, j) of cell c's block k, the diagonal, then the lower and upper
+    neighbour's per axis of ``axes``; ``diag``, ``lo[ax]`` and ``hi[ax]`` are
+    its (m, m, ncell) views.  Entries at cells lacking the neighbour are
+    zero.  Well couplings are stored per perforation p, as (m, nperf)
     columns: cw_blocks[:, p] is the cell-row column d(cell eq)/d(p_h),
     wc_blocks[:, p] the well-row entries d(well eq)/d(cell unknowns); ww is
     the diagonal d(well eq)/d(p_h).  Arrays of any other shape are rejected.
     """
 
-    def __init__(self, shape, m, diag, lo, hi, cw_cells, cw_well, cw_blocks,
-                 wc_blocks, ww, b=None):
-        arrays = [np.shape(x) for x in (diag, *lo.values(), *hi.values(), cw_blocks, wc_blocks)]
-        if arrays != [(m, m, math.prod(shape))] * (len(arrays) - 2) + [(m, len(cw_cells))] * 2:
-            raise ValueError(f"block arrays must be entry-major, (m, m, ncell) and "
-                             f"(m, nperf) for m = {m}: got {arrays}")
+    def __init__(self, shape, m, stencil, cw_cells, cw_well, cw_blocks, wc_blocks, ww, b=None):
         self.shape = shape
         self.m = m
-        self.diag = diag
-        self.lo = lo
-        self.hi = hi
+        arrays = [np.shape(x) for x in (stencil, cw_blocks, wc_blocks)]
+        if arrays != [(m, m, 1 + 2 * len(self.axes), self.ncell)] + [(m, len(cw_cells))] * 2:
+            raise ValueError(f"block arrays must be entry-major, (m, m, 1 + 2 naxes, ncell) "
+                             f"and (m, nperf) for m = {m}: got {arrays}")
+        self.stencil = stencil
+        self.diag = stencil[:, :, 0]
+        self.lo = {ax: stencil[:, :, 1 + 2 * k] for k, ax in enumerate(self.axes)}
+        self.hi = {ax: stencil[:, :, 2 + 2 * k] for k, ax in enumerate(self.axes)}
         self.cw_cells = cw_cells
         self.cw_well = cw_well
         self.cw_blocks = cw_blocks
@@ -157,15 +157,11 @@ class BlockMatrix:
         return self.ncell * self.m + self.nwell
 
     @property
-    def axes(self):
-        return sorted(self.lo.keys())
+    def axes(self) -> list[int]:
+        return [ax for ax, nax in enumerate(self.shape) if nax > 1]
 
     def stride(self, axis: int) -> int:
         return (1, self.shape[0], self.shape[0] * self.shape[1])[axis]
-
-    def _stencil_blocks(self) -> list:
-        """The stencil block arrays: diagonal, then lower and upper per axis."""
-        return [self.diag] + [x[ax] for ax in self.axes for x in (self.lo, self.hi)]
 
     def csr_pattern(self) -> "CsrPattern":
         """The scalar CSR pattern of this matrix's structure.
@@ -180,23 +176,21 @@ class BlockMatrix:
 
     def to_csr(self) -> sp.csr_matrix:
         """Scalar CSR of the full system (cells then wells)."""
-        return self.csr_pattern().system.fill(
-            self._stencil_blocks() + [self.cw_blocks, self.wc_blocks, self.ww])
+        return self.csr_pattern().system.take(self.stencil.ravel(),
+                                              (self.ww, self.cw_blocks, self.wc_blocks))
 
     def extract_app(self) -> sp.csr_matrix:
         """Pressure-pressure scalar sub-matrix on the cell stencil pattern."""
-        return self.csr_pattern().pressure.fill(
-            [blocks[:1, :1] for blocks in self._stencil_blocks()])
+        return self.csr_pattern().pressure.take(self.stencil[0, 0].ravel())
 
     def transformed(self, fn, b=None):
         """This matrix, and b, with every array x of cell block rows replaced by
-        fn(x, cells): x is (m, m, k) or (m, k), its x[..., i] belongs to
-        cells[i]; b's cell rows come as an (m, ncell) view."""
+        fn(x, cells): x is (m, m, ..., k) or (m, k), its x[..., i] belongs to
+        cells[i].  The stencil comes whole, (m, m, nblocks, ncell); b's cell
+        rows come as an (m, ncell) view."""
         n, m = self.ncell, self.m
         every = slice(None)
-        out = BlockMatrix(self.shape, m, fn(self.diag, every),
-                          {ax: fn(blk, every) for ax, blk in self.lo.items()},
-                          {ax: fn(blk, every) for ax, blk in self.hi.items()},
+        out = BlockMatrix(self.shape, m, fn(self.stencil, every),
                           self.cw_cells.copy(), self.cw_well.copy(),
                           fn(self.cw_blocks, self.cw_cells), self.wc_blocks.copy(),
                           self.ww.copy())
@@ -219,14 +213,18 @@ class _StencilLayout:
     its diagonal.  So columns ascend with no sort over entries, and entry
     (i, j) of a block at cell c has slot indptr[c*q + i] + r*q + j, r the
     number of c's blocks of lower offset.  Only perforations are sorted,
-    which finds one given twice.  ``slots`` maps each entry-major value
-    source to its slots: per block (q, q, n), nnz (a scratch slot) where the
-    mask is unset, then the perforations' cell and well rows (q, nperf) and
-    the well diagonals.  Given ``runs`` (per block, (q, k): the run of block
-    row i's q values in one source at each of the k cells of the mask, in
-    ascending order), ``src`` keeps the run of every block row in slot order
-    instead, for ``take``, and no slot arrays are built; the well diagonals
-    come last.
+    which finds one given twice.
+
+    ``take`` gathers the cell rows from one source array: ``src`` holds the
+    source index of each cell-row slot, by default element (i, j, k, c) of
+    an entry-major (q, q, len(blocks), n) array for entry (i, j) of block k
+    at cell c.  Given ``runs`` (per block, (q, k): the run of block row i's
+    q values in the source at each of the k cells of the mask, in ascending
+    order), ``src`` holds the run of each block row in slot order instead.
+    ``border`` lists the well border's slots, which ``take`` writes from
+    their own arrays: the well diagonals, then the perforations' cell rows
+    and well rows (q, nperf).  Cell-row perforation slots are border slots,
+    and ``src`` holds 0 for them.
     """
 
     def __init__(self, n, blocks, q, nwell=0, perfs=((), ()), well_diag=False, runs=None):
@@ -247,46 +245,39 @@ class _StencilLayout:
         np.cumsum(np.concatenate([np.repeat(width, q), q * per_well + well_diag]),
                   out=self.indptr[1:])
         self.nnz, self.shape = int(self.indptr[-1]), (n * q + nwell,) * 2
-        self.ncell, self.nblocks = n, len(blocks)
-        jj, ii = np.arange(q, dtype=np.int32), np.arange(q, dtype=np.int32)[:, None]
+        ii = np.arange(q, dtype=np.int32)[:, None]
         row0 = self.indptr[:n * q:q] + ii * width               # (q, n): cell c's row i
         first, rank = [None] * len(blocks), np.zeros(n, np.int32)
         for k, (_, mask) in sorted(enumerate(blocks), key=lambda kb: kb[1][0]):
             first[k] = row0 + q * rank          # the block's slot in each cell row
             rank += mask
-        at = [np.flatnonzero(mask) for _, mask in blocks]
-        border = [row0[:, cells] + q * count[cells] + in_cell,
-                  self.indptr[n * q + wells] + q * in_well + ii]
+        self.run = 1 if runs is None else q
+        self.src = np.zeros(self.indptr[n * q] // self.run, np.int32)
         self.indices = np.empty(self.nnz, np.int32)
-        for (off, _), f, cm in zip(blocks, first, at):
-            self.indices[f[:, cm, None] + jj] = ((cm + off) * q)[:, None] + jj
-        tail = [self.indptr[n * q + 1:] - 1] if well_diag else []     # the well diagonals
-        for s, v in zip(border + tail, [n * q + wells, cells * q + ii, n * q + np.arange(nwell)]):
+        for k, ((off, mask), f) in enumerate(zip(blocks, first)):
+            cm = np.flatnonzero(mask).astype(np.int32)
+            slots = np.take(f, cm, axis=1)[:, None] + ii        # [i, j, c]: entry (i, j) at cm[c]
+            self.indices[slots] = (cm + off) * q + ii
+            if runs is None:
+                self.src[slots] = ((ii[..., None] * q + ii) * len(blocks) + k) * n + cm
+            else:
+                self.src[slots[:, 0] // q] = runs[k]
+        diag = np.arange(nwell if well_diag else 0)             # the wells with a diagonal
+        self.border = [self.indptr[n * q + 1 + diag] - 1,
+                       row0[:, cells] + q * count[cells] + in_cell,
+                       self.indptr[n * q + wells] + q * in_well + ii]
+        for s, v in zip(self.border, [n * q + diag, n * q + wells, cells * q + ii]):
             self.indices[s] = v
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        if runs is None:
-            self.slots = [np.where(mask, f[:, None] + ii, self.nnz)
-                          for (_, mask), f in zip(blocks, first)] + border + tail
-        else:
-            self.q, self.ntail = q, nwell * well_diag
-            self.src = np.empty((self.nnz - self.ntail) // q, np.int32)
-            for f, cm, run in zip(first, at, runs):
-                self.src[f[:, cm] // q] = run
 
-    def fill(self, values) -> sp.csr_matrix:
-        data, nb, step = np.empty(self.nnz + 1), self.nblocks, _FILL_PASS_CELLS
-        for c in range(0, self.ncell, step):
-            for slots, v in zip(self.slots[:nb], values):
-                data[slots[..., c:c + step]] = v[..., c:c + step]
-        for slots, v in zip(self.slots[nb:], values[nb:]):
-            data[slots] = v
-        return sp.csr_matrix((data[:-1], self.indices, self.indptr), shape=self.shape)
-
-    def take(self, source: np.ndarray) -> sp.csr_matrix:
-        data, head = np.empty(self.nnz), len(source) - self.ntail
-        np.take(source[:head].reshape(-1, self.q), self.src, axis=0, mode="clip",
-                out=data[:self.nnz - self.ntail].reshape(-1, self.q))
-        data[self.nnz - self.ntail:] = source[head:]
+    def take(self, source: np.ndarray, border=()) -> sp.csr_matrix:
+        """The CSR of this layout with its cell rows gathered from ``source``
+        and ``border``'s arrays written into the well border's slots."""
+        data, head = np.empty(self.nnz), len(self.src) * self.run
+        np.take(source.reshape(-1, self.run), self.src, axis=0, mode="clip",
+                out=data[:head].reshape(-1, self.run))
+        for slots, values in zip(self.border, border):
+            data[slots] = values
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
@@ -295,14 +286,16 @@ class CsrPattern:
     closed form from the stencil's neighbour masks (``_StencilLayout``).
 
     ``system`` is the full system (cells then wells) and ``pressure`` the
-    pressure-pressure block; a matrix of this structure only scatters its
-    block arrays into their slots.  Cells are red where i+j+k is even;
-    ``red`` and ``black`` list each colour's cells and ``nbr[d]`` the black
-    cells' red neighbours in stencil direction d (lower, upper per axis;
-    cell 0, which is red, where there is none).  ``ilu_lower`` (diagonal
-    blocks, black rows' neighbour blocks, well diagonals) and ``ilu_upper``
-    (red rows' neighbour blocks) are the layouts of ``BlockILU0``'s factors,
-    whose set-up passes over ``ilu_pass`` black cells at a time.  ``fits``
+    pressure-pressure block; a matrix of this structure only gathers its
+    stencil array into them (``_StencilLayout.take``), element by element
+    from the whole array and from its pressure entries, ``stencil[0, 0]``.
+    Cells are red where i+j+k is even; ``red`` and ``black`` list each
+    colour's cells and ``nbr[d]`` the black cells' red neighbours in stencil
+    direction d (lower, upper per axis; cell 0, which is red, where there is
+    none).  ``ilu_lower`` (diagonal blocks, black rows' neighbour blocks,
+    well diagonals) and ``ilu_upper`` (red rows' neighbour blocks) are the
+    layouts of ``BlockILU0``'s factors, gathered in runs of a block row's m
+    values, whose set-up passes over ``ilu_pass`` black cells at a time.  ``fits``
     tells whether a matrix has this structure: grid shape, block size,
     stencil axes and well borders.  ``aggregates`` keeps the AMG aggregates
     of the last hierarchy built on it by ``CprFpf``.
@@ -312,7 +305,7 @@ class CsrPattern:
         self.shape, self.m, self.axes, self.nwell = a.shape, a.m, a.axes, a.nwell
         self.cw_cells, self.cw_well = a.cw_cells.copy(), a.cw_well.copy()
         n, m = a.ncell, a.m
-        # (column-cell offset, cells with the neighbour): ``_stencil_blocks`` order
+        # (column-cell offset, cells with the neighbour): BlockMatrix.stencil's order
         dirs = [(sign * a.stride(ax), neighbor_mask(a.shape, ax, sign > 0))
                 for ax in a.axes for sign in (-1, 1)]
         stencil = [(0, np.ones(n, bool))] + dirs
@@ -402,7 +395,7 @@ def abf_decouple(a: BlockMatrix, b: np.ndarray):
         fall = np.zeros((m, m, nfall))
         fall[np.arange(m), np.arange(m)] = 1.0 / rs
         e[..., ~ok] = fall
-    out = a.transformed(lambda x, cells: _block_mm(e[..., cells], x) if x.ndim == 3
+    out = a.transformed(lambda x, cells: _block_mm(e[..., cells], x) if x.ndim > 2
                         else _block_mm(e[..., cells], x[:, None])[:, 0], b)
     out.decouple_fallbacks = nfall
     return out, out.b
@@ -458,45 +451,52 @@ class BlockILU0:
     and 1/ww on well rows, ``k_up`` holds inv(D_r) U_{r,b} on red rows.  Both
     are ``PooledMatvec`` products on ``pool``, their values gathered once
     into the layouts of ``a``'s ``CsrPattern``; the block products run entry
-    by entry, in passes over the black cells (``_block_mm``).
+    by entry, in passes over the black cells (``_block_mm``) whose arrays
+    are allocated once per set-up.
     """
 
     def __init__(self, a: BlockMatrix, pool=None):
         self.a = a
         pattern = a.csr_pattern()
-        n, m, mm, nwell = a.ncell, a.m, a.m * a.m, a.nwell
+        n, m, mm, p = a.ncell, a.m, a.m * a.m, pattern.ilu_pass
         black, nbr = pattern.black, pattern.nbr
         ndir, nb = nbr.shape
         counter = [0]
-        # K_lo's source: inverse diagonal blocks, the black rows' folded
-        # blocks and the well diagonals; K_up's the folded blocks back.  Both
-        # are laid out in runs of a block row's m values (see CsrPattern)
-        lower, upper = np.empty(n * mm + ndir * mm * nb + nwell), np.empty(ndir * mm * nb)
-        inv, folded = np.empty((m, m, n)), lower[n * mm:len(lower) - nwell]
-        lower[len(lower) - nwell:] = np.where(
-            np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
-        inv[..., pattern.red] = _safe_inv(np.take(a.diag, pattern.red, axis=-1), counter)
-        stencil = [x[ax] for ax in a.axes for x in (a.lo, a.hi)]
-        for c in range(0, nb, pattern.ilu_pass):
-            cells, near = black[c:c + pattern.ilu_pass], nbr[:, c:c + pattern.ilu_pass]
-            # (m, m, ndir, cells): each black cell's block L to its red
-            # neighbour r per direction, inv(D_r), and r's block U back; a
-            # missing neighbour has zero blocks, so it adds zero terms
-            l_br, u_rb = np.empty((2, m, m, ndir, len(cells)))
-            for d in range(ndir):
-                l_br[:, :, d] = np.take(stencil[d], cells, axis=-1)
-                u_rb[:, :, d] = np.take(stencil[d ^ 1], near[d], axis=-1)
-            dinv_r = np.take(inv, near, axis=-1)
-            run = slice(c * ndir * mm, (c + len(cells)) * ndir * mm)
-            ld = _block_mm(l_br, dinv_r)
+        # K_lo's source: inverse diagonal blocks, then the black rows' folded
+        # blocks; K_up's the folded blocks back.  Both are laid out in runs of
+        # a block row's m values (see CsrPattern)
+        lower, upper = np.empty(n * mm + ndir * mm * nb), np.empty(ndir * mm * nb)
+        inv, folded = np.empty((m, m, n)), lower[n * mm:]
+        # the stencil as (m, m, (1 + ndir) * ncell): cell c's diagonal block
+        # at c, its block in direction d at (1 + d) * n + c; d ^ 1 points back
+        blocks, d = a.stencil.reshape(m, m, -1), np.arange(ndir)[:, None]
+        to, back = (1 + d) * n, (1 + (d ^ 1)) * n
+        inv[..., pattern.red] = _safe_inv(np.take(blocks, pattern.red, axis=-1), counter)
+        # one pass's arrays, allocated once; a pass of k cells uses their
+        # first entries as (m, m, ndir, k) and (m, m, k) blocks
+        wide, narrow = np.empty((4, mm * ndir * min(p, nb))), np.empty((2, mm * min(p, nb)))
+        for c in range(0, nb, p):
+            cells, near, k = black[c:c + p], nbr[:, c:c + p], min(p, nb - c)
+            # each black cell's block L to its red neighbour r per direction,
+            # inv(D_r), and r's block U back; a missing neighbour has zero
+            # blocks, so it adds zero terms
+            l_br, u_rb, dinv_r, ld = (x[:mm * ndir * k].reshape(m, m, ndir, k) for x in wide)
+            upd, pivot = (x[:mm * k].reshape(m, m, k) for x in narrow)
+            np.take(blocks, to + cells, axis=-1, mode="clip", out=l_br)
+            np.take(blocks, back + near, axis=-1, mode="clip", out=u_rb)
+            np.take(inv, near, axis=-1, mode="clip", out=dinv_r)
+            run = slice(c * ndir * mm, (c + k) * ndir * mm)
+            _block_mm(l_br, dinv_r, out=ld)
             _block_mm(dinv_r, u_rb, out=_in_runs(upper[run], m, ndir, -1))
-            upd = _block_mm(ld, u_rb, out=l_br).sum(axis=2)
-            inv[..., cells] = inv_b = _safe_inv(np.take(a.diag, cells, axis=-1) - upd, counter)
+            np.sum(_block_mm(ld, u_rb, out=l_br), axis=2, out=upd)
+            np.take(blocks, cells, axis=-1, mode="clip", out=pivot)
+            inv[..., cells] = inv_b = _safe_inv(np.subtract(pivot, upd, out=pivot), counter)
             _block_mm(-inv_b[:, :, None], ld, out=_in_runs(folded[run], m, ndir, -1))
         _in_runs(lower[:n * mm], m, n)[...] = inv
         self.k_up = PooledMatvec(pattern.ilu_upper.take(upper), pool)
         del upper
-        self.k_lo = PooledMatvec(pattern.ilu_lower.take(lower), pool)
+        well_inv = np.where(np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
+        self.k_lo = PooledMatvec(pattern.ilu_lower.take(lower, (well_inv,)), pool)
         self.inv_diag = inv
         self.pivot_shifts = counter[0]
         if counter[0]:

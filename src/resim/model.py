@@ -124,9 +124,8 @@ class ReservoirModel:
         r_cells, r_wells, mat = self._assemble(state_new, state_old, dt, wells,
                                                derivs=True, pool=pool)
         f = _flatten_check(r_cells, r_wells, self.m)
-        blocks = (mat.diag, *mat.lo.values(), *mat.hi.values(), mat.cw_blocks,
-                  mat.wc_blocks, mat.ww)
-        if not all(np.isfinite(v).all() for v in blocks):
+        if not all(np.isfinite(v).all()
+                   for v in (mat.stencil, mat.cw_blocks, mat.wc_blocks, mat.ww)):
             raise AssemblyError("non-finite Jacobian entry")
         mat.b = -f
         # the Newton systems of a run share their stencil and perforations,
@@ -140,15 +139,13 @@ class ReservoirModel:
             raise ValueError(f"dt must be > 0, got {dt}")
         n, m = self.grid.ncell, self.m
         r = np.zeros((n, m))
-        diag = np.zeros((m, m, n)) if derivs else None
-        lo = {ax: np.zeros((m, m, n)) for ax in self.axes} if derivs else None
-        hi = {ax: np.zeros((m, m, n)) for ax in self.axes} if derivs else None
+        # the diagonal blocks, then the lower and upper ones per axis
+        stencil = np.zeros((m, m, 1 + 2 * len(self.axes), n)) if derivs else None
 
         ranges = [(0, n)] if pool is None else pool.ranges(n, MIN_CELLS)
 
         def run_range(rng):
-            self._assemble_range(rng, state_new, state_old, dt, derivs,
-                                 r, diag, lo, hi)
+            self._assemble_range(rng, state_new, state_old, dt, derivs, r, stencil)
 
         if len(ranges) == 1:
             run_range(ranges[0])
@@ -172,18 +169,16 @@ class ReservoirModel:
         r_wells = np.where(bhp, state_new.p_h[:nwell] - target, rate - target)
         if not derivs:
             return r, r_wells, None
-        np.subtract.at(diag, (slice(None), slice(None), cells), dq_dcell)
+        np.subtract.at(stencil, (slice(None), slice(None), 0, cells), dq_dcell)
         ww = np.where(bhp, 1.0, np.bincount(slots, (wt * dq_dph).sum(axis=0),
                                             minlength=nwell))
         # per perforation: the (m,) columns of the cell-row coupling
         # d(cell eq)/d(p_h) and of the well row d(well eq)/d(cell unknowns)
         wc_blocks = (wt[:, None] * dq_dcell).sum(axis=0)
-        mat = BlockMatrix(self.grid.shape(), m, diag, lo, hi, cells, slots, -dq_dph,
-                          wc_blocks, ww)
+        mat = BlockMatrix(self.grid.shape(), m, stencil, cells, slots, -dq_dph, wc_blocks, ww)
         return r, r_wells, mat
 
-    def _assemble_range(self, rng, state_new, state_old, dt, derivs,
-                        r, diag, lo, hi):
+    def _assemble_range(self, rng, state_new, state_old, dt, derivs, r, stencil):
         n, m = self.grid.ncell, self.m
         c0, c1 = rng
         smax = max((self.grid.stride(ax) for ax in self.axes), default=1)
@@ -201,9 +196,9 @@ class ReservoirModel:
             acc = vol_dt * (masses[comp] - masses_old[comp].v)
             r[c0:c1, ci] += acc.v[own]
             if derivs:
-                diag[ci, :, c0:c1] += acc.d[:, own]
+                stencil[ci, :, 0, c0:c1] += acc.d[:, own]
 
-        for ax in self.axes:
+        for k, ax in enumerate(self.axes):
             s = self.grid.stride(ax)
             # faces keyed by their lower cell a; rows c0..c1 need faces
             # a in [c0 - s, c1)
@@ -225,13 +220,13 @@ class ReservoirModel:
                 if a_hi > a_lo:
                     r[a_lo:a_hi, ci] += v[asl]
                     if derivs:
-                        diag[ci, :, a_lo:a_hi] += da[:, asl]
-                        hi[ax][ci, :, a_lo:a_hi] += db[:, asl]
+                        stencil[ci, :, 0, a_lo:a_hi] += da[:, asl]
+                        stencil[ci, :, 2 + 2 * k, a_lo:a_hi] += db[:, asl]
                 if b_hi > b_lo:
                     r[b_lo + s:b_hi + s, ci] -= v[bsl]
                     if derivs:
-                        diag[ci, :, b_lo + s:b_hi + s] -= db[:, bsl]
-                        lo[ax][ci, :, b_lo + s:b_hi + s] -= da[:, bsl]
+                        stencil[ci, :, 0, b_lo + s:b_hi + s] -= db[:, bsl]
+                        stencil[ci, :, 1 + 2 * k, b_lo + s:b_hi + s] -= da[:, bsl]
 
     # -- conservation bookkeeping ------------------------------------------
 

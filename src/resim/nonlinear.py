@@ -296,13 +296,13 @@ def _coarse_matrix(jac) -> np.ndarray:
     shifts every cell's unknown k uniformly and takes each well's BHP.  So
     G[:m, :m] sums every stencil block, G[:m, m + w] and G[m + w, :m] sum
     well w's perforation columns and rows, and G[m + w, m + w] = ww[w].
-    Each entry of a block array is one contiguous row of the entry-major
-    (m*m, ncell) view, summed by ``einsum`` in a fixed order: not a BLAS
-    product, whose summation order can depend on the BLAS thread count.
+    Each entry of a stencil block is one contiguous row of the entry-major
+    (m*m, nblocks, ncell) view, summed by ``einsum`` in a fixed order, and
+    the blocks' sums are added block by block: not a BLAS product, whose
+    summation order can depend on the BLAS thread count.
     """
     n, m, nwell = jac.ncell, jac.m, jac.nwell
-    stencil = [jac.diag] + [x[ax] for ax in jac.axes for x in (jac.lo, jac.hi)]
-    cells = sum(np.einsum("ji->j", blocks.reshape(m * m, n)) for blocks in stencil)
+    cells = sum(np.einsum("jki->kj", jac.stencil.reshape(m * m, -1, n)))
     perfs = (jac.cw_well == np.arange(nwell)[:, None]).astype(float)
     g = np.zeros((m + nwell, m + nwell))
     g[:m, :m] = cells.reshape(m, m)

@@ -847,6 +847,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "# Steps" in out and "# Avg. solver" in out
 
+    def test_report_in_a_new_subdirectory(self, tmp_path, capsys):
+        # the report's directory is created with the output directory, so
+        # the run writes its CSV and final VTK
+        out = tmp_path / "out"
+        rc = main(["run", self.write_deck(tmp_path), "--output-dir", str(out),
+                   "--report", os.path.join("sub", "steps.csv"), "-q"])
+        assert rc == 0
+        assert sorted(os.listdir(out)) == ["resim_out_final.vtk", "sub"]
+        assert os.listdir(out / "sub") == ["steps.csv"]
+        assert (out / "sub" / "steps.csv").read_text().startswith("step,")
+
+    def test_output_dir_that_is_a_file_exit_code(self, tmp_path, capsys):
+        # an output path that cannot be created fails before the run, with
+        # an error line rather than a traceback
+        (tmp_path / "out").write_text("")
+        rc = main(["run", self.write_deck(tmp_path), "--output-dir",
+                   str(tmp_path / "out"), "--report", "steps.csv", "-q"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "out" in err[0]
+        assert sorted(os.listdir(tmp_path)) == ["out", "tiny.deck"]
+
     def test_deck_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.deck"
         p.write_text("[grid]\nbogus = 1\n")

@@ -59,9 +59,10 @@ def random_block_matrix(rng, shape=(3, 3, 3), m=2, nwell=1, dd_boost=4.0):
         cw_blocks = np.zeros((0, m))
         wc_blocks = np.zeros((0, m))
         ww = np.zeros(0)
-    return BlockMatrix(shape, m, entry_major(diag), {ax: entry_major(x) for ax, x in lo.items()},
-                       {ax: entry_major(x) for ax, x in hi.items()}, cw_cells, cw_well,
-                       cw_blocks.T.copy(), wc_blocks.T.copy(), ww)
+    blocks = [diag] + [x[ax] for ax in axes for x in (lo, hi)]     # the stencil's order
+    stencil = np.stack([entry_major(x) for x in blocks], axis=2)
+    return BlockMatrix(shape, m, stencil, cw_cells, cw_well, cw_blocks.T.copy(),
+                       wc_blocks.T.copy(), ww)
 
 
 def dense_from_blocks(a):
@@ -167,17 +168,36 @@ class TestBlockMatrix:
         assert a.pattern is not first.pattern
 
     def test_rejects_cell_major_blocks(self):
-        # the stencil arrays are (m, m, n) and the well columns (m, nperf);
-        # the cell-major (n, m, m) and (nperf, m) layouts are refused
+        # the stencil array is (m, m, 1 + 2 naxes, n) and the well columns
+        # (m, nperf); the cell-major (n, m, m, nblocks) and (nperf, m)
+        # layouts are refused, and so is a stencil of any other block count
         rng = np.random.default_rng(50)
         a = random_block_matrix(rng, shape=(5, 1, 1), m=3, nwell=1)
-        args = dict(shape=a.shape, m=a.m, diag=a.diag, lo=a.lo, hi=a.hi, cw_cells=a.cw_cells,
+        args = dict(shape=a.shape, m=a.m, stencil=a.stencil, cw_cells=a.cw_cells,
                     cw_well=a.cw_well, cw_blocks=a.cw_blocks, wc_blocks=a.wc_blocks, ww=a.ww)
         BlockMatrix(**args)
-        for name, bad in (("diag", cell_major(a.diag)), ("hi", {0: cell_major(a.hi[0])}),
+        for name, bad in (("stencil", cell_major(a.stencil)), ("stencil", a.stencil[:, :, :1]),
+                          ("stencil", np.concatenate([a.stencil, a.stencil[:, :, 1:]], axis=2)),
                           ("cw_blocks", a.cw_blocks.T), ("wc_blocks", a.wc_blocks.T)):
             with pytest.raises(ValueError, match="entry-major"):
                 BlockMatrix(**{**args, name: bad})
+
+    def test_block_views_share_the_stencil(self):
+        # diag, lo[ax] and hi[ax] are views of the one stencil array, in its
+        # block order, for an assembled matrix and for its decoupled forms
+        rng = np.random.default_rng(53)
+        a, b = assembled_system(rng, shape=(4, 3, 2))
+        for x in [a] + [decouple(a, b, kind)[0] for kind in ("quasi_impes", "abf")]:
+            m = x.m
+            assert x.stencil.shape == (m, m, 7, x.ncell) and x.axes == [0, 1, 2]
+            views = [x.diag] + [v[ax] for ax in x.axes for v in (x.lo, x.hi)]
+            for k, view in enumerate(views):
+                assert np.shares_memory(view, x.stencil)
+                assert view.__array_interface__["data"] == \
+                    x.stencil[:, :, k].__array_interface__["data"]
+        # a write through a view reaches the system's CSR
+        a.lo[1][1, 0, 7] = 0.5
+        assert a.to_csr()[7 * 2 + 1, (7 - 4) * 2] == 0.5
 
     def test_repeated_perforation_entries_rejected(self):
         # two perforation entries of one well in one cell would share CSR
@@ -249,8 +269,15 @@ class TestCsrLayouts:
     @pytest.mark.parametrize("wells", [False, True])
     def test_layouts_match_canonical_csr(self, shape, m, wells):
         a, rng = self.structure(shape, m, wells)
-        n, nm = a.ncell, a.ncell * m
         system = dense_from_blocks(a) != 0      # random values: no structural zero
+        b = rng.standard_normal(a.nunk)
+        # a matrix and its decoupled forms (ABF's diagonal blocks hold exact
+        # zeros) gather into one pattern
+        for kind in ("none", "quasi_impes", "abf"):
+            self.check_layouts(decouple(a, b, kind)[0], system, shape, m, rng)
+
+    def check_layouts(self, a, system, shape, m, rng):
+        n, nm = a.ncell, a.ncell * m
         cell = np.arange(a.nunk) // m
         in_cells = np.arange(a.nunk) < nm
         nx, ny, _ = shape
@@ -264,12 +291,14 @@ class TestCsrLayouts:
         for csr, mask in ((a.to_csr(), system), (a.extract_app(), system[np.ix_(p, p)]),
                           (ilu.k_lo.a, k_lo), (ilu.k_up.a, k_up)):
             self.assert_canonical(csr, mask, rng)
+        dense = dense_from_blocks(a)
+        np.testing.assert_array_equal(a.to_csr().toarray(), dense)
+        np.testing.assert_array_equal(a.extract_app().toarray(), dense[np.ix_(p, p)])
         pattern = a.csr_pattern()
         for layout in (pattern.system, pattern.pressure, pattern.ilu_lower, pattern.ilu_upper):
             assert not layout.indptr.flags.writeable and not layout.indices.flags.writeable
-        for slots in pattern.system.slots + pattern.pressure.slots:
-            assert slots.dtype == np.int32
-        assert pattern.ilu_lower.src.dtype == pattern.ilu_upper.src.dtype == np.int32
+        for layout in (pattern.system, pattern.pressure, pattern.ilu_lower, pattern.ilu_upper):
+            assert layout.src.dtype == np.int32
 
     @pytest.mark.parametrize("shape", [(1, 4, 3), (5, 1, 1), (4, 3, 2)])
     @pytest.mark.parametrize("m", [2, 3])
@@ -374,21 +403,23 @@ class TestDecoupling:
 
     @pytest.mark.parametrize("kind", ["none", "quasi_impes", "abf"])
     def test_input_unchanged(self, kind):
+        # an assembled-like matrix and the output of either decoupling
         rng = np.random.default_rng(44)
-        a = random_block_matrix(rng, m=2, nwell=1)
-        b = rng.standard_normal(a.nunk)
-        before = copy.deepcopy(vars(a))
-        b_before = b.copy()
-        decouple(a, b, kind)
-        assert vars(a).keys() == before.keys()
-        for name, value in before.items():
-            if isinstance(value, dict):
-                assert value.keys() == vars(a)[name].keys()
-                for ax in value:
-                    np.testing.assert_array_equal(vars(a)[name][ax], value[ax])
-            else:
-                np.testing.assert_array_equal(vars(a)[name], value)
-        np.testing.assert_array_equal(b, b_before)
+        a0 = random_block_matrix(rng, m=2, nwell=1)
+        b0 = rng.standard_normal(a0.nunk)
+        for a, b in [(a0, b0)] + [decouple(a0, b0, first) for first in ("quasi_impes", "abf")]:
+            before = copy.deepcopy(vars(a))
+            b_before = b.copy()
+            decouple(a, b, kind)
+            assert vars(a).keys() == before.keys()
+            for name, value in before.items():
+                if isinstance(value, dict):
+                    assert value.keys() == vars(a)[name].keys()
+                    for ax in value:
+                        np.testing.assert_array_equal(vars(a)[name][ax], value[ax])
+                else:
+                    np.testing.assert_array_equal(vars(a)[name], value)
+            np.testing.assert_array_equal(b, b_before)
 
     def test_singular_dss_fallback(self):
         rng = np.random.default_rng(7)
@@ -502,12 +533,10 @@ class TestBicgstab:
         rng = np.random.default_rng(10)
         n = 100
         g = resim.Grid(n, 1, 1, 1.0, 1.0, 1.0)
-        diag = np.full((1, 1, n), 2.0)
-        lo = {0: np.full((1, 1, n), -1.0)}
-        hi = {0: np.full((1, 1, n), -1.0)}
-        lo[0][..., 0] = 0.0
-        hi[0][..., -1] = 0.0
-        a = BlockMatrix((n, 1, 1), 1, diag, lo, hi, np.zeros(0, int),
+        stencil = np.full((1, 1, 3, n), -1.0)     # diagonal, lower, upper
+        stencil[:, :, 0] = 2.0
+        stencil[:, :, 1, 0] = stencil[:, :, 2, -1] = 0.0
+        a = BlockMatrix((n, 1, 1), 1, stencil, np.zeros(0, int),
                         np.zeros(0, int), np.zeros((1, 0)), np.zeros((1, 0)),
                         np.zeros(0))
         b = rng.standard_normal(n)

@@ -478,7 +478,7 @@ class TestCoarseCorrection:
         if nwell:
             # a second perforation of well 0, so a well sums several blocks
             extra = next(c for c in range(a.ncell) if c not in a.cw_cells)
-            a = BlockMatrix(a.shape, m, a.diag, a.lo, a.hi,
+            a = BlockMatrix(a.shape, m, a.stencil,
                             np.append(a.cw_cells, extra), np.append(a.cw_well, 0),
                             np.column_stack([a.cw_blocks, rng.standard_normal(m)]),
                             np.column_stack([a.wc_blocks, rng.standard_normal(m)]), a.ww)
