@@ -49,6 +49,9 @@ _AMG_MIN_RATIO = 4
 # bytes of the three block arrays per pass of the ILU set-up over black
 # cells, so a pass's arrays stay small (in cache, and no new peak memory)
 _ILU_PASS_BYTES = 1 << 20
+# source runs per pass of a layout's gather: np.take converts its int32
+# indices to an intp copy, 8 bytes a slot, one pass at a time
+_TAKE_PASS = 1 << 16
 
 
 @dataclass
@@ -274,8 +277,10 @@ class _StencilLayout:
         """The CSR of this layout with its cell rows gathered from ``source``
         and ``border``'s arrays written into the well border's slots."""
         data, head = np.empty(self.nnz), len(self.src) * self.run
-        np.take(source.reshape(-1, self.run), self.src, axis=0, mode="clip",
-                out=data[:head].reshape(-1, self.run))
+        runs, out = source.reshape(-1, self.run), data[:head].reshape(-1, self.run)
+        for i in range(0, len(self.src), _TAKE_PASS):
+            np.take(runs, self.src[i:i + _TAKE_PASS], axis=0, mode="clip",
+                    out=out[i:i + _TAKE_PASS])
         for slots, values in zip(self.border, border):
             data[slots] = values
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)

@@ -7,14 +7,23 @@ cell blocks.  The residual of cell i, component c is
 
     accumulation - sum(face fluxes into i) - well sources,
 
-with no-flow exterior boundaries.  Assembly is partitioned by contiguous cell
-ranges; boundary faces are computed redundantly by both owners so the result
-is bit-identical for any worker count.
+with no-flow exterior boundaries.  Assembly runs in two phases over the same
+contiguous cell ranges, at most one per worker, each range walked in passes
+of at most ``PASS_ROWS`` property rows.  The cell phase evaluates each
+pass's cells once at the new and once at the old state, adds the
+accumulation, and keeps only the flux streams' properties, in a whole-grid
+table; the face phase adds the fluxes into each pass's own rows from that
+table, and the wells read their perforated cells from it.  Every row's terms
+are added in one order (accumulation, then per axis and stream the face to
+the upper cell, then the face from the lower one), so the result is
+bit-identical for any worker count and pass size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,6 +37,11 @@ from .wells import Well, well_component_rates, surface_rate_weights
 
 # below this many cells per range, thread dispatch costs more than it buys
 MIN_CELLS = 6000
+# property rows per assembly pass.  A pass evaluates its cells' bundles at
+# the new state, each a value row and, for a Jacobian, m derivative rows, and
+# at the old state, values only: 2 + m rows a cell, or 2.  Bundles and their
+# temporaries take about 160 bytes a cell and row, so a pass stays near 5 MB.
+PASS_ROWS = 1 << 15
 
 
 class AssemblyError(RuntimeError):
@@ -88,13 +102,6 @@ class ReservoirModel:
         return evaluate_properties(state.p_o[cells], state.s_w[cells], x3, sat,
                                    self.fluid, derivs=derivs)
 
-    def _well_rates(self, state: ReservoirState, wells: list[Well], derivs: bool):
-        """``(cells, *well_component_rates(...))`` at every perforation, with
-        properties evaluated at the perforated cells, one row per perforation."""
-        cells = np.array([p.cell for w in wells for p in w.perforations], dtype=int)
-        props = self._props(state, derivs, cells)
-        return (cells, *well_component_rates(wells, state.p_h, props, self.fluid, derivs))
-
     def _phi(self, props, cells=slice(None)) -> CellVal:
         pv = self.fluid.pvt
         poro = self.rock.poro[cells]
@@ -141,22 +148,38 @@ class ReservoirModel:
         r = np.zeros((n, m))
         # the diagonal blocks, then the lower and upper ones per axis
         stencil = np.zeros((m, m, 1 + 2 * len(self.axes), n)) if derivs else None
+        # the flux streams' properties at every cell: per stream its mobility,
+        # potential pressure and density (table[0], [1], [2]), each the
+        # values, then the derivative rows
+        streams = self.fluid.streams
+        table = np.empty((3, len(streams), 1 + m if derivs else 1, n))
+        phases = (partial(self._cell_pass, state_new, state_old, dt, table, r, stencil),
+                  partial(self._face_pass, table, r, stencil))
 
         ranges = [(0, n)] if pool is None else pool.ranges(n, MIN_CELLS)
+        step = max(1, PASS_ROWS // (2 + m if derivs else 2))
+        for phase in phases:
+            def run_range(rng, phase=phase):
+                for c0 in range(rng[0], rng[1], step):
+                    phase(c0, min(c0 + step, rng[1]))
 
-        def run_range(rng):
-            self._assemble_range(rng, state_new, state_old, dt, derivs, r, stencil)
-
-        if len(ranges) == 1:
-            run_range(ranges[0])
-        else:
-            pool.run(run_range, ranges)
+            if len(ranges) == 1:
+                run_range(ranges[0])
+            else:
+                pool.run(run_range, ranges)
 
         # wells are single-owner; their few rows touch arbitrary cells, so every
-        # perforation of every well is applied after the parallel cell phase,
-        # in one rate pass and one scatter that adds up wells sharing a cell
+        # perforation of every well is applied after the parallel phases, in
+        # one rate pass over the table's perforated cells and one scatter that
+        # adds up wells sharing a cell
         nwell = len(wells)
-        cells, q, dq_dcell, dq_dph, slots = self._well_rates(state_new, wells, derivs)
+        cells = _perforated_cells(wells)
+        perf = table[..., cells]
+        props = SimpleNamespace(**{
+            name: CellVal(perf[kind, j, 0], perf[kind, j, 1:] if derivs else None)
+            for j, stream in enumerate(streams) for kind, name in enumerate(stream[1:])})
+        q, dq_dcell, dq_dph, slots = well_component_rates(wells, state_new.p_h, props,
+                                                          self.fluid, derivs)
         np.subtract.at(r, cells, q.T)
         # well rows: a bhp well's pressure, a rate well's surface rate, each
         # less its target; a bhp well counts no component
@@ -178,55 +201,61 @@ class ReservoirModel:
         mat = BlockMatrix(self.grid.shape(), m, stencil, cells, slots, -dq_dph, wc_blocks, ww)
         return r, r_wells, mat
 
-    def _assemble_range(self, rng, state_new, state_old, dt, derivs, r, stencil):
-        n, m = self.grid.ncell, self.m
-        c0, c1 = rng
-        smax = max((self.grid.stride(ax) for ax in self.axes), default=1)
-        w0, w1 = max(0, c0 - smax), min(n, c1 + smax)
-        win = slice(w0, w1)
-        props = self._props(state_new, derivs, win)
-        props_old = self._props(state_old, False, win)
-        masses = self._masses(props, self._phi(props, win))
-        masses_old = self._masses(props_old, self._phi(props_old, win))
-
+    def _cell_pass(self, state_new, state_old, dt, table, r, stencil, c0, c1):
+        """Cells c0..c1: accumulation rows and diagonal blocks, and the
+        cells' columns of the property table."""
+        cells = slice(c0, c1)
+        derivs = stencil is not None
+        props = self._props(state_new, derivs, cells)
+        props_old = self._props(state_old, False, cells)
+        masses = self._masses(props, self._phi(props, cells))
+        masses_old = self._masses(props_old, self._phi(props_old, cells))
         vol_dt = self.grid.cell_volume / dt
-        own = slice(c0 - w0, c1 - w0)
         for comp in self.components:
             ci = self.comp_row(comp)
             acc = vol_dt * (masses[comp] - masses_old[comp].v)
-            r[c0:c1, ci] += acc.v[own]
+            r[cells, ci] += acc.v
             if derivs:
-                stencil[ci, :, 0, c0:c1] += acc.d[:, own]
+                stencil[ci, :, 0, cells] += acc.d
+        for j, stream in enumerate(self.fluid.streams):
+            for kind, name in enumerate(stream[1:]):
+                val = getattr(props, name)
+                table[kind, j, 0, cells] = val.v
+                if derivs:
+                    table[kind, j, 1:, cells] = val.d
 
+    def _face_pass(self, table, r, stencil, c0, c1):
+        """Rows c0..c1: the fluxes over every face of their cells."""
+        n = self.grid.ncell
+        derivs = stencil is not None
+        depth = self.grid.cell_depth
+        rows = [self.comp_row(stream[0]) for stream in self.fluid.streams]
         for k, ax in enumerate(self.axes):
             s = self.grid.stride(ax)
-            # faces keyed by their lower cell a; rows c0..c1 need faces
-            # a in [c0 - s, c1)
-            f0, f1 = max(0, c0 - s), min(n - s, c1)
-            if f1 <= f0:
-                continue
-            idxa = slice(f0 - w0, f1 - w0)
-            idxb = slice(f0 - w0 + s, f1 - w0 + s)
-            tface = self.tgeo[ax][f0:f1]
-            dz = self.grid.cell_depth[f0:f1] - self.grid.cell_depth[f0 + s:f1 + s]
-            # sub-slices of the face window owned by this range
-            a_lo, a_hi = max(f0, c0), min(f1, c1)          # rows a
-            b_lo, b_hi = max(f0, c0 - s), min(f1, c1 - s)  # rows b = a + s
-            asl = slice(a_lo - f0, a_hi - f0)
-            bsl = slice(b_lo - f0, b_hi - f0)
-            for comp, lam, p, rho in self.fluid.streams:
-                ci = self.comp_row(comp)
-                v, da, db = _stream_flux(props, lam, p, rho, idxa, idxb, tface, dz)
-                if a_hi > a_lo:
-                    r[a_lo:a_hi, ci] += v[asl]
+            # faces keyed by their lower cell a: rows c0..c1 take the a side
+            # of faces c0..a1 and the b side (b = a + s) of faces b0..b1,
+            # from one window of faces where the two meet, else one each
+            a1, b0, b1 = min(c1, n - s), max(0, c0 - s), c1 - s
+            wins = [(b0, a1)] if b1 >= c0 else [(c0, a1), (b0, b1)]
+            fluxes = [_stream_flux(*table, slice(f0, f1), slice(f0 + s, f1 + s),
+                                   self.tgeo[ax][f0:f1], depth[f0:f1] - depth[f0 + s:f1 + s])
+                      if f1 > f0 else None for f0, f1 in wins]
+            lo = c0 - wins[0][0]
+            if a1 > c0:
+                va, daa, dba = (x if x is None else x[..., lo:lo + a1 - c0] for x in fluxes[0])
+            if b1 > b0:
+                vb, dab, dbb = (x if x is None else x[..., :b1 - b0] for x in fluxes[-1])
+            for j, ci in enumerate(rows):
+                if a1 > c0:
+                    r[c0:a1, ci] += va[j]
                     if derivs:
-                        stencil[ci, :, 0, a_lo:a_hi] += da[:, asl]
-                        stencil[ci, :, 2 + 2 * k, a_lo:a_hi] += db[:, asl]
-                if b_hi > b_lo:
-                    r[b_lo + s:b_hi + s, ci] -= v[bsl]
+                        stencil[ci, :, 0, c0:a1] += daa[j]
+                        stencil[ci, :, 2 + 2 * k, c0:a1] += dba[j]
+                if b1 > b0:
+                    r[b0 + s:b1 + s, ci] -= vb[j]
                     if derivs:
-                        stencil[ci, :, 0, b_lo + s:b_hi + s] -= db[:, bsl]
-                        stencil[ci, :, 1 + 2 * k, b_lo + s:b_hi + s] -= da[:, bsl]
+                        stencil[ci, :, 0, b0 + s:b1 + s] -= dbb[j]
+                        stencil[ci, :, 1 + 2 * k, b0 + s:b1 + s] -= dab[j]
 
     # -- conservation bookkeeping ------------------------------------------
 
@@ -240,40 +269,47 @@ class ReservoirModel:
     def well_mass_rates(self, state: ReservoirState,
                         wells: list[Well]) -> dict[str, tuple[float, float]]:
         """Per component: (injected, produced) mass rates in lbm/day, both >= 0."""
-        q = self._well_rates(state, wells, False)[1]
+        props = self._props(state, False, _perforated_cells(wells))
+        q = well_component_rates(wells, state.p_h, props, self.fluid)[0]
         return {comp: (float(np.sum(qc[qc > 0])), float(np.sum(-qc[qc < 0])))
                 for comp, qc in zip(self.components, q)}
 
 
-def _stream_flux(props, lam_attr, p_attr, rho_attr, idxa, idxb, tface, dz):
-    """Upwinded two-point mass flux of one stream over the faces a -> b.
+def _perforated_cells(wells: list[Well]) -> np.ndarray:
+    """The cell of every perforation, in well order and then completion order."""
+    return np.array([p.cell for w in wells for p in w.perforations], dtype=int)
 
-    Returns ``(v, da, db)``: the (nf,) fluxes, positive from a to b, and
-    their (nder, nf) derivatives with respect to the unknowns of cell a and
-    of cell b, or None for both when the properties carry no derivatives.
-    With potential difference dphi = (p_a - p_b) - (rho_a + rho_b) / 2 * g dz
-    and the mobility lam taken from cell a where dphi >= 0, else from b,
+
+def _stream_flux(lam, p, rho, idxa, idxb, tface, dz):
+    """Upwinded two-point mass fluxes of every stream over the faces a -> b.
+
+    ``lam``, ``p`` and ``rho`` are the streams' mobility, potential pressure
+    and density: (nstream, 1, n) values, or (nstream, 1 + m, n) values and
+    their derivatives with respect to the cell unknowns.  Returns
+    ``(v, da, db)``: the (nstream, nf) fluxes, positive from a to b, and
+    their (nstream, m, nf) derivatives with respect to the unknowns of cell
+    a and of cell b, or None for both without derivatives.  With potential
+    difference dphi = (p_a - p_b) - (rho_a + rho_b) / 2 * g dz and the
+    mobility lam taken from cell a where dphi >= 0, else from b,
 
         v  = lam * C * dphi,                               C = DARCY * T
         da = [up] dlam_a * C * dphi + (dp_a - drho_a / 2 * g dz) * lam * C
         db = [down] dlam_b * C * dphi + (-dp_b - drho_b / 2 * g dz) * lam * C
     """
-    lam = getattr(props, lam_attr)
-    p = getattr(props, p_attr)
-    rho = getattr(props, rho_attr)
     g = units.GRAVITY * dz
-    half = (rho.v[idxa] + rho.v[idxb]) * 0.5
-    dphi = (p.v[idxa] - p.v[idxb]) - half * g
+    half = (rho[:, 0, idxa] + rho[:, 0, idxb]) * 0.5
+    dphi = (p[:, 0, idxa] - p[:, 0, idxb]) - half * g
     up = dphi >= 0.0
     c = units.DARCY * tface
-    lam_c = np.where(up, lam.v[idxa], lam.v[idxb]) * c
+    lam_c = np.where(up, lam[:, 0, idxa], lam[:, 0, idxb]) * c
     v = lam_c * dphi
-    if lam.d is None:
+    if lam.shape[1] == 1:
         return v, None, None
-    da = np.where(up, lam.d[:, idxa], 0.0) * c * dphi \
-        + (p.d[:, idxa] - rho.d[:, idxa] * 0.5 * g) * lam_c
-    db = np.where(up, 0.0, lam.d[:, idxb]) * c * dphi \
-        + (-p.d[:, idxb] - rho.d[:, idxb] * 0.5 * g) * lam_c
+    up, dphi, lam_c = up[:, None], dphi[:, None], lam_c[:, None]
+    da = np.where(up, lam[:, 1:, idxa], 0.0) * c * dphi \
+        + (p[:, 1:, idxa] - rho[:, 1:, idxa] * 0.5 * g) * lam_c
+    db = np.where(up, 0.0, lam[:, 1:, idxb]) * c * dphi \
+        + (-p[:, 1:, idxb] - rho[:, 1:, idxb] * 0.5 * g) * lam_c
     return v, da, db
 
 

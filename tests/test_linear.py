@@ -300,6 +300,23 @@ class TestCsrLayouts:
         for layout in (pattern.system, pattern.pressure, pattern.ilu_lower, pattern.ilu_upper):
             assert layout.src.dtype == np.int32
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_gather_in_passes(self, m, monkeypatch):
+        # the layouts gather _TAKE_PASS source runs at a time; passes of 5
+        # (the last one short) give every CSR of the default single pass
+        a, _ = self.structure((4, 3, 2), m, True)
+
+        def csrs():
+            ilu = BlockILU0(a)
+            return [x.data.tobytes() for x in (a.to_csr(), a.extract_app(),
+                                               ilu.k_lo.a, ilu.k_up.a)]
+
+        whole = csrs()
+        monkeypatch.setattr(linear, "_TAKE_PASS", 5)
+        assert all(len(layout.src) % 5 for layout in (a.csr_pattern().system,
+                                                      a.csr_pattern().pressure))
+        assert csrs() == whole
+
     @pytest.mark.parametrize("shape", [(1, 4, 3), (5, 1, 1), (4, 3, 2)])
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("wells", [False, True])

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -316,7 +319,8 @@ class TestParallelDeterminism:
             run, split = pool.run, []
             pool.run = lambda fn, items: split.append(items) or run(fn, items)
             a2 = model.assemble_jacobian(state, old, 1.0, [w], pool=pool)
-            assert split == [pool.ranges(model.grid.ncell, 1)]
+            # the cell phase, then the face phase, over the same ranges
+            assert split == [pool.ranges(model.grid.ncell, 1)] * 2
             assert len(split[0]) == workers
         np.testing.assert_array_equal(a1.b, a2.b)
         np.testing.assert_array_equal(a1.diag, a2.diag)
@@ -325,6 +329,104 @@ class TestParallelDeterminism:
             np.testing.assert_array_equal(a1.hi[ax], a2.hi[ax])
         np.testing.assert_array_equal(a1.cw_blocks, a2.cw_blocks)
         np.testing.assert_array_equal(a1.wc_blocks, a2.wc_blocks)
+
+
+def two_wells_model(kind, seed, shape):
+    """A random model with a producer perforated at cells 5 and 90 and a
+    water injector at cell 170, and a state and an old state for it."""
+    rng = np.random.default_rng(seed)
+    if kind == "two_phase":
+        model = random_two_phase_model(rng, shape=shape)
+        state = random_two_phase_state(rng, model, nwell=2)
+    else:
+        model = random_black_oil_model(rng, shape=shape)
+        state = random_black_oil_state(rng, model, nwell=2)
+    old = state.copy()
+    old.s_w = np.clip(state.s_w - 0.05, 0, 1)
+    prod = resim.Well("P", constraint=resim.Constraint("bhp", 3500.0), slot=0)
+    inj = resim.Well("I", kind="injector", inj_phase="w",
+                     constraint=resim.Constraint("water_rate", 50.0), slot=1)
+    resim.complete_vertical(prod, model.grid, model.rock, [5, 90])
+    resim.complete_vertical(inj, model.grid, model.rock, [170])
+    return model, state, old, [prod, inj]
+
+
+def jacobian_bytes(a):
+    return [x.tobytes() for x in (a.b, a.stencil, a.cw_cells, a.cw_well,
+                                  a.cw_blocks, a.wc_blocks, a.ww)]
+
+
+class TestAssemblyPasses:
+    """Cell and face phases walk each range in passes of PASS_ROWS rows."""
+
+    @pytest.mark.parametrize("kind", ["two_phase", "black_oil"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_pass_size_does_not_change_a_byte(self, kind, workers, cells, monkeypatch):
+        # the perforations fall in different passes of every size
+        model, state, old, wells = two_wells_model(kind, 31, (13, 7, 2))
+        monkeypatch.setattr(model_module, "PASS_ROWS", 1 << 30)
+        ref_jac = jacobian_bytes(model.assemble_jacobian(state, old, 2.0, wells))
+        ref_res = model.assemble_residual(state, old, 2.0, wells).tobytes()
+        # Jacobian passes of `cells` cells; residual passes hold 2 rows a cell
+        monkeypatch.setattr(model_module, "PASS_ROWS", cells * (2 + model.m))
+        monkeypatch.setattr(model_module, "MIN_CELLS", 1)
+        # the face phase reads the table columns other workers wrote in the
+        # cell phase; switch threads often, so a face pass that started early
+        # would read them unwritten
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(workers) as pool:
+                pool = pool if workers > 1 else None
+                jac = model.assemble_jacobian(state, old, 2.0, wells, pool=pool)
+                res = model.assemble_residual(state, old, 2.0, wells, pool=pool)
+        finally:
+            sys.setswitchinterval(interval)
+        assert jacobian_bytes(jac) == ref_jac
+        assert res.tobytes() == ref_res
+
+    @pytest.mark.parametrize("kind", ["two_phase", "black_oil"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("assemble", ["assemble_jacobian", "assemble_residual"])
+    def test_each_cell_is_evaluated_once_per_state(self, kind, workers, assemble,
+                                                   monkeypatch):
+        # the new and the old state, each cell once; the wells read the
+        # evaluated properties of their perforated cells
+        model, state, old, wells = two_wells_model(kind, 32, (13, 7, 2))
+        evaluated = []
+
+        def counted(p_o, *args, **kwargs):
+            evaluated.append(len(p_o))
+            return evaluate_properties(p_o, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "evaluate_properties", counted)
+        monkeypatch.setattr(model_module, "MIN_CELLS", 1)
+        with WorkerPool(workers) as pool:
+            getattr(model, assemble)(state, old, 2.0, wells,
+                                     pool=pool if workers > 1 else None)
+        assert sum(evaluated) == 2 * model.grid.ncell
+
+    def test_jacobian_temporaries_per_cell(self):
+        # a 48,000-cell grid spans several default passes; what one Jacobian
+        # assembly allocates beyond the arrays it returns (and the CSR pattern
+        # the first one builds) is the property table, 144 bytes a cell for
+        # two-phase, plus one pass's bundles: 263 bytes a cell here, against
+        # 841 when one range evaluated all its cells at once
+        rng = np.random.default_rng(33)
+        model = random_two_phase_model(rng, shape=(60, 40, 20))
+        state = random_two_phase_state(rng, model)
+        old = state.copy()
+        old.s_w = np.clip(state.s_w - 0.05, 0, 1)
+        model.assemble_jacobian(state, old, 1.0, [])
+        tracemalloc.start()
+        try:
+            a = model.assemble_jacobian(state, old, 1.0, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(x.nbytes for x in (a.b, a.stencil, a.cw_blocks, a.wc_blocks, a.ww))
+        assert (peak - kept) / model.grid.ncell < 400
 
 
 class TestResidualMatchesJacobianRhs:
