@@ -300,10 +300,11 @@ class CsrPattern:
     none).  ``ilu_lower`` (diagonal blocks, black rows' neighbour blocks,
     well diagonals) and ``ilu_upper`` (red rows' neighbour blocks) are the
     layouts of ``BlockILU0``'s factors, gathered in runs of a block row's m
-    values, whose set-up passes over ``ilu_pass`` black cells at a time.  ``fits``
-    tells whether a matrix has this structure: grid shape, block size,
-    stencil axes and well borders.  ``aggregates`` keeps the AMG aggregates
-    of the last hierarchy built on it by ``CprFpf``.
+    values, whose set-up passes over ``ilu_pass`` black cells at a time in
+    ``ilu_buffers``, which the first set-up on the pattern allocates and
+    later ones reuse.  ``fits`` tells whether a matrix has this structure:
+    grid shape, block size, stencil axes and well borders.  ``aggregates``
+    keeps the AMG aggregates of the last hierarchy built on it by ``CprFpf``.
     """
 
     def __init__(self, a: BlockMatrix):
@@ -343,6 +344,7 @@ class CsrPattern:
             _StencilLayout(n, [blk[:2] for blk in part], m, a.nwell, well_diag=part is lower,
                            runs=[blk[2] for blk in part]) for part in (lower, upper))
         self.aggregates: list[np.ndarray] | None = None
+        self.ilu_buffers: tuple[np.ndarray, np.ndarray] | None = None
 
     def fits(self, a: BlockMatrix) -> bool:
         return ((a.shape, a.m, a.axes, a.nwell) == (self.shape, self.m, self.axes, self.nwell)
@@ -457,7 +459,9 @@ class BlockILU0:
     are ``PooledMatvec`` products on ``pool``, their values gathered once
     into the layouts of ``a``'s ``CsrPattern``; the block products run entry
     by entry, in passes over the black cells (``_block_mm``) whose arrays
-    are allocated once per set-up.
+    the pattern owns (``CsrPattern.ilu_buffers``), so set-ups on one
+    pattern run one at a time; ``inv_diag`` and the factors are each
+    set-up's own.
     """
 
     def __init__(self, a: BlockMatrix, pool=None):
@@ -477,9 +481,12 @@ class BlockILU0:
         blocks, d = a.stencil.reshape(m, m, -1), np.arange(ndir)[:, None]
         to, back = (1 + d) * n, (1 + (d ^ 1)) * n
         inv[..., pattern.red] = _safe_inv(np.take(blocks, pattern.red, axis=-1), counter)
-        # one pass's arrays, allocated once; a pass of k cells uses their
+        # one pass's arrays, the pattern's; a pass of k cells uses their
         # first entries as (m, m, ndir, k) and (m, m, k) blocks
-        wide, narrow = np.empty((4, mm * ndir * min(p, nb))), np.empty((2, mm * min(p, nb)))
+        if pattern.ilu_buffers is None:
+            q = mm * min(p, nb)
+            pattern.ilu_buffers = np.empty((4, ndir * q)), np.empty((2, q))
+        wide, narrow = pattern.ilu_buffers
         for c in range(0, nb, p):
             cells, near, k = black[c:c + p], nbr[:, c:c + p], min(p, nb - c)
             # each black cell's block L to its red neighbour r per direction,
@@ -570,7 +577,10 @@ def _aggregate(a: sp.csr_matrix, theta: float) -> np.ndarray:
         & (acoo.row != acoo.col)
     smat = sp.csr_matrix((np.ones(np.count_nonzero(strong)),
                           (acoo.row[strong], acoo.col[strong])), shape=(n, n))
-    # three greedy passes node by node: plain lists, not numpy scalars
+    # two greedy passes node by node: plain lists, not numpy scalars.  A
+    # node with no aggregated strong neighbour roots an aggregate of itself
+    # and its strong neighbours; a node that is left saw an aggregated one
+    # then, so the second pass joins it to the first such neighbour
     indptr, indices = smat.indptr.tolist(), smat.indices.tolist()
     agg = [-1] * n
     nagg = 0
@@ -578,7 +588,10 @@ def _aggregate(a: sp.csr_matrix, theta: float) -> np.ndarray:
         if agg[node] >= 0:
             continue
         nbrs = indices[indptr[node]:indptr[node + 1]]
-        if all(agg[j] < 0 for j in nbrs):
+        for j in nbrs:
+            if agg[j] >= 0:
+                break
+        else:
             agg[node] = nagg
             for j in nbrs:
                 agg[j] = nagg
@@ -589,10 +602,6 @@ def _aggregate(a: sp.csr_matrix, theta: float) -> np.ndarray:
                 if agg[j] >= 0:
                     agg[node] = agg[j]
                     break
-    for node in range(n):
-        if agg[node] < 0:
-            agg[node] = nagg
-            nagg += 1
     return np.array(agg, dtype=np.int64)
 
 

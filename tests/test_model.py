@@ -371,6 +371,9 @@ class TestAssemblyPasses:
         # Jacobian passes of `cells` cells; residual passes hold 2 rows a cell
         monkeypatch.setattr(model_module, "PASS_ROWS", cells * (2 + model.m))
         monkeypatch.setattr(model_module, "MIN_CELLS", 1)
+        # a copy of the old state is not the one whose masses the model
+        # kept, so these passes evaluate it again
+        old = old.copy()
         # the face phase reads the table columns other workers wrote in the
         # cell phase; switch threads often, so a face pass that started early
         # would read them unwritten
@@ -402,10 +405,61 @@ class TestAssemblyPasses:
 
         monkeypatch.setattr(model_module, "evaluate_properties", counted)
         monkeypatch.setattr(model_module, "MIN_CELLS", 1)
+        n = model.grid.ncell
         with WorkerPool(workers) as pool:
-            getattr(model, assemble)(state, old, 2.0, wells,
-                                     pool=pool if workers > 1 else None)
-        assert sum(evaluated) == 2 * model.grid.ncell
+            def cells_evaluated(new, prev, dt=2.0):
+                evaluated.clear()
+                getattr(model, assemble)(new, prev, dt, wells,
+                                         pool=pool if workers > 1 else None)
+                return sum(evaluated)
+
+            assert cells_evaluated(state, old) == 2 * n
+            # the old state's masses are kept: a second assembly against it,
+            # also at a cut retry's dt, evaluates the new state only
+            assert cells_evaluated(state, old) == n
+            assert cells_evaluated(state, old, 1.0) == n
+            # a field bound to a new array makes another old state
+            old.s_w = old.s_w.copy()
+            assert cells_evaluated(state, old) == 2 * n
+            # the masses mass_in_place takes of a state are its old masses
+            evaluated.clear()
+            model.mass_in_place(state)
+            assert sum(evaluated) == n
+            assert cells_evaluated(old, state) == n
+            evaluated.clear()
+            model.mass_in_place(state)
+            assert sum(evaluated) == 0
+
+    @pytest.mark.parametrize("kind", ["two_phase", "black_oil"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("fill", ["assembly", "mass_in_place"])
+    def test_kept_old_masses_change_no_byte(self, kind, workers, fill, monkeypatch):
+        # a model that keeps the old state's masses, filled by an assembly's
+        # cell passes or by mass_in_place, assembles byte for byte what a
+        # new model does, at a first dt and at a cut retry's
+        model, state, old, wells = two_wells_model(kind, 34, (13, 7, 2))
+        monkeypatch.setattr(model_module, "MIN_CELLS", 1)
+        monkeypatch.setattr(model_module, "PASS_ROWS", 7 * (2 + model.m))
+
+        def cold():
+            return ReservoirModel(model.grid, model.rock, model.fluid)
+
+        # mass_in_place gives the bits of one whole-grid evaluation
+        props = model._props(old, False)
+        whole = {c: model.grid.cell_volume * float(np.sum(mass.v))
+                 for c, mass in model._masses(props, model._phi(props)).items()}
+        with WorkerPool(workers) as pool:
+            pool = pool if workers > 1 else None
+            if fill == "assembly":
+                model.assemble_residual(state, old, 2.0, wells, pool=pool)
+            assert model.mass_in_place(old) == whole
+            for dt in (2.0, 1.0):
+                jac = model.assemble_jacobian(state, old, dt, wells, pool=pool)
+                res = model.assemble_residual(state, old, dt, wells, pool=pool)
+                ref = cold().assemble_jacobian(state, old, dt, wells, pool=pool)
+                assert jacobian_bytes(jac) == jacobian_bytes(ref)
+                assert res.tobytes() == \
+                    cold().assemble_residual(state, old, dt, wells, pool=pool).tobytes()
 
     def test_jacobian_temporaries_per_cell(self):
         # a 48,000-cell grid spans several default passes; what one Jacobian
@@ -427,6 +481,23 @@ class TestAssemblyPasses:
             tracemalloc.stop()
         kept = sum(x.nbytes for x in (a.b, a.stencil, a.cw_blocks, a.wc_blocks, a.ww))
         assert (peak - kept) / model.grid.ncell < 400
+
+    def test_mass_in_place_temporaries_per_cell(self):
+        # mass_in_place evaluates a new state in passes of PASS_ROWS // 2
+        # cells and keeps its (m, ncell) masses, 16 bytes a cell for
+        # two-phase; beyond those it allocates one pass's bundles: 66 bytes
+        # a cell here, against 184 when it evaluated the whole grid at once
+        rng = np.random.default_rng(33)
+        model = random_two_phase_model(rng, shape=(60, 40, 20))
+        state = random_two_phase_state(rng, model)
+        tracemalloc.start()
+        try:
+            model.mass_in_place(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = model._kept_masses(state).nbytes
+        assert (peak - kept) / model.grid.ncell < 80
 
 
 class TestResidualMatchesJacobianRhs:
