@@ -15,9 +15,9 @@ the flux streams' properties, in a whole-grid table; the face phase adds the
 fluxes into each pass's own rows from that table, and the wells read their
 perforated cells from it.  The old state's masses come from that state's
 one evaluation: the model keeps the per-cell masses of the last state it
-evaluated, filled by ``mass_in_place`` (at each step record) or by the cell
-passes of the first assembly against it.  Every row's terms
-are added in one order (accumulation, then per axis and stream the face to
+evaluated, filled in passes by whichever of ``mass_in_place`` (at each step
+record) and the assembly needs them first.  Every row's terms are added in
+one order (accumulation, then per axis and stream the face to
 the upper cell, then the face from the lower one), so the result is
 bit-identical for any worker count and pass size.
 """
@@ -43,7 +43,8 @@ from .wells import Well, well_component_rates, surface_rate_weights
 MIN_CELLS = 6000
 # property rows per assembly pass.  A pass evaluates its cells' bundles at
 # the new state, each a value row and, for a Jacobian, m derivative rows, and
-# at the old state, values only: 2 + m rows a cell, or 2.  Bundles and their
+# is sized for 2 + m rows a cell, or 2; a state's masses, values only, are
+# evaluated in passes of PASS_ROWS // 2 cells.  Bundles and their
 # temporaries take about 160 bytes a cell and row, so a pass stays near 5 MB.
 PASS_ROWS = 1 << 15
 
@@ -58,8 +59,8 @@ class ReservoirState:
 
     For black oil, x3[i] is s_g where sat[i] else p_b; for two-phase runs x3
     and sat are None.  Once a state has been assembled against or its mass
-    taken, its arrays are not written in place: ``ReservoirModel`` keeps
-    its masses, keyed by the state and its arrays, so a new state, or a
+    taken, ``ReservoirModel`` keeps its masses, keyed by the state and its
+    arrays, and makes p_o, s_w, x3 and sat read-only: a new state, or a
     field bound to a new array, is evaluated afresh.
     """
 
@@ -89,7 +90,7 @@ class ReservoirModel:
         self.tgeo = {ax: face_transmissibilities(grid, rock, ax) for ax in self.axes}
         self._pattern = None    # CsrPattern of the last Jacobian
         # (_mass_key(state), its (m, ncell) masses) of the last state evaluated
-        self._kept = ((), None)
+        self._kept = (None, None)
 
     @property
     def m(self) -> int:
@@ -124,40 +125,47 @@ class ReservoirModel:
             out["g"] = phi * (props.rho_og * props.s_o + props.rho_g * props.s_g)
         return out
 
-    def _kept_masses(self, state: ReservoirState) -> np.ndarray | None:
-        """The kept (m, ncell) masses per unit volume of ``state``, or None."""
+    def _state_masses(self, state: ReservoirState) -> np.ndarray:
+        """The (m, ncell) masses per unit volume of ``state``, in component-row
+        order: the kept ones, else evaluated in passes of ``PASS_ROWS // 2``
+        cells and kept, and the state's keyed arrays made read-only."""
         key, masses = self._kept
-        return masses if all(map(operator.is_, key, _mass_key(state))) else None
-
-    def _fill_masses(self, state: ReservoirState, out: np.ndarray, cells: slice):
-        """Write the masses per unit volume of ``state`` at ``cells`` into
-        their columns of ``out``, in component-row order."""
-        props = self._props(state, False, cells)
-        for comp, mass in self._masses(props, self._phi(props, cells)).items():
-            out[self.comp_row(comp), cells] = mass.v
+        if key is not None and all(map(operator.is_, key, _mass_key(state))):
+            return masses
+        n = self.grid.ncell
+        masses, step = np.empty((self.m, n)), PASS_ROWS // 2
+        for c0 in range(0, n, step):
+            cells = slice(c0, min(c0 + step, n))
+            props = self._props(state, False, cells)
+            for comp, mass in self._masses(props, self._phi(props, cells)).items():
+                masses[self.comp_row(comp), cells] = mass.v
+            del props   # not held while the next pass is evaluated
+        key = _mass_key(state)
+        for x in key[1:]:
+            if x is not None:
+                x.flags.writeable = False
+        self._kept = (key, masses)
+        return masses
 
     # -- whole-grid assembly: accumulation, fluxes and wells -------------
 
     def assemble_residual(self, state_new: ReservoirState, state_old: ReservoirState,
                           dt: float, wells: list[Well], pool=None) -> np.ndarray:
         """Residual vector F(x), cells (row-major by cell, component) then wells."""
-        r_cells, r_wells, _, masses_old = self._assemble(state_new, state_old, dt, wells,
-                                                         derivs=False, pool=pool)
-        f = _flatten_check(r_cells, r_wells, self.m)
-        self._kept = (_mass_key(state_old), masses_old)
-        return f
+        r_cells, r_wells = self._assemble(state_new, state_old, dt, wells,
+                                          derivs=False, pool=pool)[0:2]
+        return _flatten_check(r_cells, r_wells, self.m)
 
     def assemble_jacobian(self, state_new: ReservoirState, state_old: ReservoirState,
                           dt: float, wells: list[Well], pool=None) -> BlockMatrix:
         """Analytic block Jacobian; the Newton rhs b = -F is attached as .b.
         A non-finite residual or block entry raises ``AssemblyError``."""
-        r_cells, r_wells, mat, masses_old = self._assemble(state_new, state_old, dt, wells,
-                                                           derivs=True, pool=pool)
+        r_cells, r_wells, mat = self._assemble(state_new, state_old, dt, wells,
+                                               derivs=True, pool=pool)
         f = _flatten_check(r_cells, r_wells, self.m)
         if not all(np.isfinite(v).all()
                    for v in (mat.stencil, mat.cw_blocks, mat.wc_blocks, mat.ww)):
             raise AssemblyError("non-finite Jacobian entry")
-        self._kept = (_mass_key(state_old), masses_old)
         mat.b = -f
         # the Newton systems of a run share their stencil and perforations,
         # so each reuses the last one's CSR pattern (rebuilt if they differ)
@@ -166,15 +174,10 @@ class ReservoirModel:
         return mat
 
     def _assemble(self, state_new, state_old, dt, wells, derivs, pool=None):
-        """(cell rows, well rows, BlockMatrix or None, the old state's
-        masses, which the caller keeps once it has checked the result)"""
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
         n, m = self.grid.ncell, self.m
-        masses_old = self._kept_masses(state_old)
-        fill = masses_old is None
-        if fill:
-            masses_old = np.empty((m, n))
+        masses_old = self._state_masses(state_old)
         r = np.zeros((n, m))
         # the diagonal blocks, then the lower and upper ones per axis
         stencil = np.zeros((m, m, 1 + 2 * len(self.axes), n)) if derivs else None
@@ -183,8 +186,7 @@ class ReservoirModel:
         # values, then the derivative rows
         streams = self.fluid.streams
         table = np.empty((3, len(streams), 1 + m if derivs else 1, n))
-        phases = (partial(self._cell_pass, state_new, state_old if fill else None,
-                          masses_old, dt, table, r, stencil),
+        phases = (partial(self._cell_pass, state_new, masses_old, dt, table, r, stencil),
                   partial(self._face_pass, table, r, stencil))
 
         ranges = [(0, n)] if pool is None else pool.ranges(n, MIN_CELLS)
@@ -222,7 +224,7 @@ class ReservoirModel:
         rate = np.bincount(slots, (wt * q).sum(axis=0), minlength=nwell)
         r_wells = np.where(bhp, state_new.p_h[:nwell] - target, rate - target)
         if not derivs:
-            return r, r_wells, None, masses_old
+            return r, r_wells, None
         np.subtract.at(stencil, (slice(None), slice(None), 0, cells), dq_dcell)
         ww = np.where(bhp, 1.0, np.bincount(slots, (wt * dq_dph).sum(axis=0),
                                             minlength=nwell))
@@ -230,17 +232,14 @@ class ReservoirModel:
         # d(cell eq)/d(p_h) and of the well row d(well eq)/d(cell unknowns)
         wc_blocks = (wt[:, None] * dq_dcell).sum(axis=0)
         mat = BlockMatrix(self.grid.shape(), m, stencil, cells, slots, -dq_dph, wc_blocks, ww)
-        return r, r_wells, mat, masses_old
+        return r, r_wells, mat
 
-    def _cell_pass(self, state_new, state_old, masses_old, dt, table, r, stencil, c0, c1):
+    def _cell_pass(self, state_new, masses_old, dt, table, r, stencil, c0, c1):
         """Cells c0..c1: accumulation rows and diagonal blocks, and the
-        cells' columns of the property table; with ``state_old`` given, its
-        masses are first written into the cells' columns of ``masses_old``."""
+        cells' columns of the property table."""
         cells = slice(c0, c1)
         derivs = stencil is not None
         props = self._props(state_new, derivs, cells)
-        if state_old is not None:
-            self._fill_masses(state_old, masses_old, cells)
         masses = self._masses(props, self._phi(props, cells))
         vol_dt = self.grid.cell_volume / dt
         for comp in self.components:
@@ -292,15 +291,9 @@ class ReservoirModel:
     # -- conservation bookkeeping ------------------------------------------
 
     def mass_in_place(self, state: ReservoirState) -> dict[str, float]:
-        """Component masses (lbm) over the whole grid; unless they are kept,
-        the state is evaluated in passes and its masses kept."""
-        masses = self._kept_masses(state)
-        if masses is None:
-            n = self.grid.ncell
-            masses, step = np.empty((self.m, n)), PASS_ROWS // 2
-            for c0 in range(0, n, step):
-                self._fill_masses(state, masses, slice(c0, min(c0 + step, n)))
-            self._kept = (_mass_key(state), masses)
+        """Component masses (lbm) over the whole grid, from the state's kept
+        masses (``_state_masses``)."""
+        masses = self._state_masses(state)
         v = self.grid.cell_volume
         return {comp: v * float(np.sum(masses[ci])) for ci, comp in enumerate(self.components)}
 

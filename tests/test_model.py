@@ -372,7 +372,7 @@ class TestAssemblyPasses:
         monkeypatch.setattr(model_module, "PASS_ROWS", cells * (2 + model.m))
         monkeypatch.setattr(model_module, "MIN_CELLS", 1)
         # a copy of the old state is not the one whose masses the model
-        # kept, so these passes evaluate it again
+        # kept, so its masses are evaluated again, in passes of PASS_ROWS // 2
         old = old.copy()
         # the face phase reads the table columns other workers wrote in the
         # cell phase; switch threads often, so a face pass that started early
@@ -434,9 +434,9 @@ class TestAssemblyPasses:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("fill", ["assembly", "mass_in_place"])
     def test_kept_old_masses_change_no_byte(self, kind, workers, fill, monkeypatch):
-        # a model that keeps the old state's masses, filled by an assembly's
-        # cell passes or by mass_in_place, assembles byte for byte what a
-        # new model does, at a first dt and at a cut retry's
+        # a model that keeps the old state's masses, filled by an assembly
+        # or by mass_in_place, assembles byte for byte what a new model
+        # does, at a first dt and at a cut retry's
         model, state, old, wells = two_wells_model(kind, 34, (13, 7, 2))
         monkeypatch.setattr(model_module, "MIN_CELLS", 1)
         monkeypatch.setattr(model_module, "PASS_ROWS", 7 * (2 + model.m))
@@ -485,7 +485,7 @@ class TestAssemblyPasses:
     def test_mass_in_place_temporaries_per_cell(self):
         # mass_in_place evaluates a new state in passes of PASS_ROWS // 2
         # cells and keeps its (m, ncell) masses, 16 bytes a cell for
-        # two-phase; beyond those it allocates one pass's bundles: 66 bytes
+        # two-phase; beyond those it allocates one pass's bundles: 68 bytes
         # a cell here, against 184 when it evaluated the whole grid at once
         rng = np.random.default_rng(33)
         model = random_two_phase_model(rng, shape=(60, 40, 20))
@@ -496,8 +496,26 @@ class TestAssemblyPasses:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = model._kept_masses(state).nbytes
+        kept = model._state_masses(state).nbytes
         assert (peak - kept) / model.grid.ncell < 80
+
+    @pytest.mark.parametrize("kind", ["two_phase", "black_oil"])
+    @pytest.mark.parametrize("take", ["assemble_residual", "mass_in_place"])
+    def test_a_kept_state_cannot_be_written_in_place(self, kind, take):
+        # the model keeps a state's masses by the identity of its arrays, so
+        # writing into them would leave stale masses: the write raises
+        model, state, old, wells = two_wells_model(kind, 35, (13, 7, 2))
+        if take == "mass_in_place":
+            model.mass_in_place(old)
+        else:
+            model.assemble_residual(state, old, 2.0, wells)
+        fields = [old.p_o, old.s_w] + ([old.x3, old.sat] if kind == "black_oil" else [])
+        for x in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = x[1]
+        # the new state and a copy of the old one stay writable
+        state.p_o[0] = old.copy().p_o[0] = 1.0
+        old.p_h[0] = 1.0
 
 
 class TestResidualMatchesJacobianRhs:
