@@ -300,9 +300,9 @@ class CsrPattern:
     none).  ``ilu_lower`` (diagonal blocks, black rows' neighbour blocks,
     well diagonals) and ``ilu_upper`` (red rows' neighbour blocks) are the
     layouts of ``BlockILU0``'s factors, gathered in runs of a block row's m
-    values, whose set-up passes over ``ilu_pass`` black cells at a time in
-    ``ilu_buffers``, which the first set-up on the pattern allocates and
-    later ones reuse.  ``fits`` tells whether a matrix has this structure:
+    values; they depend on the structure alone, not on the set-up's passes
+    over the black cells, whose arrays ``ilu_buffers`` keeps for the next
+    set-up on the pattern.  ``fits`` tells whether a matrix has this structure:
     grid shape, block size, stencil axes and well borders.  ``aggregates``
     keeps the AMG aggregates of the last hierarchy built on it by ``CprFpf``.
     """
@@ -322,21 +322,17 @@ class CsrPattern:
         red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
         self.red, self.black = (np.flatnonzero(x).astype(np.int32) for x in (red, ~red))
         ndir, nb, ii = len(dirs), len(self.black), np.arange(m)[:, None]
-        self.ilu_pass = p = max(1, _ILU_PASS_BYTES // (24 * m * m * max(1, ndir)))
-        # BlockILU0's sources in runs of a block row's m values (see there):
-        # K_lo's the inverse diagonal blocks as (m, ncell, m), then per
-        # direction d black cell b's folded block to its red neighbour r
-        # (row b), per pass over black cells as (m, ndir, cells, m); K_up's
-        # r's block back to b (row r).  Runs are set at masked cells only.
+        # BlockILU0's sources in runs of a block row's m values (see there): K_lo's
+        # the inverse diagonal blocks as (m, ncell, m), then per direction d black
+        # cell b's folded block to its red neighbour r (row b) as (m, ndir, nb, m);
+        # K_up's r's block back to b (row r).  Runs are set at masked cells only.
         at = np.cumsum(~red) - 1                # black cells' place among them
-        c0 = at - at % p                        # first black cell of at's pass
         lower, upper = [stencil[0] + (ii * n + cell,)], []
         self.nbr = np.array([np.where(has[self.black], self.black + off, 0)
                              for off, has in dirs], np.int32).reshape(ndir, nb)
         for d, (off, has) in enumerate(dirs):
             rows = has & ~red
-            b = np.flatnonzero(rows)
-            run = (c0 * ndir * m + at - c0)[b] + (ii * ndir + d) * np.minimum(p, nb - c0[b])
+            run = (ii * ndir + d) * nb + at[rows]
             lower.append((off, rows, n * m + run))
             # r = b + off: rolled by off, and every rolled-in cell is masked
             upper.append((-off, np.roll(rows, off), run))
@@ -458,24 +454,25 @@ class BlockILU0:
     and 1/ww on well rows, ``k_up`` holds inv(D_r) U_{r,b} on red rows.  Both
     are ``PooledMatvec`` products on ``pool``, their values gathered once
     into the layouts of ``a``'s ``CsrPattern``; the block products run entry
-    by entry, in passes over the black cells (``_block_mm``) whose arrays
-    the pattern owns (``CsrPattern.ilu_buffers``), so set-ups on one
-    pattern run one at a time; ``inv_diag`` and the factors are each
-    set-up's own.
+    by entry, in passes of ``_ILU_PASS_BYTES`` over the black cells
+    (``_block_mm``) whose arrays the pattern keeps (``CsrPattern.ilu_buffers``),
+    so set-ups on one pattern run one at a time; ``inv_diag`` and the
+    factors are each set-up's own.
     """
 
     def __init__(self, a: BlockMatrix, pool=None):
         self.a = a
         pattern = a.csr_pattern()
-        n, m, mm, p = a.ncell, a.m, a.m * a.m, pattern.ilu_pass
+        n, m, mm = a.ncell, a.m, a.m * a.m
         black, nbr = pattern.black, pattern.nbr
         ndir, nb = nbr.shape
+        p = max(1, _ILU_PASS_BYTES // (24 * mm * max(1, ndir)))
         counter = [0]
-        # K_lo's source: inverse diagonal blocks, then the black rows' folded
-        # blocks; K_up's the folded blocks back.  Both are laid out in runs of
-        # a block row's m values (see CsrPattern)
+        # K_lo's source: inverse diagonal blocks, then the black rows' folded blocks;
+        # K_up's the folded blocks back.  Both are in runs of a block row's m values
+        # (see CsrPattern): black cell c's are [..., c] of their (m, m, ndir, nb) views
         lower, upper = np.empty(n * mm + ndir * mm * nb), np.empty(ndir * mm * nb)
-        inv, folded = np.empty((m, m, n)), lower[n * mm:]
+        inv, folded = np.empty((m, m, n)), _in_runs(lower[n * mm:], m, ndir, nb)
         # the stencil as (m, m, (1 + ndir) * ncell): cell c's diagonal block
         # at c, its block in direction d at (1 + d) * n + c; d ^ 1 points back
         blocks, d = a.stencil.reshape(m, m, -1), np.arange(ndir)[:, None]
@@ -483,8 +480,8 @@ class BlockILU0:
         inv[..., pattern.red] = _safe_inv(np.take(blocks, pattern.red, axis=-1), counter)
         # one pass's arrays, the pattern's; a pass of k cells uses their
         # first entries as (m, m, ndir, k) and (m, m, k) blocks
-        if pattern.ilu_buffers is None:
-            q = mm * min(p, nb)
+        q = mm * min(p, nb)
+        if pattern.ilu_buffers is None or pattern.ilu_buffers[1].shape[1] != q:
             pattern.ilu_buffers = np.empty((4, ndir * q)), np.empty((2, q))
         wide, narrow = pattern.ilu_buffers
         for c in range(0, nb, p):
@@ -497,13 +494,12 @@ class BlockILU0:
             np.take(blocks, to + cells, axis=-1, mode="clip", out=l_br)
             np.take(blocks, back + near, axis=-1, mode="clip", out=u_rb)
             np.take(inv, near, axis=-1, mode="clip", out=dinv_r)
-            run = slice(c * ndir * mm, (c + k) * ndir * mm)
             _block_mm(l_br, dinv_r, out=ld)
-            _block_mm(dinv_r, u_rb, out=_in_runs(upper[run], m, ndir, -1))
+            _block_mm(dinv_r, u_rb, out=_in_runs(upper, m, ndir, nb)[..., c:c + k])
             np.sum(_block_mm(ld, u_rb, out=l_br), axis=2, out=upd)
             np.take(blocks, cells, axis=-1, mode="clip", out=pivot)
             inv[..., cells] = inv_b = _safe_inv(np.subtract(pivot, upd, out=pivot), counter)
-            _block_mm(-inv_b[:, :, None], ld, out=_in_runs(folded[run], m, ndir, -1))
+            _block_mm(-inv_b[:, :, None], ld, out=folded[..., c:c + k])
         _in_runs(lower[:n * mm], m, n)[...] = inv
         self.k_up = PooledMatvec(pattern.ilu_upper.take(upper), pool)
         del upper

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +156,10 @@ class StepRecord:
 
     ``advance_timestep`` creates it, each count and time is added where it
     is computed, and the driver sets the accepted step's number, time, wall
-    time, masses and well totals."""
+    time, masses and well totals.  ``assembly_time`` spans the assembly
+    calls, ``solve_time`` ``decouple`` through the first ``bicgstab``, each
+    restart's ``bicgstab`` and the eq13 rules' CSR build (``timing``); the
+    rest, such as the true-residual checks, counts only in ``wall_time``."""
 
     step: int = 0
     t: float = 0.0
@@ -176,6 +180,15 @@ class StepRecord:
     pivot_shifts: int = 0            # singular pivots the block ILU(0) shifted
     ds_chops: int = 0                # saturation updates _MAX_DS cut
     newton_log: list[NewtonIterLog] = field(default_factory=list)
+
+    @contextmanager
+    def timing(self, attr: str):
+        """Add the time spent in the ``with`` block to ``attr``, also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            setattr(self, attr, getattr(self, attr) + time.perf_counter() - t0)
 
 
 class _StepFailure(Exception):
@@ -229,11 +242,11 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
     the iteration's log entry.
 
     Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: build
-    one).  Returns (new_state, dx, jac, g, amg): ``g`` is the coarse
-    matrix Z^T J W of this Jacobian (``_coarse_matrix``), ``amg`` the
-    hierarchy its CPR preconditioner used (None without CPR).  ``jac`` is
-    None unless the forcing rule (eq13_a, eq13_b) reads it after the step,
-    so the Jacobian is not held through the solve for nothing.
+    one).  Returns (new_state, r_prev, g, amg): ``r_prev`` is b - J dx for
+    the forcing rules that read it (eq13_a, eq13_b) and None for the others,
+    which drop the Jacobian before the solve; ``g`` is the coarse matrix
+    Z^T J W of this Jacobian (``_coarse_matrix``), ``amg`` the hierarchy its
+    CPR preconditioner used (None without CPR).
 
     The solve must meet ||b - A dx|| <= theta ||b|| on the true residual.
     BiCGSTAB stops on its recursive residual, so when the true one misses
@@ -242,29 +255,30 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
     it then raises _StepFailure because the linear solver failed or its
     budget was spent before the contract was met.
     """
-    t0 = time.perf_counter()
-    jac = model.assemble_jacobian(state, state_old, dt, wells, pool=pool)
-    t1 = time.perf_counter()
+    with rec.timing("assembly_time"):
+        jac = model.assemble_jacobian(state, state_old, dt, wells, pool=pool)
     if dump_prefix is not None:
         dump_matrix_market(jac, jac.b, dump_prefix)
     g = _coarse_matrix(jac)
-    a2, b2 = decouple(jac, jac.b, scfg.decoupling)
+    with rec.timing("solve_time"):
+        a2, b2 = decouple(jac, jac.b, scfg.decoupling)
+        if ncfg.forcing_rule not in ("eq13_a", "eq13_b"):
+            jac = None
+        matvec = PooledMatvec(a2.to_csr(), pool)
+        precond = make_preconditioner(a2, scfg, matvec, amg=amg)
+        dx, iters, status = bicgstab(matvec, precond, b2, theta, scfg.max_iterations)
     rec.decouple_fallbacks += a2.decouple_fallbacks
-    if ncfg.forcing_rule not in ("eq13_a", "eq13_b"):
-        jac = None
-    matvec = PooledMatvec(a2.to_csr(), pool)
-    precond = make_preconditioner(a2, scfg, matvec, amg=amg)
     ilu = precond.smoother if isinstance(precond, CprFpf) else precond
     rec.pivot_shifts += ilu.pivot_shifts if ilu is not None else 0
-    dx, iters, status = bicgstab(matvec, precond, b2, theta, scfg.max_iterations)
     b_norm = det_norm(b2)
     r = b2 - matvec(dx)
     lhs = det_norm(r)
     bound = theta * b_norm
     restarts = 0
     while status == "converged" and not lhs <= bound and iters < scfg.max_iterations:
-        ddx, more, status = bicgstab(matvec, precond, r, bound / lhs,
-                                     scfg.max_iterations - iters)
+        with rec.timing("solve_time"):
+            ddx, more, status = bicgstab(matvec, precond, r, bound / lhs,
+                                         scfg.max_iterations - iters)
         dx += ddx
         iters += more
         restarts += 1
@@ -275,18 +289,21 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
                           theta_rule=theta_rule, restarts=restarts)
     rec.newtons += 1
     rec.linear_iters += iters
-    rec.assembly_time += t1 - t0
-    rec.solve_time += time.perf_counter() - t1
     rec.newton_log.append(entry)
     if status != "converged" or not lhs <= bound:
         reason = (f"linear solver {status}" if status != "converged" else
                   f"true linear residual {lhs:.3e} misses the inner contract "
                   f"||b - A dx|| <= theta ||b|| = {bound:.3e}")
         raise _StepFailure(f"{reason} after {iters} iterations")
+    r_prev = None
+    if jac is not None:
+        with rec.timing("solve_time"):
+            csr = jac.to_csr()
+        r_prev = jac.b - csr @ dx
     new_state, entry.ds_chops = apply_update(state, dx, model)
     rec.ds_chops += entry.ds_chops
     amg = precond.amg if isinstance(precond, CprFpf) else None
-    return new_state, dx, jac, g, amg
+    return new_state, r_prev, g, amg
 
 
 def _coarse_matrix(jac) -> np.ndarray:
@@ -350,13 +367,11 @@ def _coarse_correction(model, state, state_old, dt, wells, f, g, target, pool, r
         return None
     rec.corrections_tried += 1
     candidate, _ = apply_update(state, np.concatenate([np.tile(y[:m], n), y[m:]]), model)
-    t0 = time.perf_counter()
     try:
-        f_c = model.assemble_residual(candidate, state_old, dt, wells, pool=pool)
+        with rec.timing("assembly_time"):
+            f_c = model.assemble_residual(candidate, state_old, dt, wells, pool=pool)
     except AssemblyError:
         return None
-    finally:
-        rec.assembly_time += time.perf_counter() - t0
     norm = det_norm(f_c)
     if not norm <= target:
         return None
@@ -375,9 +390,8 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec):
     """
     state = state_old.copy()
     state.t = state_old.t + dt
-    t0 = time.perf_counter()
-    f = model.assemble_residual(state, state_old, dt, wells, pool=pool)
-    rec.assembly_time += time.perf_counter() - t0
+    with rec.timing("assembly_time"):
+        f = model.assemble_residual(state, state_old, dt, wells, pool=pool)
     b_norm0 = det_norm(f)
     if b_norm0 <= ncfg.atol:
         rec.residual_sums = _component_sums(f, model)
@@ -405,26 +419,16 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec):
         theta = min(theta, 0.5 * target / b_norm)
         theta = min(max(theta, ncfg.theta_min), ncfg.theta_max)
         prefix = None if dump_prefix is None else f"{dump_prefix}_n{rec.newtons}"
-        state_new, dx, jac, g, amg = newton_step(
+        state, r_prev, g, amg = newton_step(
             model, state, state_old, dt, wells, ncfg, scfg, theta, hist,
             theta_rule, rec, pool=pool, dump_prefix=prefix, amg=amg)
 
-        t0 = time.perf_counter()
-        f_new = model.assemble_residual(state_new, state_old, dt, wells, pool=pool)
-        rec.assembly_time += time.perf_counter() - t0
-        b_new_norm = det_norm(f_new)
-
-        if ncfg.forcing_rule in ("eq13_a", "eq13_b"):
-            t0 = time.perf_counter()
-            r_prev = -f - jac.to_csr() @ dx
+        with rec.timing("assembly_time"):
+            f = model.assemble_residual(state, state_old, dt, wells, pool=pool)
+        if r_prev is not None:
             r_prev_norm = det_norm(r_prev)
-            b_minus_r_prev = det_norm(-f_new - r_prev)
-            rec.solve_time += time.perf_counter() - t0
-        # not held through the next assembly, where memory peaks
-        del jac
-
-        state, f = state_new, f_new
-        b_prev_norm, b_norm = b_norm, b_new_norm
+            b_minus_r_prev = det_norm(-f - r_prev)
+        b_prev_norm, b_norm = b_norm, det_norm(f)
         if b_norm > target:
             continue
         sums = _component_sums(f, model)

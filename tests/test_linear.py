@@ -666,17 +666,23 @@ class TestBlockILU0:
 
     def test_set_up_in_passes_over_black_cells(self, monkeypatch):
         # the set-up passes over the black cells a few at a time; passes of
-        # 3 cells (the last one short) give the same factors bit for bit
+        # 1 and 3 cells (the last one short) on the same pattern give the
+        # same factors bit for bit as the default's one pass
         rng = np.random.default_rng(47)
         a = random_block_matrix(rng, shape=(5, 3, 3), m=3, nwell=2)
         r = rng.standard_normal(a.nunk)
         whole = BlockILU0(a)
-        monkeypatch.setattr(linear, "_ILU_PASS_BYTES", 3 * 24 * 9 * 6)
-        a.pattern = None                        # the layouts follow the passes
-        runs = BlockILU0(a)
-        assert a.csr_pattern().ilu_pass == 3 and len(a.csr_pattern().black) % 3 == 1
-        np.testing.assert_array_equal(runs.inv_diag, whole.inv_diag)
-        assert runs.solve(r).tobytes() == whole.solve(r).tobytes()
+        pattern = a.pattern
+        assert len(pattern.black) % 3 == 1
+        for cells in (1, 3):
+            monkeypatch.setattr(linear, "_ILU_PASS_BYTES", cells * 24 * 9 * 6)
+            runs = BlockILU0(a)
+            # the set-up, not the pattern, sized its passes
+            assert a.pattern is pattern and pattern.ilu_buffers[1].shape[1] == 9 * cells
+            for x, y in ((runs.k_lo.a, whole.k_lo.a), (runs.k_up.a, whole.k_up.a)):
+                assert x.data.tobytes() == y.data.tobytes()
+            np.testing.assert_array_equal(runs.inv_diag, whole.inv_diag)
+            assert runs.solve(r).tobytes() == whole.solve(r).tobytes()
 
     def test_set_ups_on_one_pattern_share_only_its_pass_buffers(self, monkeypatch):
         # the second set-up on a pattern reuses the pass buffers the first

@@ -6,11 +6,11 @@ from resim import nonlinear
 from resim.driver import load_deck, run_simulation
 from resim.linear import AmgHierarchy, BlockMatrix, SolverConfig
 from resim.model import ReservoirModel, ReservoirState
-from resim.nonlinear import (NewtonConfig, StepController, ForcingHistory,
+from resim.nonlinear import (FORCING_RULES, NewtonConfig, StepController, ForcingHistory,
                              forcing_term, newton_step, advance_timestep,
                              apply_update, SimulationAbort, RunReport,
                              StepRecord)
-from resim.parallel import det_norm
+from resim.parallel import PooledMatvec, det_norm
 from conftest import deck_path, two_phase_fluid, black_oil_fluid
 from test_linear import random_block_matrix
 
@@ -114,8 +114,8 @@ class TestNewtonStep:
         st.t = 0.5
         theta = 0.05
         rec = StepRecord()
-        _, _, _, _, amg = newton_step(model, st, state, 0.5, wells, NewtonConfig(),
-                                      SolverConfig(), theta, None, None, rec)
+        _, _, _, amg = newton_step(model, st, state, 0.5, wells, NewtonConfig(),
+                                   SolverConfig(), theta, None, None, rec)
         (entry,) = rec.newton_log
         assert entry.status == "converged"
         assert isinstance(amg, AmgHierarchy)
@@ -166,6 +166,84 @@ class TestNewtonStep:
         (log_entry,) = rec.newton_log
         assert (rec.newtons, rec.linear_iters) == (1, scfg.max_iterations)
         assert log_entry.restarts == 0 and log_entry.iterations == scfg.max_iterations
+
+    @pytest.mark.parametrize("rule", FORCING_RULES)
+    def test_linear_residual_of_the_rules_that_read_it(self, monkeypatch, rule):
+        # eq13_a and eq13_b get b - J dx of the step's own Jacobian, byte for
+        # byte -f - J dx; the other rules get None
+        model, state, wells = waterflood_setup(nx=6)
+        st = state.copy()
+        st.t = 0.5
+        steps, update = [], nonlinear.apply_update
+
+        def kept(state, dx, model):
+            steps.append(dx.copy())
+            return update(state, dx, model)
+
+        monkeypatch.setattr(nonlinear, "apply_update", kept)
+        _, r_prev, _, _ = newton_step(model, st, state, 0.5, wells,
+                                      NewtonConfig(forcing_rule=rule), SolverConfig(),
+                                      0.05, None, None, StepRecord())
+        if rule not in ("eq13_a", "eq13_b"):
+            assert r_prev is None
+            return
+        (dx,) = steps
+        f = model.assemble_residual(st, state, 0.5, wells)
+        jac = model.assemble_jacobian(st, state, 0.5, wells)
+        assert r_prev.tobytes() == (-f - jac.to_csr() @ dx).tobytes()
+
+    @pytest.mark.parametrize("rule", ["eq13_b", "eq13_c"])
+    def test_timers_span_exactly_the_layer_calls(self, monkeypatch, rule):
+        # a clock that ticks once per call of the layers and of the work
+        # around them: the step's assembly and solve times are exactly the
+        # ticks inside the assembly and solve layers, the solve's restarts
+        # included, and not those of the coarse matrix, the true-residual
+        # products and norms or the eq13 product
+        ticks = {"assembly_time": 0.0, "solve_time": 0.0}
+        clock = {"now": 0.0, "layer": None}
+
+        def tick(owner, name, layer=None):
+            fn = getattr(owner, name)
+
+            def ticking(*args, **kwargs):
+                outer = layer is not None and clock["layer"] is None
+                if outer:
+                    clock["layer"], t0 = layer, clock["now"]
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    clock["now"] += 1.0
+                    if outer:
+                        ticks[layer] += clock["now"] - t0
+                        clock["layer"] = None
+
+            monkeypatch.setattr(owner, name, ticking)
+
+        solve, budget = nonlinear.bicgstab, SolverConfig().max_iterations
+
+        def drifting(a, m, b, tol, max_it):
+            # each Newton iteration's first solve misses and is restarted
+            x, iters, status = solve(a, m, b, tol, max_it)
+            return (0.8 * x if max_it == budget else x), iters, status
+
+        monkeypatch.setattr(nonlinear, "bicgstab", drifting)
+        for owner, name in ((nonlinear, "decouple"), (BlockMatrix, "to_csr"),
+                            (nonlinear, "make_preconditioner"), (nonlinear, "bicgstab")):
+            tick(owner, name, "solve_time")
+        for name in ("assemble_residual", "assemble_jacobian"):
+            tick(ReservoirModel, name, "assembly_time")
+        for owner, name in ((nonlinear, "_coarse_matrix"), (nonlinear, "det_norm"),
+                            (PooledMatvec, "__call__")):
+            tick(owner, name)
+        monkeypatch.setattr(nonlinear.time, "perf_counter", lambda: clock["now"])
+        model, state, wells = waterflood_setup(nx=6)
+        _, rec = advance_timestep(model, state, 0.5, wells,
+                                  NewtonConfig(forcing_rule=rule, tol=1e-6),
+                                  SolverConfig(), StepController(dt_init=0.5, dt_max=0.5))
+        assert rec.newtons >= 2 and all(e.restarts for e in rec.newton_log)
+        assert clock["now"] > ticks["assembly_time"] + ticks["solve_time"]
+        assert (rec.assembly_time, rec.solve_time) == (ticks["assembly_time"],
+                                                       ticks["solve_time"])
 
     def test_saturation_clamp(self):
         model, state, wells = waterflood_setup()
@@ -234,8 +312,8 @@ class TestNewtonStep:
         for _ in range(6):
             err = abs(state.p_o[0] - ref.p_o[0]) + 1e4 * abs(state.s_w[0] - ref.s_w[0])
             errors.append(err)
-            state, _, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
-                                              scfg, 1e-10, None, None, StepRecord())
+            state, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
+                                           scfg, 1e-10, None, None, StepRecord())
             assert amg is None
         errors.append(abs(state.p_o[0] - ref.p_o[0]))
         meaningful = [(e1, e2) for e1, e2 in zip(errors, errors[1:])
