@@ -583,6 +583,8 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
 
     Per-step records go to CSV, the final state to legacy VTK, and a summary
     table to the log.  Iteration counts are deterministic in ``workers``.
+    Each step but the first, and the first after a schedule switch, is
+    handed the accepted state before its old state to extrapolate from.
     """
     out = deck.output
     report_csv = report_csv if report_csv is not None else (out.report_csv or None)
@@ -612,11 +614,13 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
         t = 0.0
         dt = min(deck.controller.dt_init, deck.t_end) if deck.t_end > 0 else 0.0
         step = 0
+        state_prev = None   # the accepted state before ``state``, to extrapolate from
         try:
             while t < deck.t_end - 1e-9:
                 wells, changed = apply_schedule(deck.schedule, t, wells)
                 if changed and step > 0:
                     dt = deck.controller.dt_init
+                    state_prev = None
                     log.info("t=%g: schedule switch, dt reset to %g", t, dt)
                 dt = min(dt, deck.t_end - t)
                 # land steps exactly on upcoming schedule switches
@@ -627,9 +631,11 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
                 prefix = os.path.join(output_dir, f"step{step:04d}") \
                     if dump_matrices else None
                 wall0 = time.perf_counter()
-                state, rec = advance_timestep(
+                state_new, rec = advance_timestep(
                     model, state, dt, wells, deck.newton, deck.solver,
-                    deck.controller, pool=pool, dump_prefix=prefix)
+                    deck.controller, pool=pool, dump_prefix=prefix,
+                    state_prev=state_prev)
+                state_prev, state = state, state_new
                 rec.wall_time = time.perf_counter() - wall0
                 t += rec.dt
                 step += 1

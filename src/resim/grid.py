@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,19 @@ def _parse_tokens(source, what: str) -> np.ndarray:
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, bytes):
         data = data.decode("ascii")
+    # one pass over the text without a token list; the token path below reads
+    # what fromstring refuses or makes non-finite, and names the bad token.
+    # numpy releases that only warn and stop at unmatched text count as refusals.
+    if not data.isspace():          # fromstring reads blank text as [-1.0]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                values = np.fromstring(data, sep=" ")
+        except (ValueError, DeprecationWarning):
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
     tokens = data.split()
     try:
         values = np.array(tokens, dtype=float)

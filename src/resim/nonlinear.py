@@ -2,7 +2,10 @@
 
 Each time step repeats assemble-solve-update cycles until the 2-norm of the
 residual falls below ``tol`` relative to the step's initial residual, cutting
-the step size on failure.  An update applies its pressure changes in full
+the step size on failure.  Newton starts from the old state, or from the last
+two accepted states extrapolated in time where that guess has the smaller
+residual (starting values for implicit integrators: Hairer and Wanner,
+*Solving ODEs II*, IV.8).  An update applies its pressure changes in full
 and chops each saturation change to +-_MAX_DS.  The linear tolerance
 theta_l follows one of three adjustment rules (or a fixed value),
 safeguarded into [theta_min, theta_max].
@@ -179,6 +182,7 @@ class StepRecord:
     decouple_fallbacks: int = 0      # singular cell blocks the decoupling fell back on
     pivot_shifts: int = 0            # singular pivots the block ILU(0) shifted
     ds_chops: int = 0                # saturation updates _MAX_DS cut
+    extrapolated_starts: int = 0     # attempts whose Newton started from the guess
     newton_log: list[NewtonIterLog] = field(default_factory=list)
 
     @contextmanager
@@ -229,6 +233,37 @@ def apply_update(state, dx: np.ndarray, model):
         x3 = np.where(new_sat, sg_new, pb_new)
     new = ReservoirState(p_o, s_w, x3, new_sat, state.p_h + dx[n * m:], state.t)
     return new, int(np.count_nonzero(chopped))
+
+
+def extrapolated_start(state_old, state_prev, dt: float):
+    """The Newton start x_n + (dt/dt_prev)(x_n - x_{n-1}) of a step of ``dt``
+    from ``state_old`` (x_n), which ``state_prev`` (x_{n-1}) led to; None
+    without a previous state or when dt_prev <= 0.
+
+    p_o and the well BHPs extrapolate in full, and s_w is kept in [0, 1].
+    In black oil, x3 extrapolates only where a cell's ``sat`` flag is the
+    same in both states and is held elsewhere; ``sat`` is x_n's, s_g is kept
+    in [0, 1 - s_w] and p_b at most p_o.  Neither state is written to."""
+    if state_prev is None:
+        return None
+    dt_prev = state_old.t - state_prev.t
+    if not dt_prev > 0:
+        return None
+    ratio = dt / dt_prev
+
+    def ahead(x_n, x_prev):
+        return x_n + ratio * (x_n - x_prev)
+
+    p_o = ahead(state_old.p_o, state_prev.p_o)
+    s_w = np.clip(ahead(state_old.s_w, state_prev.s_w), 0.0, 1.0)
+    x3 = sat = None
+    if state_old.x3 is not None:
+        sat = state_old.sat.copy()
+        x3 = np.where(sat == state_prev.sat, ahead(state_old.x3, state_prev.x3),
+                      state_old.x3)
+        x3 = np.where(sat, np.clip(x3, 0.0, 1.0 - s_w), np.minimum(x3, p_o))
+    return ReservoirState(p_o, s_w, x3, sat, ahead(state_old.p_h, state_prev.p_h),
+                          state_old.t + dt)
 
 
 def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
@@ -379,8 +414,16 @@ def _coarse_correction(model, state, state_old, dt, wells, f, g, target, pool, r
     return candidate, f_c, norm
 
 
-def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec):
+def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
+             state_prev=None):
     """Run Newton to convergence at fixed dt and return the new state.
+
+    Newton starts from the old state, or from ``extrapolated_start`` of
+    ``state_old`` and ``state_prev`` where that guess's residual norm is
+    below the old state's (counted in ``rec.extrapolated_starts``); the
+    guess's residual is one more assembly, and a guess whose residual raises
+    ``AssemblyError`` is dropped.  The convergence target comes from the old
+    state's residual either way.
 
     Raises _StepFailure if it does not converge, and ``AssemblyError`` if a
     trial state has a non-finite residual or Jacobian; either cuts the step.
@@ -400,10 +443,22 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec):
     mass_ref = model.mass_in_place(state_old)
     mb_tol = ncfg.resolved_mb_tol(model.fluid.kind)
 
-    b_prev_norm = b_norm0
+    b_norm = b_norm0
+    guess = extrapolated_start(state_old, state_prev, dt)
+    if guess is not None:
+        try:
+            with rec.timing("assembly_time"):
+                f_guess = model.assemble_residual(guess, state_old, dt, wells, pool=pool)
+        except AssemblyError:
+            pass
+        else:
+            guess_norm = det_norm(f_guess)
+            if guess_norm < b_norm0:
+                state, f, b_norm = guess, f_guess, guess_norm
+                rec.extrapolated_starts += 1
+    b_prev_norm = b_norm
     r_prev_norm = 0.0
     b_minus_r_prev = 0.0
-    b_norm = b_norm0
     amg = None
 
     for it in range(ncfg.max_newton):
@@ -455,19 +510,27 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec):
 
 def advance_timestep(model, state_old, dt: float, wells, ncfg: NewtonConfig,
                      scfg: SolverConfig, controller: StepController,
-                     pool=None, dump_prefix=None):
+                     pool=None, dump_prefix=None, state_prev=None):
     """Advance one accepted step, cutting dt on failures.
+
+    ``state_prev`` is the accepted state before ``state_old``, None where
+    there is none to extrapolate from (the first step, or the first after a
+    schedule switch).  Each attempt, cut ones included, tries to start
+    Newton from the guess x_n + (dt/dt_prev)(x_n - x_{n-1}) that
+    ``extrapolated_start`` builds from the two and keeps it only if its
+    residual norm is below the old state's (``_attempt``).
 
     Returns (state_new, rec), the step's ``StepRecord`` with ``dt`` the
     accepted step size; its counts, times and Newton log include the cut
-    attempts.
+    attempts, and ``rec.extrapolated_starts`` counts the attempts that
+    started from the guess.
     """
     rec = StepRecord()
     dt_try = dt
     while True:
         try:
             state_new = _attempt(model, state_old, dt_try, wells, ncfg, scfg, pool,
-                                 dump_prefix, rec)
+                                 dump_prefix, rec, state_prev)
             rec.dt = dt_try
             return state_new, rec
         except (_StepFailure, AssemblyError) as fail:
@@ -571,7 +634,8 @@ class RunReport:
                 header += [f"mass_{c}_lbm", f"injected_{c}_lbm", f"produced_{c}_lbm"]
             w.writerow(header + ["corrections_tried", "corrections_kept"]
                        + [f"residual_{c}" for c in comps]
-                       + ["decouple_fallbacks", "pivot_shifts", "ds_chops"])
+                       + ["decouple_fallbacks", "pivot_shifts", "ds_chops",
+                          "extrapolated_starts"])
             for s in self.steps:
                 row = [s.step, f"{s.t:.6g}", f"{s.dt:.6g}", s.newtons,
                        s.linear_iters, s.cuts, f"{s.wall_time:.4f}",
@@ -582,4 +646,5 @@ class RunReport:
                             f"{s.well_produced.get(c, 0.0):.10e}"]
                 w.writerow(row + [s.corrections_tried, s.corrections_kept]
                            + [f"{s.residual_sums.get(c, 0.0):.10e}" for c in comps]
-                           + [s.decouple_fallbacks, s.pivot_shifts, s.ds_chops])
+                           + [s.decouple_fallbacks, s.pivot_shifts, s.ds_chops,
+                              s.extrapolated_starts])

@@ -6,7 +6,7 @@ import pytest
 import scipy.io
 
 import resim
-from resim import linear, model, nonlinear, units
+from resim import driver, linear, model, nonlinear, units
 from resim.driver import (DeckError, load_deck, parse_deck, run_simulation,
                           write_vtk, initial_state, main)
 from resim.nonlinear import SimulationAbort
@@ -475,7 +475,7 @@ class TestRunSimulation:
         comps = sorted(report.initial_mass)
         assert rows[0] == prefix + ["corrections_tried", "corrections_kept"] + \
             [f"residual_{c}" for c in comps] + ["decouple_fallbacks", "pivot_shifts",
-                                                "ds_chops"]
+                                                "ds_chops", "extrapolated_starts"]
         k = len(prefix)
         assert [(int(r[k]), int(r[k + 1])) for r in rows[1:]] == \
             [(s.corrections_tried, s.corrections_kept) for s in report.steps]
@@ -510,6 +510,38 @@ class TestRunSimulation:
         assert any("schedule switch" in r.message for r in caplog.records)
         # the producer BHP target changed mid-run
         assert report.n_steps >= 2
+
+    def test_no_extrapolated_start_on_the_first_step_or_after_a_switch(self, tmp_path,
+                                                                       monkeypatch):
+        # steps at t = 0, 0.5 | switch | 1.0, 1.5: the first step and the one
+        # after the switch start from the old state; the others are handed
+        # the state before their old state
+        calls = []
+        advance = driver.advance_timestep
+
+        def spy(model_, state_old, dt, *args, **kw):
+            out = advance(model_, state_old, dt, *args, **kw)
+            calls.append((state_old, kw["state_prev"], dt, args, out))
+            return out
+
+        monkeypatch.setattr(driver, "advance_timestep", spy)
+        text = TINY_RUN_DECK + "\n[schedule]\nat = 1.0 P bhp 2800.0\n"
+        report = run_simulation(parse_deck(text), output_dir=str(tmp_path))
+        assert [c[0].t for c in calls] == [0.0, 0.5, 1.0, 1.5]
+        assert [c[1] is None for c in calls] == [True, False, True, False]
+        assert calls[1][1] is calls[0][0] and calls[3][1] is calls[2][0]
+        assert [s.extrapolated_starts for s in report.steps][0::2] == [0, 0]
+        assert sum(s.extrapolated_starts for s in report.steps) >= 1
+        # the first step and the one after the switch give the old-state
+        # start's bits
+        deck = parse_deck(text)
+        for state_old, _, dt, args, (new, rec) in (calls[0], calls[2]):
+            ref, ref_rec = advance(model.ReservoirModel(deck.grid, deck.rock, deck.fluid),
+                                   state_old, dt, *args)
+            for f in ("p_o", "s_w", "p_h"):
+                assert getattr(new, f).tobytes() == getattr(ref, f).tobytes()
+            assert [e.lhs_norm for e in rec.newton_log] == \
+                [e.lhs_norm for e in ref_rec.newton_log]
 
     def test_rerun_of_one_deck_is_identical(self, tmp_path):
         # a schedule switch must not leak from one run of a Deck into the next
@@ -783,7 +815,7 @@ class TestStepRecord:
         assert counts == [(1, 1)] + [(0, 0)] * (report.n_steps - 1)
         with open(tmp_path / "steps.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0])[-3:-1] == ["decouple_fallbacks", "pivot_shifts"]
+        assert list(rows[0])[-4:-2] == ["decouple_fallbacks", "pivot_shifts"]
         assert [(int(r["decouple_fallbacks"]), int(r["pivot_shifts"])) for r in rows] == counts
 
     def test_counts_match_the_newton_log_with_a_cut(self, tmp_path, monkeypatch):
@@ -811,9 +843,10 @@ class TestStepRecord:
         for row, rec in zip(rows, report.steps):
             assert [int(row[k]) for k in ("step", "newtons", "linear_iters", "cuts",
                                           "corrections_tried", "corrections_kept",
-                                          "ds_chops")] == \
+                                          "ds_chops", "extrapolated_starts")] == \
                 [rec.step, rec.newtons, rec.linear_iters, rec.cuts,
-                 rec.corrections_tried, rec.corrections_kept, rec.ds_chops]
+                 rec.corrections_tried, rec.corrections_kept, rec.ds_chops,
+                 rec.extrapolated_starts]
             assert float(row["t_days"]) == pytest.approx(rec.t, rel=1e-5)
             assert float(row["dt_days"]) == pytest.approx(rec.dt, rel=1e-5)
             for c, mass in rec.mass_in_place.items():

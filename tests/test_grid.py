@@ -1,12 +1,14 @@
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import resim
 from resim.grid import (FieldFormatError, face_transmissibilities,
-                        neighbor_mask, PORO_FLOOR, PERM_FLOOR_MD)
+                        neighbor_mask, PORO_FLOOR, PERM_FLOOR_MD, _parse_tokens)
+from conftest import deck_path
 
 
 def test_cell_index_origin():
@@ -125,6 +127,27 @@ def test_load_spe10_bad_token_position():
         resim.load_spe10_fields("1 2 3 oops 5 6", "0.2 0.2", g)
 
 
+def test_load_spe10_trailing_junk():
+    g = resim.Grid(2, 1, 1, 10.0, 10.0, 10.0)
+    with pytest.raises(FieldFormatError,
+                       match="permeability: non-numeric token 'oops' at position 6"):
+        resim.load_spe10_fields("1 2 3 4 5 6 oops", "0.2 0.2", g)
+
+
+def test_load_spe10_bad_token_when_fromstring_only_warns(monkeypatch):
+    # older numpy releases warn, stop at unmatched text and return what they read
+    def fromstring(data, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    g = resim.Grid(2, 1, 1, 10.0, 10.0, 10.0)
+    with pytest.raises(FieldFormatError,
+                       match="permeability: non-numeric token 'oops' at position 6"):
+        resim.load_spe10_fields("1 2 3 4 5 6 oops", "0.2 0.2", g)
+    with pytest.raises(FieldFormatError, match="non-numeric token 'oops' at position 3"):
+        resim.load_spe10_fields("1 2 3 oops 5 6", "0.2 0.2", g)
+
+
 @pytest.mark.parametrize("perm, poro, match", [
     ("1 2 3 nan 5 6", "0.2 0.2", "permeability: non-finite token 'nan' at position 3"),
     ("1 2 3 4 5 -inf", "0.2 0.2", "permeability: non-finite token '-inf' at position 5"),
@@ -134,6 +157,31 @@ def test_load_spe10_rejects_non_finite(perm, poro, match):
     g = resim.Grid(2, 1, 1, 10.0, 10.0, 10.0)
     with pytest.raises(FieldFormatError, match=match):
         resim.load_spe10_fields(perm, poro, g)
+
+
+@pytest.mark.parametrize("text", [
+    "1 2.5 -3e-2\n4E+3\t.5 +6.",
+    "  0.1\r\n0.2  \n\n 1e-400 1e308 ",
+    "1_000 2",                      # only the per-token path reads this one
+    "", " \n\t"])                 # no values
+def test_field_values_match_the_per_token_parse(text):
+    ref = np.array(text.split(), dtype=float)
+    got = _parse_tokens(text, "x")
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["spe10_subset_perm.dat", "spe10_subset_poro.dat"])
+def test_shipped_field_values_match_the_per_token_parse(name):
+    with open(deck_path(name), "rb") as fh:
+        data = fh.read()
+    ref = np.array(data.split(), dtype=float)
+    assert _parse_tokens(io.BytesIO(data), name).tobytes() == ref.tobytes()
+
+
+def test_load_spe10_blank_file_has_no_values():
+    g = resim.Grid(2, 1, 1, 10.0, 10.0, 10.0)
+    with pytest.raises(FieldFormatError, match="porosity: expected 2 values, got 0"):
+        resim.load_spe10_fields("1 2 3 4 5 6", " \n", g)
 
 
 def test_load_spe10_clamps_nonpositive():

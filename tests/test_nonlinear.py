@@ -5,13 +5,14 @@ import resim
 from resim import nonlinear
 from resim.driver import load_deck, run_simulation
 from resim.linear import AmgHierarchy, BlockMatrix, SolverConfig
-from resim.model import ReservoirModel, ReservoirState
+from resim.model import AssemblyError, ReservoirModel, ReservoirState
 from resim.nonlinear import (FORCING_RULES, NewtonConfig, StepController, ForcingHistory,
                              forcing_term, newton_step, advance_timestep,
-                             apply_update, SimulationAbort, RunReport,
-                             StepRecord)
+                             apply_update, extrapolated_start, SimulationAbort,
+                             RunReport, StepRecord)
 from resim.parallel import PooledMatvec, det_norm
-from conftest import deck_path, two_phase_fluid, black_oil_fluid
+from conftest import (deck_path, two_phase_fluid, black_oil_fluid, random_black_oil_model,
+                      random_black_oil_state)
 from test_linear import random_block_matrix
 
 
@@ -473,6 +474,189 @@ class TestAdvanceTimestep:
         assert totals["eq13_c"][1] <= totals["fixed"][1]
 
 
+def state_bytes(state):
+    """Every field of a state as bytes, for bit-for-bit comparisons."""
+    return [None if x is None else x.tobytes()
+            for x in (state.p_o, state.s_w, state.x3, state.sat, state.p_h)] + [state.t]
+
+
+def log_entries(rec):
+    return [(e.theta, e.b_norm, e.lhs_norm, e.iterations, e.ds_chops)
+            for e in rec.newton_log]
+
+
+def buckley_leverett_history(nsteps):
+    """The Buckley-Leverett deck's model, wells and configs, and its first
+    ``nsteps`` + 1 states, each step started from the old state."""
+    deck = load_deck(deck_path("buckley_leverett.deck"))
+    model = ReservoirModel(deck.grid, deck.rock, deck.fluid)
+    states = [resim.initial_state(deck)]
+    for _ in range(nsteps):
+        states.append(advance_timestep(model, states[-1], deck.controller.dt_init,
+                                       deck.wells, deck.newton, deck.solver,
+                                       deck.controller)[0])
+    return model, deck, states
+
+
+class TestExtrapolatedStart:
+    def test_two_phase_formula(self):
+        prev = ReservoirState(np.array([3000.0, 3100.0, 3200.0]),
+                              np.array([0.30, 0.50, 0.90]),
+                              p_h=np.array([3500.0, 2900.0]), t=1.0)
+        old = ReservoirState(np.array([3010.0, 3080.0, 3200.0]),
+                             np.array([0.20, 0.60, 0.95]),
+                             p_h=np.array([3520.0, 2890.0]), t=1.5)
+        guess = extrapolated_start(old, prev, 1.0)      # dt / dt_prev = 2
+        np.testing.assert_array_equal(guess.p_o, [3030.0, 3040.0, 3200.0])
+        np.testing.assert_array_equal(guess.p_h, [3560.0, 2870.0])
+        # s_w 0.0 and 1.05 are clipped into [0, 1]
+        np.testing.assert_allclose(guess.s_w, [0.0, 0.8, 1.0], rtol=0, atol=1e-15)
+        assert guess.x3 is None and guess.sat is None
+        assert guess.t == 2.5
+
+    def test_black_oil_formula(self):
+        # sat: (prev, old) per cell
+        prev_sat = np.array([1, 1, 1, 0, 0, 0, 1], bool)
+        old_sat = np.array([1, 1, 1, 0, 0, 1, 0], bool)
+        prev = ReservoirState(np.full(7, 3000.0), np.full(7, 0.4),
+                              np.array([0.10, 0.30, 0.30, 2500.0, 2900.0, 2950.0, 0.05]),
+                              prev_sat, np.array([3100.0]), t=2.0)
+        old = ReservoirState(np.full(7, 3000.0) - [0, 0, 0, 0, 50, 0, 0], np.full(7, 0.4),
+                             np.array([0.20, 0.50, 0.10, 2600.0, 2940.0, 0.15, 2990.0]),
+                             old_sat, np.array([3100.0]), t=3.0)
+        guess = extrapolated_start(old, prev, 1.0)      # dt / dt_prev = 1
+        np.testing.assert_array_equal(guess.sat, old_sat)
+        np.testing.assert_array_equal(guess.p_o, [3000.0] * 4 + [2900.0, 3000.0, 3000.0])
+        np.testing.assert_allclose(guess.x3, [
+            0.30,      # saturated in both: s_g extrapolated
+            0.60,      # s_g 0.7 kept at 1 - s_w
+            0.0,       # s_g -0.1 kept at 0
+            2700.0,    # undersaturated in both: p_b extrapolated
+            2900.0,    # p_b 2980 kept at the new p_o 2900
+            0.15,      # became saturated: s_g held
+            2990.0],   # became undersaturated: p_b held
+            rtol=0, atol=1e-12)
+        assert guess.sat is not old.sat
+
+    @pytest.mark.parametrize("kind", ["two_phase", "black_oil"])
+    def test_inputs_left_bit_identical(self, kind):
+        rng = np.random.default_rng(7)
+        if kind == "black_oil":
+            model = random_black_oil_model(rng)
+            prev, old = (random_black_oil_state(rng, model, nwell=2) for _ in range(2))
+        else:
+            model, old, _ = waterflood_setup()
+            prev = ReservoirState(old.p_o + rng.standard_normal(old.p_o.size),
+                                  rng.uniform(0.2, 0.8, old.s_w.size), p_h=old.p_h - 5.0)
+        prev.t, old.t = 1.0, 2.0
+        before = [state_bytes(prev), state_bytes(old)]
+        # kept states are read-only: a write into them would raise
+        for st in (prev, old):
+            for x in (st.p_o, st.s_w, st.x3, st.sat, st.p_h):
+                if x is not None:
+                    x.flags.writeable = False
+        guess = extrapolated_start(old, prev, 3.0)
+        assert [state_bytes(prev), state_bytes(old)] == before
+        for x in (guess.p_o, guess.s_w, guess.x3, guess.sat, guess.p_h):
+            if x is not None:
+                assert x.flags.writeable
+                assert not any(np.shares_memory(x, y) for st in (prev, old)
+                               for y in (st.p_o, st.s_w, st.x3, st.sat, st.p_h)
+                               if y is not None)
+
+    def test_no_guess_without_a_previous_step(self):
+        _, old, _ = waterflood_setup()
+        old.t = 1.0
+        assert extrapolated_start(old, None, 1.0) is None
+        for t_prev in (1.0, 1.5):                       # dt_prev = 0 and < 0
+            prev = old.copy()
+            prev.t = t_prev
+            assert extrapolated_start(old, prev, 1.0) is None
+
+    def test_accepted_guess_starts_newton_and_old_target_stops_it(self, monkeypatch):
+        model, deck, states = buckley_leverett_history(3)
+        prev, old = states[-2:]
+        dt = deck.controller.dt_init
+        before = [state_bytes(prev), state_bytes(old)]
+        norms = []
+        assemble = ReservoirModel.assemble_residual
+
+        def recorded(self, *args, **kw):
+            f = assemble(self, *args, **kw)
+            norms.append(det_norm(f))
+            return f
+
+        monkeypatch.setattr(ReservoirModel, "assemble_residual", recorded)
+        # a tolerance whose target from the guess's residual would not accept
+        # the iterate that meets the one from the old state's
+        ncfg = NewtonConfig(tol=0.05, mb_tol=0.0)
+        new, rec = advance_timestep(model, old, dt, deck.wells, ncfg, deck.solver,
+                                    deck.controller, state_prev=prev)
+        assert [state_bytes(prev), state_bytes(old)] == before
+        assert rec.extrapolated_starts == 1 and rec.cuts == 0
+        # old state, guess, then one residual per Newton iteration
+        assert len(norms) == 2 + rec.newtons
+        assert norms[1] < norms[0]
+        target = ncfg.tol * norms[0]
+        assert norms[-1] <= target and all(n > target for n in norms[2:-1])
+        assert norms[-1] > ncfg.tol * norms[1]
+
+        # the guess is the start: the first Newton iteration differs from the
+        # old-state start's
+        _, ref = advance_timestep(model, old, dt, deck.wells, ncfg, deck.solver,
+                                  deck.controller)
+        assert ref.extrapolated_starts == 0
+        assert log_entries(rec)[0] != log_entries(ref)[0]
+
+    def test_rejected_guess_runs_the_old_state_start(self, monkeypatch):
+        # on the 40-cell waterflood the guess of the third step has a larger
+        # residual than the old state: dropped, at the cost of one assembly
+        model, s0, wells = waterflood_setup()
+        ncfg, ctl = NewtonConfig(), StepController(dt_init=0.5, dt_max=0.5)
+        s1 = advance_timestep(model, s0, 0.5, wells, ncfg, SolverConfig(), ctl)[0]
+        s2 = advance_timestep(model, s1, 0.5, wells, ncfg, SolverConfig(), ctl)[0]
+        guess = extrapolated_start(s2, s1, 0.5)
+        assert det_norm(model.assemble_residual(guess, s2, 0.5, wells)) > \
+            det_norm(model.assemble_residual(s2, s2, 0.5, wells))
+        calls = []
+        assemble = ReservoirModel.assemble_residual
+        monkeypatch.setattr(ReservoirModel, "assemble_residual",
+                            lambda self, *a, **kw: calls.append(1) or assemble(self, *a, **kw))
+        runs = {}
+        for prev in (None, s1):
+            calls.clear()
+            new, rec = advance_timestep(model, s2, 0.5, wells, ncfg, SolverConfig(), ctl,
+                                        state_prev=prev)
+            runs[prev is None] = (state_bytes(new), log_entries(rec), rec.newtons,
+                                  rec.linear_iters, len(calls), rec.extrapolated_starts)
+        assert runs[False][:4] == runs[True][:4]
+        assert runs[False][4] == runs[True][4] + 1
+        assert runs[False][5] == runs[True][5] == 0
+
+    def test_assembly_error_at_the_guess_falls_back_without_a_cut(self, monkeypatch):
+        model, deck, states = buckley_leverett_history(2)
+        prev, old = states[-2:]
+        args = (model, old, deck.controller.dt_init, deck.wells, deck.newton,
+                deck.solver, deck.controller)
+        ref_new, ref = advance_timestep(*args)
+        assemble = ReservoirModel.assemble_residual
+        calls = []
+
+        def guess_fails(self, state_new, *a, **kw):
+            calls.append(1)
+            if len(calls) == 2:                         # the guess's residual
+                assert not np.array_equal(state_new.p_o, old.p_o)
+                raise AssemblyError("non-finite residual at cell 0")
+            return assemble(self, state_new, *a, **kw)
+
+        monkeypatch.setattr(ReservoirModel, "assemble_residual", guess_fails)
+        new, rec = advance_timestep(*args, state_prev=prev)
+        assert len(calls) >= 2
+        assert rec.cuts == 0 and rec.extrapolated_starts == 0 and rec.dt == args[2]
+        assert state_bytes(new) == state_bytes(ref_new)
+        assert log_entries(rec) == log_entries(ref)
+
+
 class TestRunReport:
     def make_report(self):
         rep = RunReport(workers=8)
@@ -527,14 +711,16 @@ class TestRunReport:
         rep.steps[0].mass_in_place = {"w": 1.0, "o": 2.0}
         rep.steps[1].mass_in_place = {"w": 1.5, "o": 1.5}
         rep.steps[1].ds_chops = 7
+        rep.steps[0].extrapolated_starts = 2
         path = tmp_path / "report.csv"
         rep.to_csv(path)
         rows = list(csv.reader(open(path)))
         assert rows[0][:4] == ["step", "t_days", "dt_days", "newtons"]
         assert len(rows) == 3
         assert float(rows[1][1]) == 1.0
-        # appended last, after pivot_shifts
-        assert [r[-1] for r in rows] == ["ds_chops", "0", "7"]
+        # appended in this order, after pivot_shifts
+        assert [r[-2] for r in rows] == ["ds_chops", "0", "7"]
+        assert [r[-1] for r in rows] == ["extrapolated_starts", "2", "0"]
 
 
 def coarse_reference(a: BlockMatrix) -> np.ndarray:
