@@ -615,12 +615,13 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
         dt = min(deck.controller.dt_init, deck.t_end) if deck.t_end > 0 else 0.0
         step = 0
         state_prev = None   # the accepted state before ``state``, to extrapolate from
+        contraction = None  # the last step's first Newton contraction
         try:
             while t < deck.t_end - 1e-9:
                 wells, changed = apply_schedule(deck.schedule, t, wells)
                 if changed and step > 0:
                     dt = deck.controller.dt_init
-                    state_prev = None
+                    state_prev = contraction = None
                     log.info("t=%g: schedule switch, dt reset to %g", t, dt)
                 dt = min(dt, deck.t_end - t)
                 # land steps exactly on upcoming schedule switches
@@ -634,8 +635,9 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
                 state_new, rec = advance_timestep(
                     model, state, dt, wells, deck.newton, deck.solver,
                     deck.controller, pool=pool, dump_prefix=prefix,
-                    state_prev=state_prev)
+                    state_prev=state_prev, contraction=contraction)
                 state_prev, state = state, state_new
+                contraction = rec.contraction
                 rec.wall_time = time.perf_counter() - wall0
                 t += rec.dt
                 step += 1

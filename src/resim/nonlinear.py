@@ -8,7 +8,17 @@ residual (starting values for implicit integrators: Hairer and Wanner,
 *Solving ODEs II*, IV.8).  An update applies its pressure changes in full
 and chops each saturation change to +-_MAX_DS.  The linear tolerance
 theta_l follows one of three adjustment rules (or a fixed value),
-safeguarded into [theta_min, theta_max].
+safeguarded into [theta_min, theta_max].  No solve is looser than half the
+remaining distance to the convergence target, 0.5 target/||F||, except the
+first of an attempt, where that bound is a floor instead (Kelley,
+*Iterative Methods for Linear and Nonlinear Equations*, 1995): the first
+solve takes theta_0 = max(0.5 target/||F_0||, min(theta0, gamma rho^beta)),
+rho = ||F_1||/||F_0|| of the previous attempt's first Newton iteration (the
+previous step's, or the cut attempt's being retried; Eisenstat and Walker,
+SIAM J. Sci. Comput. 17(1), 1996).  Without rho (the run's first step, the
+first after a schedule switch, and forcing_rule = fixed) it takes
+min(theta0, 0.5 target/||F_0||): from the old state at the default tol
+that cap is 0.005, below the default theta0 = 0.1.
 An iterate must also bring every component's residual sum below a
 mass-balance target.  When the residual target is met but the mass target is
 not, one coarse Newton correction is tried (Wallis's constrained residual,
@@ -83,6 +93,8 @@ class NewtonConfig:
             raise ValueError("atol must be >= 0")
         if not (0 < self.theta_fixed < 1):
             raise ValueError("theta_fixed must be in (0, 1)")
+        if not (0 < self.theta0 < 1):
+            raise ValueError("theta0 must be in (0, 1)")
 
     def resolved_mb_tol(self, fluid_kind: str) -> float:
         if self.mb_tol is not None:
@@ -148,7 +160,9 @@ class NewtonIterLog:
     iterations: int
     status: str
     forcing: ForcingHistory | None   # rule inputs, iterations l >= 1
-    theta_rule: float | None         # rule output before the finish cap
+    # rule output before the finish cap; at l = 0, gamma rho^beta of the
+    # previous attempt's first contraction rho (None without one)
+    theta_rule: float | None
     restarts: int            # BiCGSTAB restarts on the true residual
     ds_chops: int = 0        # cells whose saturation update _MAX_DS cut
 
@@ -183,6 +197,10 @@ class StepRecord:
     pivot_shifts: int = 0            # singular pivots the block ILU(0) shifted
     ds_chops: int = 0                # saturation updates _MAX_DS cut
     extrapolated_starts: int = 0     # attempts whose Newton started from the guess
+    loose_first_solves: int = 0      # attempts whose first theta was above the cap
+    # ||F_1||/||F_0|| of the last attempt's first Newton iteration, None if
+    # it completed none
+    contraction: float | None = None
     newton_log: list[NewtonIterLog] = field(default_factory=list)
 
     @contextmanager
@@ -273,8 +291,9 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
     """One assemble-solve-update cycle at the given linear tolerance.
 
     ``forcing`` and ``theta_rule`` are the forcing rule's inputs and output
-    that led to ``theta`` (None for both where no rule ran); they go into
-    the iteration's log entry.
+    that led to ``theta`` (None where no rule ran; an attempt's first
+    iteration has no ``forcing``, and ``theta_rule`` is gamma rho^beta or
+    None); they go into the iteration's log entry.
 
     Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: build
     one).  Returns (new_state, r_prev, g, amg): ``r_prev`` is b - J dx for
@@ -415,7 +434,7 @@ def _coarse_correction(model, state, state_old, dt, wells, f, g, target, pool, r
 
 
 def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
-             state_prev=None):
+             state_prev=None, contraction=None):
     """Run Newton to convergence at fixed dt and return the new state.
 
     Newton starts from the old state, or from ``extrapolated_start`` of
@@ -425,12 +444,18 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
     ``AssemblyError`` is dropped.  The convergence target comes from the old
     state's residual either way.
 
+    ``contraction`` is the previous attempt's first-iteration rho, None
+    without one; it sets the first solve's theta (module docstring) unless
+    the rule is ``fixed``.  The attempt's own rho goes into
+    ``rec.contraction`` (None until its first iteration's residual is in).
+
     Raises _StepFailure if it does not converge, and ``AssemblyError`` if a
     trial state has a non-finite residual or Jacobian; either cuts the step.
     The AMG hierarchy lives for one attempt: its first Newton iteration
     builds one, each later one reuses the previous one's, and a new step or
     a retry after a cut builds afresh.
     """
+    rec.contraction = None
     state = state_old.copy()
     state.t = state_old.t + dt
     with rec.timing("assembly_time"):
@@ -464,15 +489,25 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
     for it in range(ncfg.max_newton):
         hist = None
         theta_rule = None
-        if it == 0:
-            theta = ncfg.theta0
-        else:
+        # termination-aware safeguard: a solve looser than half the remaining
+        # distance to the convergence target wastes a Newton iteration.  The
+        # first solve has no contraction of its own to go by: with the
+        # previous attempt's rho it takes max(cap, min(theta0, gamma rho^beta)),
+        # the cap its floor; without one min(theta0, cap), so theta0 applies
+        # only where it is below the cap (0.005 from the old state at tol 1e-2)
+        cap = 0.5 * target / b_norm
+        if it > 0:
             hist = ForcingHistory(b_norm, b_prev_norm, r_prev_norm, b_minus_r_prev)
             theta = theta_rule = forcing_term(ncfg.forcing_rule, hist, ncfg)
-        # termination-aware safeguard: a solve looser than the remaining
-        # distance to the convergence target wastes a Newton iteration
-        theta = min(theta, 0.5 * target / b_norm)
+            theta = min(theta, cap)
+        elif contraction is None or ncfg.forcing_rule == "fixed":
+            theta = min(ncfg.theta0, cap)
+        else:
+            theta_rule = ncfg.gamma * contraction ** ncfg.beta
+            theta = max(cap, min(ncfg.theta0, theta_rule))
         theta = min(max(theta, ncfg.theta_min), ncfg.theta_max)
+        if it == 0 and theta > min(max(cap, ncfg.theta_min), ncfg.theta_max):
+            rec.loose_first_solves += 1
         prefix = None if dump_prefix is None else f"{dump_prefix}_n{rec.newtons}"
         state, r_prev, g, amg = newton_step(
             model, state, state_old, dt, wells, ncfg, scfg, theta, hist,
@@ -484,6 +519,8 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
             r_prev_norm = det_norm(r_prev)
             b_minus_r_prev = det_norm(-f - r_prev)
         b_prev_norm, b_norm = b_norm, det_norm(f)
+        if it == 0:
+            rec.contraction = b_norm / b_prev_norm
         if b_norm > target:
             continue
         sums = _component_sums(f, model)
@@ -510,7 +547,7 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
 
 def advance_timestep(model, state_old, dt: float, wells, ncfg: NewtonConfig,
                      scfg: SolverConfig, controller: StepController,
-                     pool=None, dump_prefix=None, state_prev=None):
+                     pool=None, dump_prefix=None, state_prev=None, contraction=None):
     """Advance one accepted step, cutting dt on failures.
 
     ``state_prev`` is the accepted state before ``state_old``, None where
@@ -520,21 +557,29 @@ def advance_timestep(model, state_old, dt: float, wells, ncfg: NewtonConfig,
     ``extrapolated_start`` builds from the two and keeps it only if its
     residual norm is below the old state's (``_attempt``).
 
+    ``contraction`` is rho = ||F_1||/||F_0|| of the previous step's first
+    Newton iteration (its ``rec.contraction``), None where there is none;
+    it loosens the first attempt's first solve, and a retry after a cut
+    takes the cut attempt's rho instead (module docstring).
+
     Returns (state_new, rec), the step's ``StepRecord`` with ``dt`` the
     accepted step size; its counts, times and Newton log include the cut
-    attempts, and ``rec.extrapolated_starts`` counts the attempts that
-    started from the guess.
+    attempts, ``rec.extrapolated_starts`` counts the attempts that started
+    from the guess, ``rec.loose_first_solves`` those whose first theta was
+    loosened above the cap, and ``rec.contraction`` is the accepted
+    attempt's rho.
     """
     rec = StepRecord()
     dt_try = dt
     while True:
         try:
             state_new = _attempt(model, state_old, dt_try, wells, ncfg, scfg, pool,
-                                 dump_prefix, rec, state_prev)
+                                 dump_prefix, rec, state_prev, contraction)
             rec.dt = dt_try
             return state_new, rec
         except (_StepFailure, AssemblyError) as fail:
             rec.cuts += 1
+            contraction = rec.contraction
             dt_next = dt_try * controller.cut
             log.warning("step at t=%g: %s; cutting dt %g -> %g",
                         state_old.t, fail, dt_try, dt_next)
@@ -635,7 +680,7 @@ class RunReport:
             w.writerow(header + ["corrections_tried", "corrections_kept"]
                        + [f"residual_{c}" for c in comps]
                        + ["decouple_fallbacks", "pivot_shifts", "ds_chops",
-                          "extrapolated_starts"])
+                          "extrapolated_starts", "loose_first_solves"])
             for s in self.steps:
                 row = [s.step, f"{s.t:.6g}", f"{s.dt:.6g}", s.newtons,
                        s.linear_iters, s.cuts, f"{s.wall_time:.4f}",
@@ -647,4 +692,4 @@ class RunReport:
                 w.writerow(row + [s.corrections_tried, s.corrections_kept]
                            + [f"{s.residual_sums.get(c, 0.0):.10e}" for c in comps]
                            + [s.decouple_fallbacks, s.pivot_shifts, s.ds_chops,
-                              s.extrapolated_starts])
+                              s.extrapolated_starts, s.loose_first_solves])

@@ -69,6 +69,7 @@ REJECTED_VALUES = [
     ("fluid", "mu_w = -1.0"), ("fields", "poro = abc"), ("fields", "poro = 1.5"),
     ("solver", "newton_max = 0"), ("solver", "newton_atol = -1e-8"),
     ("solver", "theta_fixed = 0"), ("solver", "theta_fixed = 1.0"),
+    ("solver", "theta0 = 0"), ("solver", "theta0 = 5"),
     ("time", "max_cuts = -1"), ("output", "vtk_every = -2"),
     ("output", "dump_matrices = maybe"), ("fluid", "s_gc = -0.1"),
     ("fluid", "s_gc = 0.95"), ("fluid", "mu_g = 0.0"),
@@ -475,7 +476,8 @@ class TestRunSimulation:
         comps = sorted(report.initial_mass)
         assert rows[0] == prefix + ["corrections_tried", "corrections_kept"] + \
             [f"residual_{c}" for c in comps] + ["decouple_fallbacks", "pivot_shifts",
-                                                "ds_chops", "extrapolated_starts"]
+                                                "ds_chops", "extrapolated_starts",
+                                                "loose_first_solves"]
         k = len(prefix)
         assert [(int(r[k]), int(r[k + 1])) for r in rows[1:]] == \
             [(s.corrections_tried, s.corrections_kept) for s in report.steps]
@@ -514,14 +516,15 @@ class TestRunSimulation:
     def test_no_extrapolated_start_on_the_first_step_or_after_a_switch(self, tmp_path,
                                                                        monkeypatch):
         # steps at t = 0, 0.5 | switch | 1.0, 1.5: the first step and the one
-        # after the switch start from the old state; the others are handed
-        # the state before their old state
+        # after the switch start from the old state with no contraction; the
+        # others are handed the state before their old state and the last
+        # step's first Newton contraction
         calls = []
         advance = driver.advance_timestep
 
         def spy(model_, state_old, dt, *args, **kw):
             out = advance(model_, state_old, dt, *args, **kw)
-            calls.append((state_old, kw["state_prev"], dt, args, out))
+            calls.append((state_old, kw["state_prev"], dt, args, out, kw["contraction"]))
             return out
 
         monkeypatch.setattr(driver, "advance_timestep", spy)
@@ -530,12 +533,15 @@ class TestRunSimulation:
         assert [c[0].t for c in calls] == [0.0, 0.5, 1.0, 1.5]
         assert [c[1] is None for c in calls] == [True, False, True, False]
         assert calls[1][1] is calls[0][0] and calls[3][1] is calls[2][0]
+        assert [c[5] for c in calls] == [None, report.steps[0].contraction,
+                                         None, report.steps[2].contraction]
+        assert None not in [s.contraction for s in report.steps]
         assert [s.extrapolated_starts for s in report.steps][0::2] == [0, 0]
         assert sum(s.extrapolated_starts for s in report.steps) >= 1
         # the first step and the one after the switch give the old-state
         # start's bits
         deck = parse_deck(text)
-        for state_old, _, dt, args, (new, rec) in (calls[0], calls[2]):
+        for state_old, _, dt, args, (new, rec), _ in (calls[0], calls[2]):
             ref, ref_rec = advance(model.ReservoirModel(deck.grid, deck.rock, deck.fluid),
                                    state_old, dt, *args)
             for f in ("p_o", "s_w", "p_h"):
@@ -815,7 +821,7 @@ class TestStepRecord:
         assert counts == [(1, 1)] + [(0, 0)] * (report.n_steps - 1)
         with open(tmp_path / "steps.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0])[-4:-2] == ["decouple_fallbacks", "pivot_shifts"]
+        assert list(rows[0])[-5:-3] == ["decouple_fallbacks", "pivot_shifts"]
         assert [(int(r["decouple_fallbacks"]), int(r["pivot_shifts"])) for r in rows] == counts
 
     def test_counts_match_the_newton_log_with_a_cut(self, tmp_path, monkeypatch):
@@ -843,10 +849,11 @@ class TestStepRecord:
         for row, rec in zip(rows, report.steps):
             assert [int(row[k]) for k in ("step", "newtons", "linear_iters", "cuts",
                                           "corrections_tried", "corrections_kept",
-                                          "ds_chops", "extrapolated_starts")] == \
+                                          "ds_chops", "extrapolated_starts",
+                                          "loose_first_solves")] == \
                 [rec.step, rec.newtons, rec.linear_iters, rec.cuts,
                  rec.corrections_tried, rec.corrections_kept, rec.ds_chops,
-                 rec.extrapolated_starts]
+                 rec.extrapolated_starts, rec.loose_first_solves]
             assert float(row["t_days"]) == pytest.approx(rec.t, rel=1e-5)
             assert float(row["dt_days"]) == pytest.approx(rec.dt, rel=1e-5)
             for c, mass in rec.mass_in_place.items():

@@ -104,6 +104,9 @@ class TestForcingTerm:
             NewtonConfig(beta=2.5)
         with pytest.raises(ValueError):
             NewtonConfig(forcing_rule="nope")
+        for theta0 in (0.0, 1.0, 5.0):
+            with pytest.raises(ValueError, match="theta0 must be in"):
+                NewtonConfig(theta0=theta0)
         with pytest.raises(ValueError):
             StepController(growth=0.9)
 
@@ -657,6 +660,108 @@ class TestExtrapolatedStart:
         assert log_entries(rec) == log_entries(ref)
 
 
+def first_solve_cap(model, state_old, dt, wells, ncfg):
+    """0.5 target/||F_0|| of a step started from the old state, computed as
+    ``_attempt`` computes it."""
+    start = state_old.copy()
+    start.t = state_old.t + dt
+    b_norm0 = det_norm(model.assemble_residual(start, state_old, dt, wells))
+    return 0.5 * max(ncfg.tol * b_norm0, ncfg.atol) / b_norm0
+
+
+def clamp(theta, ncfg):
+    return min(max(theta, ncfg.theta_min), ncfg.theta_max)
+
+
+class TestFirstSolve:
+    """theta_0 = max(cap, min(theta0, gamma rho^beta)) with rho known, else
+    min(theta0, cap), clamped into [theta_min, theta_max]."""
+
+    def run(self, ncfg, contraction=None, dt=0.5):
+        model, state, wells = waterflood_setup()
+        ctl = StepController(dt_init=dt, dt_max=dt)
+        _, rec = advance_timestep(model, state, dt, wells, ncfg, SolverConfig(), ctl,
+                                  contraction=contraction)
+        return rec, first_solve_cap(model, state, dt, wells, ncfg)
+
+    @pytest.mark.parametrize("kw", [{}, dict(theta0=1e-3), dict(tol=0.5),
+                                    dict(tol=1e-7, theta_min=1e-3)])
+    def test_without_contraction_the_cap_is_a_ceiling(self, kw):
+        # the formula before rho existed, so a step given no rho runs as it did
+        ncfg = NewtonConfig(**kw)
+        rec, cap = self.run(ncfg)
+        first = rec.newton_log[0]
+        assert first.theta == clamp(min(ncfg.theta0, cap), ncfg)
+        assert first.theta_rule is None and first.forcing is None
+        assert rec.loose_first_solves == 0
+        assert rec.contraction is not None and rec.contraction > 0
+
+    # with the defaults (cap 0.005): rho 1e-3 keeps the cap, 0.2 and 0.3 ask
+    # for 0.04 and 0.09, and 2.0 for more than theta0
+    @pytest.mark.parametrize("rho", [1e-3, 0.2, 0.3, 2.0])
+    @pytest.mark.parametrize("kw", [{}, dict(gamma=0.9, beta=1.5),
+                                    dict(theta0=0.95, theta_max=0.5)])
+    def test_with_contraction_the_cap_is_a_floor(self, rho, kw):
+        ncfg = NewtonConfig(**kw)
+        rec, cap = self.run(ncfg, contraction=rho)
+        first = rec.newton_log[0]
+        rule = ncfg.gamma * rho ** ncfg.beta
+        assert first.theta_rule == rule
+        assert first.theta == clamp(max(cap, min(ncfg.theta0, rule)), ncfg)
+        assert rec.loose_first_solves == (first.theta > clamp(cap, ncfg))
+        # later iterations keep the cap as a ceiling
+        for e in rec.newton_log[1:]:
+            assert e.forcing is not None and e.theta <= e.theta_rule
+
+    def test_fixed_rule_ignores_the_contraction(self):
+        ncfg = NewtonConfig(forcing_rule="fixed", theta_fixed=1e-3)
+        runs = [self.run(ncfg, contraction=rho)[0] for rho in (None, 0.5)]
+        assert log_entries(runs[0]) == log_entries(runs[1])
+        assert runs[1].newton_log[0].theta_rule is None
+        assert runs[1].loose_first_solves == 0
+
+    def test_contraction_is_the_first_iterations_residual_ratio(self, monkeypatch):
+        norms = []
+        assemble = ReservoirModel.assemble_residual
+
+        def recorded(self, *args, **kw):
+            f = assemble(self, *args, **kw)
+            norms.append(det_norm(f))
+            return f
+
+        monkeypatch.setattr(ReservoirModel, "assemble_residual", recorded)
+        rec, _ = self.run(NewtonConfig())
+        # the old state's residual, then the first Newton iterate's
+        assert rec.contraction == norms[1] / norms[0]
+
+    def test_retry_after_a_cut_takes_the_cut_attempts_contraction(self, monkeypatch):
+        # a 20-day first step on the waterflood is cut: each attempt gets the
+        # rho of the attempt before it, and the first gets the one given
+        calls = []
+        attempt = nonlinear._attempt
+
+        def spy(*args):
+            rec, given = args[8], args[-1]
+            try:
+                return attempt(*args)
+            finally:
+                calls.append((given, rec.contraction, len(rec.newton_log)))
+
+        monkeypatch.setattr(nonlinear, "_attempt", spy)
+        ncfg = NewtonConfig()
+        rec, _ = self.run(ncfg, contraction=None, dt=20.0)
+        assert rec.cuts >= 1 and len(calls) == rec.cuts + 1
+        assert calls[0][0] is None
+        for (_, rho, _), (given, _, _) in zip(calls, calls[1:]):
+            assert rho is not None and given == rho
+        assert rec.contraction == calls[-1][1]
+        # each retry's first log entry holds the cut attempt's gamma rho^beta
+        starts = [0] + [n for _, _, n in calls[:-1]]
+        assert rec.newton_log[0].theta_rule is None
+        for start, (given, _, _) in zip(starts[1:], calls[1:]):
+            assert rec.newton_log[start].theta_rule == ncfg.gamma * given ** ncfg.beta
+
+
 class TestRunReport:
     def make_report(self):
         rep = RunReport(workers=8)
@@ -712,6 +817,7 @@ class TestRunReport:
         rep.steps[1].mass_in_place = {"w": 1.5, "o": 1.5}
         rep.steps[1].ds_chops = 7
         rep.steps[0].extrapolated_starts = 2
+        rep.steps[1].loose_first_solves = 3
         path = tmp_path / "report.csv"
         rep.to_csv(path)
         rows = list(csv.reader(open(path)))
@@ -719,8 +825,9 @@ class TestRunReport:
         assert len(rows) == 3
         assert float(rows[1][1]) == 1.0
         # appended in this order, after pivot_shifts
-        assert [r[-2] for r in rows] == ["ds_chops", "0", "7"]
-        assert [r[-1] for r in rows] == ["extrapolated_starts", "2", "0"]
+        assert [r[-3] for r in rows] == ["ds_chops", "0", "7"]
+        assert [r[-2] for r in rows] == ["extrapolated_starts", "2", "0"]
+        assert [r[-1] for r in rows] == ["loose_first_solves", "0", "3"]
 
 
 def coarse_reference(a: BlockMatrix) -> np.ndarray:
