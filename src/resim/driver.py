@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class OutputConfig:
 
     def __post_init__(self):
         if self.vtk_every < 0:
-            raise ValueError("vtk_every must be >= 0")
+            raise ValueError(f"vtk_every must be >= 0, got {self.vtk_every}")
 
 
 @dataclass
@@ -67,10 +67,10 @@ class Deck:
     solver: SolverConfig
     controller: StepController
     t_end: float
-    p_init: float = 4000.0
-    p_b_init: float = 0.0
-    s_w_init: float = -1.0       # negative: default to s_wc
-    s_g_init: float = 0.0
+    p_init: float
+    p_b_init: float
+    s_w_init: float
+    s_g_init: float
     output: OutputConfig = field(default_factory=OutputConfig)
     effective: dict[str, str] = field(default_factory=dict)
 
@@ -78,23 +78,39 @@ class Deck:
         return [f"{k} = {v}" for k, v in self.effective.items()]
 
 
+# the keys [grid], [init] and [time] read beyond a config class's fields, with
+# their defaults (None: a float the deck must set; a negative s_w_init: s_wc)
+_GRID_DEFAULTS = dict(nx=1, ny=1, nz=1, dx=10.0, dy=10.0, dz=10.0, depth_top=0.0)
+_INIT_DEFAULTS = dict(p_init=4000.0, p_b_init=0.0, s_w_init=-1.0, s_g_init=0.0)
+_TIME_DEFAULTS = dict(t_end=None)
+
+# config fields read from a deck key of another name
+_RENAMED = {NewtonConfig: dict(tol="newton_tol", atol="newton_atol", max_newton="newton_max"),
+              SolverConfig: dict(max_iterations="linear_max_it")}
+
+
+def _deck_keys(cls) -> set[str]:
+    renamed = _RENAMED.get(cls, {})
+    return {renamed.get(fld.name, fld.name) for fld in fields(cls)}
+
+
+# [fluid] numbers that override a PvtModel field of the same name
+_PVT_SCALARS = ("rho_w_ref", "rho_o_ref", "rho_g_ref", "c_w", "c_o", "c_r",
+                "c_mu", "p_ref", "mu_w", "mu_g")
+
 _SECTION_KEYS = {
-    "grid": {"nx", "ny", "nz", "dx", "dy", "dz", "depth_top"},
+    "grid": set(_GRID_DEFAULTS),
     "fields": {"perm", "poro", "kx", "ky", "kz"},
-    "fluid": {"model", "s_wc", "s_or", "s_gc", "mu_w", "mu_o", "mu_g",
-              "rho_w_ref", "rho_o_ref", "rho_g_ref", "c_w", "c_o", "c_r",
-              "c_mu", "p_ref", "pvt_defaults"},
-    "init": {"p_init", "p_b_init", "s_w_init", "s_g_init"},
+    "fluid": {"model", "pvt_defaults", "s_wc", "s_or", "s_gc", "mu_o", *_PVT_SCALARS},
+    "init": set(_INIT_DEFAULTS),
     "wells": {"well", "perf"},
     "schedule": {"at"},
-    "solver": {"newton_tol", "newton_atol", "newton_max", "forcing_rule",
-               "gamma", "beta", "theta_fixed", "theta0", "theta_min",
-               "theta_max", "mb_tol", "linear_max_it",
-               "preconditioner", "decoupling"},
-    "time": {"t_end", "dt_init", "dt_max", "dt_min", "growth", "cut", "max_cuts"},
-    "output": {"report_csv", "vtk_every", "vtk_prefix", "dump_matrices"},
+    "solver": _deck_keys(NewtonConfig) | _deck_keys(SolverConfig),
+    "time": set(_TIME_DEFAULTS) | _deck_keys(StepController),
+    "output": _deck_keys(OutputConfig),
 }
 
+# [table:NAME] blocks; muo is the mu_o_table, each other one the NAME_table
 _TABLES = ("rs", "bo", "bg", "muo", "pcow", "pcog")
 
 _WELL_KEYS = {"type", "fluid", "rw", "skin", "refdepth", "wi", *CONSTRAINT_KINDS}
@@ -134,13 +150,8 @@ def parse_deck(text: str, base_dir: str = ".") -> Deck:
             raise DeckError(f"line {lineno}: content before any section")
         kind, name = current
         if kind == "table":
-            try:
-                row = [float(t) for t in line.split()]
-            except ValueError:
-                raise DeckError(f"line {lineno}: non-numeric table row {line!r}") from None
-            if not all(map(math.isfinite, row)):
-                raise DeckError(f"line {lineno}: non-finite table row {line!r}")
-            tables[name].append(row)
+            what = f"non-finite table row {line!r}: each value"
+            tables[name].append([_number(lineno, what, tok) for tok in line.split()])
             continue
         if "=" not in line:
             raise DeckError(f"line {lineno}: expected key = value, got {line!r}")
@@ -150,6 +161,17 @@ def parse_deck(text: str, base_dir: str = ".") -> Deck:
             raise DeckError(f"line {lineno}: unknown key {key!r} in [{name}]")
         sections[name].append((lineno, key, val))
     return _build_deck(sections, tables, base_dir)
+
+
+def _number(lineno: int, what: str, text: str) -> float:
+    """``text`` as a finite float, or a DeckError naming the line."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DeckError(f"line {lineno}: {what} must be a finite number, got {text!r}")
+    return value
 
 
 class _Section:
@@ -168,13 +190,12 @@ class _Section:
         if key not in self.single:
             return default
         lineno, val = self.single[key]
+        if cast is float:
+            return _number(lineno, key, val)
         try:
-            value = _BOOLS[val.lower()] if cast is bool else cast(val)
+            return _BOOLS[val.lower()] if cast is bool else cast(val)
         except (KeyError, ValueError):
             raise DeckError(f"line {lineno}: bad value for {key}: {val!r}") from None
-        if cast is float and not math.isfinite(value):
-            raise DeckError(f"line {lineno}: {key} must be a finite number, got {val!r}")
-        return value
 
     def repeated(self, key):
         return [(lineno, val) for lineno, k, val in self.rows if k == key]
@@ -211,19 +232,24 @@ def _make(section: _Section, cls, kw: dict, defaults: dict | None = None,
         raise DeckError(f"{where} {exc}") from None
 
 
-def _config(section: _Section, cls, rec, keys: dict | None = None):
-    """A config dataclass from a deck section, echoed under the section name.
-
-    Each field reads the deck key of its name (``keys`` maps field names to
-    deck keys where the two differ), cast as the type of the field's default
-    (a None default casts as float) and defaulting to it.
-    """
+def _read(section: _Section, defaults: dict, keys: dict | None = None) -> dict:
+    """Each name of ``defaults`` read from the deck key of that name (``keys``
+    maps names to deck keys where the two differ), cast as the type of its
+    default (a None default casts as float) and defaulting to it."""
     keys = keys or {}
-    kw = {}
-    for fld in fields(cls):
-        cast = float if fld.default is None else type(fld.default)
-        kw[fld.name] = section.get(keys.get(fld.name, fld.name), fld.default, cast)
-    obj = _make(section, cls, kw, keys=keys)
+    return {name: section.get(keys.get(name, name), d, float if d is None else type(d))
+            for name, d in defaults.items()}
+
+
+def _config(section: _Section, cls, rec, defaults: dict | None = None):
+    """A config dataclass from a deck section, echoed under the section name:
+    its fields (the names of ``defaults`` for a class with fields that have
+    none) read through ``_read``, each from the deck key of its name or the
+    one ``_RENAMED`` gives it."""
+    defaults = defaults or {fld.name: fld.default for fld in fields(cls)}
+    keys = _RENAMED.get(cls)
+    kw = _read(section, defaults, keys)
+    obj = _make(section, cls, kw, defaults, keys)
     for name in kw:
         rec(section.name, name, getattr(obj, name))
     return obj
@@ -235,12 +261,7 @@ def _build_deck(sections, tables, base_dir) -> Deck:
     def rec(section, key, value):
         eff[f"{section}.{key}"] = str(value)
 
-    g = _required(sections, "grid")
-    grid_defaults = dict(nx=1, ny=1, nz=1, dx=10.0, dy=10.0, dz=10.0, depth_top=0.0)
-    grid = _make(g, Grid, {k: g.get(k, d, type(d)) for k, d in grid_defaults.items()},
-                 grid_defaults)
-    for k in grid_defaults:
-        rec("grid", k, getattr(grid, k))
+    grid = _config(_required(sections, "grid"), Grid, rec, _GRID_DEFAULTS)
 
     f = _Section(sections.get("fields", []), "fields")
     rock = _load_fields(f, grid, base_dir, rec)
@@ -248,15 +269,9 @@ def _build_deck(sections, tables, base_dir) -> Deck:
     fl = _required(sections, "fluid")
     fluid = _build_fluid(fl, tables, rec)
 
-    ini = _Section(sections.get("init", []), "init")
-    p_init = ini.get("p_init", 4000.0, float)
-    p_b_init = ini.get("p_b_init", 0.0, float)
-    s_w_init = ini.get("s_w_init", -1.0, float)
-    s_g_init = ini.get("s_g_init", 0.0, float)
-    for k, v in (("p_init", p_init), ("p_b_init", p_b_init),
-                 ("s_w_init", s_w_init if s_w_init >= 0 else "s_wc"),
-                 ("s_g_init", s_g_init)):
-        rec("init", k, v)
+    init = _read(_Section(sections.get("init", []), "init"), _INIT_DEFAULTS)
+    for k, v in init.items():
+        rec("init", k, "s_wc" if k == "s_w_init" and v < 0 else v)
 
     w = _Section(sections.get("wells", []), "wells")
     wells, unconstrained = _build_wells(w, grid, rock, rec, fluid.kind)
@@ -270,12 +285,11 @@ def _build_deck(sections, tables, base_dir) -> Deck:
     _check_constraints_at_start(unconstrained, schedule)
 
     sv = _Section(sections.get("solver", []), "solver")
-    newton = _config(sv, NewtonConfig, rec, keys=dict(
-        tol="newton_tol", atol="newton_atol", max_newton="newton_max"))
-    solver = _config(sv, SolverConfig, rec, keys=dict(max_iterations="linear_max_it"))
+    newton = _config(sv, NewtonConfig, rec)
+    solver = _config(sv, SolverConfig, rec)
 
     t = _required(sections, "time")
-    t_end = t.get("t_end", None, float)
+    t_end = _read(t, _TIME_DEFAULTS)["t_end"]
     if t_end is None or t_end < 0:
         raise DeckError("[time] must set t_end >= 0")
     rec("time", "t_end", t_end)
@@ -286,8 +300,7 @@ def _build_deck(sections, tables, base_dir) -> Deck:
 
     return Deck(grid=grid, rock=rock, fluid=fluid, wells=wells, schedule=schedule,
                 newton=newton, solver=solver, controller=controller, t_end=t_end,
-                p_init=p_init, p_b_init=p_b_init, s_w_init=s_w_init,
-                s_g_init=s_g_init, output=output, effective=eff)
+                output=output, effective=eff, **init)
 
 
 def _load_fields(f: _Section, grid: Grid, base_dir: str, rec) -> RockFields:
@@ -349,15 +362,12 @@ def _build_fluid(fl: _Section, tables, rec) -> FluidSystem:
 
     use_spe1 = fl.get("pvt_defaults", "spe1" if kind == "black_oil" else "none")
     base = PvtModel.spe1_like() if use_spe1 == "spe1" else PvtModel()
-    kw = {}
-    for key in ("rho_w_ref", "rho_o_ref", "rho_g_ref", "c_w", "c_o", "c_r",
-                "c_mu", "p_ref", "mu_w", "mu_g"):
-        v = fl.get(key, None, float)
-        kw[key] = getattr(base, key) if v is None else v
+    kw = {key: fl.get(key, getattr(base, key), float) for key in _PVT_SCALARS}
     mu_o = fl.get("mu_o", None, float)
     kw["mu_o_table"] = Table1D.constant(mu_o) if mu_o is not None else base.mu_o_table
-    for tname, attr in (("rs", "rs_table"), ("bo", "bo_table"), ("bg", "bg_table"),
-                        ("pcow", "pcow_table"), ("pcog", "pcog_table")):
+    plain = [tname for tname in _TABLES if tname != "muo"]
+    for tname in plain:
+        attr = f"{tname}_table"
         kw[attr] = _table_from_rows(tables.get(tname), tname) or getattr(base, attr)
     muo_rows = tables.get("muo")
     if muo_rows:
@@ -372,12 +382,9 @@ def _build_fluid(fl: _Section, tables, rec) -> FluidSystem:
     rec("fluid", "s_wc", corey.s_wc)
     rec("fluid", "s_or", corey.s_or)
     rec("fluid", "s_gc", relperm.s_gc)
-    for key in ("rho_w_ref", "rho_o_ref", "rho_g_ref", "c_w", "c_o", "c_r",
-                "c_mu", "p_ref", "mu_w", "mu_g"):
+    for key in _PVT_SCALARS:
         rec("fluid", key, getattr(pvt, key))
-    rec("fluid", "mu_o_table", _table_summary(pvt.mu_o_table))
-    for tname, attr in (("rs", "rs_table"), ("bo", "bo_table"), ("bg", "bg_table"),
-                        ("pcow", "pcow_table"), ("pcog", "pcog_table")):
+    for attr in ("mu_o_table", *(f"{tname}_table" for tname in plain)):
         rec("fluid", attr, _table_summary(getattr(pvt, attr)))
     return FluidSystem(kind=kind, relperm=relperm, pvt=pvt)
 
@@ -420,7 +427,7 @@ def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec, model: str):
             if k not in _WELL_KEYS:
                 raise DeckError(f"line {lineno}: unknown well key {k!r}")
             kv[k] = v
-        num = {k: _well_number(lineno, k, v) for k, v in kv.items()
+        num = {k: _number(lineno, k, v) for k, v in kv.items()
                if k not in ("type", "fluid")}
         fluid = kv.get("fluid", "water")
         try:
@@ -457,6 +464,8 @@ def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec, model: str):
             else:
                 k0 = int(parts[3])
                 k1 = k0 + 1
+            if k1 <= k0:
+                raise ValueError(f"empty perf range {parts[3]!r} (need k0 < k1)")
             cells = [cell_index(i, j, k, grid) for k in range(k0, k1)]
         except (ValueError, IndexError) as exc:
             raise DeckError(f"line {lineno}: {exc}") from None
@@ -471,16 +480,6 @@ def _build_wells(w: _Section, grid: Grid, rock: RockFields, rec, model: str):
         if not well.perforations:
             raise DeckError(f"well {well.name} has no perforations")
     return wells, unconstrained
-
-
-def _well_number(lineno: int, key: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise DeckError(f"line {lineno}: {key} must be a finite number, got {text!r}")
-    return value
 
 
 def _check_meetable(lineno: int, well: Well, kind: str | None, model: str):
@@ -504,10 +503,10 @@ def _build_schedule(s: _Section, rec, wells: list[Well], model: str) -> Schedule
         parts = val.split()
         if len(parts) != 4:
             raise DeckError(f"line {lineno}: at needs: time well_name kind value")
+        when, value = _number(lineno, "time", parts[0]), _number(lineno, parts[2], parts[3])
         try:
-            entries.append((float(parts[0]), parts[1],
-                            Constraint(parts[2], float(parts[3]))))
-        except (ValueError, WellConfigError) as exc:
+            entries.append((when, parts[1], Constraint(parts[2], value)))
+        except WellConfigError as exc:
             raise DeckError(f"line {lineno}: {exc}") from None
         if parts[1] in by_name:           # an undeclared name is reported below
             _check_meetable(lineno, by_name[parts[1]], parts[2], model)
@@ -586,14 +585,10 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
     Each step but the first, and the first after a schedule switch, is
     handed the accepted state before its old state to extrapolate from.
     """
-    out = deck.output
-    report_csv = report_csv if report_csv is not None else (out.report_csv or None)
-    vtk_every = out.vtk_every if vtk_every is None else vtk_every
-    if vtk_every < 0:
-        raise ValueError(f"vtk_every must be >= 0, got {vtk_every}")
-    dump_matrices = out.dump_matrices if dump_matrices is None else dump_matrices
+    given = dict(report_csv=report_csv, vtk_every=vtk_every, dump_matrices=dump_matrices)
+    out = replace(deck.output, **{k: v for k, v in given.items() if v is not None})
     vtk_path = os.path.join(output_dir, f"{out.vtk_prefix}_final.vtk")
-    csv_path = os.path.join(output_dir, report_csv) if report_csv else None
+    csv_path = os.path.join(output_dir, out.report_csv) if out.report_csv else None
     for path in (vtk_path, csv_path or vtk_path):   # so a bad output path fails at once
         os.makedirs(os.path.dirname(path), exist_ok=True)
 
@@ -630,7 +625,7 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
                         dt = min(dt, ts - t)
                         break
                 prefix = os.path.join(output_dir, f"step{step:04d}") \
-                    if dump_matrices else None
+                    if out.dump_matrices else None
                 wall0 = time.perf_counter()
                 state_new, rec = advance_timestep(
                     model, state, dt, wells, deck.newton, deck.solver,
@@ -648,7 +643,7 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
                 rec.well_produced = {c: r[1] * rec.dt for c, r in rates.items()}
                 report.steps.append(rec)
                 dt = min(rec.dt * deck.controller.growth, deck.controller.dt_max)
-                if vtk_every and step % vtk_every == 0:
+                if out.vtk_every and step % out.vtk_every == 0:
                     write_vtk(grid, state, deck.rock,
                               os.path.join(output_dir, f"{out.vtk_prefix}_{step:04d}.vtk"))
         except SimulationAbort as abort:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -147,7 +148,7 @@ def _parse_tokens(source, what: str) -> np.ndarray:
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, bytes):
         data = data.decode("ascii")
-    # one pass over the text without a token list; the token path below reads
+    # one pass over the text without a token list; the token loop below reads
     # what fromstring refuses or makes non-finite, and names the bad token.
     # numpy releases that only warn and stop at unmatched text count as refusals.
     if not data.isspace():          # fromstring reads blank text as [-1.0]
@@ -160,22 +161,17 @@ def _parse_tokens(source, what: str) -> np.ndarray:
         else:
             if np.isfinite(values).all():
                 return values
-    tokens = data.split()
-    try:
-        values = np.array(tokens, dtype=float)
-    except ValueError:
-        for pos, tok in enumerate(tokens):
-            try:
-                float(tok)
-            except ValueError:
-                raise FieldFormatError(
-                    f"{what}: non-numeric token {tok!r} at position {pos}") from None
-        raise
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        pos = int(bad[0])
-        raise FieldFormatError(f"{what}: non-finite token {tokens[pos]!r} at position {pos}")
-    return values
+    values = []
+    for pos, tok in enumerate(data.split()):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise FieldFormatError(
+                f"{what}: non-numeric token {tok!r} at position {pos}") from None
+        if not math.isfinite(value):
+            raise FieldFormatError(f"{what}: non-finite token {tok!r} at position {pos}")
+        values.append(value)
+    return np.array(values, dtype=float)
 
 
 def load_spe10_fields(perm_source, poro_source, grid: Grid) -> RockFields:

@@ -671,25 +671,28 @@ class RunReport:
         import csv
 
         comps = sorted({c for s in self.steps for c in s.mass_in_place})
+
+        def column(header, attr=None, fmt=""):
+            return header, lambda s: format(getattr(s, attr or header), fmt)
+
+        def amount(header, attr, c):
+            return header, lambda s: format(getattr(s, attr).get(c, 0.0), ".10e")
+
+        # the report's columns in order, as (header, the step's value)
+        columns = [
+            column("step"), column("t_days", "t", ".6g"), column("dt_days", "dt", ".6g"),
+            *map(column, ("newtons", "linear_iters", "cuts")),
+            column("wall_s", "wall_time", ".4f"), column("assembly_s", "assembly_time", ".4f"),
+            column("solve_s", "solve_time", ".4f"),
+            *(amount(f"{kind}_{c}_lbm", attr, c) for c in comps
+              for kind, attr in (("mass", "mass_in_place"), ("injected", "well_injected"),
+                                 ("produced", "well_produced"))),
+            *map(column, ("corrections_tried", "corrections_kept")),
+            *(amount(f"residual_{c}", "residual_sums", c) for c in comps),
+            *map(column, ("decouple_fallbacks", "pivot_shifts", "ds_chops",
+                         "extrapolated_starts", "loose_first_solves"))]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            header = ["step", "t_days", "dt_days", "newtons", "linear_iters",
-                      "cuts", "wall_s", "assembly_s", "solve_s"]
-            for c in comps:
-                header += [f"mass_{c}_lbm", f"injected_{c}_lbm", f"produced_{c}_lbm"]
-            w.writerow(header + ["corrections_tried", "corrections_kept"]
-                       + [f"residual_{c}" for c in comps]
-                       + ["decouple_fallbacks", "pivot_shifts", "ds_chops",
-                          "extrapolated_starts", "loose_first_solves"])
+            w.writerow(header for header, _ in columns)
             for s in self.steps:
-                row = [s.step, f"{s.t:.6g}", f"{s.dt:.6g}", s.newtons,
-                       s.linear_iters, s.cuts, f"{s.wall_time:.4f}",
-                       f"{s.assembly_time:.4f}", f"{s.solve_time:.4f}"]
-                for c in comps:
-                    row += [f"{s.mass_in_place.get(c, 0.0):.10e}",
-                            f"{s.well_injected.get(c, 0.0):.10e}",
-                            f"{s.well_produced.get(c, 0.0):.10e}"]
-                w.writerow(row + [s.corrections_tried, s.corrections_kept]
-                           + [f"{s.residual_sums.get(c, 0.0):.10e}" for c in comps]
-                           + [s.decouple_fallbacks, s.pivot_shifts, s.ds_chops,
-                              s.extrapolated_starts, s.loose_first_solves])
+                w.writerow(cell(s) for _, cell in columns)

@@ -272,6 +272,27 @@ class TestParseDeck:
                                             rf"number, got '{value}'$"):
             parse_deck(bad)
 
+    @pytest.mark.parametrize("entry, key, value", [
+        *((f"{t} P bhp 2500.0", "time", t) for t in ("nan", "inf", "-inf", "1e400")),
+        ("1.0 P bhp nan", "bhp", "nan")])
+    def test_non_finite_schedule_number_reports_line(self, entry, key, value):
+        # a switch at a non-finite time would never apply
+        bad = TINY_RUN_DECK + f"\n[schedule]\nat = {entry}\n"
+        lineno = bad.splitlines().index(f"at = {entry}") + 1
+        with pytest.raises(DeckError, match=rf"^line {lineno}: {key} must be a finite "
+                                            rf"number, got '{value}'$"):
+            parse_deck(bad)
+
+    @pytest.mark.parametrize("k", ["2:1", "0:0"])
+    def test_empty_perf_range_reports_line(self, k):
+        # P keeps a perforation from its other line, so only the range check
+        # sees the empty one
+        bad = TINY_RUN_DECK.replace("perf = P 5 0 0", f"perf = P 5 0 0\nperf = P 4 0 {k}")
+        lineno = bad.splitlines().index(f"perf = P 4 0 {k}") + 1
+        with pytest.raises(DeckError, match=rf"^line {lineno}: empty perf range '{k}' "
+                                            r"\(need k0 < k1\)$"):
+            parse_deck(bad)
+
     @pytest.mark.parametrize("section, line", REJECTED_VALUES)
     def test_rejected_value_reports_line(self, section, line):
         text = deck_with(section, line)
@@ -433,11 +454,15 @@ class TestRunSimulation:
                   if r.message.startswith("deck: ")]
         keys = [ln.split(" = ")[0] for ln in echoed]
         assert len(keys) == len(set(keys)), "duplicated parameter echo"
-        for expected in ("grid.nx", "grid.dz", "fluid.model", "fluid.mu_w",
-                         "solver.tol", "solver.max_iterations", "time.t_end",
-                         "time.growth", "init.p_init", "output.vtk_prefix",
-                         "wells.well.I", "schedule" if False else "fields.kx"):
-            assert any(k == expected for k in keys), f"missing {expected}"
+        # each accepted key is echoed under its value's name, and nothing else
+        echo_name = {"newton_tol": "tol", "newton_atol": "atol",
+                     "newton_max": "max_newton", "linear_max_it": "max_iterations"}
+        for section in ("grid", "init", "solver", "time", "output"):
+            accepted = {f"{section}.{echo_name.get(k, k)}"
+                        for k in driver._SECTION_KEYS[section]}
+            assert accepted and {k for k in keys if k.startswith(section + ".")} == accepted
+        for expected in ("fluid.model", "fluid.mu_w", "wells.well.I", "fields.kx"):
+            assert expected in keys, f"missing {expected}"
 
     def test_report_consistency(self, tmp_path):
         deck = parse_deck(TINY_RUN_DECK)
