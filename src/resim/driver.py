@@ -78,11 +78,14 @@ class Deck:
         return [f"{k} = {v}" for k, v in self.effective.items()]
 
 
-# the keys [grid], [init] and [time] read beyond a config class's fields, with
-# their defaults (None: a float the deck must set; a negative s_w_init: s_wc)
+# the keys [grid], [init], [time] and [fields] read beyond a config class's
+# fields, with their defaults (None: a float the deck must set, or for ky and
+# kz kx's value; a negative s_w_init: s_wc).  [fields] reads its constants
+# only without a perm file.
 _GRID_DEFAULTS = dict(nx=1, ny=1, nz=1, dx=10.0, dy=10.0, dz=10.0, depth_top=0.0)
 _INIT_DEFAULTS = dict(p_init=4000.0, p_b_init=0.0, s_w_init=-1.0, s_g_init=0.0)
 _TIME_DEFAULTS = dict(t_end=None)
+_FIELD_DEFAULTS = dict(kx=100.0, ky=None, kz=None, poro=0.2)
 
 # config fields read from a deck key of another name
 _RENAMED = {NewtonConfig: dict(tol="newton_tol", atol="newton_atol", max_newton="newton_max"),
@@ -100,7 +103,7 @@ _PVT_SCALARS = ("rho_w_ref", "rho_o_ref", "rho_g_ref", "c_w", "c_o", "c_r",
 
 _SECTION_KEYS = {
     "grid": set(_GRID_DEFAULTS),
-    "fields": {"perm", "poro", "kx", "ky", "kz"},
+    "fields": {"perm", *_FIELD_DEFAULTS},
     "fluid": {"model", "pvt_defaults", "s_wc", "s_or", "s_gc", "mu_o", *_PVT_SCALARS},
     "init": set(_INIT_DEFAULTS),
     "wells": {"well", "perf"},
@@ -304,9 +307,18 @@ def _build_deck(sections, tables, base_dir) -> Deck:
 
 
 def _load_fields(f: _Section, grid: Grid, base_dir: str, rec) -> RockFields:
-    perm = f.get("perm", None)
-    poro = f.get("poro", "0.2")
     n = grid.ncell
+    perm = f.get("perm")
+    if perm is None:
+        def filled(values):   # ky and kz take kx's value by default
+            return {k: values["kx"] if v is None else v for k, v in values.items()}
+
+        values = filled(_read(f, _FIELD_DEFAULTS))
+        rock = _make(f, RockFields, {k: np.full(n, v) for k, v in values.items()},
+                     {k: np.full(n, d) for k, d in filled(_FIELD_DEFAULTS).items()}).clamped()
+        for k, v in values.items():
+            rec("fields", k, v)
+        return rock
 
     def resolve(ref):
         path = os.path.join(base_dir, ref[5:].strip())
@@ -314,39 +326,25 @@ def _load_fields(f: _Section, grid: Grid, base_dir: str, rec) -> RockFields:
             raise DeckError(f"referenced field file does not exist: {path}")
         return path
 
-    if perm is not None:
-        if any(f.get(k) is not None for k in ("kx", "ky", "kz")):
-            raise DeckError("[fields] perm file and kx/ky/kz constants are exclusive")
-        if not perm.startswith("file:"):
-            raise DeckError("[fields] perm must be a file: reference")
-        ppath = resolve(perm)
-        if poro.startswith("file:"):
-            poro_src: object = open(resolve(poro), "rb")
-        else:
-            poro_src = " ".join([poro] * n)
-        try:
-            with open(ppath, "rb") as pf:
-                rock = load_spe10_fields(pf, poro_src, grid)
-        except ValueError as exc:      # a FieldFormatError, or a porosity above 1
-            raise DeckError(f"[fields] {exc}") from None
-        finally:
-            if hasattr(poro_src, "close"):
-                poro_src.close()
-        rec("fields", "perm", perm)
-        rec("fields", "poro", poro)
-        return rock
-    kx = f.get("kx", 100.0, float)
-    ky = f.get("ky", kx, float)
-    kz = f.get("kz", kx, float)
+    if any(f.get(k) is not None for k in ("kx", "ky", "kz")):
+        raise DeckError("[fields] perm file and kx/ky/kz constants are exclusive")
+    if not perm.startswith("file:"):
+        raise DeckError("[fields] perm must be a file: reference")
+    ppath = resolve(perm)
+    poro = f.get("poro", str(_FIELD_DEFAULTS["poro"]))   # a file: reference or one value
     if poro.startswith("file:"):
-        raise DeckError("[fields] porosity file requires a perm file too")
-    values = dict(kx=kx, ky=ky, kz=kz, poro=f.get("poro", 0.2, float))
-    defaults = dict(kx=100.0, ky=100.0, kz=100.0, poro=0.2)
-    rock = _make(f, RockFields, {k: np.full(n, v) for k, v in values.items()},
-                 {k: np.full(n, v) for k, v in defaults.items()}).clamped()
-    rec("fields", "kx", kx)
-    rec("fields", "ky", ky)
-    rec("fields", "kz", kz)
+        poro_src: object = open(resolve(poro), "rb")
+    else:
+        poro_src = " ".join([poro] * n)
+    try:
+        with open(ppath, "rb") as pf:
+            rock = load_spe10_fields(pf, poro_src, grid)
+    except ValueError as exc:      # a FieldFormatError, or a porosity above 1
+        raise DeckError(f"[fields] {exc}") from None
+    finally:
+        if hasattr(poro_src, "close"):
+            poro_src.close()
+    rec("fields", "perm", perm)
     rec("fields", "poro", poro)
     return rock
 

@@ -18,14 +18,22 @@ previous step's, or the cut attempt's being retried; Eisenstat and Walker,
 SIAM J. Sci. Comput. 17(1), 1996).  Without rho (the run's first step, the
 first after a schedule switch, and forcing_rule = fixed) it takes
 min(theta0, 0.5 target/||F_0||): from the old state at the default tol
-that cap is 0.005, below the default theta0 = 0.1.
+that cap is 0.005, below the default theta0 = 0.1.  At a later iteration k
+the bound is a floor too where the last contraction, if it repeats, lands
+the iterate at most halfway to the target, ||F_k|| ||F_k||/||F_{k-1}|| <=
+0.5 target, while ||F_k|| is still above the target and the last update
+chopped no cell (Kelley's termination floor; never under forcing_rule =
+fixed).
 An iterate must also bring every component's residual sum below a
 mass-balance target.  When the residual target is met but the mass target is
-not, one coarse Newton correction is tried (Wallis's constrained residual,
+not, a coarse Newton correction is tried (Wallis's constrained residual,
 SPE 12265): on the space that shifts every cell's unknown k uniformly and
 each well's BHP, solve G y = -Z^T F with G = Z^T J W, Z summing each
 component's cell rows and taking each well row.  The corrected iterate is
-kept only if its residual still meets the target; otherwise Newton goes on.
+kept only if its residual still meets the target, and a kept one that still
+misses the mass target is corrected again with the same G, up to
+_MAX_CORRECTIONS tries per iterate; after a rejected try or the last one
+Newton goes on.
 
 Each step's counts, times and Newton log go into one ``StepRecord``, filled
 where they are computed, cut attempts included.
@@ -51,6 +59,7 @@ FORCING_RULES = ("eq13_a", "eq13_b", "eq13_c", "fixed")
 # p_b above p_o by more than this (psi) switches a cell to saturated
 _SWITCH_EPS = 1e-8
 _MAX_DS = 0.2   # largest saturation change one Newton update applies to a cell
+_MAX_CORRECTIONS = 3   # coarse corrections tried per Newton iterate
 
 
 class SimulationAbort(RuntimeError):
@@ -165,6 +174,7 @@ class NewtonIterLog:
     theta_rule: float | None
     restarts: int            # BiCGSTAB restarts on the true residual
     ds_chops: int = 0        # cells whose saturation update _MAX_DS cut
+    floored: bool = False    # the termination floor raised theta
 
 
 @dataclass
@@ -198,6 +208,7 @@ class StepRecord:
     ds_chops: int = 0                # saturation updates _MAX_DS cut
     extrapolated_starts: int = 0     # attempts whose Newton started from the guess
     loose_first_solves: int = 0      # attempts whose first theta was above the cap
+    floored_solves: int = 0          # iterations whose theta the termination floor raised
     # ||F_1||/||F_0|| of the last attempt's first Newton iteration, None if
     # it completed none
     contraction: float | None = None
@@ -287,13 +298,14 @@ def extrapolated_start(state_old, state_prev, dt: float):
 def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
                 scfg: SolverConfig, theta: float, forcing: ForcingHistory | None,
                 theta_rule: float | None, rec: StepRecord, pool=None,
-                dump_prefix=None, amg: AmgHierarchy | None = None):
+                dump_prefix=None, amg: AmgHierarchy | None = None, floored=False):
     """One assemble-solve-update cycle at the given linear tolerance.
 
     ``forcing`` and ``theta_rule`` are the forcing rule's inputs and output
     that led to ``theta`` (None where no rule ran; an attempt's first
     iteration has no ``forcing``, and ``theta_rule`` is gamma rho^beta or
-    None); they go into the iteration's log entry.
+    None), and ``floored`` whether the termination floor raised it; they go
+    into the iteration's log entry.
 
     Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: build
     one).  Returns (new_state, r_prev, g, amg): ``r_prev`` is b - J dx for
@@ -340,7 +352,7 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         lhs = det_norm(r)
     entry = NewtonIterLog(theta=theta, b_norm=b_norm, lhs_norm=lhs,
                           iterations=iters, status=status, forcing=forcing,
-                          theta_rule=theta_rule, restarts=restarts)
+                          theta_rule=theta_rule, restarts=restarts, floored=floored)
     rec.newtons += 1
     rec.linear_iters += iters
     rec.newton_log.append(entry)
@@ -486,9 +498,13 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
     b_minus_r_prev = 0.0
     amg = None
 
+    def clamp(theta):
+        return min(max(theta, ncfg.theta_min), ncfg.theta_max)
+
     for it in range(ncfg.max_newton):
         hist = None
         theta_rule = None
+        floored = False
         # termination-aware safeguard: a solve looser than half the remaining
         # distance to the convergence target wastes a Newton iteration.  The
         # first solve has no contraction of its own to go by: with the
@@ -498,20 +514,28 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
         cap = 0.5 * target / b_norm
         if it > 0:
             hist = ForcingHistory(b_norm, b_prev_norm, r_prev_norm, b_minus_r_prev)
-            theta = theta_rule = forcing_term(ncfg.forcing_rule, hist, ncfg)
-            theta = min(theta, cap)
+            theta_rule = forcing_term(ncfg.forcing_rule, hist, ncfg)
+            theta = clamp(min(theta_rule, cap))
+            # if the last contraction repeats, this iterate lands at most
+            # halfway to the target, so a solve tighter than the cap buys
+            # nothing: the cap is the floor too.  Not after a chopped update,
+            # whose contraction the chop set, not the linear solve.
+            if (ncfg.forcing_rule != "fixed" and b_norm > target
+                    and rec.newton_log[-1].ds_chops == 0
+                    and b_norm * (b_norm / b_prev_norm) <= 0.5 * target):
+                floored = clamp(cap) > theta
+                theta = clamp(cap)
         elif contraction is None or ncfg.forcing_rule == "fixed":
-            theta = min(ncfg.theta0, cap)
+            theta = clamp(min(ncfg.theta0, cap))
         else:
             theta_rule = ncfg.gamma * contraction ** ncfg.beta
-            theta = max(cap, min(ncfg.theta0, theta_rule))
-        theta = min(max(theta, ncfg.theta_min), ncfg.theta_max)
-        if it == 0 and theta > min(max(cap, ncfg.theta_min), ncfg.theta_max):
-            rec.loose_first_solves += 1
+            theta = clamp(max(cap, min(ncfg.theta0, theta_rule)))
+            rec.loose_first_solves += theta > clamp(cap)
+        rec.floored_solves += floored
         prefix = None if dump_prefix is None else f"{dump_prefix}_n{rec.newtons}"
         state, r_prev, g, amg = newton_step(
             model, state, state_old, dt, wells, ncfg, scfg, theta, hist,
-            theta_rule, rec, pool=pool, dump_prefix=prefix, amg=amg)
+            theta_rule, rec, pool=pool, dump_prefix=prefix, amg=amg, floored=floored)
 
         with rec.timing("assembly_time"):
             f = model.assemble_residual(state, state_old, dt, wells, pool=pool)
@@ -524,21 +548,23 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
         if b_norm > target:
             continue
         sums = _component_sums(f, model)
-        if not _mb_converged(sums, dt, mass_ref, mb_tol):
+        corrections = 0
+        while not _mb_converged(sums, dt, mass_ref, mb_tol):
             # the residual target is met but a component balance is not: the
             # imbalance is mostly the Krylov residual's component sums, which
-            # live in the coarse space, so correct it there at the cost of
-            # one residual evaluation, not another Newton solve
-            corrected = _coarse_correction(model, state, state_old, dt, wells, f, g,
-                                           target, pool, rec)
-            if corrected is None:
-                continue
+            # live in the coarse space, so correct it there, again from each
+            # kept correction that still misses, at the cost of one residual
+            # evaluation each, not another Newton solve
+            corrected = corrections < _MAX_CORRECTIONS and _coarse_correction(
+                model, state, state_old, dt, wells, f, g, target, pool, rec)
+            if not corrected:
+                break
+            corrections += 1
             state, f, b_norm = corrected
             sums = _component_sums(f, model)
-            if not _mb_converged(sums, dt, mass_ref, mb_tol):
-                continue
-        rec.residual_sums = sums
-        return state
+        else:   # the balance holds
+            rec.residual_sums = sums
+            return state
 
     raise _StepFailure(
         f"no convergence in {ncfg.max_newton} Newton iterations "
@@ -566,8 +592,9 @@ def advance_timestep(model, state_old, dt: float, wells, ncfg: NewtonConfig,
     accepted step size; its counts, times and Newton log include the cut
     attempts, ``rec.extrapolated_starts`` counts the attempts that started
     from the guess, ``rec.loose_first_solves`` those whose first theta was
-    loosened above the cap, and ``rec.contraction`` is the accepted
-    attempt's rho.
+    loosened above the cap, ``rec.floored_solves`` the iterations whose
+    theta the termination floor raised, and ``rec.contraction`` is the
+    accepted attempt's rho.
     """
     rec = StepRecord()
     dt_try = dt
@@ -690,7 +717,7 @@ class RunReport:
             *map(column, ("corrections_tried", "corrections_kept")),
             *(amount(f"residual_{c}", "residual_sums", c) for c in comps),
             *map(column, ("decouple_fallbacks", "pivot_shifts", "ds_chops",
-                         "extrapolated_starts", "loose_first_solves"))]
+                         "extrapolated_starts", "loose_first_solves", "floored_solves"))]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header for header, _ in columns)

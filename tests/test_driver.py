@@ -212,6 +212,25 @@ class TestParseDeck:
         with pytest.raises(DeckError, match=f"line {line}: non-finite table row '{row}'"):
             parse_deck(text)
 
+    @pytest.mark.parametrize("fields, expected", [
+        ("", (100.0, 100.0, 100.0, 0.2)),
+        ("kx = 50.0", (50.0, 50.0, 50.0, 0.2)),
+        ("ky = 7.0\nkz = 5.0\nporo = 0.25", (100.0, 7.0, 5.0, 0.25))])
+    def test_constant_fields_and_their_defaults(self, fields, expected):
+        # ky and kz default to kx, kx to 100 md and poro to 0.2
+        deck = parse_deck(TINY_RUN_DECK.replace("kx = 100.0\nporo = 0.2", fields))
+        names = ("kx", "ky", "kz", "poro")
+        assert tuple(float(deck.effective[f"fields.{k}"]) for k in names) == expected
+        for k, value in zip(names, expected):
+            assert np.array_equal(getattr(deck.rock, k), np.full(deck.grid.ncell, value))
+
+    def test_porosity_file_without_perm_file_reports_line(self):
+        text = TINY_RUN_DECK.replace("poro = 0.2", "poro = file:poro.dat")
+        line = text.splitlines().index("poro = file:poro.dat") + 1
+        with pytest.raises(DeckError, match=f"line {line}: poro must be a finite number, "
+                                            "got 'file:poro.dat'"):
+            parse_deck(text)
+
     def test_missing_field_file(self):
         text = TINY_RUN_DECK.replace("kx = 100.0\nporo = 0.2",
                                      "perm = file:nope.dat\nporo = 0.2")
@@ -502,7 +521,7 @@ class TestRunSimulation:
         assert rows[0] == prefix + ["corrections_tried", "corrections_kept"] + \
             [f"residual_{c}" for c in comps] + ["decouple_fallbacks", "pivot_shifts",
                                                 "ds_chops", "extrapolated_starts",
-                                                "loose_first_solves"]
+                                                "loose_first_solves", "floored_solves"]
         k = len(prefix)
         assert [(int(r[k]), int(r[k + 1])) for r in rows[1:]] == \
             [(s.corrections_tried, s.corrections_kept) for s in report.steps]
@@ -846,7 +865,7 @@ class TestStepRecord:
         assert counts == [(1, 1)] + [(0, 0)] * (report.n_steps - 1)
         with open(tmp_path / "steps.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0])[-5:-3] == ["decouple_fallbacks", "pivot_shifts"]
+        assert list(rows[0])[-6:-4] == ["decouple_fallbacks", "pivot_shifts"]
         assert [(int(r["decouple_fallbacks"]), int(r["pivot_shifts"])) for r in rows] == counts
 
     def test_counts_match_the_newton_log_with_a_cut(self, tmp_path, monkeypatch):
@@ -866,6 +885,7 @@ class TestStepRecord:
             assert rec.newtons == len(rec.newton_log)
             assert rec.linear_iters == sum(e.iterations for e in rec.newton_log)
             assert rec.ds_chops == sum(e.ds_chops for e in rec.newton_log)
+            assert rec.floored_solves == sum(e.floored for e in rec.newton_log)
         assert report.newton_log == [e for rec in report.steps for e in rec.newton_log]
 
         with open(tmp_path / "steps.csv") as fh:
@@ -875,10 +895,10 @@ class TestStepRecord:
             assert [int(row[k]) for k in ("step", "newtons", "linear_iters", "cuts",
                                           "corrections_tried", "corrections_kept",
                                           "ds_chops", "extrapolated_starts",
-                                          "loose_first_solves")] == \
+                                          "loose_first_solves", "floored_solves")] == \
                 [rec.step, rec.newtons, rec.linear_iters, rec.cuts,
                  rec.corrections_tried, rec.corrections_kept, rec.ds_chops,
-                 rec.extrapolated_starts, rec.loose_first_solves]
+                 rec.extrapolated_starts, rec.loose_first_solves, rec.floored_solves]
             assert float(row["t_days"]) == pytest.approx(rec.t, rel=1e-5)
             assert float(row["dt_days"]) == pytest.approx(rec.dt, rel=1e-5)
             for c, mass in rec.mass_in_place.items():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from resim.model import AssemblyError, ReservoirModel, ReservoirState
 from resim.nonlinear import (FORCING_RULES, NewtonConfig, StepController, ForcingHistory,
                              forcing_term, newton_step, advance_timestep,
                              apply_update, extrapolated_start, SimulationAbort,
-                             RunReport, StepRecord)
+                             NewtonIterLog, RunReport, StepRecord)
 from resim.parallel import PooledMatvec, det_norm
 from conftest import (deck_path, two_phase_fluid, black_oil_fluid, random_black_oil_model,
                       random_black_oil_state)
@@ -660,13 +662,19 @@ class TestExtrapolatedStart:
         assert log_entries(rec) == log_entries(ref)
 
 
-def first_solve_cap(model, state_old, dt, wells, ncfg):
-    """0.5 target/||F_0|| of a step started from the old state, computed as
-    ``_attempt`` computes it."""
+def step_target(model, state_old, dt, wells, ncfg):
+    """||F_0|| and the convergence target of a step started from the old
+    state, computed as ``_attempt`` computes them."""
     start = state_old.copy()
     start.t = state_old.t + dt
     b_norm0 = det_norm(model.assemble_residual(start, state_old, dt, wells))
-    return 0.5 * max(ncfg.tol * b_norm0, ncfg.atol) / b_norm0
+    return b_norm0, max(ncfg.tol * b_norm0, ncfg.atol)
+
+
+def first_solve_cap(model, state_old, dt, wells, ncfg):
+    """0.5 target/||F_0|| of a step started from the old state."""
+    b_norm0, target = step_target(model, state_old, dt, wells, ncfg)
+    return 0.5 * target / b_norm0
 
 
 def clamp(theta, ncfg):
@@ -762,6 +770,131 @@ class TestFirstSolve:
             assert rec.newton_log[start].theta_rule == ncfg.gamma * given ** ncfg.beta
 
 
+def scripted_attempt(monkeypatch, ncfg, norms, chops=()):
+    """``_attempt`` on the waterflood with its Newton updates and residuals
+    scripted: ``norms`` are the residual norms of the old state and then of
+    each iterate, each as (norm, row), where row "well" puts it in a well row
+    (no component imbalance) and "cell" in a water row (an imbalance the
+    mass check sees); update l chops ``chops[l]`` cells (default none), and
+    no coarse correction is kept.  Returns the step's record."""
+    model, state, wells = waterflood_setup()
+    n = model.grid.ncell * model.m
+    script = iter(norms)
+
+    def residual(self, *args, **kw):
+        norm, row = next(script)
+        f = np.zeros(n + len(wells))
+        f[0 if row == "cell" else n] = norm
+        return f
+
+    def update(model, state, state_old, dt, wells, ncfg, scfg, theta, forcing, theta_rule,
+               rec, floored=False, **kw):
+        l = len(rec.newton_log)
+        rec.newton_log.append(NewtonIterLog(theta, 0.0, 0.0, 1, "converged", forcing,
+                                            theta_rule, 0, chops[l] if l < len(chops) else 0,
+                                            floored))
+        return state, None, None, None
+
+    monkeypatch.setattr(ReservoirModel, "assemble_residual", residual)
+    monkeypatch.setattr(nonlinear, "newton_step", update)
+    monkeypatch.setattr(nonlinear, "_coarse_correction", lambda *args: None)
+    rec = StepRecord()
+    nonlinear._attempt(model, state, 0.5, wells, ncfg, SolverConfig(), None, None, rec)
+    assert next(script, None) is None
+    return rec
+
+
+def floor_conditions(e, prev, target):
+    """Whether the termination floor's three conditions hold at logged
+    iteration ``e`` >= 1, ``prev`` the one before it."""
+    b, b_prev = e.forcing.b_norm, e.forcing.b_prev_norm
+    return b > target and prev.ds_chops == 0 and b * (b / b_prev) <= 0.5 * target
+
+
+class TestTerminationFloor:
+    """At iterations l >= 1 under every rule but fixed, theta is the cap
+    0.5 target/||F_l|| also from below when ||F_l|| > target, update l - 1
+    chopped no cell and ||F_l||^2/||F_{l-1}|| <= 0.5 target."""
+
+    # ||F_0|| = 1000, so the target is 10.  ||F_2|| = 20 after 100: the
+    # contraction 0.2 predicts 4 <= 5, so iteration 2 takes the cap 0.25
+    # over eq13_c's 0.04
+    CONTRACTS = [(1000, "well"), (100, "well"), (20, "well"), (5, "well")]
+
+    @pytest.mark.parametrize("kw, norms, chops, thetas, floored", [
+        pytest.param({}, CONTRACTS, (), [0.005, 0.01, 0.25], [False, False, True],
+                     id="floor"),
+        pytest.param({}, CONTRACTS, (0, 3), [0.005, 0.01, 0.04], [False] * 3, id="chopped"),
+        # 25 after 100 predicts 6.25 > 5
+        pytest.param({}, [(1000, "well"), (100, "well"), (25, "well"), (5, "well")], (),
+                     [0.005, 0.01, 0.0625], [False] * 3, id="slow"),
+        # 8 meets the target but not the mass check: iteration 2 keeps the
+        # cap 0.625 as a ceiling only, though 8 after 100 predicts 0.64 <= 5
+        pytest.param({}, [(1000, "well"), (100, "well"), (8, "cell"), (4, "well")], (),
+                     [0.005, 0.01, 0.0064], [False] * 3, id="met"),
+        pytest.param(dict(forcing_rule="fixed", theta_fixed=1e-3), CONTRACTS, (),
+                     [0.005, 1e-3, 1e-3], [False] * 3, id="fixed"),
+        # eq13_a reads b - J dx, which the scripted updates leave out: theta_min
+        pytest.param(dict(forcing_rule="eq13_a"), CONTRACTS, (), [0.005, 1e-4, 0.25],
+                     [False, False, True], id="eq13_a"),
+        pytest.param(dict(theta_max=0.2), CONTRACTS, (), [0.005, 0.01, 0.2],
+                     [False, False, True], id="ceiling"),
+        # theta_min lifts eq13_c's 0.04 to the clamped cap: nothing to raise
+        pytest.param(dict(theta_min=0.3), CONTRACTS, (), [0.3, 0.3, 0.3], [False] * 3,
+                     id="clamped"),
+    ])
+    def test_floor_only_under_its_three_conditions(self, monkeypatch, kw, norms, chops,
+                                                   thetas, floored):
+        rec = scripted_attempt(monkeypatch, NewtonConfig(**kw), norms, chops)
+        assert [e.theta for e in rec.newton_log] == pytest.approx(thetas, rel=1e-12)
+        assert [e.floored for e in rec.newton_log] == floored
+        assert rec.floored_solves == sum(floored)
+
+    def run_steps(self, ncfg, nsteps=10):
+        """The Buckley-Leverett deck's first steps under ``ncfg``, each from the
+        old state; yields each step's record and target."""
+        deck = load_deck(deck_path("buckley_leverett.deck"))
+        model = ReservoirModel(deck.grid, deck.rock, deck.fluid)
+        state, dt = resim.initial_state(deck), deck.controller.dt_init
+        for _ in range(nsteps):
+            target = step_target(model, state, dt, deck.wells, ncfg)[1]
+            state, rec = advance_timestep(model, state, dt, deck.wells, ncfg, deck.solver,
+                                          deck.controller)
+            assert rec.cuts == 0
+            yield rec, target
+
+    @pytest.mark.parametrize("rule", ["eq13_b", "eq13_c"])
+    def test_logged_thetas_follow_the_floor(self, rule):
+        floors = 0
+        ncfg = NewtonConfig(forcing_rule=rule)
+        for rec, target in self.run_steps(ncfg):
+            for prev, e in zip(rec.newton_log, rec.newton_log[1:]):
+                cap = 0.5 * target / e.forcing.b_norm
+                ceiling = clamp(min(e.theta_rule, cap), ncfg)
+                if floor_conditions(e, prev, target):
+                    assert e.theta == clamp(cap, ncfg)
+                    assert e.floored == (e.theta > ceiling)
+                else:
+                    assert e.theta == ceiling and not e.floored
+            assert rec.floored_solves == sum(e.floored for e in rec.newton_log)
+            floors += rec.floored_solves
+        assert floors > 0
+
+    def test_fixed_runs_keep_the_ceiling(self):
+        # theta = min(theta_fixed, cap), clamped, at every iteration l >= 1,
+        # also where the floor's conditions hold
+        ncfg = NewtonConfig(forcing_rule="fixed", theta_fixed=1e-3)
+        held = 0
+        for rec, target in self.run_steps(ncfg):
+            for prev, e in zip(rec.newton_log, rec.newton_log[1:]):
+                cap = 0.5 * target / e.forcing.b_norm
+                assert e.theta == clamp(min(ncfg.theta_fixed, cap), ncfg)
+                assert not e.floored
+                held += floor_conditions(e, prev, target)
+            assert rec.floored_solves == 0
+        assert held > 0
+
+
 class TestRunReport:
     def make_report(self):
         rep = RunReport(workers=8)
@@ -818,6 +951,7 @@ class TestRunReport:
         rep.steps[1].ds_chops = 7
         rep.steps[0].extrapolated_starts = 2
         rep.steps[1].loose_first_solves = 3
+        rep.steps[0].floored_solves = 4
         path = tmp_path / "report.csv"
         rep.to_csv(path)
         rows = list(csv.reader(open(path)))
@@ -825,9 +959,10 @@ class TestRunReport:
         assert len(rows) == 3
         assert float(rows[1][1]) == 1.0
         # appended in this order, after pivot_shifts
-        assert [r[-3] for r in rows] == ["ds_chops", "0", "7"]
-        assert [r[-2] for r in rows] == ["extrapolated_starts", "2", "0"]
-        assert [r[-1] for r in rows] == ["loose_first_solves", "0", "3"]
+        assert [r[-4] for r in rows] == ["ds_chops", "0", "7"]
+        assert [r[-3] for r in rows] == ["extrapolated_starts", "2", "0"]
+        assert [r[-2] for r in rows] == ["loose_first_solves", "0", "3"]
+        assert [r[-1] for r in rows] == ["floored_solves", "4", "0"]
 
 
 def coarse_reference(a: BlockMatrix) -> np.ndarray:
@@ -861,7 +996,7 @@ class TestCoarseCorrection:
     def test_kept_corrections_meet_the_targets(self, monkeypatch, tmp_path):
         # every kept correction meets the residual target and shrinks the
         # worst component imbalance; nearly all also meet the mass check (on
-        # this deck 120 of 125, and Newton goes on after the other five)
+        # this deck 118 of 120, and the other two are corrected again)
         kept = []
         correct = nonlinear._coarse_correction
         deck = load_deck(deck_path("buckley_leverett.deck"))
@@ -892,6 +1027,76 @@ class TestCoarseCorrection:
             assert after < before
         met = sum(k[-1] for k in kept)
         assert met >= 0.9 * len(kept)
+
+    @staticmethod
+    def first_step(**kw):
+        model, state, wells = waterflood_setup()
+        new, rec = advance_timestep(model, state, 0.5, wells, NewtonConfig(**kw),
+                                    SolverConfig(), StepController(dt_init=0.5, dt_max=0.5))
+        return model, new, rec
+
+    @staticmethod
+    def per_iterate(calls):
+        """The calls grouped by the Newton iterate they correct."""
+        return [list(group) for _, group in itertools.groupby(calls, key=lambda c: c[0])]
+
+    @pytest.mark.parametrize("script, sizes", [
+        (["meet"], [1]),
+        (["miss", "meet"], [2]),
+        (["miss", "miss", "meet"], [3]),
+        (["miss", "miss", "miss", "meet"], [3, 1]),
+        (["miss", "reject", "meet"], [2, 1]),
+        (["reject", "meet"], [1, 1]),
+    ])
+    def test_correction_repeats_until_the_balance_holds(self, monkeypatch, script, sizes):
+        # a scripted correction: "miss" keeps a copy of the iterate, whose
+        # balance still misses, "meet" one with a zero residual, "reject" none.
+        # On the waterflood's first step the first iterate to meet the
+        # residual target misses the balance, and so does the eighth
+        calls, outcomes = [], iter(script)
+
+        def correction(model, state, state_old, dt, wells, f, g, target, pool, rec):
+            out = {"miss": lambda: (state.copy(), f.copy(), det_norm(f)),
+                   "meet": lambda: (state.copy(), np.zeros_like(f), 0.0),
+                   "reject": lambda: None}[next(outcomes)]()
+            calls.append((rec.newtons, state, f, g, out))
+            return out
+
+        monkeypatch.setattr(nonlinear, "_coarse_correction", correction)
+        model, new, rec = self.first_step()
+        assert next(outcomes, None) is None
+        groups = self.per_iterate(calls)
+        assert [len(group) for group in groups] == sizes
+        for group in groups:
+            assert len(group) <= nonlinear._MAX_CORRECTIONS
+            # each repeat corrects the last kept correction with the same g
+            for before, after in zip(group, group[1:]):
+                kept_state, kept_f, _ = before[4]
+                assert after[1] is kept_state and after[2] is kept_f and after[3] is before[3]
+        assert new is calls[-1][4][0]
+        assert rec.residual_sums == {c: 0.0 for c in model.components}
+
+    def test_repeats_are_counted_as_tries_and_keeps(self, monkeypatch):
+        # unscripted, the waterflood's first step rejects the correction of
+        # its first iterate to meet the target and keeps three at the eighth,
+        # the third meeting the balance
+        calls = []
+        correct = nonlinear._coarse_correction
+
+        def counted(model, state, state_old, dt, wells, f, g, target, pool, rec):
+            before = rec.corrections_tried, rec.corrections_kept
+            out = correct(model, state, state_old, dt, wells, f, g, target, pool, rec)
+            assert (rec.corrections_tried, rec.corrections_kept) == \
+                (before[0] + 1, before[1] + (out is not None))
+            calls.append((rec.newtons, out))
+            return out
+
+        monkeypatch.setattr(nonlinear, "_coarse_correction", counted)
+        _, _, rec = self.first_step()
+        groups = self.per_iterate(calls)
+        assert [[out is not None for _, out in group] for group in groups] == \
+            [[False], [True, True, True]]
+        assert (rec.corrections_tried, rec.corrections_kept) == (4, 3)
 
     @pytest.mark.parametrize("bad", ["singular", "nan", "residual"])
     def test_unusable_correction_changes_nothing(self, monkeypatch, bad):
