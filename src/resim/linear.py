@@ -3,8 +3,9 @@
 The Jacobian is stored as a structured block matrix (7-point stencil of
 m x m cell blocks plus well border rows/columns).  Quasi-IMPES and ABF
 decoupling are exact left transformations; the CPR preconditioner combines a
-red-black block ILU(0) full-system smoother with one smoothed-aggregation AMG
-V-cycle on the extracted pressure block, in a fine-pressure-fine
+red-black block ILU(0) full-system smoother with one V(2,2) cycle of a
+smoothed-aggregation AMG (double pairwise aggregates, truncated
+prolongators) on the extracted pressure block, in a fine-pressure-fine
 composition, and is used from right-preconditioned BiCGSTAB.  The block
 layout is for assembly, decoupling and factorisation, entry-major from
 assembly on: every stencil block of every cell lives in one (m, m, nblocks,
@@ -37,15 +38,14 @@ from .parallel import PooledMatvec, det_dot, det_norm
 log = logging.getLogger(__name__)
 
 _TINY = 1e-30
-# smoothed-aggregation AMG: strength threshold, coarsest size, level cap and
-# the Jacobi smoothing weight (capped per level by the spectral radius)
-_AMG_STRENGTH = 0.08
+# smoothed-aggregation AMG: coarsest size, level cap, the prolongators'
+# truncation thresholds relative to their row's largest entry (finest level,
+# coarser levels) and the Jacobi smoothing weight (capped per level by the
+# spectral radius)
 _AMG_MIN_COARSE = 40
 _AMG_MAX_LEVELS = 10
-_JACOBI_OMEGA = 0.8
-# a level whose first aggregation pass coarsens by less than this factor
-# aggregates its aggregates once more
-_AMG_MIN_RATIO = 4
+_AMG_TRUNCATE = (0.25, 0.4)
+_JACOBI_OMEGA = 2.0 / 3.0
 # bytes of the three block arrays per pass of the ILU set-up over black
 # cells, so a pass's arrays stay small (in cache, and no new peak memory)
 _ILU_PASS_BYTES = 1 << 20
@@ -526,7 +526,7 @@ class AmgLevel:
     dinv: np.ndarray
     p: sp.csr_matrix | None = None
     r: sp.csr_matrix | None = None
-    omega: float = 0.8
+    omega: float = _JACOBI_OMEGA
 
 
 @dataclass
@@ -563,42 +563,97 @@ def _inv_diag(a: sp.csr_matrix) -> np.ndarray:
     return np.where(d != 0.0, 1.0 / np.where(d == 0.0, 1.0, d), 1.0)
 
 
-def _aggregate(a: sp.csr_matrix, theta: float) -> np.ndarray:
-    """Greedy strength-based aggregation; returns aggregate id per node."""
+def _pair(a: sp.csr_matrix) -> np.ndarray:
+    """One pairwise aggregation pass; returns the pair id of each node.
+
+    In node order, each node i not yet paired pairs with its unpaired
+    neighbour j of the strongest negative coupling -a_ij / sqrt(a_ii a_jj),
+    ties going to the lower j, or stays single where it has none.  Each
+    row's strongest candidate comes from numpy; only a node whose strongest
+    candidate is taken scans its row, through memoryviews, so the pass
+    builds no Python list of the matrix.
+    """
     n = a.shape[0]
-    diag = np.abs(a.diagonal())
-    acoo = a.tocoo()
-    scale = np.sqrt(diag[acoo.row] * diag[acoo.col])
-    strong = (np.abs(acoo.data) >= theta * np.where(scale > 0, scale, 1.0)) \
-        & (acoo.row != acoo.col)
-    smat = sp.csr_matrix((np.ones(np.count_nonzero(strong)),
-                          (acoo.row[strong], acoo.col[strong])), shape=(n, n))
-    # two greedy passes node by node: plain lists, not numpy scalars.  A
-    # node with no aggregated strong neighbour roots an aggregate of itself
-    # and its strong neighbours; a node that is left saw an aggregated one
-    # then, so the second pass joins it to the first such neighbour
-    indptr, indices = smat.indptr.tolist(), smat.indices.tolist()
-    agg = [-1] * n
-    nagg = 0
-    for node in range(n):
-        if agg[node] >= 0:
+    a = a.tocsr()
+    if not a.has_canonical_format:              # one entry per column, columns ascending
+        a = a.copy()
+        a.sum_duplicates()
+    row = np.repeat(np.arange(n), np.diff(a.indptr))
+    d = np.abs(a.diagonal())
+    scale = np.sqrt(d[row] * d[a.indices])
+    # when node i comes, every node before it is taken: its candidates are
+    # the neighbours after it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        strength = np.where((scale > 0) & (a.indices > row), -a.data / scale, 0.0)
+    strength[~(strength > 0)] = 0.0             # positive couplings and NaN: none
+    # each row's strongest candidate, the first of its ties; n (a taken
+    # sentinel) where the row has none.  reduceat as in _truncate
+    top = np.maximum.reduceat(np.append(strength, 0.0), a.indptr[:-1])
+    hit = np.flatnonzero((strength == top[row]) & (strength > 0))
+    rows, first = np.unique(row[hit], return_index=True)
+    best = np.full(n, n, np.int64)
+    best[rows] = a.indices[hit[first]]
+    pair = np.full(n + 1, -1, np.int64)
+    pair[n] = n
+    ids, strongest, cols, s, ptr = (memoryview(x) for x in (
+        pair, best, a.indices.astype(np.int64), strength, a.indptr.astype(np.int64)))
+    npair = 0
+    for i in range(n):
+        if ids[i] >= 0:
             continue
-        nbrs = indices[indptr[node]:indptr[node + 1]]
-        for j in nbrs:
-            if agg[j] >= 0:
-                break
+        ids[i] = npair
+        j = strongest[i]
+        if ids[j] < 0:
+            ids[j] = npair
         else:
-            agg[node] = nagg
-            for j in nbrs:
-                agg[j] = nagg
-            nagg += 1
-    for node in range(n):
-        if agg[node] < 0:
-            for j in indices[indptr[node]:indptr[node + 1]]:
-                if agg[j] >= 0:
-                    agg[node] = agg[j]
-                    break
-    return np.array(agg, dtype=np.int64)
+            j, sj = -1, 0.0
+            for k in range(ptr[i], ptr[i + 1]):
+                if s[k] > sj and ids[cols[k]] < 0:
+                    j, sj = cols[k], s[k]
+            if j >= 0:
+                ids[j] = npair
+        npair += 1
+    return pair[:n]
+
+
+def _aggregate(a: sp.csr_matrix) -> np.ndarray:
+    """Double pairwise aggregation (Notay, ETNA 37, 2010): pairs of ``a``'s
+    nodes, then pairs of those pairs on the tentative coarse operator
+    P0^T A P0 (P0 the 0/1 map of the pairs); returns the aggregate id of
+    each node, aggregates having at most four nodes."""
+    n = a.shape[0]
+    pairs = _pair(a)
+    p0 = sp.csr_matrix((np.ones(n), (np.arange(n), pairs)), shape=(n, int(pairs.max()) + 1))
+    return _pair((p0.T @ a @ p0).tocsr())[pairs]
+
+
+def _truncate(p: sp.csr_matrix, agg: np.ndarray, tau: float) -> sp.csr_matrix:
+    """``p`` without the entries below tau times their row's largest
+    magnitude, each row keeping its sum.  A row's tentative entry, column
+    agg[i] of row i, is never dropped, so no coarse column empties.  The
+    kept positive entries of a row are scaled to the sum of all its positive
+    ones, and the negative ones alike, so no cancellation between the two
+    inflates a row; where every entry of a sign is dropped, their sum goes
+    onto the tentative entry."""
+    n = p.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(p.indptr))
+    mag = np.abs(p.data)
+    # an empty row's reduceat reads the next row's first entry, or the
+    # appended 0 past the last: it has no entry that reads it
+    biggest = np.maximum.reduceat(np.append(mag, 0.0), p.indptr[:-1])
+    tentative = p.indices == agg[rows]
+    keep = (mag >= tau * biggest[rows]) | tentative
+    data = p.data.copy()
+    for sign in (1.0, -1.0):
+        part = sign * data > 0
+        total = np.bincount(rows[part], data[part], minlength=n)
+        part &= keep
+        kept = np.bincount(rows[part], data[part], minlength=n)
+        data[part] *= (total / np.where(kept == 0.0, 1.0, kept))[rows[part]]
+        data[tentative] += np.where(kept == 0.0, total, 0.0)[rows[tentative]]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+    return sp.csr_matrix((data[keep], p.indices[keep], indptr.astype(p.indptr.dtype)),
+                         shape=p.shape)
 
 
 def _spectral_radius(a: sp.csr_matrix, dinv: np.ndarray, iters: int = 10) -> float:
@@ -620,32 +675,23 @@ def build_amg(a_pp: sp.csr_matrix, aggregates: list | None = None) -> AmgHierarc
     """Smoothed-aggregation hierarchy with a dense coarsest-level factorization.
 
     Level k takes ``aggregates[k]`` when there is one, else aggregates its
-    operator.  Where that pass coarsens by less than ``_AMG_MIN_RATIO`` and
-    leaves more than ``_AMG_MIN_COARSE`` aggregates, the tentative coarse
-    operator P0^T A P0 (P0 the 0/1 aggregate map) is aggregated once more
-    and the two maps composed: strongly anisotropic operators, such as
-    thin-layered 3-D pressure blocks, otherwise coarsen along their strong
-    direction alone (Notay, ETNA 37, 2010, on aggregating aggregates).  The
-    hierarchy keeps the (composed) aggregates of its levels.  This is the
-    only place a hierarchy is built.
+    operator by double pairwise aggregation (``_aggregate``), so it coarsens
+    by up to 4x along its strongest couplings.  Its prolongator is the
+    tentative one, P0 (the aggregate map, columns scaled to unit norm),
+    smoothed by one damped Jacobi step (Vanek, Mandel and Brezina, Computing
+    56, 1996), then truncated (``_truncate``) at ``_AMG_TRUNCATE``: the
+    finest level's threshold, or the larger one of the coarser levels, whose
+    operators the smoothing widens level by level.  The hierarchy keeps the
+    aggregates of its levels.  This is the only place a hierarchy is built.
     """
     hier = AmgHierarchy()
     a = a_pp.tocsr()
     known = aggregates or []
-    twice = []
     for lvl in range(_AMG_MAX_LEVELS):
         n = a.shape[0]
         if n <= _AMG_MIN_COARSE:
             break
-        if lvl < len(known):
-            agg = known[lvl]
-        else:
-            agg = _aggregate(a, _AMG_STRENGTH)
-            ncoarse = int(agg.max()) + 1
-            if n < _AMG_MIN_RATIO * ncoarse and ncoarse > _AMG_MIN_COARSE:
-                p0 = sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, ncoarse))
-                agg = _aggregate((p0.T @ a @ p0).tocsr(), _AMG_STRENGTH)[agg]
-                twice.append(lvl)
+        agg = known[lvl] if lvl < len(known) else _aggregate(a)
         ncoarse = int(agg.max()) + 1
         if ncoarse >= n:
             break
@@ -655,7 +701,8 @@ def build_amg(a_pp: sp.csr_matrix, aggregates: list | None = None) -> AmgHierarc
         dinv = _inv_diag(a)
         rho = _spectral_radius(a, dinv)
         omega_p = (4.0 / 3.0) / max(rho, 1e-12)
-        p = (p0 - sp.diags(omega_p * dinv) @ (a @ p0)).tocsr()
+        p = _truncate((p0 - sp.diags(omega_p * dinv) @ (a @ p0)).tocsr(), agg,
+                      _AMG_TRUNCATE[min(lvl, 1)])
         r = p.T.tocsr()
         # Jacobi smoothing is stable only for omega < 2/rho(D^-1 A); cap the
         # default weight so decouplings that break diagonal dominance
@@ -667,23 +714,23 @@ def build_amg(a_pp: sp.csr_matrix, aggregates: list | None = None) -> AmgHierarc
     hier.coarse_lu = scipy.linalg.lu_factor(a.toarray())
     hier.coarse_n = a.shape[0]
     sizes = [lev.a.shape[0] for lev in hier.levels] + [hier.coarse_n]
-    log.info("AMG levels %s, operator complexity %.2f, %s", " -> ".join(map(str, sizes)),
-             hier.operator_complexity, "aggregates reused" if known else
-             f"second aggregation pass on levels {twice}" if twice else
-             "no second aggregation pass")
+    log.info("AMG levels %s, operator complexity %.2f%s", " -> ".join(map(str, sizes)),
+             hier.operator_complexity, ", aggregates reused" if known else "")
     return hier
 
 
 def amg_vcycle(hier: AmgHierarchy, r_p: np.ndarray, level: int = 0) -> np.ndarray:
-    """One V(1,1) cycle with weighted-Jacobi smoothing."""
+    """One V(2,2) cycle: two weighted-Jacobi sweeps before the coarse
+    correction and two after, on every level above the coarsest."""
     if level == len(hier.levels):
         return scipy.linalg.lu_solve(hier.coarse_lu, r_p)
     lev = hier.levels[level]
-    omega = lev.omega
-    x = omega * lev.dinv * r_p
-    res = r_p - lev.a @ x
-    x = x + lev.p @ amg_vcycle(hier, lev.r @ res, level + 1)
-    x = x + omega * lev.dinv * (r_p - lev.a @ x)
+    wd = lev.omega * lev.dinv
+    x = wd * r_p
+    x += wd * (r_p - lev.a @ x)
+    x += lev.p @ amg_vcycle(hier, lev.r @ (r_p - lev.a @ x), level + 1)
+    for _ in range(2):
+        x += wd * (r_p - lev.a @ x)
     return x
 
 

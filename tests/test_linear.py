@@ -18,7 +18,8 @@ from resim.linear import (AmgHierarchy, AmgLevel, BlockMatrix, BlockILU0, CprFpf
 from resim.model import ReservoirModel, ReservoirState
 from resim import parallel
 from resim.parallel import PooledMatvec, WorkerPool, det_dot, det_norm
-from conftest import two_phase_fluid
+from resim.driver import initial_state, load_deck
+from conftest import deck_path, two_phase_fluid
 
 
 def entry_major(blocks):
@@ -747,38 +748,30 @@ class TestBlockILU0:
         assert it <= len(calls) <= 2 * it
 
 
-def aggregate_reference(a: sp.csr_matrix, theta: float) -> np.ndarray:
-    """The greedy aggregation as first written, on numpy fancy indexing."""
-    n = a.shape[0]
-    diag = np.abs(a.diagonal())
-    acoo = a.tocoo()
-    scale = np.sqrt(diag[acoo.row] * diag[acoo.col])
-    strong = (np.abs(acoo.data) >= theta * np.where(scale > 0, scale, 1.0)) \
-        & (acoo.row != acoo.col)
-    smat = sp.csr_matrix((np.ones(np.count_nonzero(strong)),
-                          (acoo.row[strong], acoo.col[strong])), shape=(n, n))
-    indptr, indices = smat.indptr, smat.indices
-    agg = np.full(n, -1, dtype=np.int64)
-    nagg = 0
-    for node in range(n):
-        if agg[node] >= 0:
-            continue
-        nbrs = indices[indptr[node]:indptr[node + 1]]
-        if np.all(agg[nbrs] < 0):
-            agg[node] = nagg
-            agg[nbrs] = nagg
-            nagg += 1
-    for node in range(n):
-        if agg[node] < 0:
-            nbrs = indices[indptr[node]:indptr[node + 1]]
-            hit = nbrs[agg[nbrs] >= 0]
-            if len(hit):
-                agg[node] = agg[hit[0]]
-    for node in range(n):
-        if agg[node] < 0:
-            agg[node] = nagg
-            nagg += 1
-    return agg
+def pair_strengths(a: sp.csr_matrix) -> np.ndarray:
+    """Dense -a_ij / sqrt(a_ii a_jj) off the diagonal, 0 where not positive."""
+    dense = a.toarray()
+    d = np.sqrt(np.abs(np.diag(dense)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -dense / np.outer(d, d)
+    s[~(s > 0)] = 0.0
+    np.fill_diagonal(s, 0.0)
+    return s
+
+
+def amg_test_matrix(case: str) -> sp.csr_matrix:
+    if case == "laplacian_2d":
+        return laplacian_2d(23, 17)
+    if case == "anisotropic_3d":
+        return laplacian_3d_anisotropic(9, 8, 5)
+    if case == "assembled":
+        a, b = assembled_system(np.random.default_rng(27), shape=(14, 12, 3))
+        return decouple(a, b, "quasi_impes")[0].extract_app()
+    # unsymmetric strengths, positive couplings, and nodes with no negative one
+    rng = np.random.default_rng(55)
+    a = sp.random(600, 600, density=0.01, random_state=rng, format="csr")
+    a.data = rng.standard_normal(a.nnz)
+    return (a + sp.diags(1.0 + rng.random(600))).tocsr()
 
 
 def laplacian_2d(nx, ny):
@@ -867,72 +860,144 @@ class TestAmg:
         assert max(ratios) <= 0.5
         assert errs[-1] <= 1e-2 * errs[0]
 
-    @pytest.mark.parametrize("case", ["laplacian_2d", "anisotropic_3d", "assembled", "random"])
-    def test_aggregate_matches_reference(self, case):
-        # the reference's third pass, which roots an aggregate at each node
-        # the first two left, finds none: two passes give the same bytes
-        if case == "laplacian_2d":
-            a = laplacian_2d(23, 17)
-        elif case == "anisotropic_3d":
-            a = laplacian_3d_anisotropic(9, 8, 5)
-        elif case == "assembled":
-            a, b = assembled_system(np.random.default_rng(27), shape=(14, 12, 3))
-            a = decouple(a, b, "quasi_impes")[0].extract_app()
-        else:
-            # unsymmetric strengths, and nodes with no strong neighbour
-            rng = np.random.default_rng(55)
-            a = sp.random(600, 600, density=0.01, random_state=rng, format="csr")
-            a.data = rng.standard_normal(a.nnz)
-            a = (a + sp.diags(1.0 + rng.random(600))).tocsr()
-        for theta in (linear._AMG_STRENGTH, 0.25, 0.6):
-            agg = linear._aggregate(a, theta)
-            assert agg.min() >= 0
-            assert agg.tobytes() == aggregate_reference(a, theta).tobytes()
+    def test_pairs_a_chain_in_node_order(self):
+        # chain 0-1-2-3-4 with couplings 1, 5, 1, 2: node 0 takes node 1, its
+        # only neighbour, although 1's strongest link is to 2; node 2 then
+        # takes 3, and node 4, whose one neighbour is taken, stays single.
+        # Node 5's only coupling is positive, so it stays single too
+        a = np.zeros((6, 6))
+        for i, w in enumerate([1.0, 5.0, 1.0, 2.0, -0.5]):
+            a[i, i + 1] = a[i + 1, i] = -w
+        np.fill_diagonal(a, np.abs(a).sum(axis=1) + 1.0)
+        np.testing.assert_array_equal(linear._pair(sp.csr_matrix(a)), [0, 0, 1, 1, 2, 3])
 
-    def test_thin_layers_aggregate_twice(self, caplog):
+    @pytest.mark.parametrize("case", ["laplacian_2d", "anisotropic_3d", "assembled", "random"])
+    def test_pairs_along_strongest_negative_coupling(self, case):
+        # in node order, a node not yet taken opens a pair and takes its
+        # neighbour of the strongest negative coupling among those not yet
+        # taken (the first of ties), or stays single when it has none
+        a = amg_test_matrix(case)
+        n = a.shape[0]
+        pair = linear._pair(a)
+        sizes = np.bincount(pair)
+        assert sizes.min() >= 1 and sizes.max() <= 2
+        opener = np.full(len(sizes), n)
+        np.minimum.at(opener, pair, np.arange(n))
+        assert np.all(np.diff(opener) > 0)              # ids in the order pairs open
+        s = pair_strengths(a)
+        singles = 0
+        for i in opener:
+            free = opener[pair] >= i                    # not taken when i comes
+            free[i] = False
+            candidates = np.where(free, s[i], 0.0)
+            partner = np.flatnonzero(pair == pair[i])
+            if candidates.max() > 0:
+                assert partner.tolist() == [i, np.argmax(candidates)]
+            else:
+                assert partner.tolist() == [i]
+                singles += 1
+        assert singles < len(opener)
+
+    @pytest.mark.parametrize("case", ["laplacian_2d", "anisotropic_3d", "assembled", "random"])
+    def test_aggregates_pair_the_pairs(self, case):
+        # the second pass pairs the first pass's pairs on P0^T A P0: an
+        # aggregate joins whole pairs and has at most four nodes
+        a = amg_test_matrix(case)
+        n = a.shape[0]
+        pairs = linear._pair(a)
+        p0 = sp.csr_matrix((np.ones(n), (np.arange(n), pairs)))
+        agg = linear._aggregate(a)
+        assert agg.tobytes() == linear._pair((p0.T @ a @ p0).tocsr())[pairs].tobytes()
+        sizes = np.bincount(agg)
+        assert sizes.min() >= 1 and sizes.max() <= 4
+        assert len(np.unique(np.c_[pairs, agg], axis=0)) == pairs.max() + 1
+        assert agg.max() + 1 < pairs.max() + 1 < n
+
+    def test_aggregates_identical_on_a_rerun(self):
+        a = amg_test_matrix("assembled")
+        first = linear._aggregate(a)
+        assert linear._aggregate(a.copy()).tobytes() == first.tobytes()
+        assert linear._aggregate(a).tobytes() == first.tobytes()
+        h1, h2 = build_amg(a), build_amg(a.copy())
+        for x, y in zip(h1.aggregates, h2.aggregates):
+            assert x.tobytes() == y.tobytes()
+        for lx, ly in zip(h1.levels, h2.levels):
+            for mx, my in ((lx.a, ly.a), (lx.p, ly.p)):
+                for attr in ("data", "indices", "indptr"):
+                    assert getattr(mx, attr).tobytes() == getattr(my, attr).tobytes()
+
+    def test_truncate_keeps_row_sums_and_tentative_entries(self):
+        p = sp.csr_matrix(np.array([[0.5, 0.04, 0.2, 0.0],      # 0.04 < 0.1 * 0.5
+                                    [0.01, 0.9, 0.0, 0.05],     # 0.01 and 0.05 go
+                                    [0.02, 0.0, 0.0, 0.6],      # 0.02 is tentative
+                                    [0.4, -0.01, -0.3, 0.0],    # signs scale apart
+                                    [0.5, 0.0, 0.0, -0.02],     # a lost sign: onto 0.5
+                                    [0.0, 0.0, 0.0, 0.0]]))     # an empty last row
+        out = linear._truncate(p, np.array([0, 1, 0, 0, 0, 3]), 0.1)
+        np.testing.assert_allclose(out.toarray(), [[0.5 * 0.74 / 0.7, 0.0, 0.2 * 0.74 / 0.7, 0.0],
+                                                   [0.0, 0.96, 0.0, 0.0],
+                                                   [0.02, 0.0, 0.0, 0.6],
+                                                   [0.4, 0.0, -0.31, 0.0],
+                                                   [0.48, 0.0, 0.0, 0.0],
+                                                   [0.0, 0.0, 0.0, 0.0]], rtol=1e-14)
+        assert out.nnz == 8
+        np.testing.assert_allclose(out.sum(axis=1), p.sum(axis=1), rtol=1e-14)
+
+    def test_prolongators_keep_tentative_entries(self):
+        # every row keeps its own aggregate's column, so no coarse column
+        # is empty, and truncation keeps P sparse
+        app = self.build_app(shape=(16, 16, 4), hetero=True)
+        hier = build_amg(app)
+        assert len(hier.levels) >= 2
+        for lev, agg in zip(hier.levels, hier.aggregates):
+            n = lev.p.shape[0]
+            assert np.all(np.asarray(lev.p[np.arange(n), agg]).ravel() > 0)
+            assert np.all(np.diff(lev.p.tocsc().indptr) > 0)
+            assert lev.p.nnz < 3 * n
+
+    def test_thin_layers_aggregate_in_columns(self, caplog):
         # 2 ft layers of 20 ft cells: z-transmissibility 100x the lateral, so
-        # the strong couplings are vertical and a first pass makes columns
+        # the strongest couplings are vertical: the first pass pairs layers
+        # 0-1, 2-3 and 4-5 of each column, and the second joins the first two
+        # pairs, so aggregates of four cells coarsen the block about 4x
         app = self.build_app(shape=(16, 16, 6), dz=2.0)
-        first = linear._aggregate(app, linear._AMG_STRENGTH)
-        assert app.shape[0] < linear._AMG_MIN_RATIO * (first.max() + 1)
         with caplog.at_level(logging.INFO, logger="resim.linear"):
             hier = build_amg(app)
         sizes = [lev.a.shape[0] for lev in hier.levels] + [hier.coarse_n]
-        assert sizes[0] >= linear._AMG_MIN_RATIO * sizes[1]
-        # the second pass joins whole first-pass aggregates
-        assert len(np.unique(np.c_[first, hier.aggregates[0]], axis=0)) == first.max() + 1
-        assert hier.operator_complexity < 2.0
+        agg = hier.aggregates[0].reshape(6, 256)
+        assert np.all(agg[:4] == agg[0])                # layers 0-3 of each column
+        assert len(np.unique(agg[:4])) == 256 and not np.isin(agg[4:], agg[:4]).any()
+        assert sizes[0] >= 3.9 * sizes[1]
         lines = [r.getMessage() for r in caplog.records if r.name == "resim.linear"]
         assert lines == [f"AMG levels {' -> '.join(map(str, sizes))}, operator complexity "
-                         f"{hier.operator_complexity:.2f}, second aggregation pass on levels [0]"]
+                         f"{hier.operator_complexity:.2f}"]
         x = np.random.default_rng(29).standard_normal(app.shape[0])
         errs = [np.linalg.norm(x)]
         for _ in range(8):
             x += amg_vcycle(hier, -(app @ x))
             errs.append(np.linalg.norm(x))
-        assert max(e2 / e1 for e1, e2 in zip(errs, errs[1:])) <= 0.8
-        assert errs[-1] <= 0.05 * errs[0]
+        # the last layers' pairs join across columns, which slows the cycle
+        # here to about 0.9 (0.7 with the greedy aggregation this replaced);
+        # thin-layered decks still take fewer linear iterations with it
+        assert max(e2 / e1 for e1, e2 in zip(errs, errs[1:])) <= 0.95
+        assert errs[-1] <= 0.25 * errs[0]
 
-    def test_enough_coarsening_aggregates_once(self, monkeypatch):
-        # an isotropic operator whose first pass coarsens by 4x or more builds
-        # bitwise the hierarchy of a single pass
-        a = laplacian_2d(30, 30)
-        assert a.shape[0] >= linear._AMG_MIN_RATIO * (
-            linear._aggregate(a, linear._AMG_STRENGTH).max() + 1)
-        hier = build_amg(a)
-        monkeypatch.setattr(linear, "_AMG_MIN_RATIO", 1)     # no second pass
-        once = build_amg(a)
-        assert len(hier.levels) == len(once.levels) >= 2
-        for x, y in zip(hier.aggregates, once.aggregates):
-            np.testing.assert_array_equal(x, y)
-        for lx, ly in zip(hier.levels, once.levels):
-            for mx, my in ((lx.a, ly.a), (lx.p, ly.p), (lx.r, ly.r)):
-                for attr in ("data", "indices", "indptr"):
-                    assert getattr(mx, attr).tobytes() == getattr(my, attr).tobytes()
-            assert lx.dinv.tobytes() == ly.dinv.tobytes() and lx.omega == ly.omega
-        assert hier.coarse_n == once.coarse_n
-        for x, y in zip(hier.coarse_lu, once.coarse_lu):
-            assert x.tobytes() == y.tobytes()
+    def test_spe10_subset_pressure_block_converges(self):
+        # the first quasi-IMPES pressure block of the shipped SPE10 subset
+        # deck (13,200 cells, permeability 1e-3 to 2e4 md): ten V-cycles
+        # from zero cut a random residual 100x at least
+        deck = load_deck(deck_path("spe10_subset.deck"))
+        model = ReservoirModel(deck.grid, deck.rock, deck.fluid)
+        state = initial_state(deck)
+        jac = model.assemble_jacobian(state, state, deck.controller.dt_init, deck.wells)
+        app = decouple(jac, jac.b, "quasi_impes")[0].extract_app()
+        assert app.shape[0] == 13200
+        hier = build_amg(app)
+        r = np.random.default_rng(30).standard_normal(app.shape[0])
+        x = np.zeros_like(r)
+        for _ in range(10):
+            x += amg_vcycle(hier, r - app @ x)
+        assert np.linalg.norm(r - app @ x) <= 1e-2 * np.linalg.norm(r)
 
     def test_homogeneous_field_converges(self):
         app = self.build_app()
@@ -1101,20 +1166,17 @@ class TestCprFpf:
         aggregated = []
         aggregate = linear._aggregate
 
-        def counted(a, theta):
+        def counted(a):
             aggregated.append(a.shape[0])
-            return aggregate(a, theta)
+            return aggregate(a)
 
         monkeypatch.setattr(linear, "_aggregate", counted)
         m1 = CprFpf(a2, csr_operator(a2))
-        # one first pass per level, on the level's operator, and at most one
-        # second pass per level, on the smaller tentative coarse operator
+        # one aggregation per level, on the level's operator
         sizes = [lev.a.shape[0] for lev in m1.amg.levels]
-        assert [k for k in aggregated if k in sizes] == sizes and len(sizes) >= 2
-        assert len(aggregated) - len(sizes) <= len(sizes)
-        calls = len(aggregated)
+        assert aggregated == sizes and len(sizes) >= 2
         m2 = CprFpf(c2, csr_operator(c2))
-        assert len(aggregated) == calls
+        assert aggregated == sizes
         assert m2.amg.levels[1] is not m1.amg.levels[1]
         assert len(m2.amg.aggregates) == len(m1.amg.aggregates)
         assert all(x is y for x, y in zip(m2.amg.aggregates, m1.amg.aggregates))
