@@ -303,8 +303,10 @@ class CsrPattern:
     values; they depend on the structure alone, not on the set-up's passes
     over the black cells, whose arrays ``ilu_buffers`` keeps for the next
     set-up on the pattern.  ``fits`` tells whether a matrix has this structure:
-    grid shape, block size, stencil axes and well borders.  ``aggregates``
-    keeps the AMG aggregates of the last hierarchy built on it by ``CprFpf``.
+    grid shape, block size, stencil axes and well borders.  ``amg_template``
+    keeps the prolongators, restrictions and weights of the first AMG
+    hierarchy ``CprFpf`` built in full on it, and no level's operator, for
+    ``CprFpf`` to re-set up for as long as the pattern lives.
     """
 
     def __init__(self, a: BlockMatrix):
@@ -339,7 +341,7 @@ class CsrPattern:
         self.ilu_lower, self.ilu_upper = (
             _StencilLayout(n, [blk[:2] for blk in part], m, a.nwell, well_diag=part is lower,
                            runs=[blk[2] for blk in part]) for part in (lower, upper))
-        self.aggregates: list[np.ndarray] | None = None
+        self.amg_template: AmgHierarchy | None = None
         self.ilu_buffers: tuple[np.ndarray, np.ndarray] | None = None
 
     def fits(self, a: BlockMatrix) -> bool:
@@ -522,8 +524,8 @@ class BlockILU0:
 
 @dataclass
 class AmgLevel:
-    a: sp.csr_matrix
-    dinv: np.ndarray
+    a: sp.csr_matrix | None
+    dinv: np.ndarray | None
     p: sp.csr_matrix | None = None
     r: sp.csr_matrix | None = None
     omega: float = _JACOBI_OMEGA
@@ -534,7 +536,6 @@ class AmgHierarchy:
     levels: list[AmgLevel] = field(default_factory=list)
     coarse_lu: tuple | None = None
     coarse_n: int = 0
-    aggregates: list[np.ndarray] = field(default_factory=list)   # one per level
 
     @property
     def nlevels(self) -> int:
@@ -551,11 +552,19 @@ class AmgHierarchy:
         """A hierarchy whose finest level smooths and computes residuals on
         ``a_pp`` and its inverse diagonal; prolongators, restrictions, coarse
         operators, coarse LU and smoothing weights are shared with this one,
-        which is left unchanged.  Needs at least one level above the coarsest.
+        which is left unchanged, so the weights' cap omega <= 1.6/rho stays
+        the one set on the operators this hierarchy was built on.  Needs at
+        least one level above the coarsest.
         """
         a = a_pp.tocsr()
         fine = replace(self.levels[0], a=a, dinv=_inv_diag(a))
         return replace(self, levels=[fine] + self.levels[1:])
+
+    def template(self) -> "AmgHierarchy":
+        """This hierarchy's prolongators, restrictions and smoothing weights
+        alone, for ``build_amg(..., like=...)``: no operator, inverse
+        diagonal or coarse LU, so keeping it keeps no matrix of a level."""
+        return AmgHierarchy(levels=[replace(lev, a=None, dinv=None) for lev in self.levels])
 
 
 def _inv_diag(a: sp.csr_matrix) -> np.ndarray:
@@ -671,27 +680,38 @@ def _spectral_radius(a: sp.csr_matrix, dinv: np.ndarray, iters: int = 10) -> flo
     return rho
 
 
-def build_amg(a_pp: sp.csr_matrix, aggregates: list | None = None) -> AmgHierarchy:
+def build_amg(a_pp: sp.csr_matrix, like: AmgHierarchy | None = None) -> AmgHierarchy:
     """Smoothed-aggregation hierarchy with a dense coarsest-level factorization.
 
-    Level k takes ``aggregates[k]`` when there is one, else aggregates its
-    operator by double pairwise aggregation (``_aggregate``), so it coarsens
-    by up to 4x along its strongest couplings.  Its prolongator is the
-    tentative one, P0 (the aggregate map, columns scaled to unit norm),
-    smoothed by one damped Jacobi step (Vanek, Mandel and Brezina, Computing
-    56, 1996), then truncated (``_truncate``) at ``_AMG_TRUNCATE``: the
-    finest level's threshold, or the larger one of the coarser levels, whose
-    operators the smoothing widens level by level.  The hierarchy keeps the
-    aggregates of its levels.  This is the only place a hierarchy is built.
+    Each level aggregates its operator by double pairwise aggregation
+    (``_aggregate``), so it coarsens by up to 4x along its strongest
+    couplings.  Its prolongator is the tentative one, P0 (the aggregate map,
+    columns scaled to unit norm), smoothed by one damped Jacobi step (Vanek,
+    Mandel and Brezina, Computing 56, 1996), then truncated (``_truncate``)
+    at ``_AMG_TRUNCATE``: the finest level's threshold, or the larger one of
+    the coarser levels, whose operators the smoothing widens level by level.
+    Its smoothing weight is min(2/3, 1.6/rho(D^-1 A)).
+
+    ``like``, a hierarchy built on a pressure block of this structure (or
+    its ``template``), makes this a numeric re-set-up when it has a level
+    above the coarsest: every level keeps ``like``'s prolongator,
+    restriction and weight, and only the operators R A P down the levels,
+    their inverse diagonals and the coarse LU are computed, with no
+    aggregation, spectral radius, smoothing or truncation; ``like`` is left
+    unchanged.  So the weights' cap is the one set at the full build.  This
+    is the only place a hierarchy is built.
     """
     hier = AmgHierarchy()
     a = a_pp.tocsr()
-    known = aggregates or []
-    for lvl in range(_AMG_MAX_LEVELS):
+    reused = like.levels if like is not None else []
+    for lev in reused:
+        hier.levels.append(replace(lev, a=a, dinv=_inv_diag(a)))
+        a = (lev.r @ a @ lev.p).tocsr()
+    for lvl in range(0 if reused else _AMG_MAX_LEVELS):     # a full build
         n = a.shape[0]
         if n <= _AMG_MIN_COARSE:
             break
-        agg = known[lvl] if lvl < len(known) else _aggregate(a)
+        agg = _aggregate(a)
         ncoarse = int(agg.max()) + 1
         if ncoarse >= n:
             break
@@ -709,13 +729,12 @@ def build_amg(a_pp: sp.csr_matrix, aggregates: list | None = None) -> AmgHierarc
         # (e.g. ABF on incompressible systems) cannot make the cycle diverge
         omega_s = min(_JACOBI_OMEGA, 1.6 / max(rho, 1e-12))
         hier.levels.append(AmgLevel(a=a, dinv=dinv, p=p, r=r, omega=omega_s))
-        hier.aggregates.append(agg)
         a = (r @ a @ p).tocsr()
     hier.coarse_lu = scipy.linalg.lu_factor(a.toarray())
     hier.coarse_n = a.shape[0]
     sizes = [lev.a.shape[0] for lev in hier.levels] + [hier.coarse_n]
     log.info("AMG levels %s, operator complexity %.2f%s", " -> ".join(map(str, sizes)),
-             hier.operator_complexity, ", aggregates reused" if known else "")
+             hier.operator_complexity, ", prolongators reused" if reused else "")
     return hier
 
 
@@ -749,9 +768,11 @@ class CprFpf:
     ``amg``, the hierarchy of an earlier pressure block of this structure,
     is reused with this pressure block on its finest level (``with_fine``).
     Without one, or when it has no coarse level (at most ``_AMG_MIN_COARSE``
-    cells), ``build_amg`` builds on the aggregates kept on ``a``'s
-    ``CsrPattern``, a run's pressure blocks all having one structure, and
-    the pattern keeps the new hierarchy's.
+    cells), ``build_amg`` re-sets up the template kept on ``a``'s
+    ``CsrPattern`` (``amg_template``: the prolongators, restrictions and
+    weights of the first full build on the pattern, a run's pressure blocks
+    all having one structure) on this pressure block; only where the
+    pattern has no template with a coarse level does it build in full.
     """
 
     def __init__(self, a: BlockMatrix, matvec: PooledMatvec,
@@ -765,8 +786,8 @@ class CprFpf:
         if amg is not None and amg.levels:
             self.amg = amg.with_fine(self.app)
         else:
-            self.amg = build_amg(self.app, pattern.aggregates)
-            pattern.aggregates = self.amg.aggregates
+            self.amg = build_amg(self.app, like=pattern.amg_template)
+            pattern.amg_template = self.amg.template()
         self.pslots = slice(0, a.ncell * a.m, a.m)
 
     def solve(self, r: np.ndarray) -> np.ndarray:

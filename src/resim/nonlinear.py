@@ -307,8 +307,8 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
     None), and ``floored`` whether the termination floor raised it; they go
     into the iteration's log entry.
 
-    Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: build
-    one).  Returns (new_state, r_prev, g, amg): ``r_prev`` is b - J dx for
+    Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: set
+    one up).  Returns (new_state, r_prev, g, amg): ``r_prev`` is b - J dx for
     the forcing rules that read it (eq13_a, eq13_b) and None for the others,
     which drop the Jacobian before the solve; ``g`` is the coarse matrix
     Z^T J W of this Jacobian (``_coarse_matrix``), ``amg`` the hierarchy its
@@ -464,8 +464,11 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
     Raises _StepFailure if it does not converge, and ``AssemblyError`` if a
     trial state has a non-finite residual or Jacobian; either cuts the step.
     The AMG hierarchy lives for one attempt: its first Newton iteration
-    builds one, each later one reuses the previous one's, and a new step or
-    a retry after a cut builds afresh.
+    sets one up, each later one reuses the previous one's (``with_fine``),
+    and a new step or a retry after a cut sets up afresh.  The set-up is a
+    full build only in the run's first attempt; every later one re-sets up,
+    numerically, the prolongators, restrictions and weights the Jacobian's
+    ``CsrPattern`` keeps from that build (``CprFpf``).
     """
     rec.contraction = None
     state = state_old.copy()

@@ -12,8 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from resim import driver, linear, nonlinear, parallel
-from test_driver import TINY_RUN_DECK
-from test_linear import random_block_matrix
+from conftest import deck_path
+from test_driver import TINY_RUN_DECK, AttemptLog
+from test_linear import count_full_build_work, random_block_matrix
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -66,6 +67,29 @@ def test_tracer_counts_match_the_run_report(monkeypatch, tmp_path):
     assert layers["wells.rates_calls"] == (calls["model.assemble_jacobian"]
                                            + calls["model.assemble_residual"]
                                            + calls["model.well_mass_rates"])
+
+
+def test_amg_setup_spans_cover_the_resetups(monkeypatch, tmp_path):
+    # 100 cells, so the hierarchy has coarse levels: the run's first attempt
+    # builds it in full and every later one re-sets it up, both through
+    # build_amg, so linear.amg_setup_s times the re-set-ups too
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracer import Tracer
+
+    deck = driver.load_deck(deck_path("buckley_leverett.deck"))
+    deck.t_end = 5.0
+    work = count_full_build_work(monkeypatch)
+    log = AttemptLog(monkeypatch)
+    t = Tracer().install()
+    try:
+        report = driver.run_simulation(deck, output_dir=str(tmp_path))
+    finally:
+        t.uninstall()
+    builds = sum(1 for span in t.spans if span[0] == "linear.build_amg")
+    assert builds == sum(1 for n in log.newtons if n) == len(work) < report.n_newton
+    assert work[0] > 0 and work[1:] == [0] * (builds - 1) and builds > 1 and t.amg[0] >= 2
+    layers, _ = t.summarize(1.0)
+    assert layers["linear.amg_setup_s"] > 0
 
 
 def test_sample_patch_targets_exist():

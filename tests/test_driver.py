@@ -11,6 +11,7 @@ from resim.driver import (DeckError, load_deck, parse_deck, run_simulation,
                           write_vtk, initial_state, main)
 from resim.nonlinear import SimulationAbort
 from conftest import deck_path
+from test_linear import count_full_build_work
 
 MINIMAL_DECK = """
 [grid]
@@ -698,31 +699,24 @@ class TestAmgLifetime:
         # assemblies: residual, Jacobian, then the first trial state's
         # residual, which fails the first attempt after one Newton iteration
         inject_nan_residual(monkeypatch, 3, 3)
+        work = count_full_build_work(monkeypatch)
         log = AttemptLog(monkeypatch)
         report = run_simulation(self.short_waterflood(), output_dir=str(tmp_path))
         assert report.steps[0].cuts == report.n_cuts == 1
         assert log.newtons[0] == 1 and log.newtons[1] >= 2
         assert log.builds == [1 if n else 0 for n in log.newtons]
+        # the retry re-sets up the cut attempt's prolongators
+        assert work[0] > 0 and work[1] == 0
 
-    def test_only_the_first_build_aggregates(self, tmp_path, monkeypatch):
-        # the run's CsrPattern keeps the first build's aggregates
-        aggregated = []
-        build, aggregate = linear.build_amg, linear._aggregate
-
-        def counted_build(*args, **kwargs):
-            aggregated.append(0)
-            return build(*args, **kwargs)
-
-        def counted_aggregate(*args, **kwargs):
-            aggregated[-1] += 1
-            return aggregate(*args, **kwargs)
-
-        monkeypatch.setattr(linear, "build_amg", counted_build)
-        monkeypatch.setattr(linear, "_aggregate", counted_aggregate)
+    def test_only_the_first_build_aggregates_smooths_and_truncates(self, tmp_path,
+                                                                   monkeypatch):
+        # the run's CsrPattern keeps the first build's prolongators, and
+        # every later attempt's build only re-sets them up on its own block
+        work = count_full_build_work(monkeypatch)
         report = run_simulation(self.short_waterflood(), output_dir=str(tmp_path))
-        assert report.n_steps > 1 and len(aggregated) == report.n_steps + report.n_cuts
-        assert aggregated[0] >= 1
-        assert aggregated[1:] == [0] * (len(aggregated) - 1)
+        assert report.n_steps > 1 and len(work) == report.n_steps + report.n_cuts
+        assert work[0] >= 3
+        assert work[1:] == [0] * (len(work) - 1)
 
     def test_zero_level_pressure_block_rebuilds_every_newton(self, tmp_path,
                                                              monkeypatch):

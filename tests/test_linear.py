@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse as sp
 
 import resim
@@ -802,6 +803,25 @@ def counting_build_amg(monkeypatch):
     return calls
 
 
+def count_full_build_work(monkeypatch):
+    """Per ``linear.build_amg`` call, the calls it makes to aggregate, take a
+    spectral radius and truncate: all zero in a numeric re-set-up."""
+    work = []
+    build = linear.build_amg
+
+    def counted_build(*args, **kwargs):
+        work.append(0)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(linear, "build_amg", counted_build)
+    for name in ("_aggregate", "_spectral_radius", "_truncate"):
+        def counted(*args, _fn=getattr(linear, name), **kwargs):
+            work[-1] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(linear, name, counted)
+    return work
+
+
 class TestAmg:
     def build_app(self, shape=(16, 16, 1), hetero=False, dz=10.0):
         rng = np.random.default_rng(17)
@@ -919,8 +939,6 @@ class TestAmg:
         assert linear._aggregate(a.copy()).tobytes() == first.tobytes()
         assert linear._aggregate(a).tobytes() == first.tobytes()
         h1, h2 = build_amg(a), build_amg(a.copy())
-        for x, y in zip(h1.aggregates, h2.aggregates):
-            assert x.tobytes() == y.tobytes()
         for lx, ly in zip(h1.levels, h2.levels):
             for mx, my in ((lx.a, ly.a), (lx.p, ly.p)):
                 for attr in ("data", "indices", "indptr"):
@@ -949,7 +967,8 @@ class TestAmg:
         app = self.build_app(shape=(16, 16, 4), hetero=True)
         hier = build_amg(app)
         assert len(hier.levels) >= 2
-        for lev, agg in zip(hier.levels, hier.aggregates):
+        for lev in hier.levels:
+            agg = linear._aggregate(lev.a)
             n = lev.p.shape[0]
             assert np.all(np.asarray(lev.p[np.arange(n), agg]).ravel() > 0)
             assert np.all(np.diff(lev.p.tocsc().indptr) > 0)
@@ -964,7 +983,7 @@ class TestAmg:
         with caplog.at_level(logging.INFO, logger="resim.linear"):
             hier = build_amg(app)
         sizes = [lev.a.shape[0] for lev in hier.levels] + [hier.coarse_n]
-        agg = hier.aggregates[0].reshape(6, 256)
+        agg = linear._aggregate(app).reshape(6, 256)
         assert np.all(agg[:4] == agg[0])                # layers 0-3 of each column
         assert len(np.unique(agg[:4])) == 256 and not np.isin(agg[4:], agg[:4]).any()
         assert sizes[0] >= 3.9 * sizes[1]
@@ -981,6 +1000,73 @@ class TestAmg:
         # thin-layered decks still take fewer linear iterations with it
         assert max(e2 / e1 for e1, e2 in zip(errs, errs[1:])) <= 0.95
         assert errs[-1] <= 0.25 * errs[0]
+
+    def resetup_pair(self):
+        """Two pressure blocks of one structure with different values."""
+        a = amg_test_matrix("assembled")
+        c, d = assembled_system(np.random.default_rng(28), shape=(14, 12, 3))
+        c2 = decouple(c, d, "quasi_impes")[0].extract_app()
+        assert (a.indptr.tobytes(), a.indices.tobytes()) == \
+            (c2.indptr.tobytes(), c2.indices.tobytes())
+        assert not np.array_equal(a.data, c2.data)
+        return a, c2
+
+    def test_resetup_on_its_own_block_is_bitwise_a_full_build(self):
+        a, _ = self.resetup_pair()
+        full = build_amg(a)
+        again = build_amg(a, like=build_amg(a))
+        assert len(full.levels) >= 2 and len(again.levels) == len(full.levels)
+        for lx, ly in zip(full.levels, again.levels):
+            for mx, my in ((lx.a, ly.a), (lx.p, ly.p), (lx.r, ly.r)):
+                for attr in ("data", "indices", "indptr"):
+                    assert getattr(mx, attr).tobytes() == getattr(my, attr).tobytes()
+            assert lx.dinv.tobytes() == ly.dinv.tobytes() and lx.omega == ly.omega
+        assert again.coarse_n == full.coarse_n
+        for x, y in zip(full.coarse_lu, again.coarse_lu):
+            assert x.tobytes() == y.tobytes()
+
+    def test_resetup_takes_galerkin_products_of_the_template(self):
+        # every level of a re-set-up is R A P of the level above it, with the
+        # template's P, R and weight; the template is left as it was
+        a, c = self.resetup_pair()
+        template = build_amg(a)
+        before = [[arr.copy() for m in (lev.a, lev.p, lev.r)
+                   for arr in (m.data, m.indices, m.indptr)] + [lev.dinv.copy()]
+                  for lev in template.levels]
+        lu_before = [x.copy() for x in template.coarse_lu]
+        hier = build_amg(c, like=template)
+        assert len(hier.levels) == len(template.levels)
+        op = c
+        for lev, tmp in zip(hier.levels, template.levels):
+            assert lev.p is tmp.p and lev.r is tmp.r and lev.omega == tmp.omega
+            assert (lev.a != op).nnz == 0
+            np.testing.assert_array_equal(lev.dinv, 1.0 / op.diagonal())
+            op = (tmp.r @ op @ tmp.p).tocsr()
+        assert hier.coarse_n == op.shape[0]
+        np.testing.assert_allclose(scipy.linalg.lu_solve(hier.coarse_lu, np.ones(op.shape[0])),
+                                   np.linalg.solve(op.toarray(), np.ones(op.shape[0])),
+                                   rtol=1e-9)
+        after = [[arr for m in (lev.a, lev.p, lev.r) for arr in (m.data, m.indices, m.indptr)]
+                 + [lev.dinv] for lev in template.levels]
+        for xs, ys in zip(before, after):
+            for x, y in zip(xs, ys):
+                assert x.tobytes() == y.tobytes()
+        for x, y in zip(lu_before, template.coarse_lu):
+            assert x.tobytes() == y.tobytes()
+
+    def test_resetup_aggregates_smooths_and_truncates_nothing(self, monkeypatch, caplog):
+        a, c = self.resetup_pair()
+        template = build_amg(a).template()
+        assert all(lev.a is None and lev.dinv is None for lev in template.levels)
+        assert template.coarse_lu is None
+        work = count_full_build_work(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="resim.linear"):
+            hier = linear.build_amg(c, like=template)
+        assert work == [0] and len(hier.levels) == len(template.levels) >= 2
+        assert [r.getMessage().endswith(", prolongators reused") for r in caplog.records
+                if r.name == "resim.linear"] == [True]
+        linear.build_amg(c)
+        assert work[1] >= 3 * len(hier.levels)
 
     def test_spe10_subset_pressure_block_converges(self):
         # the first quasi-IMPES pressure block of the shipped SPE10 subset
@@ -1099,16 +1185,12 @@ class TestCprFpf:
         rng, a2, c2 = self.reuse_pair()
         calls = counting_build_amg(monkeypatch)
         m1 = CprFpf(a2, csr_operator(a2))
-        assert len(calls) == 1 and a2.csr_pattern().aggregates is m1.amg.aggregates
-        assert len(m1.amg.levels) >= 2
-        aggs = [arr.copy() for arr in m1.amg.aggregates]
+        assert len(calls) == 1 and len(m1.amg.levels) >= 2
+        template = a2.csr_pattern().amg_template
+        assert [lev.p for lev in template.levels] == [lev.p for lev in m1.amg.levels]
         op = csr_operator(c2)
         m2 = CprFpf(c2, op, amg=m1.amg)
         assert len(calls) == 1
-        assert len(m2.amg.aggregates) == len(aggs)
-        for x, y, z in zip(aggs, m1.amg.aggregates, m2.amg.aggregates):
-            np.testing.assert_array_equal(x, y)
-            np.testing.assert_array_equal(x, z)
         fine1, fine2 = m1.amg.levels[0], m2.amg.levels[0]
         app = c2.extract_app()
         for attr in ("data", "indices", "indptr"):
@@ -1158,9 +1240,10 @@ class TestCprFpf:
             np.testing.assert_array_equal(m.solve(r), z)
             amg = m.amg
 
-    def test_aggregates_kept_on_the_pattern(self, monkeypatch):
-        # a second build on one pattern aggregates nothing: every level
-        # takes the first build's arrays
+    def test_prolongators_kept_on_the_pattern(self, monkeypatch):
+        # a second preconditioner on one pattern re-sets up the first one's
+        # hierarchy: every level keeps its prolongator, restriction and
+        # weight, and takes its own operators; nothing is aggregated again
         rng, a2, c2 = self.reuse_pair()
         c2.pattern = a2.csr_pattern()       # as ReservoirModel hands it on
         aggregated = []
@@ -1175,14 +1258,20 @@ class TestCprFpf:
         # one aggregation per level, on the level's operator
         sizes = [lev.a.shape[0] for lev in m1.amg.levels]
         assert aggregated == sizes and len(sizes) >= 2
+        calls = counting_build_amg(monkeypatch)
         m2 = CprFpf(c2, csr_operator(c2))
-        assert aggregated == sizes
-        assert m2.amg.levels[1] is not m1.amg.levels[1]
-        assert len(m2.amg.aggregates) == len(m1.amg.aggregates)
-        assert all(x is y for x, y in zip(m2.amg.aggregates, m1.amg.aggregates))
-        assert c2.csr_pattern().aggregates is m2.amg.aggregates
-        assert [lev.p.shape for lev in m2.amg.levels] == \
-            [lev.p.shape for lev in m1.amg.levels]
+        assert aggregated == sizes and calls == [c2.ncell]
+        # the pattern keeps no operator of either hierarchy
+        template = c2.csr_pattern().amg_template
+        assert all(lev.a is None and lev.dinv is None for lev in template.levels)
+        for lev1, lev2, tmp in zip(m1.amg.levels, m2.amg.levels, template.levels):
+            assert lev2.p is lev1.p is tmp.p and lev2.r is lev1.r is tmp.r
+            assert lev2.omega == lev1.omega == tmp.omega
+            assert lev2.a is not lev1.a
+        app = c2.extract_app()
+        assert (m2.amg.levels[0].a != app).nnz == 0
+        coarse = m2.amg.levels[0]
+        assert (m2.amg.levels[1].a != (coarse.r @ app @ coarse.p)).nnz == 0
         assert m2.amg.coarse_n == m1.amg.coarse_n
 
 
