@@ -57,13 +57,13 @@ _TAKE_PASS = 1 << 16
 @dataclass
 class SolverConfig:
     max_iterations: int = 50
-    preconditioner: str = "cpr_fpf"   # 'none' | 'ilu0' | 'cpr_fpf'
+    preconditioner: str = "cpr_fpf"   # the only one: CprFpf
     decoupling: str = "quasi_impes"   # 'none' | 'quasi_impes' | 'abf'
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.preconditioner not in ("none", "ilu0", "cpr_fpf"):
+        if self.preconditioner != "cpr_fpf":
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.decoupling not in ("none", "quasi_impes", "abf"):
             raise ValueError(f"unknown decoupling {self.decoupling!r}")
@@ -303,10 +303,8 @@ class CsrPattern:
     values; they depend on the structure alone, not on the set-up's passes
     over the black cells, whose arrays ``ilu_buffers`` keeps for the next
     set-up on the pattern.  ``fits`` tells whether a matrix has this structure:
-    grid shape, block size, stencil axes and well borders.  ``amg_template``
-    keeps the prolongators, restrictions and weights of the first AMG
-    hierarchy ``CprFpf`` built in full on it, and no level's operator, for
-    ``CprFpf`` to re-set up for as long as the pattern lives.
+    grid shape, block size, stencil axes and well borders.  ``amg`` is the
+    AMG hierarchy ``CprFpf`` last set up on the pattern (see there).
     """
 
     def __init__(self, a: BlockMatrix):
@@ -341,7 +339,7 @@ class CsrPattern:
         self.ilu_lower, self.ilu_upper = (
             _StencilLayout(n, [blk[:2] for blk in part], m, a.nwell, well_diag=part is lower,
                            runs=[blk[2] for blk in part]) for part in (lower, upper))
-        self.amg_template: AmgHierarchy | None = None
+        self.amg: AmgHierarchy | None = None
         self.ilu_buffers: tuple[np.ndarray, np.ndarray] | None = None
 
     def fits(self, a: BlockMatrix) -> bool:
@@ -524,10 +522,10 @@ class BlockILU0:
 
 @dataclass
 class AmgLevel:
-    a: sp.csr_matrix | None
-    dinv: np.ndarray | None
-    p: sp.csr_matrix | None = None
-    r: sp.csr_matrix | None = None
+    a: sp.csr_matrix
+    dinv: np.ndarray
+    p: sp.csr_matrix
+    r: sp.csr_matrix
     omega: float = _JACOBI_OMEGA
 
 
@@ -559,12 +557,6 @@ class AmgHierarchy:
         a = a_pp.tocsr()
         fine = replace(self.levels[0], a=a, dinv=_inv_diag(a))
         return replace(self, levels=[fine] + self.levels[1:])
-
-    def template(self) -> "AmgHierarchy":
-        """This hierarchy's prolongators, restrictions and smoothing weights
-        alone, for ``build_amg(..., like=...)``: no operator, inverse
-        diagonal or coarse LU, so keeping it keeps no matrix of a level."""
-        return AmgHierarchy(levels=[replace(lev, a=None, dinv=None) for lev in self.levels])
 
 
 def _inv_diag(a: sp.csr_matrix) -> np.ndarray:
@@ -692,14 +684,14 @@ def build_amg(a_pp: sp.csr_matrix, like: AmgHierarchy | None = None) -> AmgHiera
     the coarser levels, whose operators the smoothing widens level by level.
     Its smoothing weight is min(2/3, 1.6/rho(D^-1 A)).
 
-    ``like``, a hierarchy built on a pressure block of this structure (or
-    its ``template``), makes this a numeric re-set-up when it has a level
-    above the coarsest: every level keeps ``like``'s prolongator,
-    restriction and weight, and only the operators R A P down the levels,
-    their inverse diagonals and the coarse LU are computed, with no
-    aggregation, spectral radius, smoothing or truncation; ``like`` is left
-    unchanged.  So the weights' cap is the one set at the full build.  This
-    is the only place a hierarchy is built.
+    ``like``, a hierarchy built on a pressure block of this structure,
+    makes this a numeric re-set-up when it has a level above the coarsest:
+    every level keeps ``like``'s prolongator, restriction and weight, and
+    only the operators R A P down the levels, their inverse diagonals and
+    the coarse LU are computed, with no aggregation, spectral radius,
+    smoothing or truncation; ``like`` is left unchanged.  So the weights'
+    cap is the one set at the full build.  This is the only place a
+    hierarchy is built; when each mode runs is ``CprFpf``'s.
     """
     hier = AmgHierarchy()
     a = a_pp.tocsr()
@@ -765,29 +757,33 @@ class CprFpf:
     applied multiplicatively between two F stages.  The residual the
     V-cycle reads is formed on the system's pressure rows alone (``a_p``).
 
-    ``amg``, the hierarchy of an earlier pressure block of this structure,
-    is reused with this pressure block on its finest level (``with_fine``).
-    Without one, or when it has no coarse level (at most ``_AMG_MIN_COARSE``
-    cells), ``build_amg`` re-sets up the template kept on ``a``'s
-    ``CsrPattern`` (``amg_template``: the prolongators, restrictions and
-    weights of the first full build on the pattern, a run's pressure blocks
-    all having one structure) on this pressure block; only where the
-    pattern has no template with a coarse level does it build in full.
+    The AMG hierarchy lives on ``a``'s ``CsrPattern`` as ``amg``, the one
+    the last preconditioner on the pattern set up, and this one's replaces
+    it.  With ``fresh`` (an attempt's first Newton iteration) ``build_amg``
+    re-sets up the pattern's hierarchy on this pressure block, keeping its
+    prolongators, restrictions and weights; otherwise (a later iteration of
+    the attempt) this pressure block goes on the finest level of the
+    pattern's hierarchy (``with_fine``), the rest shared.  Only where the
+    pattern has no hierarchy with a coarse level (none yet, or at most
+    ``_AMG_MIN_COARSE`` cells) is it built in full, so a run's pressure
+    blocks, all of one structure, keep the prolongators of its first build.
     """
 
-    def __init__(self, a: BlockMatrix, matvec: PooledMatvec,
-                 amg: AmgHierarchy | None = None):
+    def __init__(self, a: BlockMatrix, matvec: PooledMatvec, fresh: bool = True):
         self.a = a
         self.matvec = matvec
         self.smoother = BlockILU0(a, matvec.pool)
         pattern = a.csr_pattern()
         self.a_p = PooledMatvec(matvec.a[:a.ncell * a.m:a.m], matvec.pool)
         self.app = a.extract_app()
-        if amg is not None and amg.levels:
-            self.amg = amg.with_fine(self.app)
+        last = pattern.amg
+        if last is None or not last.levels:
+            self.amg = build_amg(self.app)
+        elif fresh:
+            self.amg = build_amg(self.app, like=last)
         else:
-            self.amg = build_amg(self.app, like=pattern.amg_template)
-            pattern.amg_template = self.amg.template()
+            self.amg = last.with_fine(self.app)
+        pattern.amg = self.amg
         self.pslots = slice(0, a.ncell * a.m, a.m)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -798,15 +794,12 @@ class CprFpf:
         return z
 
 
-def make_preconditioner(a: BlockMatrix, config: SolverConfig, matvec: PooledMatvec,
-                        amg: AmgHierarchy | None = None):
-    """The configured preconditioner of ``a``, or None; ``matvec`` is the
-    system operator over ``a.to_csr()``, ``amg`` as for ``CprFpf``."""
-    if config.preconditioner == "none":
-        return None
-    if config.preconditioner == "ilu0":
-        return BlockILU0(a, matvec.pool)
-    return CprFpf(a, matvec, amg=amg)
+# a call of its own although it only forwards: perfbench/tracer.py wraps
+# nonlinear.make_preconditioner, decouple and bicgstab by name
+def make_preconditioner(a: BlockMatrix, matvec: PooledMatvec, fresh: bool) -> CprFpf:
+    """The CPR-FPF preconditioner of ``a``; ``matvec`` is the system operator
+    over ``a.to_csr()``, ``fresh`` as for ``CprFpf``."""
+    return CprFpf(a, matvec, fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear import AmgHierarchy, CprFpf, SolverConfig, decouple, \
-    make_preconditioner, bicgstab, dump_matrix_market
+from .linear import SolverConfig, decouple, make_preconditioner, bicgstab, \
+    dump_matrix_market
 from .model import AssemblyError, ReservoirState
 from .parallel import det_norm, PooledMatvec
 
@@ -175,6 +175,7 @@ class NewtonIterLog:
     restarts: int            # BiCGSTAB restarts on the true residual
     ds_chops: int = 0        # cells whose saturation update _MAX_DS cut
     floored: bool = False    # the termination floor raised theta
+    first: bool = True       # the first iteration of its step attempt
 
 
 @dataclass
@@ -298,21 +299,22 @@ def extrapolated_start(state_old, state_prev, dt: float):
 def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
                 scfg: SolverConfig, theta: float, forcing: ForcingHistory | None,
                 theta_rule: float | None, rec: StepRecord, pool=None,
-                dump_prefix=None, amg: AmgHierarchy | None = None, floored=False):
+                dump_prefix=None, floored=False, fresh=True):
     """One assemble-solve-update cycle at the given linear tolerance.
 
     ``forcing`` and ``theta_rule`` are the forcing rule's inputs and output
     that led to ``theta`` (None where no rule ran; an attempt's first
     iteration has no ``forcing``, and ``theta_rule`` is gamma rho^beta or
-    None), and ``floored`` whether the termination floor raised it; they go
-    into the iteration's log entry.
+    None), ``floored`` whether the termination floor raised it, and
+    ``fresh`` whether this is its attempt's first iteration, which sets up
+    the AMG hierarchy afresh (its lifetime is set out at the CPR-FPF class
+    that ``make_preconditioner`` returns); they go into the iteration's log
+    entry, ``fresh`` as ``first``.
 
-    Reuses ``amg``, the previous Newton iteration's AMG hierarchy (None: set
-    one up).  Returns (new_state, r_prev, g, amg): ``r_prev`` is b - J dx for
-    the forcing rules that read it (eq13_a, eq13_b) and None for the others,
-    which drop the Jacobian before the solve; ``g`` is the coarse matrix
-    Z^T J W of this Jacobian (``_coarse_matrix``), ``amg`` the hierarchy its
-    CPR preconditioner used (None without CPR).
+    Returns (new_state, r_prev, g): ``r_prev`` is b - J dx for the forcing
+    rules that read it (eq13_a, eq13_b) and None for the others, which drop
+    the Jacobian before the solve; ``g`` is the coarse matrix Z^T J W of
+    this Jacobian (``_coarse_matrix``).
 
     The solve must meet ||b - A dx|| <= theta ||b|| on the true residual.
     BiCGSTAB stops on its recursive residual, so when the true one misses
@@ -331,11 +333,10 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         if ncfg.forcing_rule not in ("eq13_a", "eq13_b"):
             jac = None
         matvec = PooledMatvec(a2.to_csr(), pool)
-        precond = make_preconditioner(a2, scfg, matvec, amg=amg)
+        precond = make_preconditioner(a2, matvec, fresh)
         dx, iters, status = bicgstab(matvec, precond, b2, theta, scfg.max_iterations)
     rec.decouple_fallbacks += a2.decouple_fallbacks
-    ilu = precond.smoother if isinstance(precond, CprFpf) else precond
-    rec.pivot_shifts += ilu.pivot_shifts if ilu is not None else 0
+    rec.pivot_shifts += precond.smoother.pivot_shifts
     b_norm = det_norm(b2)
     r = b2 - matvec(dx)
     lhs = det_norm(r)
@@ -352,7 +353,8 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         lhs = det_norm(r)
     entry = NewtonIterLog(theta=theta, b_norm=b_norm, lhs_norm=lhs,
                           iterations=iters, status=status, forcing=forcing,
-                          theta_rule=theta_rule, restarts=restarts, floored=floored)
+                          theta_rule=theta_rule, restarts=restarts, floored=floored,
+                          first=fresh)
     rec.newtons += 1
     rec.linear_iters += iters
     rec.newton_log.append(entry)
@@ -368,8 +370,7 @@ def newton_step(model, state, state_old, dt: float, wells, ncfg: NewtonConfig,
         r_prev = jac.b - csr @ dx
     new_state, entry.ds_chops = apply_update(state, dx, model)
     rec.ds_chops += entry.ds_chops
-    amg = precond.amg if isinstance(precond, CprFpf) else None
-    return new_state, r_prev, g, amg
+    return new_state, r_prev, g
 
 
 def _coarse_matrix(jac) -> np.ndarray:
@@ -463,12 +464,9 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
 
     Raises _StepFailure if it does not converge, and ``AssemblyError`` if a
     trial state has a non-finite residual or Jacobian; either cuts the step.
-    The AMG hierarchy lives for one attempt: its first Newton iteration
-    sets one up, each later one reuses the previous one's (``with_fine``),
-    and a new step or a retry after a cut sets up afresh.  The set-up is a
-    full build only in the run's first attempt; every later one re-sets up,
-    numerically, the prolongators, restrictions and weights the Jacobian's
-    ``CsrPattern`` keeps from that build (``CprFpf``).
+    Its first Newton iteration is ``fresh`` (``newton_step``), which sets
+    the AMG hierarchy up afresh; the hierarchy's lifetime is set out at the
+    CPR-FPF class that ``make_preconditioner`` returns.
     """
     rec.contraction = None
     state = state_old.copy()
@@ -499,7 +497,6 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
     b_prev_norm = b_norm
     r_prev_norm = 0.0
     b_minus_r_prev = 0.0
-    amg = None
 
     def clamp(theta):
         return min(max(theta, ncfg.theta_min), ncfg.theta_max)
@@ -536,9 +533,9 @@ def _attempt(model, state_old, dt, wells, ncfg, scfg, pool, dump_prefix, rec,
             rec.loose_first_solves += theta > clamp(cap)
         rec.floored_solves += floored
         prefix = None if dump_prefix is None else f"{dump_prefix}_n{rec.newtons}"
-        state, r_prev, g, amg = newton_step(
-            model, state, state_old, dt, wells, ncfg, scfg, theta, hist,
-            theta_rule, rec, pool=pool, dump_prefix=prefix, amg=amg, floored=floored)
+        state, r_prev, g = newton_step(
+            model, state, state_old, dt, wells, ncfg, scfg, theta, hist, theta_rule,
+            rec, pool=pool, dump_prefix=prefix, floored=floored, fresh=it == 0)
 
         with rec.timing("assembly_time"):
             f = model.assemble_residual(state, state_old, dt, wells, pool=pool)

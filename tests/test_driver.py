@@ -66,6 +66,8 @@ REJECTED_VALUES = [
     ("solver", "beta = 2.5"), ("time", "growth = 0.9"), ("time", "dt_min = 5.0"),
     ("grid", "nx = 0"), ("grid", "dx = 0.0"), ("solver", "linear_max_it = 0"),
     ("solver", "preconditioner = foo"), ("solver", "decoupling = xyz"),
+    # CPR-FPF is the only preconditioner
+    ("solver", "preconditioner = ilu0"), ("solver", "preconditioner = none"),
     ("solver", "forcing_rule = eq99"), ("fluid", "s_wc = 0.9"),
     ("fluid", "mu_w = -1.0"), ("fields", "poro = abc"), ("fields", "poro = 1.5"),
     ("solver", "newton_max = 0"), ("solver", "newton_atol = -1e-8"),
@@ -707,6 +709,10 @@ class TestAmgLifetime:
         assert log.builds == [1 if n else 0 for n in log.newtons]
         # the retry re-sets up the cut attempt's prolongators
         assert work[0] > 0 and work[1] == 0
+        # the Newton log marks each attempt's first iteration, the cut one's too
+        entries = report.newton_log
+        assert sum(e.first for e in entries) == sum(n > 0 for n in log.newtons)
+        assert entries[0].first and entries[1].first and not entries[2].first
 
     def test_only_the_first_build_aggregates_smooths_and_truncates(self, tmp_path,
                                                                    monkeypatch):

@@ -14,7 +14,7 @@ import resim
 from resim import linear
 from resim.grid import neighbor_mask
 from resim.linear import (AmgHierarchy, AmgLevel, BlockMatrix, BlockILU0, CprFpf,
-                          SolverConfig, decouple, build_amg, amg_vcycle, bicgstab,
+                          decouple, build_amg, amg_vcycle, bicgstab,
                           dump_matrix_market, make_preconditioner)
 from resim.model import ReservoirModel, ReservoirState
 from resim import parallel
@@ -743,8 +743,7 @@ class TestBlockILU0:
         a, b = assembled_system(rng)
         a2, b2 = decouple(a, b, "quasi_impes")
         op = csr_operator(a2)
-        m = make_preconditioner(a2, SolverConfig(preconditioner="ilu0"), op)
-        _, it, status = bicgstab(op, m, b2, 1e-8, 200)
+        _, it, status = bicgstab(op, BlockILU0(a2), b2, 1e-8, 200)
         assert status == "converged"
         assert it <= len(calls) <= 2 * it
 
@@ -1056,13 +1055,11 @@ class TestAmg:
 
     def test_resetup_aggregates_smooths_and_truncates_nothing(self, monkeypatch, caplog):
         a, c = self.resetup_pair()
-        template = build_amg(a).template()
-        assert all(lev.a is None and lev.dinv is None for lev in template.levels)
-        assert template.coarse_lu is None
+        like = build_amg(a)
         work = count_full_build_work(monkeypatch)
         with caplog.at_level(logging.INFO, logger="resim.linear"):
-            hier = linear.build_amg(c, like=template)
-        assert work == [0] and len(hier.levels) == len(template.levels) >= 2
+            hier = linear.build_amg(c, like=like)
+        assert work == [0] and len(hier.levels) == len(like.levels) >= 2
         assert [r.getMessage().endswith(", prolongators reused") for r in caplog.records
                 if r.name == "resim.linear"] == [True]
         linear.build_amg(c)
@@ -1170,27 +1167,28 @@ class TestCprFpf:
 
     def reuse_pair(self):
         """Two decoupled Newton systems of one structure with different values,
-        large enough for a hierarchy of two levels above the coarsest."""
+        large enough for a hierarchy of two levels above the coarsest, on one
+        ``CsrPattern`` (as ReservoirModel hands it on)."""
         rng = np.random.default_rng(25)
         a, b = assembled_system(rng, shape=(30, 30, 1))
         a2, _ = decouple(a, b, "quasi_impes")
         c, d = assembled_system(rng, shape=(30, 30, 1))
         c2, _ = decouple(c, d, "quasi_impes")
+        c2.pattern = a2.csr_pattern()
         assert not np.array_equal(a2.extract_app().data, c2.extract_app().data)
         return rng, a2, c2
 
     def test_hierarchy_reuse(self, monkeypatch):
-        # a preconditioner handed an earlier one's hierarchy reuses it with
-        # its own finest level, and builds nothing
+        # a later Newton iteration's preconditioner (not fresh) reuses the
+        # pattern's hierarchy with its own finest level, and builds nothing
         rng, a2, c2 = self.reuse_pair()
         calls = counting_build_amg(monkeypatch)
         m1 = CprFpf(a2, csr_operator(a2))
         assert len(calls) == 1 and len(m1.amg.levels) >= 2
-        template = a2.csr_pattern().amg_template
-        assert [lev.p for lev in template.levels] == [lev.p for lev in m1.amg.levels]
+        assert a2.csr_pattern().amg is m1.amg
         op = csr_operator(c2)
-        m2 = CprFpf(c2, op, amg=m1.amg)
-        assert len(calls) == 1
+        m2 = CprFpf(c2, op, fresh=False)
+        assert len(calls) == 1 and c2.csr_pattern().amg is m2.amg
         fine1, fine2 = m1.amg.levels[0], m2.amg.levels[0]
         app = c2.extract_app()
         for attr in ("data", "indices", "indptr"):
@@ -1217,7 +1215,7 @@ class TestCprFpf:
                                          fine.dinv)]
         r = rng.standard_normal(a2.nunk)
         z = m1.solve(r)
-        m2 = CprFpf(c2, csr_operator(c2), amg=m1.amg)
+        m2 = CprFpf(c2, csr_operator(c2), fresh=False)
         assert m2.amg is not m1.amg and m1.amg.levels[0] is fine
         after = (fine.a.data, fine.a.indices, fine.a.indptr, fine.dinv)
         for x, y in zip(before, after):
@@ -1230,22 +1228,23 @@ class TestCprFpf:
         rng = np.random.default_rng(28)
         mats = [random_block_matrix(rng, shape=(4, 3, 1), m=2, nwell=1)
                 for _ in range(3)]
+        for a in mats[1:]:                  # one structure: the first one's well
+            a.cw_cells = mats[0].cw_cells
         r = rng.standard_normal(mats[0].nunk)
         fresh = [CprFpf(a, csr_operator(a)).solve(r) for a in mats]
         calls = counting_build_amg(monkeypatch)
-        amg = None
+        pattern = mats[0].csr_pattern()
         for k, (a, z) in enumerate(zip(mats, fresh), start=1):
-            m = CprFpf(a, csr_operator(a), amg=amg)
-            assert len(calls) == k and m.amg.levels == []
+            a.pattern = pattern
+            m = CprFpf(a, csr_operator(a), fresh=False)
+            assert len(calls) == k and m.amg.levels == [] and pattern.amg is m.amg
             np.testing.assert_array_equal(m.solve(r), z)
-            amg = m.amg
 
     def test_prolongators_kept_on_the_pattern(self, monkeypatch):
-        # a second preconditioner on one pattern re-sets up the first one's
+        # a fresh preconditioner on the pattern re-sets up the pattern's
         # hierarchy: every level keeps its prolongator, restriction and
         # weight, and takes its own operators; nothing is aggregated again
         rng, a2, c2 = self.reuse_pair()
-        c2.pattern = a2.csr_pattern()       # as ReservoirModel hands it on
         aggregated = []
         aggregate = linear._aggregate
 
@@ -1261,18 +1260,60 @@ class TestCprFpf:
         calls = counting_build_amg(monkeypatch)
         m2 = CprFpf(c2, csr_operator(c2))
         assert aggregated == sizes and calls == [c2.ncell]
-        # the pattern keeps no operator of either hierarchy
-        template = c2.csr_pattern().amg_template
-        assert all(lev.a is None and lev.dinv is None for lev in template.levels)
-        for lev1, lev2, tmp in zip(m1.amg.levels, m2.amg.levels, template.levels):
-            assert lev2.p is lev1.p is tmp.p and lev2.r is lev1.r is tmp.r
-            assert lev2.omega == lev1.omega == tmp.omega
+        # the pattern keeps the last hierarchy set up on it, the second one
+        assert c2.csr_pattern().amg is m2.amg
+        for lev1, lev2 in zip(m1.amg.levels, m2.amg.levels):
+            assert lev2.p is lev1.p and lev2.r is lev1.r
+            assert lev2.omega == lev1.omega
             assert lev2.a is not lev1.a
         app = c2.extract_app()
         assert (m2.amg.levels[0].a != app).nnz == 0
         coarse = m2.amg.levels[0]
         assert (m2.amg.levels[1].a != (coarse.r @ app @ coarse.p)).nnz == 0
         assert m2.amg.coarse_n == m1.amg.coarse_n
+
+
+    def test_fresh_resets_up_the_pattern_hierarchy(self, monkeypatch):
+        # an attempt's first Newton iteration: every level keeps the pattern
+        # hierarchy's P, R and weight objects, and its operators, inverse
+        # diagonals and coarse LU are those of R A P down from the new block
+        _, a2, c2 = self.reuse_pair()
+        m1 = CprFpf(a2, csr_operator(a2))
+        work = count_full_build_work(monkeypatch)
+        m2 = make_preconditioner(c2, csr_operator(c2), True)
+        assert isinstance(m2, CprFpf) and work == [0]
+        assert c2.csr_pattern().amg is m2.amg
+        assert len(m2.amg.levels) == len(m1.amg.levels) >= 2
+        op = c2.extract_app()
+        for lev1, lev2 in zip(m1.amg.levels, m2.amg.levels):
+            assert lev2.p is lev1.p and lev2.r is lev1.r and lev2.omega is lev1.omega
+            assert lev2.a is not lev1.a and (lev2.a != op).nnz == 0
+            assert lev2.dinv.tobytes() == (1.0 / op.diagonal()).tobytes()
+            op = (lev1.r @ op @ lev1.p).tocsr()
+        assert m2.amg.coarse_n == op.shape[0]
+        for x, y in zip(m2.amg.coarse_lu, scipy.linalg.lu_factor(op.toarray())):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_pattern_without_hierarchy_builds_in_full(self, monkeypatch, fresh):
+        # the first preconditioner on a pattern, fresh or not, aggregates,
+        # smooths and truncates every level, bitwise as build_amg on its
+        # pressure block alone, and leaves its hierarchy on the pattern
+        _, a2, _ = self.reuse_pair()
+        assert a2.csr_pattern().amg is None
+        work = count_full_build_work(monkeypatch)
+        m = CprFpf(a2, csr_operator(a2), fresh)
+        assert len(work) == 1 and work[0] == 3 * len(m.amg.levels) >= 6
+        assert a2.csr_pattern().amg is m.amg
+        full = build_amg(a2.extract_app())
+        assert len(full.levels) == len(m.amg.levels)
+        for x, y in zip(full.levels, m.amg.levels):
+            for mx, my in ((x.a, y.a), (x.p, y.p), (x.r, y.r)):
+                for attr in ("data", "indices", "indptr"):
+                    assert getattr(mx, attr).tobytes() == getattr(my, attr).tobytes()
+            assert x.omega == y.omega
+        for x, y in zip(full.coarse_lu, m.amg.coarse_lu):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestDumps:

@@ -120,11 +120,13 @@ class TestNewtonStep:
         st.t = 0.5
         theta = 0.05
         rec = StepRecord()
-        _, _, _, amg = newton_step(model, st, state, 0.5, wells, NewtonConfig(),
-                                   SolverConfig(), theta, None, None, rec)
+        out = newton_step(model, st, state, 0.5, wells, NewtonConfig(),
+                          SolverConfig(), theta, None, None, rec)
+        assert len(out) == 3
         (entry,) = rec.newton_log
-        assert entry.status == "converged"
-        assert isinstance(amg, AmgHierarchy)
+        assert entry.status == "converged" and entry.first
+        # the iteration's hierarchy is kept on the Jacobian's pattern
+        assert isinstance(model._pattern.amg, AmgHierarchy)
         assert entry.lhs_norm <= theta * entry.b_norm * (1 + 1e-12)
         assert entry.restarts == 0
 
@@ -187,9 +189,9 @@ class TestNewtonStep:
             return update(state, dx, model)
 
         monkeypatch.setattr(nonlinear, "apply_update", kept)
-        _, r_prev, _, _ = newton_step(model, st, state, 0.5, wells,
-                                      NewtonConfig(forcing_rule=rule), SolverConfig(),
-                                      0.05, None, None, StepRecord())
+        _, r_prev, _ = newton_step(model, st, state, 0.5, wells,
+                                   NewtonConfig(forcing_rule=rule), SolverConfig(),
+                                   0.05, None, None, StepRecord())
         if rule not in ("eq13_a", "eq13_b"):
             assert r_prev is None
             return
@@ -308,7 +310,7 @@ class TestNewtonStep:
         ncfg = NewtonConfig(tol=1e-13, atol=1e-12, max_newton=60,
                             forcing_rule="fixed", theta_fixed=1e-12,
                             theta_min=1e-13, mb_tol=0.0)
-        scfg = SolverConfig(preconditioner="none", max_iterations=400)
+        scfg = SolverConfig(max_iterations=400)
         ref, _ = advance_timestep(model, old, 1.0, [w], ncfg, scfg,
                                   StepController(dt_init=1.0, dt_max=1.0))
         # replay the iteration, recording errors against the reference
@@ -318,9 +320,10 @@ class TestNewtonStep:
         for _ in range(6):
             err = abs(state.p_o[0] - ref.p_o[0]) + 1e4 * abs(state.s_w[0] - ref.s_w[0])
             errors.append(err)
-            state, _, _, amg = newton_step(model, state, old, 1.0, [w], ncfg,
-                                           scfg, 1e-10, None, None, StepRecord())
-            assert amg is None
+            state, _, _ = newton_step(model, state, old, 1.0, [w], ncfg,
+                                      scfg, 1e-10, None, None, StepRecord())
+            # one cell: the pressure "hierarchy" is a 1 x 1 LU
+            assert model._pattern.amg.levels == []
         errors.append(abs(state.p_o[0] - ref.p_o[0]))
         meaningful = [(e1, e2) for e1, e2 in zip(errors, errors[1:])
                       if e1 > 1e-6]
@@ -788,12 +791,12 @@ def scripted_attempt(monkeypatch, ncfg, norms, chops=()):
         return f
 
     def update(model, state, state_old, dt, wells, ncfg, scfg, theta, forcing, theta_rule,
-               rec, floored=False, **kw):
+               rec, floored=False, fresh=True, **kw):
         l = len(rec.newton_log)
         rec.newton_log.append(NewtonIterLog(theta, 0.0, 0.0, 1, "converged", forcing,
                                             theta_rule, 0, chops[l] if l < len(chops) else 0,
-                                            floored))
-        return state, None, None, None
+                                            floored, fresh))
+        return state, None, None
 
     monkeypatch.setattr(ReservoirModel, "assemble_residual", residual)
     monkeypatch.setattr(nonlinear, "newton_step", update)
@@ -849,6 +852,8 @@ class TestTerminationFloor:
         assert [e.theta for e in rec.newton_log] == pytest.approx(thetas, rel=1e-12)
         assert [e.floored for e in rec.newton_log] == floored
         assert rec.floored_solves == sum(floored)
+        # only the attempt's first iteration sets the AMG hierarchy up afresh
+        assert [e.first for e in rec.newton_log] == [True, False, False]
 
     def run_steps(self, ncfg, nsteps=10):
         """The Buckley-Leverett deck's first steps under ``ncfg``, each from the
