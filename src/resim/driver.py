@@ -585,6 +585,7 @@ def run_simulation(deck: Deck, workers: int = 1, report_csv: str | None = None,
     """
     given = dict(report_csv=report_csv, vtk_every=vtk_every, dump_matrices=dump_matrices)
     out = replace(deck.output, **{k: v for k, v in given.items() if v is not None})
+    output_dir = output_dir or "."                  # an empty name is the current directory
     vtk_path = os.path.join(output_dir, f"{out.vtk_prefix}_final.vtk")
     csv_path = os.path.join(output_dir, out.report_csv) if out.report_csv else None
     for path in (vtk_path, csv_path or vtk_path):   # so a bad output path fails at once

@@ -13,13 +13,13 @@ ncell) array, so entry (i, j) of one stencil block is one (ncell,) row.
 So the per-cell algebra works entry by entry over all cells at once:
 ``_block_inv`` inverts blocks in closed form (adjugate over determinant) and
 ``_block_mm`` multiplies them, so no block goes through LAPACK or BLAS on
-its own.  The scalar CSR
-layouts of a block structure (``CsrPattern``: the system, its pressure
-block, the ILU's two factors) follow in closed form from the stencil's
-neighbour masks, with no sort over entries; they are built once and shared
-by every matrix of that structure, so a Newton iteration only gathers values
-into them.  The Krylov products, the CPR residuals and both ILU sweeps are
-``PooledMatvec`` products over the worker pool's row ranges.
+its own.  The scalar CSR layouts of a block structure (``CsrPattern``: the
+system, its pressure block, the ILU's two factors) follow in closed form
+from the stencil's neighbour masks, with no sort over entries; they are
+built once and shared, read-only, by every matrix of that structure, so a
+Newton iteration only gathers values into them, element by element from
+entry-major sources.  The Krylov products, the CPR residuals and both
+ILU sweeps are ``PooledMatvec`` products over the worker pool's row ranges.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ _AMG_MIN_COARSE = 40
 _AMG_MAX_LEVELS = 10
 _AMG_TRUNCATE = (0.25, 0.4)
 _JACOBI_OMEGA = 2.0 / 3.0
-# bytes of the three block arrays per pass of the ILU set-up over black
-# cells, so a pass's arrays stay small (in cache, and no new peak memory)
-_ILU_PASS_BYTES = 1 << 20
-# source runs per pass of a layout's gather: np.take converts its int32
+# black cells per pass of the ILU set-up: a pass's arrays stay small, in cache
+_ILU_PASS_CELLS = 4096
+# source entries per pass of a layout's gather: np.take converts its int32
 # indices to an intp copy, 8 bytes a slot, one pass at a time
 _TAKE_PASS = 1 << 16
 
@@ -218,19 +217,19 @@ class _StencilLayout:
     number of c's blocks of lower offset.  Only perforations are sorted,
     which finds one given twice.
 
-    ``take`` gathers the cell rows from one source array: ``src`` holds the
-    source index of each cell-row slot, by default element (i, j, k, c) of
-    an entry-major (q, q, len(blocks), n) array for entry (i, j) of block k
-    at cell c.  Given ``runs`` (per block, (q, k): the run of block row i's
-    q values in the source at each of the k cells of the mask, in ascending
-    order), ``src`` holds the run of each block row in slot order instead.
+    ``take`` gathers the cell rows from one source array, element by
+    element: ``src`` holds the source index of each cell-row slot, by
+    default element (i, j, k, c) of an entry-major (q, q, len(blocks), n)
+    array for entry (i, j) of block k at cell c.  Given ``sources`` (per
+    block, (q, q, k): the index of entry (i, j) at each of the k cells of
+    the mask, in ascending order), ``src`` holds those instead.
     ``border`` lists the well border's slots, which ``take`` writes from
     their own arrays: the well diagonals, then the perforations' cell rows
     and well rows (q, nperf).  Cell-row perforation slots are border slots,
     and ``src`` holds 0 for them.
     """
 
-    def __init__(self, n, blocks, q, nwell=0, perfs=((), ()), well_diag=False, runs=None):
+    def __init__(self, n, blocks, q, nwell=0, perfs=((), ()), well_diag=False, sources=None):
         cells, wells = (np.asarray(x, np.int64) for x in perfs)
         by_cell, by_well = np.lexsort((wells, cells)), np.lexsort((cells, wells))
         c, w = cells[by_cell], wells[by_cell]
@@ -254,17 +253,14 @@ class _StencilLayout:
         for k, (_, mask) in sorted(enumerate(blocks), key=lambda kb: kb[1][0]):
             first[k] = row0 + q * rank          # the block's slot in each cell row
             rank += mask
-        self.run = 1 if runs is None else q
-        self.src = np.zeros(self.indptr[n * q] // self.run, np.int32)
+        self.src = np.zeros(self.indptr[n * q], np.int32)
         self.indices = np.empty(self.nnz, np.int32)
         for k, ((off, mask), f) in enumerate(zip(blocks, first)):
             cm = np.flatnonzero(mask).astype(np.int32)
             slots = np.take(f, cm, axis=1)[:, None] + ii        # [i, j, c]: entry (i, j) at cm[c]
             self.indices[slots] = (cm + off) * q + ii
-            if runs is None:
-                self.src[slots] = ((ii[..., None] * q + ii) * len(blocks) + k) * n + cm
-            else:
-                self.src[slots[:, 0] // q] = runs[k]
+            self.src[slots] = (((ii[..., None] * q + ii) * len(blocks) + k) * n + cm
+                               if sources is None else sources[k])
         diag = np.arange(nwell if well_diag else 0)             # the wells with a diagonal
         self.border = [self.indptr[n * q + 1 + diag] - 1,
                        row0[:, cells] + q * count[cells] + in_cell,
@@ -276,11 +272,10 @@ class _StencilLayout:
     def take(self, source: np.ndarray, border=()) -> sp.csr_matrix:
         """The CSR of this layout with its cell rows gathered from ``source``
         and ``border``'s arrays written into the well border's slots."""
-        data, head = np.empty(self.nnz), len(self.src) * self.run
-        runs, out = source.reshape(-1, self.run), data[:head].reshape(-1, self.run)
+        data = np.empty(self.nnz)
         for i in range(0, len(self.src), _TAKE_PASS):
-            np.take(runs, self.src[i:i + _TAKE_PASS], axis=0, mode="clip",
-                    out=out[i:i + _TAKE_PASS])
+            src = self.src[i:i + _TAKE_PASS]
+            np.take(source, src, mode="clip", out=data[i:i + len(src)])
         for slots, values in zip(self.border, border):
             data[slots] = values
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
@@ -299,12 +294,10 @@ class CsrPattern:
     direction d (lower, upper per axis; cell 0, which is red, where there is
     none).  ``ilu_lower`` (diagonal blocks, black rows' neighbour blocks,
     well diagonals) and ``ilu_upper`` (red rows' neighbour blocks) are the
-    layouts of ``BlockILU0``'s factors, gathered in runs of a block row's m
-    values; they depend on the structure alone, not on the set-up's passes
-    over the black cells, whose arrays ``ilu_buffers`` keeps for the next
-    set-up on the pattern.  ``fits`` tells whether a matrix has this structure:
-    grid shape, block size, stencil axes and well borders.  ``amg`` is the
-    AMG hierarchy ``CprFpf`` last set up on the pattern (see there).
+    layouts of ``BlockILU0``'s factors, gathered from its entry-major
+    sources.  ``fits`` tells whether a matrix has this structure: grid
+    shape, block size, stencil axes and well borders.  ``amg`` is the AMG
+    hierarchy ``CprFpf`` last set up on the pattern (see there).
     """
 
     def __init__(self, a: BlockMatrix):
@@ -321,26 +314,26 @@ class CsrPattern:
         cell = np.arange(n)
         red = (cell % nx + (cell // nx) % ny + cell // (nx * ny)) % 2 == 0
         self.red, self.black = (np.flatnonzero(x).astype(np.int32) for x in (red, ~red))
-        ndir, nb, ii = len(dirs), len(self.black), np.arange(m)[:, None]
-        # BlockILU0's sources in runs of a block row's m values (see there): K_lo's
-        # the inverse diagonal blocks as (m, ncell, m), then per direction d black
-        # cell b's folded block to its red neighbour r (row b) as (m, ndir, nb, m);
-        # K_up's r's block back to b (row r).  Runs are set at masked cells only.
-        at = np.cumsum(~red) - 1                # black cells' place among them
-        lower, upper = [stencil[0] + (ii * n + cell,)], []
+        ndir, nb = len(dirs), len(self.black)
+        ij = np.arange(m * m, dtype=np.int32).reshape(m, m, 1)      # entry (i, j)'s i*m + j
+        # BlockILU0's entry-major sources (see there): K_lo's the inverse diagonal
+        # blocks as (m, m, ncell), then per direction d black cell b's folded block
+        # to its red neighbour r (row b) as (m, m, ndir, nb); K_up's r's block back
+        # to b (row r), (m, m, ndir, nb).  Sources are set at masked cells only.
+        at = (np.cumsum(~red) - 1).astype(np.int32)     # black cells' place among them
+        lower, upper = [stencil[0] + (ij * n + cell.astype(np.int32),)], []
         self.nbr = np.array([np.where(has[self.black], self.black + off, 0)
                              for off, has in dirs], np.int32).reshape(ndir, nb)
         for d, (off, has) in enumerate(dirs):
             rows = has & ~red
-            run = (ii * ndir + d) * nb + at[rows]
-            lower.append((off, rows, n * m + run))
+            src = (ij * ndir + d) * nb + at[rows]
+            lower.append((off, rows, n * m * m + src))
             # r = b + off: rolled by off, and every rolled-in cell is masked
-            upper.append((-off, np.roll(rows, off), run))
+            upper.append((-off, np.roll(rows, off), src))
         self.ilu_lower, self.ilu_upper = (
             _StencilLayout(n, [blk[:2] for blk in part], m, a.nwell, well_diag=part is lower,
-                           runs=[blk[2] for blk in part]) for part in (lower, upper))
+                           sources=[blk[2] for blk in part]) for part in (lower, upper))
         self.amg: AmgHierarchy | None = None
-        self.ilu_buffers: tuple[np.ndarray, np.ndarray] | None = None
 
     def fits(self, a: BlockMatrix) -> bool:
         return ((a.shape, a.m, a.axes, a.nwell) == (self.shape, self.m, self.axes, self.nwell)
@@ -434,11 +427,6 @@ def _safe_inv(blocks: np.ndarray, counter: list) -> np.ndarray:
     return inv
 
 
-def _in_runs(source: np.ndarray, m: int, *mid) -> np.ndarray:
-    """(m, m, *mid) view of a factor's source, laid out (m, *mid, m) in runs."""
-    return np.moveaxis(source.reshape(m, *mid, m), -1, 1)
-
-
 class BlockILU0:
     """Red-black block ILU(0) on the cell stencil; well rows folded diagonally.
 
@@ -453,59 +441,45 @@ class BlockILU0:
     every inverse diagonal block, -inv(D~_b) L_{b,r} inv(D_r) on black rows
     and 1/ww on well rows, ``k_up`` holds inv(D_r) U_{r,b} on red rows.  Both
     are ``PooledMatvec`` products on ``pool``, their values gathered once
-    into the layouts of ``a``'s ``CsrPattern``; the block products run entry
-    by entry, in passes of ``_ILU_PASS_BYTES`` over the black cells
-    (``_block_mm``) whose arrays the pattern keeps (``CsrPattern.ilu_buffers``),
-    so set-ups on one pattern run one at a time; ``inv_diag`` and the
-    factors are each set-up's own.
+    into the layouts of ``a``'s ``CsrPattern``, which the set-up reads and
+    never writes.  The block products run entry by entry (``_block_mm``),
+    in passes of ``_ILU_PASS_CELLS`` black cells, one stencil direction at
+    a time, on arrays of the pass's own.
     """
 
     def __init__(self, a: BlockMatrix, pool=None):
         self.a = a
         pattern = a.csr_pattern()
         n, m, mm = a.ncell, a.m, a.m * a.m
-        black, nbr = pattern.black, pattern.nbr
+        black, nbr, counter = pattern.black, pattern.nbr, [0]
         ndir, nb = nbr.shape
-        p = max(1, _ILU_PASS_BYTES // (24 * mm * max(1, ndir)))
-        counter = [0]
-        # K_lo's source: inverse diagonal blocks, then the black rows' folded blocks;
-        # K_up's the folded blocks back.  Both are in runs of a block row's m values
-        # (see CsrPattern): black cell c's are [..., c] of their (m, m, ndir, nb) views
-        lower, upper = np.empty(n * mm + ndir * mm * nb), np.empty(ndir * mm * nb)
-        inv, folded = np.empty((m, m, n)), _in_runs(lower[n * mm:], m, ndir, nb)
+        # K_lo's source: the inverse diagonal blocks, then the black rows' folded
+        # blocks; K_up's the folded blocks back (entry-major, see CsrPattern)
+        lower, upper = np.empty(n * mm + ndir * mm * nb), np.empty((m, m, ndir, nb))
+        inv, folded = lower[:n * mm].reshape(m, m, n), lower[n * mm:].reshape(m, m, ndir, nb)
         # the stencil as (m, m, (1 + ndir) * ncell): cell c's diagonal block
         # at c, its block in direction d at (1 + d) * n + c; d ^ 1 points back
-        blocks, d = a.stencil.reshape(m, m, -1), np.arange(ndir)[:, None]
-        to, back = (1 + d) * n, (1 + (d ^ 1)) * n
+        blocks = a.stencil.reshape(m, m, -1)
         inv[..., pattern.red] = _safe_inv(np.take(blocks, pattern.red, axis=-1), counter)
-        # one pass's arrays, the pattern's; a pass of k cells uses their
-        # first entries as (m, m, ndir, k) and (m, m, k) blocks
-        q = mm * min(p, nb)
-        if pattern.ilu_buffers is None or pattern.ilu_buffers[1].shape[1] != q:
-            pattern.ilu_buffers = np.empty((4, ndir * q)), np.empty((2, q))
-        wide, narrow = pattern.ilu_buffers
-        for c in range(0, nb, p):
-            cells, near, k = black[c:c + p], nbr[:, c:c + p], min(p, nb - c)
-            # each black cell's block L to its red neighbour r per direction,
-            # inv(D_r), and r's block U back; a missing neighbour has zero
-            # blocks, so it adds zero terms
-            l_br, u_rb, dinv_r, ld = (x[:mm * ndir * k].reshape(m, m, ndir, k) for x in wide)
-            upd, pivot = (x[:mm * k].reshape(m, m, k) for x in narrow)
-            np.take(blocks, to + cells, axis=-1, mode="clip", out=l_br)
-            np.take(blocks, back + near, axis=-1, mode="clip", out=u_rb)
-            np.take(inv, near, axis=-1, mode="clip", out=dinv_r)
-            _block_mm(l_br, dinv_r, out=ld)
-            _block_mm(dinv_r, u_rb, out=_in_runs(upper, m, ndir, nb)[..., c:c + k])
-            np.sum(_block_mm(ld, u_rb, out=l_br), axis=2, out=upd)
-            np.take(blocks, cells, axis=-1, mode="clip", out=pivot)
-            inv[..., cells] = inv_b = _safe_inv(np.subtract(pivot, upd, out=pivot), counter)
-            _block_mm(-inv_b[:, :, None], ld, out=folded[..., c:c + k])
-        _in_runs(lower[:n * mm], m, n)[...] = inv
+        for c in range(0, nb, _ILU_PASS_CELLS):
+            cells, near = black[c:c + _ILU_PASS_CELLS], nbr[:, c:c + _ILU_PASS_CELLS]
+            ld, upd = np.empty((m, m, ndir, len(cells))), np.zeros((m, m, len(cells)))
+            # per direction, each black cell's block L to its red neighbour r,
+            # inv(D_r) and r's block U back: a missing neighbour's are zero
+            for d in range(ndir):
+                l_br = np.take(blocks, (1 + d) * n + cells, axis=-1)
+                u_rb = np.take(blocks, (1 + (d ^ 1)) * n + near[d], axis=-1)
+                dinv_r = np.take(inv, near[d], axis=-1)
+                _block_mm(l_br, dinv_r, out=ld[:, :, d])
+                _block_mm(dinv_r, u_rb, out=upper[:, :, d, c:c + len(cells)])
+                upd += _block_mm(ld[:, :, d], u_rb)
+            inv[..., cells] = inv_b = _safe_inv(np.take(blocks, cells, axis=-1) - upd, counter)
+            _block_mm(-inv_b[:, :, None], ld, out=folded[..., c:c + len(cells)])
         self.k_up = PooledMatvec(pattern.ilu_upper.take(upper), pool)
         del upper
         well_inv = np.where(np.abs(a.ww) > _TINY, 1.0 / np.where(a.ww == 0, 1.0, a.ww), 1.0)
         self.k_lo = PooledMatvec(pattern.ilu_lower.take(lower, (well_inv,)), pool)
-        self.inv_diag = inv
+        self.inv_diag = inv.copy()          # its own, so it does not keep ``lower``
         self.pivot_shifts = counter[0]
         if counter[0]:
             log.warning("block ILU(0): %d shifted pivots", counter[0])

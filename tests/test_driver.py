@@ -502,6 +502,12 @@ class TestRunSimulation:
         snaps = [f for f in os.listdir(tmp_path) if f.startswith("resim_out_0")]
         assert snaps, "expected periodic VTK snapshots"
 
+    def test_empty_output_dir_is_the_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_simulation(parse_deck(TINY_RUN_DECK), report_csv="steps.csv", output_dir="")
+        assert sorted(os.listdir(tmp_path)) == ["resim_out_final.vtk", "steps.csv"]
+        assert (tmp_path / "steps.csv").read_text().startswith("step,")
+
     def test_negative_vtk_every_rejected(self, tmp_path):
         deck = parse_deck(TINY_RUN_DECK)
         out = tmp_path / "out"

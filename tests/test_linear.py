@@ -304,7 +304,7 @@ class TestCsrLayouts:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_gather_in_passes(self, m, monkeypatch):
-        # the layouts gather _TAKE_PASS source runs at a time; passes of 5
+        # the layouts gather _TAKE_PASS source entries at a time; passes of 5
         # (the last one short) give every CSR of the default single pass
         a, _ = self.structure((4, 3, 2), m, True)
 
@@ -675,44 +675,52 @@ class TestBlockILU0:
         r = rng.standard_normal(a.nunk)
         whole = BlockILU0(a)
         pattern = a.pattern
-        assert len(pattern.black) % 3 == 1
+        assert len(pattern.black) % 3 == 1 and len(pattern.black) <= linear._ILU_PASS_CELLS
         for cells in (1, 3):
-            monkeypatch.setattr(linear, "_ILU_PASS_BYTES", cells * 24 * 9 * 6)
-            runs = BlockILU0(a)
-            # the set-up, not the pattern, sized its passes
-            assert a.pattern is pattern and pattern.ilu_buffers[1].shape[1] == 9 * cells
-            for x, y in ((runs.k_lo.a, whole.k_lo.a), (runs.k_up.a, whole.k_up.a)):
+            monkeypatch.setattr(linear, "_ILU_PASS_CELLS", cells)
+            passes = BlockILU0(a)
+            assert a.pattern is pattern
+            for x, y in ((passes.k_lo.a, whole.k_lo.a), (passes.k_up.a, whole.k_up.a)):
                 assert x.data.tobytes() == y.data.tobytes()
-            np.testing.assert_array_equal(runs.inv_diag, whole.inv_diag)
-            assert runs.solve(r).tobytes() == whole.solve(r).tobytes()
+            np.testing.assert_array_equal(passes.inv_diag, whole.inv_diag)
+            assert passes.solve(r).tobytes() == whole.solve(r).tobytes()
 
-    def test_set_ups_on_one_pattern_share_only_its_pass_buffers(self, monkeypatch):
-        # the second set-up on a pattern reuses the pass buffers the first
-        # allocated; the first's factors are left as they were, and both
-        # are byte for byte the set-ups on patterns of their own
-        monkeypatch.setattr(linear, "_ILU_PASS_BYTES", 3 * 24 * 9 * 6)   # 3-cell passes
+    def test_set_ups_write_nothing_to_their_pattern(self, monkeypatch):
+        # a set-up leaves every attribute of its pattern, and of the
+        # pattern's layouts, the very object it was; so a second matrix's
+        # set-up started in the middle of the first's (at the first's second
+        # pivot inversion, inside a pass) changes neither's factors: both
+        # are byte for byte the set-ups run one after the other
+        monkeypatch.setattr(linear, "_ILU_PASS_CELLS", 3)
         rng = np.random.default_rng(54)
         first = random_block_matrix(rng, shape=(5, 3, 3), m=3, nwell=2)
         second = random_block_matrix(rng, shape=(5, 3, 3), m=3, nwell=2)
         second.cw_cells, second.cw_well = first.cw_cells.copy(), first.cw_well.copy()
+        second.pattern = pattern = first.csr_pattern()
+
+        def state(x):
+            return {k: id(v) for k, v in vars(x).items()}
 
         def factors(ilu):
             return [x.tobytes() for x in (ilu.inv_diag, ilu.k_lo.a.data, ilu.k_up.a.data)]
 
-        own = [factors(BlockILU0(a)) for a in (first, second)]
-        assert first.pattern is not second.pattern
-        first.pattern = None
-        second.pattern = pattern = first.csr_pattern()
-        ilu = BlockILU0(first)
-        buffers = pattern.ilu_buffers
-        before = factors(ilu)
-        again = BlockILU0(second)
-        assert pattern.ilu_buffers is buffers
-        assert second.pattern is pattern
-        assert factors(ilu) == before == own[0]
-        assert factors(again) == own[1]
-        r = rng.standard_normal(first.nunk)
-        assert ilu.solve(r).tobytes() == BlockILU0(first).solve(r).tobytes()
+        layouts = [pattern.system, pattern.pressure, pattern.ilu_lower, pattern.ilu_upper]
+        before = [state(x) for x in [pattern] + layouts]
+        sequential = [factors(BlockILU0(a)) for a in (first, second)]
+        assert [state(x) for x in [pattern] + layouts] == before
+        inner, safe_inv, calls = [], linear._safe_inv, []
+
+        def interleaving(blocks, counter):
+            calls.append(1)
+            if len(calls) == 2:
+                inner.append(BlockILU0(second))
+            return safe_inv(blocks, counter)
+
+        monkeypatch.setattr(linear, "_safe_inv", interleaving)
+        outer = BlockILU0(first)
+        assert first.pattern is second.pattern is pattern and len(inner) == 1
+        assert [factors(outer), factors(inner[0])] == sequential
+        assert [state(x) for x in [pattern] + layouts] == before
 
     def test_pooled_sweeps_match_one_worker(self, monkeypatch):
         # both sweeps are row-sliced products on the pool; with two workers
